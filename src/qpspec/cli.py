@@ -25,11 +25,9 @@ import numpy as np
 
 from . import svg as svgmod
 from .grids import BoundaryGrid, DomainError, FrequencyGrid, GridError
-from .operators import OperatorMatrix
 from .series import (
     QuasiParabolicMap,
     SeriesError,
-    SeriesPlan,
     build_series,
     exact_constant_multiplier,
     plan_for_map,
@@ -80,7 +78,6 @@ class RunConfig:
     sizes: tuple = (32, 48, 64)
     t_samples: int = 64
     seed: int = 0
-    crosscheck: bool = True
     raw: dict = field(default_factory=dict, repr=False)
 
     @classmethod
@@ -138,6 +135,24 @@ class RunConfig:
             if v <= 0:
                 raise ConfigError(f"{label} must be positive, got {v}")
         return cfg
+
+    def apply_overrides(
+        self, seed: int | None = None, sizes: str | None = None, eps: str | None = None
+    ) -> None:
+        """Apply the --seed/--sizes/--eps flags to the fields and to the
+        raw config that digest() hashes, so the hash names what ran."""
+        if seed is not None:
+            self.seed = seed
+            self.raw["seed"] = seed
+        spectra = dict(self.raw.get("spectra", {}))
+        if sizes:
+            self.sizes = tuple(int(s) for s in sizes.split(","))
+            spectra["sizes"] = list(self.sizes)
+        if eps:
+            self.eps_list = tuple(float(s) for s in eps.split(","))
+            spectra["eps"] = list(self.eps_list)
+        if sizes or eps:
+            self.raw["spectra"] = spectra
 
     def digest(self) -> str:
         blob = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
@@ -207,31 +222,21 @@ def _js(o):
 # subcommands
 
 
-def cmd_predict(cfg: RunConfig, out: Path) -> int:
-    digest = cfg.digest()
-    s1, s2 = cfg.symbols()
+def _predict(cfg: RunConfig, s1, s2):
     plan = ClusterPlan(seed=cfg.seed)
     c1 = cluster_set(s1, "infinity", plan)
     c2 = cluster_set(s2, "infinity", plan)
+    return c1, c2, predicted_set(c1, c2, t_samples=cfg.t_samples, seed=cfg.seed)
+
+
+def cmd_predict(cfg: RunConfig, out: Path) -> int:
+    digest = cfg.digest()
+    c1, c2, pred = _predict(cfg, *cfg.symbols())
     _write_points_csv(out / "cluster1.csv", c1.points, digest)
     _write_points_csv(out / "cluster2.csv", c2.points, digest)
-    pred = predicted_set(c1, c2, t_samples=cfg.t_samples, seed=cfg.seed)
-    min_im = min(float(np.min(c1.points.imag)), float(np.min(c2.points.imag)))
-    T = 8.0 / min_im
-    t = np.linspace(0.0, T, cfg.t_samples)
     # sweep order (t1 outer, t2 inner) so the first row is t=0 -> 1
-    paths = []
-    sweep = []
-    rng = np.random.default_rng(cfg.seed)
-    z1s = c1.points if c1.points.size <= 8 else rng.choice(c1.points, 8, replace=False)
-    z2s = c2.points if c2.points.size <= 8 else rng.choice(c2.points, 8, replace=False)
-    for a in z1s:
-        for b in z2s:
-            img = np.exp(1j * (a * t[:, None] + b * t[None, :]))
-            paths.append(img.reshape(-1))
-            sweep.append(img.reshape(-1))
-    _write_points_csv(out / "spiral.csv", np.concatenate(sweep), digest)
-    (out / "spiral.svg").write_text(svgmod.spiral_figure(paths))
+    _write_points_csv(out / "spiral.csv", np.concatenate(pred.images), digest)
+    (out / "spiral.svg").write_text(svgmod.spiral_figure(pred.images))
     _write_json(
         out / "predict_report.json",
         {
@@ -240,7 +245,7 @@ def cmd_predict(cfg: RunConfig, out: Path) -> int:
             "cluster_sizes": [len(c1), len(c2)],
             "cluster_diagnostics": [c1.diagnostics, c2.diagnostics],
             "predicted_points": len(pred.points),
-            "t_max": T,
+            "t_max": pred.params["t_max"],
             "params": pred.params,
         },
         digest,
@@ -248,7 +253,7 @@ def cmd_predict(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def _build_pipeline(cfg: RunConfig):
+def _plan(cfg: RunConfig):
     qmap = cfg.qmap()
     plan = plan_for_map(
         qmap,
@@ -258,19 +263,17 @@ def _build_pipeline(cfg: RunConfig):
         n1=cfg.plan_n1,
         n2=cfg.plan_n2,
     )
-    op = build_series(qmap, plan, cfg.fgrids())
-    return qmap, plan, op
+    return qmap, plan
 
 
 def cmd_build(cfg: RunConfig, cross: bool, out: Path) -> int:
     digest = cfg.digest()
-    t0 = time.time()
     try:
-        qmap, plan, op = _build_pipeline(cfg)
+        qmap, plan = _plan(cfg)
+        op = build_series(qmap, plan, cfg.fgrids())
     except SeriesError as e:
         _write_json(out / "build_report.json", {"error": str(e)}, digest)
-        print(f"certification failure: {e}", file=sys.stderr)
-        return EXIT_CERT
+        raise
     _write_matrix_csv(out / "operator.csv", op.entries, digest)
     cert = json.loads(plan.to_json())
     cert.update(
@@ -281,7 +284,6 @@ def cmd_build(cfg: RunConfig, cross: bool, out: Path) -> int:
             "p2": cfg.p2,
             "dilation_applied": cfg.p1 != 1.0 or cfg.p2 != 1.0,
             "frequency_nodes": cfg.frequency_nodes,
-            "build_seconds": time.time() - t0,
         }
     )
     if cross:
@@ -323,11 +325,8 @@ def _const_value(d: dict):
 
 def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
     digest = cfg.digest()
-    try:
-        _, plan, op = _build_pipeline(cfg)
-    except SeriesError as e:
-        print(f"certification failure: {e}", file=sys.stderr)
-        return EXIT_CERT
+    qmap, plan = _plan(cfg)
+    op = build_series(qmap, plan, cfg.fgrids())
     pmap, levels = pseudospectrum(op, cfg.region, cfg.resolution, cfg.eps_list)
     _write_matrix_csv(out / "sigma_min.csv", pmap.values.astype(complex), digest)
     for eps, ls in zip(cfg.eps_list, levels):
@@ -350,14 +349,9 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
 
 def cmd_verify(cfg: RunConfig, out: Path) -> int:
     digest = cfg.digest()
-    t0 = time.time()
-    s1, s2 = cfg.symbols()
-    cplan = ClusterPlan(seed=cfg.seed)
-    c1 = cluster_set(s1, "infinity", cplan)
-    c2 = cluster_set(s2, "infinity", cplan)
-    pred = predicted_set(c1, c2, t_samples=cfg.t_samples, seed=cfg.seed)
-    qmap = cfg.qmap()
-    plan = plan_for_map(qmap, tol=cfg.plan_tol, seed=cfg.seed)
+    qmap, plan = _plan(cfg)
+    _, _, pred = _predict(cfg, qmap.psi1, qmap.psi2)
+    pred.images.clear()  # verify writes no sweep; free it before the surrogate
 
     def builder(n):
         return build_series(qmap, plan, cfg.fgrids(n))
@@ -371,7 +365,6 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
         "seed": cfg.seed,
         "plan": json.loads(plan.to_json()),
         "verdict": verdict,
-        "elapsed_seconds": time.time() - t0,
     }
     _write_json(out / "verify_report.json", report, digest)
     _write_points_csv(out / "surrogate.csv", surro.points.points, digest)
@@ -386,6 +379,27 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK if verdict["verdict"] == "PASS" else EXIT_FAIL
 
 
+def run_command(command: str, cfg: RunConfig, out: Path, cross: bool = True) -> int:
+    """Run one subcommand and map its failures onto the exit codes."""
+    try:
+        if command == "predict":
+            return cmd_predict(cfg, out)
+        if command == "build":
+            return cmd_build(cfg, cross, out)
+        if command == "spectrum":
+            return cmd_spectrum(cfg, out)
+        return cmd_verify(cfg, out)
+    except SeriesError as e:
+        print(f"certification failure: {e}", file=sys.stderr)
+        return EXIT_CERT
+    except (SymbolError, ConfigError) as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (DomainError, GridError, UsageError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+
+
 DEMO_RUNS = (
     ("constants_basic", "verify"),
     ("cay_quarter", "build"),
@@ -398,18 +412,11 @@ def cmd_demo(out: Path, seed: int | None) -> int:
     worst = EXIT_OK
     for name, action in DEMO_RUNS:
         cfg = RunConfig.load(CONFIG_DIR / f"{name}.json")
-        if seed is not None:
-            cfg.seed = seed
-            cfg.raw["seed"] = seed
+        cfg.apply_overrides(seed=seed)
         sub = out / name
         sub.mkdir(parents=True, exist_ok=True)
         t0 = time.time()
-        if action == "verify":
-            rc = cmd_verify(cfg, sub)
-        elif action == "build":
-            rc = cmd_build(cfg, cross=True, out=sub)
-        else:
-            rc = cmd_predict(cfg, sub)
+        rc = run_command(action, cfg, sub)
         print(f"demo {name} ({action}): exit {rc} in {time.time() - t0:.1f}s")
         worst = max(worst, rc)
     return worst
@@ -443,30 +450,11 @@ def main(argv=None) -> int:
         return cmd_demo(out, args.seed)
     try:
         cfg = RunConfig.load(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-            cfg.raw["seed"] = args.seed
-        if args.sizes:
-            cfg.sizes = tuple(int(s) for s in args.sizes.split(","))
-        if args.eps:
-            cfg.eps_list = tuple(float(s) for s in args.eps.split(","))
+        cfg.apply_overrides(args.seed, args.sizes, args.eps)
     except (ConfigError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        if args.command == "predict":
-            return cmd_predict(cfg, out)
-        if args.command == "build":
-            return cmd_build(cfg, not args.no_crosscheck, out)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg, out)
-        return cmd_verify(cfg, out)
-    except (SymbolError, ConfigError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DomainError, GridError, UsageError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    return run_command(args.command, cfg, out, cross=not args.no_crosscheck)
 
 
 if __name__ == "__main__":

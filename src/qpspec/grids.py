@@ -21,8 +21,8 @@ Conventions fixed here and used everywhere else:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Union
 
 import numpy as np
 
@@ -187,6 +187,12 @@ def grid_weights(grid: GridLike) -> np.ndarray:
             w = np.kron(w, grid_weights(g))
         return w
     return np.asarray(grid.weights, dtype=float)
+
+
+def tensor_nodes(grids: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Node pairs (t1, t2) of a two-axis grid, flattened row-major."""
+    g1, g2 = grids
+    return np.repeat(g1.nodes, g2.size), np.tile(g2.nodes, g1.size)
 
 
 @dataclass

@@ -12,21 +12,21 @@ sum-of-products decomposition as Kronecker sums.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .grids import (
     BoundaryGrid,
-    CircleGrid,
     FrequencyGrid,
     GridError,
     GridLike,
     grid_size,
     grid_weights,
+    tensor_nodes,
 )
-from .symbols import SepExpr, SepTerm, SymbolError
+from .symbols import SepExpr, SymbolError
 
 BOUNDARY_EVAL_HEIGHT = 1e-8
 
@@ -63,11 +63,11 @@ class OperatorMatrix:
     def apply(self, values: np.ndarray) -> np.ndarray:
         return self.entries @ np.asarray(values, dtype=complex)
 
-    def is_diagonal(self, tol: float = 0.0) -> bool:
+    def is_diagonal(self) -> bool:
         if self.entries.shape[0] != self.entries.shape[1]:
             return False
         off = self.entries - np.diag(np.diag(self.entries))
-        return float(np.max(np.abs(off))) <= tol
+        return float(np.max(np.abs(off))) <= 0.0
 
 
 def identity_like(grid: GridLike, rep: str) -> OperatorMatrix:
@@ -75,23 +75,18 @@ def identity_like(grid: GridLike, rep: str) -> OperatorMatrix:
     return OperatorMatrix(np.eye(n, dtype=complex), grid, grid, rep)
 
 
-def op_norm(A: OperatorMatrix) -> float:
-    """Largest singular value after symmetric weight rescaling.
-
-    The similarity W_c^(1/2) A W_d^(-1/2) makes the matrix 2-norm approximate
-    the continuum L^2 -> L^2 operator norm on the quadrature grids.
-    """
-    wd = grid_weights(A.domain_grid)
-    wc = grid_weights(A.codomain_grid)
-    B = (np.sqrt(wc)[:, None]) * A.entries * (1.0 / np.sqrt(wd)[None, :])
-    return float(np.linalg.norm(B, 2))
-
-
 def weighted_matrix(A: OperatorMatrix) -> np.ndarray:
-    """The weight-rescaled matrix whose 2-norm op_norm reports."""
+    """The similarity W_c^(1/2) A W_d^(-1/2), which represents A on the
+    quadrature-weighted L^2 spaces of its grids."""
     wd = grid_weights(A.domain_grid)
     wc = grid_weights(A.codomain_grid)
-    return (np.sqrt(wc)[:, None]) * A.entries * (1.0 / np.sqrt(wd)[None, :])
+    return (np.sqrt(wc)[:, None] * A.entries) / np.sqrt(wd)[None, :]
+
+
+def op_norm(A: OperatorMatrix) -> float:
+    """Largest singular value of the weighted similarity: the matrix 2-norm
+    that approximates the continuum L^2 -> L^2 operator norm."""
+    return float(np.linalg.norm(weighted_matrix(A), 2))
 
 
 def kron(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
@@ -128,7 +123,7 @@ def embed_one_variable(A: OperatorMatrix, axis: int, other_grid: GridLike) -> Op
 # Toeplitz operators
 
 
-def toeplitz_disc(samples: np.ndarray, size: int, circle: Optional[CircleGrid] = None) -> OperatorMatrix:
+def toeplitz_disc(samples: np.ndarray, size: int) -> OperatorMatrix:
     """Finite section of a disc Toeplitz operator from circle samples.
 
     entries[j][k] = phihat(j - k), Fourier coefficients by FFT of the
@@ -141,7 +136,6 @@ def toeplitz_disc(samples: np.ndarray, size: int, circle: Optional[CircleGrid] =
     coeffs = np.fft.fft(samples) / L  # coeffs[m] = phihat(m), m mod L
     idx = np.subtract.outer(np.arange(size), np.arange(size)) % L
     entries = coeffs[idx]
-    circle = circle or CircleGrid(L)
     basis = _TaylorWindow(size)
     return OperatorMatrix(entries, basis, basis, "disc-taylor")
 
@@ -239,10 +233,7 @@ def toeplitz_separable(
 def fourier_multiplier(fn: Callable, grid: GridLike) -> OperatorMatrix:
     """Diagonal multiplier diag(theta(t_k)) on a frequency grid (1- or 2-D)."""
     if isinstance(grid, tuple):
-        g1, g2 = grid
-        t1 = np.repeat(g1.nodes, g2.size)
-        t2 = np.tile(g2.nodes, g1.size)
-        diag = np.asarray(fn(t1, t2), dtype=complex)
+        diag = np.asarray(fn(*tensor_nodes(grid)), dtype=complex)
     else:
         diag = np.asarray(fn(grid.nodes), dtype=complex)
     if not np.all(np.isfinite(diag)):
@@ -266,14 +257,9 @@ def dilation_1d(p: float, fgrid: FrequencyGrid, max_stretch: float = 16.0) -> np
         )
     t = fgrid.nodes
     targets = t / p
-    V = np.zeros((t.size, t.size))
-    for k in range(t.size):
-        e = np.zeros(t.size)
-        e[k] = 1.0
-        spline = CubicSpline(t, e, bc_type="not-a-knot")
-        col = spline(targets)
-        col[targets > fgrid.extent] = 0.0
-        V[:, k] = col
+    # column k interpolates the k-th unit vector
+    V = CubicSpline(t, np.eye(t.size), bc_type="not-a-knot")(targets)
+    V[targets > fgrid.extent] = 0.0
     return V / p
 
 

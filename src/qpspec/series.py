@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -29,19 +29,16 @@ from .grids import (
     BoundaryGrid,
     DomainError,
     FrequencyGrid,
-    GridError,
-    bochner_inverse_matrix,
     bochner_matrix,
-    cayley,
-    cayley_inv,
     grid_weights,
+    tensor_nodes,
 )
 from .operators import (
     OperatorMatrix,
     dilation,
-    op_norm,
+    fourier_multiplier,
+    toeplitz_halfplane,
     toeplitz_separable,
-    weighted_matrix,
 )
 from .symbols import AnalyticSymbol, PointCloud, SepExpr, SepTerm, closure_image
 
@@ -49,6 +46,9 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # safety inflation of the sampled symbol-image cloud before alpha selection
 CLOUD_MARGIN = 1e-3
+
+# consecutive non-decreasing series increments that void the certificate
+GROWTH_GUARD = 5
 
 
 class SeriesError(ValueError):
@@ -300,27 +300,19 @@ def _tau_expr(psi: AnalyticSymbol, alpha: float, p1: float, p2: float) -> SepExp
     return SepExpr.constant(1j * alpha) - psi.expr.rescaled(p1, p2)
 
 
-def _axis_diag(fn: Callable, axis: int, g1: FrequencyGrid, g2: FrequencyGrid) -> np.ndarray:
-    t1 = np.repeat(g1.nodes, g2.size)
-    t2 = np.tile(g2.nodes, g1.size)
-    return np.asarray(fn(t1, t2), dtype=complex)
-
-
 def build_series(
     qmap: QuasiParabolicMap,
     plan: SeriesPlan,
     fgrids: tuple,
     brule: Optional[BoundaryGrid] = None,
-    growth_guard: int = 5,
 ) -> OperatorMatrix:
     """Truncated operator series for C_phi in the frequency representation.
 
-    Uses the factorization sum_{n,m} T1^n T2^m D1n D2m =
-    sum_n T1^n (sum_m T2^m D2m) D1n, which keeps the number of dense matrix
-    products linear in the truncation order; when both Toeplitz factors are
-    diagonal (constant symbols) everything collapses to elementwise
-    arithmetic.  The result carries the plan's certified remainder bound and
-    per-order increment norms in its meta dict.
+    When each tau sees only its own variable (constant symbols included) the
+    double series is the tensor product of two one-variable series, summed
+    axis by axis; otherwise it is summed densely on the tensor grid.  The
+    result carries the plan's certified remainder bound and per-order
+    increment norms in its meta dict.
     """
     if plan.delta >= 1.0:
         raise SeriesError("refusing to sum a series with delta >= 1")
@@ -328,77 +320,17 @@ def build_series(
     tau1 = _tau_expr(qmap.psi1, plan.alpha, qmap.p1, qmap.p2)
     tau2 = _tau_expr(qmap.psi2, plan.alpha, qmap.p1, qmap.p2)
     if tau1.single_variable() in (0, 1) and tau2.single_variable() in (0, 2):
-        # each tau sees only its own variable: the double series is the
-        # tensor product of two one-variable series, summed axis by axis
-        S1, tn1 = _axis_series(tau1.as_one_variable(), g1, plan.n1, plan.alpha, brule)
+        S1, term_norms = _axis_series(tau1.as_one_variable(), g1, plan.n1, plan.alpha, brule)
         S2, tn2 = _axis_series(tau2.as_one_variable(), g2, plan.n2, plan.alpha, brule)
-        _growth_check(tn1, growth_guard)
-        _growth_check(tn2, growth_guard)
+        norm_runs = (term_norms, tn2)
         S = np.kron(S1, S2)
-        term_norms = tn1
-        if qmap.p1 != 1.0 or qmap.p2 != 1.0:
-            V = dilation(qmap.p1, qmap.p2, fgrids)
-            S = V.entries @ S
-        return OperatorMatrix(
-            S,
-            fgrids,
-            fgrids,
-            "frequency",
-            {
-                "remainder_bound": plan.remainder,
-                "alpha": plan.alpha,
-                "delta": plan.delta,
-                "term_norms": term_norms,
-            },
-        )
-    T1 = toeplitz_separable(tau1, fgrids, brule)
-    T2 = toeplitz_separable(tau2, fgrids, brule)
-    d1 = [
-        _axis_diag(vartheta_symbol(n, 1, plan.alpha), 1, g1, g2)
-        for n in range(plan.n1 + 1)
-    ]
-    d2 = [
-        _axis_diag(vartheta_symbol(m, 2, plan.alpha), 2, g1, g2)
-        for m in range(plan.n2 + 1)
-    ]
-    n_dim = g1.size * g2.size
-    diag_fast = T1.is_diagonal(1e-14) and T2.is_diagonal(1e-14)
-    term_norms = []
-    if diag_fast:
-        t1d = np.diag(T1.entries)
-        t2d = np.diag(T2.entries)
-        inner = np.zeros(n_dim, dtype=complex)
-        pow2 = np.ones(n_dim, dtype=complex)
-        for m in range(plan.n2 + 1):
-            inner += pow2 * d2[m]
-            pow2 = pow2 * t2d
-        total = np.zeros(n_dim, dtype=complex)
-        pow1 = np.ones(n_dim, dtype=complex)
-        for n in range(plan.n1 + 1):
-            incr = pow1 * inner * d1[n]
-            total += incr
-            term_norms.append(float(np.max(np.abs(incr))))
-            pow1 = pow1 * t1d
-        S = np.diag(total)
     else:
-        inner = np.zeros((n_dim, n_dim), dtype=complex)
-        P2 = np.eye(n_dim, dtype=complex)
-        for m in range(plan.n2 + 1):
-            inner += P2 * d2[m][None, :]
-            if m < plan.n2:
-                P2 = P2 @ T2.entries
-        S = np.zeros((n_dim, n_dim), dtype=complex)
-        P1 = np.eye(n_dim, dtype=complex)
-        for n in range(plan.n1 + 1):
-            incr = P1 @ (inner * d1[n][None, :])
-            S += incr
-            term_norms.append(float(np.linalg.norm(incr)))
-            if n < plan.n1:
-                P1 = P1 @ T1.entries
-    _growth_check(term_norms, growth_guard)
+        S, term_norms = _dense_series(tau1, tau2, plan, fgrids, brule)
+        norm_runs = (term_norms,)
+    for norms in norm_runs:
+        _growth_check(norms)
     if qmap.p1 != 1.0 or qmap.p2 != 1.0:
-        V = dilation(qmap.p1, qmap.p2, fgrids)
-        S = V.entries @ S
+        S = dilation(qmap.p1, qmap.p2, fgrids).entries @ S
     return OperatorMatrix(
         S,
         fgrids,
@@ -421,16 +353,12 @@ def _axis_series(
     brule: Optional[BoundaryGrid],
 ) -> tuple[np.ndarray, list[float]]:
     """One-variable series sum_n T_tau^n D_n on a single frequency axis."""
-    from .operators import toeplitz_halfplane
-
     A = toeplitz_halfplane(tau_fn, g, brule).entries
-    t = g.nodes
     S = np.zeros((g.size, g.size), dtype=complex)
     P = np.eye(g.size, dtype=complex)
     norms = []
     for n in range(n_max + 1):
-        d = (-1j * t) ** n * np.exp(-alpha * t) / math.factorial(n)
-        incr = P * d[None, :]
+        incr = P * vartheta_symbol(n, 1, alpha)(g.nodes)[None, :]
         S += incr
         norms.append(float(np.linalg.norm(incr)))
         if n < n_max:
@@ -438,28 +366,56 @@ def _axis_series(
     return S, norms
 
 
-def _growth_check(norms: Sequence[float], guard: int) -> None:
-    if guard <= 0 or len(norms) <= guard + 3:
-        return
+def _dense_series(
+    tau1: SepExpr,
+    tau2: SepExpr,
+    plan: SeriesPlan,
+    fgrids: tuple,
+    brule: Optional[BoundaryGrid],
+) -> tuple[np.ndarray, list[float]]:
+    """Two-variable series on the tensor grid.
+
+    Uses the factorization sum_{n,m} T1^n T2^m D1n D2m =
+    sum_n T1^n (sum_m T2^m D2m) D1n, which keeps the number of dense matrix
+    products linear in the truncation order.
+    """
+    T1 = toeplitz_separable(tau1, fgrids, brule).entries
+    T2 = toeplitz_separable(tau2, fgrids, brule).entries
+    t1, t2 = tensor_nodes(fgrids)
+    n_dim = t1.size
+    inner = np.zeros((n_dim, n_dim), dtype=complex)
+    P2 = np.eye(n_dim, dtype=complex)
+    for m in range(plan.n2 + 1):
+        inner += P2 * vartheta_symbol(m, 2, plan.alpha)(t1, t2)[None, :]
+        if m < plan.n2:
+            P2 = P2 @ T2
+    S = np.zeros((n_dim, n_dim), dtype=complex)
+    P1 = np.eye(n_dim, dtype=complex)
+    norms = []
+    for n in range(plan.n1 + 1):
+        incr = P1 @ (inner * vartheta_symbol(n, 1, plan.alpha)(t1, t2)[None, :])
+        S += incr
+        norms.append(float(np.linalg.norm(incr)))
+        if n < plan.n1:
+            P1 = P1 @ T1
+    return S, norms
+
+
+def _growth_check(norms: Sequence[float]) -> None:
     run = 0
     for a, b in zip(norms[3:], norms[4:]):
         run = run + 1 if b >= a and b > 0 else 0
-        if run >= guard:
+        if run >= GROWTH_GUARD:
             raise SeriesError(
                 "series increments grew for "
-                f"{guard} consecutive orders; alpha/delta certificate suspect"
+                f"{GROWTH_GUARD} consecutive orders; alpha/delta certificate suspect"
             )
 
 
 def exact_constant_multiplier(a1: complex, a2: complex, fgrids: tuple) -> OperatorMatrix:
     """Closed-form collapse of the series for constant symbols:
     diag(exp(i (a1 t1 + a2 t2)))."""
-    g1, g2 = fgrids
-    t1 = np.repeat(g1.nodes, g2.size)
-    t2 = np.tile(g2.nodes, g1.size)
-    return OperatorMatrix(
-        np.diag(np.exp(1j * (a1 * t1 + a2 * t2))), fgrids, fgrids, "frequency"
-    )
+    return fourier_multiplier(lambda t1, t2: np.exp(1j * (a1 * t1 + a2 * t2)), fgrids)
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +423,8 @@ def exact_constant_multiplier(a1: complex, a2: complex, fgrids: tuple) -> Operat
 
 
 def _boundary_phi_values(qmap_or_fns, bgrids: tuple):
+    """phi_1^*, phi_2^* on the tensor boundary grid, flattened row-major;
+    the Cauchy construction needs both strictly inside the half-plane."""
     g1, g2 = bgrids
     x1 = g1.nodes[:, None] + 1j * BOUNDARY_HEIGHT
     x2 = g2.nodes[None, :] + 1j * BOUNDARY_HEIGHT
@@ -476,18 +434,18 @@ def _boundary_phi_values(qmap_or_fns, bgrids: tuple):
         phi1, phi2 = qmap_or_fns
     v1 = np.broadcast_to(np.asarray(phi1(x1, x2), dtype=complex), (g1.size, g2.size)).reshape(-1)
     v2 = np.broadcast_to(np.asarray(phi2(x1, x2), dtype=complex), (g1.size, g2.size)).reshape(-1)
-    return v1, v2
-
-
-def _cauchy_factors(qmap_or_fns, bgrids: tuple, min_im: float = 0.0):
-    g1, g2 = bgrids
-    v1, v2 = _boundary_phi_values(qmap_or_fns, bgrids)
     worst = min(float(np.min(v1.imag)), float(np.min(v2.imag)))
-    if worst <= min_im:
+    if worst <= 0.0:
         raise DomainError(
             f"boundary image dips to Im = {worst:.3g}; Cauchy construction "
             "requires strictly positive imaginary part"
         )
+    return v1, v2
+
+
+def _cauchy_factors(qmap_or_fns, bgrids: tuple):
+    g1, g2 = bgrids
+    v1, v2 = _boundary_phi_values(qmap_or_fns, bgrids)
     A = (g1.weights[None, :] / (2.0j * np.pi)) / (g1.nodes[None, :] - v1[:, None])
     B = (g2.weights[None, :] / (2.0j * np.pi)) / (g2.nodes[None, :] - v2[:, None])
     return A, B
@@ -501,12 +459,6 @@ def direct_composition_apply(
     rows are processed in chunks to bound memory."""
     g1, g2 = bgrids
     v1, v2 = _boundary_phi_values(qmap_or_fns, bgrids)
-    worst = min(float(np.min(v1.imag)), float(np.min(v2.imag)))
-    if worst <= 0.0:
-        raise DomainError(
-            f"boundary image dips to Im = {worst:.3g}; Cauchy construction "
-            "requires strictly positive imaginary part"
-        )
     u = np.asarray(values, dtype=complex).reshape(g1.size, g2.size)
     w1 = g1.weights / (2.0j * np.pi)
     w2 = g2.weights / (2.0j * np.pi)

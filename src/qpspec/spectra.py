@@ -21,8 +21,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.linalg
 
-from .grids import DomainError, GridError, grid_weights
-from .operators import OperatorMatrix
+from .grids import DomainError
+from .operators import OperatorMatrix, weighted_matrix
 from .symbols import PointCloud, dedup_points
 
 
@@ -37,6 +37,9 @@ class SpectralSet:
     points: PointCloud
     kind: str
     params: dict = field(default_factory=dict)
+    # predicted-spiral only: the sweep image of each cluster pair, row-major
+    # over (t1, t2), in pair order
+    images: list = field(default_factory=list, repr=False)
 
     KINDS = (
         "eigenvalues",
@@ -87,18 +90,12 @@ class PseudospectrumMap:
         )
 
 
-def _weighted_similarity(A: OperatorMatrix) -> np.ndarray:
-    wd = grid_weights(A.domain_grid)
-    wc = grid_weights(A.codomain_grid)
-    return (np.sqrt(wc)[:, None] * A.entries) / np.sqrt(wd)[None, :]
-
-
 def eigenvalues(A: OperatorMatrix) -> SpectralSet:
     """Dense eigenvalue set of the weighted similarity of A."""
     if A.entries.shape[0] != A.entries.shape[1]:
         raise UsageError("eigenvalues need a square matrix")
-    M = _weighted_similarity(A)
-    if A.is_diagonal(0.0):
+    M = weighted_matrix(A)
+    if A.is_diagonal():
         vals = np.diag(M).copy()
     else:
         vals = np.linalg.eigvals(M)
@@ -164,8 +161,8 @@ def pseudospectrum(
     re = np.linspace(region[0], region[1], resolution[0])
     im = np.linspace(region[2], region[3], resolution[1])
     lam = re[None, :] + 1j * im[:, None]
-    M = _weighted_similarity(A)
-    if A.is_diagonal(0.0):
+    M = weighted_matrix(A)
+    if A.is_diagonal():
         d = np.diag(M)
         vals = np.min(
             np.abs(lam.reshape(-1)[:, None] - d[None, :]), axis=1
@@ -249,7 +246,8 @@ def predicted_set(
 
     T defaults to 8 / min Im so the sweep reaches magnitudes below 3e-4 and
     the adjoined 0 is an honest closure proxy for t -> infinity.  Cluster
-    pairs beyond max_pairs are subsampled deterministically.
+    pairs beyond max_pairs are subsampled deterministically.  The per-pair
+    sweep images are kept in ``images``.
     """
     z1 = cluster1.points
     z2 = cluster2.points
@@ -271,7 +269,7 @@ def predicted_set(
         z2 = rng.choice(z2, size=min(k, z2.size), replace=False)
     t1 = t[:, None]
     t2 = t[None, :]
-    chunks = [np.array([0.0 + 0.0j])]
+    images = []
     spacing = 0.0
     for a in z1:
         for b in z2:
@@ -282,8 +280,8 @@ def predicted_set(
                     float(np.max(np.abs(np.diff(img, axis=0)))),
                     float(np.max(np.abs(np.diff(img, axis=1)))),
                 )
-            chunks.append(img.reshape(-1))
-    pts = dedup_points(np.concatenate(chunks))
+            images.append(img.reshape(-1))
+    pts = dedup_points(np.concatenate([np.array([0.0 + 0.0j]), *images]))
     if np.max(np.abs(pts)) > 1.0 + 1e-12:
         raise DomainError("predicted points escaped the closed unit disc")
     return SpectralSet(
@@ -295,6 +293,7 @@ def predicted_set(
             "pairs": int(z1.size * z2.size),
             "image_spacing": spacing,
         },
+        images,
     )
 
 

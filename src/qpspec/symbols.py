@@ -15,14 +15,13 @@ at infinity, and sampled closures of the symbol's image.
 from __future__ import annotations
 
 import ast
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.stats import qmc
 
-from .grids import BOUNDARY_HEIGHT, BoundaryGrid, DomainError, cayley
+from .grids import BOUNDARY_HEIGHT, cayley
 
 DEDUP_RESOLUTION = 1e-9
 

@@ -1,9 +1,13 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
-from qpspec.cli import ConfigError, RunConfig, main
+from qpspec.cli import CONFIG_DIR, ConfigError, RunConfig, main
+from qpspec.spectra import predicted_set
+from qpspec.symbols import DEDUP_RESOLUTION, ClusterPlan, cluster_set
 
 
 def _config(tmp_path, name="run", **over):
@@ -96,6 +100,34 @@ def test_predict_outputs(tmp_path):
     assert report["config_sha256"] == lines[0].split()[-1]
 
 
+def _csv_points(path):
+    rows = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    return np.array([complex(*map(float, row.split(","))) for row in rows[1:]])
+
+
+def test_spiral_csv_is_the_predicted_set(tmp_path):
+    raw = json.loads((CONFIG_DIR / "separable_mix.json").read_text())
+    raw["t_samples"] = 8
+    path = tmp_path / "separable_mix.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["predict", "--config", str(path), "--out", str(out)]) == 0
+    spiral = _csv_points(out / "spiral.csv")
+    s1, s2 = RunConfig.load(path).symbols()
+    plan = ClusterPlan(seed=0)
+    pred = predicted_set(cluster_set(s1, "infinity", plan),
+                         cluster_set(s2, "infinity", plan), t_samples=8, seed=0)
+    pts = pred.points.points
+
+    def dist(a, b):
+        tree = cKDTree(np.column_stack([b.real, b.imag]))
+        return float(np.max(tree.query(np.column_stack([a.real, a.imag]))[0]))
+
+    # the CSV keeps 12 significant digits
+    assert dist(spiral, pts) <= DEDUP_RESOLUTION + 1e-11
+    assert dist(pts[pts != 0], spiral) <= 1e-11
+
+
 # ---------------------------------------------------------------------------
 # build
 
@@ -132,8 +164,6 @@ def test_build_reruns_are_byte_identical(tmp_path):
     assert (out1 / "operator.csv").read_bytes() == (out2 / "operator.csv").read_bytes()
     c1 = json.loads((out1 / "plan_certificate.json").read_text())
     c2 = json.loads((out2 / "plan_certificate.json").read_text())
-    c1.pop("build_seconds")
-    c2.pop("build_seconds")
     assert c1 == c2
 
 
@@ -144,6 +174,21 @@ def test_capped_order_fails_certification(tmp_path):
     assert rc == 3
     # artifacts still written for post-mortem
     assert (out / "plan_certificate.json").exists()
+
+
+def test_uncertifiable_plan_exits_3_for_every_subcommand(tmp_path, capsys):
+    raw = json.loads((CONFIG_DIR / "constants_basic.json").read_text())
+    raw["plan"] = {"alpha": 0.05}  # delta = 39
+    raw["spectra"]["resolution"] = [32, 32]
+    path = tmp_path / "constants_basic.json"
+    path.write_text(json.dumps(raw))
+    for command in ("build", "spectrum", "verify"):
+        out = tmp_path / command
+        rc = main([command, "--config", str(path), "--out", str(out),
+                   "--sizes", "8,12,16"])
+        assert rc == 3, command
+        assert "certification failure" in capsys.readouterr().err
+    assert (tmp_path / "build" / "build_report.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +241,25 @@ def test_seed_flag_overrides_config(tmp_path):
     assert rc == 0
     report = json.loads((out / "predict_report.json").read_text())
     assert report["seed"] == 42
+
+
+def test_config_hash_covers_overrides(tmp_path):
+    cfg = _config(tmp_path)
+    runs = iter(range(100))
+
+    def digest(*flags):
+        out = tmp_path / f"run{next(runs)}"
+        assert main(["predict", "--config", str(cfg), "--out", str(out), *flags]) == 0
+        return json.loads((out / "predict_report.json").read_text())["config_sha256"]
+
+    base = digest()
+    eps = digest("--eps", "0.1")
+    sizes = digest("--sizes", "12,16,24")
+    assert len({base, eps, sizes}) == 3
+    assert digest("--eps", "0.1") == eps
+    assert digest() == base
+    # the config already asks for eps 0.05: the run is the same
+    assert digest("--eps", "0.05") == base
 
 
 # ---------------------------------------------------------------------------

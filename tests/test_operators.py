@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import CubicSpline
 
 from qpspec.grids import BoundaryGrid, FrequencyGrid, GridError
 from qpspec.operators import (
@@ -129,6 +130,19 @@ def test_dilation_roundtrip():
     Vh = dilation_1d(0.5, fg)
     h = fg.nodes * np.exp(-fg.nodes)
     assert np.max(np.abs(V2 @ (Vh @ h) - h)) < 5e-3
+
+
+@pytest.mark.parametrize("n", [8, 32, 64])
+@pytest.mark.parametrize("p", [2.0, 0.5])
+def test_dilation_matches_per_column_splines(p, n):
+    fg = FrequencyGrid.uniform(16.0, n)
+    t = fg.nodes
+    ref = np.zeros((n, n))
+    for k in range(n):
+        col = CubicSpline(t, np.eye(n)[k], bc_type="not-a-knot")(t / p)
+        col[t / p > fg.extent] = 0.0
+        ref[:, k] = col
+    assert np.array_equal(dilation_1d(p, fg), ref / p)
 
 
 def test_dilation_identity_for_p_one():

@@ -216,6 +216,26 @@ def test_series_meta_carries_certificate():
     assert norms[-1] < norms[2]
 
 
+@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("p1", [1.0, 2.0])
+@pytest.mark.parametrize(
+    "two_var, per_axis",
+    [("i + 0.25*cay(z1) + 0*cay(z2)", "i + 0.25*cay(z1)"), ("i + 0*cay(z2)", "i")],
+)
+def test_dense_series_matches_per_axis_series(two_var, per_axis, p1, n):
+    # a zero term in z2 sends psi1 through the dense two-variable summation
+    # without changing the operator the per-axis summation builds
+    psi_dense = make_symbol(two_var, 0.7, 1.3, "continuous-on-closure")
+    psi_axis = make_symbol(per_axis, 0.7, 1.3, "continuous-on-closure")
+    assert psi_dense.expr.single_variable() not in (0, 1)
+    axis = QuasiParabolicMap(p1, 1.0, psi_axis, CONST_2I)
+    dense = QuasiParabolicMap(p1, 1.0, psi_dense, CONST_2I)
+    plan = plan_for_map(axis)
+    fg = (FrequencyGrid.uniform(8.0, n),) * 2
+    diff = build_series(dense, plan, fg).entries - build_series(axis, plan, fg).entries
+    assert np.max(np.abs(diff)) < 1e-14
+
+
 def test_series_refuses_uncontracted_plan():
     with pytest.raises(SeriesError):
         SeriesPlan(1.0, 1.2, 3, 3, default_norm_estimates(0.5, 1.0, 1.0))
