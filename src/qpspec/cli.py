@@ -284,6 +284,9 @@ def cmd_build(cfg: RunConfig, cross: bool, out: Path) -> int:
             "p2": cfg.p2,
             "dilation_applied": cfg.p1 != 1.0 or cfg.p2 != 1.0,
             "frequency_nodes": cfg.frequency_nodes,
+            # a capped truncation order shows here; exit 3 is kept for
+            # plan.remainder_tol
+            "tol_met": plan.remainder <= cfg.plan_tol,
         }
     )
     if cross:
@@ -297,14 +300,20 @@ def cmd_build(cfg: RunConfig, cross: bool, out: Path) -> int:
             np.max(np.abs(op.entries - exact.entries))
         )
     _write_json(out / "plan_certificate.json", cert, digest)
-    if cfg.remainder_tol is not None and plan.remainder > cfg.remainder_tol:
-        print(
-            f"certification failure: remainder bound {plan.remainder:.3e} exceeds "
-            f"tolerance {cfg.remainder_tol:.3e}",
-            file=sys.stderr,
-        )
-        return EXIT_CERT
-    return EXIT_OK
+    return EXIT_CERT if _remainder_fails(cfg, plan) else EXIT_OK
+
+
+def _remainder_fails(cfg: RunConfig, plan) -> bool:
+    """True, with a message, when the plan's remainder bound exceeds the
+    configured plan.remainder_tol."""
+    if cfg.remainder_tol is None or plan.remainder <= cfg.remainder_tol:
+        return False
+    print(
+        f"certification failure: remainder bound {plan.remainder:.3e} exceeds "
+        f"tolerance {cfg.remainder_tol:.3e}",
+        file=sys.stderr,
+    )
+    return True
 
 
 def _constant_case(cfg: RunConfig) -> bool:
@@ -350,6 +359,8 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
 def cmd_verify(cfg: RunConfig, out: Path) -> int:
     digest = cfg.digest()
     qmap, plan = _plan(cfg)
+    if _remainder_fails(cfg, plan):
+        return EXIT_CERT
     _, _, pred = _predict(cfg, qmap.psi1, qmap.psi2)
     pred.images.clear()  # verify writes no sweep; free it before the surrogate
 

@@ -45,6 +45,9 @@ class OperatorMatrix:
     codomain_grid: GridLike
     rep: str
     meta: dict = field(default_factory=dict)
+    # per-axis factors (F1, F2) on the two axes of tensor grids, with entries
+    # equal to kron(F1, F2) up to rounding; None when no such split is known
+    factors: Optional[tuple] = None
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=complex)
@@ -275,6 +278,8 @@ def dilation(p1: float, p2: float, fgrids) -> OperatorMatrix:
             V2 = np.eye(g2.size)
         else:
             V2 = dilation_1d(p2, g2)
-        return OperatorMatrix(np.kron(V1, V2), fgrids, fgrids, "frequency")
+        return OperatorMatrix(
+            np.kron(V1, V2), fgrids, fgrids, "frequency", factors=(V1, V2)
+        )
     V = np.eye(fgrids.size) if p1 == 1.0 else dilation_1d(p1, fgrids)
     return OperatorMatrix(V, fgrids, fgrids, "frequency")

@@ -310,9 +310,10 @@ def build_series(
 
     When each tau sees only its own variable (constant symbols included) the
     double series is the tensor product of two one-variable series, summed
-    axis by axis; otherwise it is summed densely on the tensor grid.  The
-    result carries the plan's certified remainder bound and per-order
-    increment norms in its meta dict.
+    axis by axis, and the result keeps the two factors in ``factors``;
+    otherwise it is summed densely on the tensor grid.  The result carries
+    the plan's certified remainder bound and per-order increment norms in
+    its meta dict.
     """
     if plan.delta >= 1.0:
         raise SeriesError("refusing to sum a series with delta >= 1")
@@ -324,13 +325,18 @@ def build_series(
         S2, tn2 = _axis_series(tau2.as_one_variable(), g2, plan.n2, plan.alpha, brule)
         norm_runs = (term_norms, tn2)
         S = np.kron(S1, S2)
+        factors = (S1, S2)
     else:
         S, term_norms = _dense_series(tau1, tau2, plan, fgrids, brule)
         norm_runs = (term_norms,)
+        factors = None
     for norms in norm_runs:
         _growth_check(norms)
     if qmap.p1 != 1.0 or qmap.p2 != 1.0:
-        S = dilation(qmap.p1, qmap.p2, fgrids).entries @ S
+        V = dilation(qmap.p1, qmap.p2, fgrids)
+        S = V.entries @ S
+        if factors is not None:
+            factors = (V.factors[0] @ S1, V.factors[1] @ S2)
     return OperatorMatrix(
         S,
         fgrids,
@@ -342,6 +348,7 @@ def build_series(
             "delta": plan.delta,
             "term_norms": term_norms,
         },
+        factors,
     )
 
 

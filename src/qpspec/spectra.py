@@ -20,6 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dstebz
 
 from .grids import DomainError
 from .operators import OperatorMatrix, weighted_matrix
@@ -62,6 +63,7 @@ class PseudospectrumMap:
     region: tuple  # (re_min, re_max, im_min, im_max)
     resolution: tuple  # (n_re, n_im)
     values: np.ndarray  # shape (n_im, n_re)
+    stats: dict = field(default_factory=dict)  # work counters of the kernel
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -112,34 +114,163 @@ def _threads() -> int:
         return 1
 
 
-def _sigma_min_triangular(T: np.ndarray, lam: complex, iters: int = 30) -> float:
-    """Smallest singular value of lam*I - T for triangular T via inverse
-    power iteration on the normal equations (two triangular solves per
-    step); standard pseudospectra workhorse, O(n^2) per grid point."""
-    n = T.shape[0]
-    B = lam * np.eye(n) - T
-    if abs(np.min(np.abs(np.diag(B)))) < 1e-300:
-        return 0.0
-    v = np.ones(n, dtype=complex) / math.sqrt(n)
-    est = 0.0
-    for _ in range(iters):
-        try:
-            u = scipy.linalg.solve_triangular(B, v, lower=False)
-            u = scipy.linalg.solve_triangular(
-                B, u, lower=False, trans="C"
-            )
-        except np.linalg.LinAlgError:
-            return 0.0
-        nu = np.linalg.norm(u)
-        if not np.isfinite(nu) or nu == 0.0:
-            return 0.0
-        new = 1.0 / math.sqrt(nu)
-        v = u / nu
-        if est > 0 and abs(new - est) <= 1e-4 * est:
-            est = new
-            break
-        est = new
-    return est
+# inverse-Lanczos stopping rule: the top Ritz value changed by at most this
+# relative amount, or the step cap was reached (counted as a cap hit)
+LANCZOS_RTOL = 1e-13
+LANCZOS_MAX_STEPS = 100
+# lambda-points per chunk (the unit mapped over worker threads), and Lanczos
+# runs in flight per chunk: a finished run hands its lane to the next point,
+# so a chunk holds a few (LANCZOS_BATCH x N) arrays and no lane idles
+LAMBDA_CHUNK = 1024
+LANCZOS_BATCH = 128
+# Ritz problems up to this many rows use the batched dense eigvalsh
+RITZ_DENSE_MAX = 32
+
+
+def _kron_solve(lam: np.ndarray, U1: np.ndarray, U2: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Solve lam X - U1 X U2^T = B for upper-triangular U1, U2.
+
+    B has shape (n1, n2, c): one right-hand side per lambda-point along the
+    last axis.  In the row-major flattening this is (lam I - U1 (x) U2) x = b,
+    solved by Bartels-Stewart back-substitution, row by row of X, in
+    O(n1 n2 (n1 + n2)) per point instead of O((n1 n2)^2).
+    """
+    n1, n2, c = B.shape
+    X = np.empty_like(B)
+    Y = np.empty((n1, n2 * c), dtype=complex)  # row k holds U2 @ X[k]
+    d2 = np.diag(U2)[:, None]
+    for i in range(n1 - 1, -1, -1):
+        r = B[i] + (U1[i, i + 1 :] @ Y[i + 1 :]).reshape(n2, c)
+        inv = 1.0 / (lam - U1[i, i] * d2)
+        tU2 = U1[i, i] * U2
+        x = X[i]
+        for j in range(n2 - 1, -1, -1):
+            x[j] = (r[j] + tU2[j, j + 1 :] @ x[j + 1 :]) * inv[j]
+        Y[i] = (U2 @ x).reshape(-1)
+    return X
+
+
+def _top_ritz(a: np.ndarray, b: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of the leading m[k] x m[k] symmetric tridiagonal
+    block with diagonal a[:, k] and off-diagonal b[:, k], for each lane k.
+
+    Lanes of equal size share one batched dense eigvalsh call, whose cost
+    grows as size^3; above RITZ_DENSE_MAX rows LAPACK's bisection (stebz)
+    on each lane is cheaper.
+    """
+    theta = np.empty(m.size)
+    for size in np.unique(m):
+        lanes = np.flatnonzero(m == size)
+        if size > RITZ_DENSE_MAX:
+            for k in lanes:
+                found = dstebz(a[:size, k], b[: size - 1, k], 2, 0.0, 0.0, size, size, 0.0, "E")
+                theta[k] = found[1][0]
+            continue
+        T = np.zeros((lanes.size, size, size))
+        i = np.arange(size)
+        T[:, i, i] = a[:size, lanes].T
+        T[:, i[1:], i[:-1]] = b[: size - 1, lanes].T
+        theta[lanes] = np.linalg.eigvalsh(T)[:, -1]
+    return theta
+
+
+def _sigma_min_chunk(lam, T1, T2, R1, R2, starts):
+    """sigma_min(lam I - T1 (x) T2) for a chunk of lambda-points, by Lanczos
+    on (B^* B)^-1 with B = lam I - T1 (x) T2, batched over the points.
+
+    T1, T2 are upper triangular (complex Schur forms); R1, R2 are their
+    index-reversed adjoints, which are upper triangular again, so the solve
+    with B^* is the same back-substitution on the reversed vector.  Each
+    point runs once per start vector in ``starts``; two starts are the
+    symmetric and antisymmetric halves of a Kronecker square (T1 == T2),
+    whose runs are kept in their half.  Returns, per point, the value, the
+    largest Lanczos step count, and whether a run stopped at the step cap
+    without meeting the tolerance.
+    """
+    halves = len(starts)
+    sig = np.zeros((lam.size, halves))
+    steps = np.zeros((lam.size, halves), dtype=int)
+    capped = np.zeros((lam.size, halves), dtype=bool)
+    # a point on the diagonal of the triangular factor is exactly singular
+    live = np.flatnonzero(~np.isin(lam, np.multiply.outer(np.diag(T1), np.diag(T2))))
+    queue = [(p, h) for p in live for h in range(halves)]
+    width = min(LANCZOS_BATCH, len(queue))
+    task = np.array(queue[:width], dtype=int).reshape(-1, 2)
+    nxt = width
+    v = np.asarray(starts)[task[:, 1]].transpose(1, 2, 0).copy()
+    v_prev = np.zeros_like(v)
+    a = np.zeros((LANCZOS_MAX_STEPS, width))
+    b = np.zeros((LANCZOS_MAX_STEPS, width))
+    beta = np.zeros(width)
+    theta = np.zeros(width)
+    m = np.zeros(width, dtype=int)
+    signs = np.array([1.0, -1.0])
+    sign = signs[task[:, 1]]
+    lane = np.arange(width)
+    while task.shape[0]:
+        lam_t = lam[task[:, 0]]
+        u = _kron_solve(lam_t.conj(), R1, R2, v[::-1, ::-1])[::-1, ::-1]
+        w = _kron_solve(lam_t, T1, T2, u)
+        if halves == 2:
+            w += sign * w.transpose(1, 0, 2)
+            w *= 0.5
+        alpha = np.einsum("ijc,ijc->c", v.real, w.real) + np.einsum(
+            "ijc,ijc->c", v.imag, w.imag
+        )
+        a[m, lane] = alpha
+        w -= alpha * v
+        w -= beta * v_prev
+        m += 1
+        new = _top_ritz(a, b, m)
+        beta = np.sqrt(
+            np.einsum("ijc,ijc->c", w.real, w.real) + np.einsum("ijc,ijc->c", w.imag, w.imag)
+        )
+        b[m - 1, lane] = beta
+        finite = np.isfinite(new) & np.isfinite(beta)
+        met = ~finite | (np.abs(new - theta) <= LANCZOS_RTOL * new) | (beta == 0.0)
+        done = met | (m == LANCZOS_MAX_STEPS)
+        theta = new
+        v_prev, v = v, w / np.where(done, 1.0, beta)
+        if not np.any(done):
+            continue
+        p, h = task[done, 0], task[done, 1]
+        # non-finite: the inverse overflowed, lam is numerically singular
+        sig[p, h] = np.where(finite[done], 1.0 / np.sqrt(theta[done]), 0.0)
+        steps[p, h] = m[done]
+        capped[p, h] = ~met[done]
+        # hand finished lanes to queued runs, then drop the ones left idle
+        for k in np.flatnonzero(done):
+            if nxt < len(queue):
+                task[k] = queue[nxt]
+                nxt += 1
+                v[:, :, k] = starts[task[k, 1]]
+                v_prev[:, :, k] = 0.0
+                beta[k] = theta[k] = m[k] = 0
+                sign[k] = signs[task[k, 1]]
+                done[k] = False
+        if np.any(done):
+            keep = ~done
+            task, sign, beta, theta, m = task[keep], sign[keep], beta[keep], theta[keep], m[keep]
+            v, v_prev = v[:, :, keep], v_prev[:, :, keep]
+            a, b = a[:, keep], b[:, keep]
+            lane = np.arange(task.shape[0])
+    sig = sig.min(axis=1)
+    return sig, steps.max(axis=1), capped.any(axis=1)
+
+
+def _kernel_factors(A: OperatorMatrix):
+    """Per-axis weighted factors (W1, W2) with weighted_matrix(A) equal to
+    kron(W1, W2); an unfactored operator is the pair (M, [[1]])."""
+    if A.factors is None:
+        return weighted_matrix(A), np.ones((1, 1), dtype=complex)
+    return tuple(
+        weighted_matrix(OperatorMatrix(F, gd, gc, A.rep))
+        for F, gd, gc in zip(A.factors, A.domain_grid, A.codomain_grid)
+    )
+
+
+def _is_diagonal(M: np.ndarray) -> bool:
+    return not np.any(M - np.diag(np.diag(M)))
 
 
 def pseudospectrum(
@@ -147,46 +278,63 @@ def pseudospectrum(
     region: tuple,
     resolution: tuple,
     eps_list: Sequence[float] = (),
-    dense_cutoff: int = 160,
 ) -> tuple[PseudospectrumMap, list[SpectralSet]]:
     """sigma_min(lambda I - A) on a rectangle, plus requested level sets.
 
-    Diagonal matrices get the exact min |lambda - d_k| formula; small dense
-    ones full SVDs; everything else one Schur factorization followed by
-    per-point triangular inverse iteration.  Grid points are independent and
-    mapped over HARDY_SPEC_THREADS workers with deterministic assembly.
+    Diagonal operators get the exact min |lambda - d_k| formula.  Every
+    other operator is written as kron(W1, W2) of its weighted per-axis
+    factors (an unfactored one as (M, [[1]])); with complex Schur forms
+    W_k = Q_k T_k Q_k^*, sigma_min(lambda I - A) = sigma_min(lambda I -
+    T1 (x) T2), found by inverse Lanczos with Kronecker back-substitution
+    solves.  The grid is cut into fixed-size lambda-chunks, mapped over
+    HARDY_SPEC_THREADS workers with deterministic assembly.  ``stats``
+    records the largest Lanczos step count and the number of points that
+    hit the step cap.
     """
     if resolution[0] < 32 or resolution[1] < 32:
         raise UsageError("pseudospectrum resolution must be at least 32x32")
     re = np.linspace(region[0], region[1], resolution[0])
     im = np.linspace(region[2], region[3], resolution[1])
     lam = re[None, :] + 1j * im[:, None]
-    M = weighted_matrix(A)
-    if A.is_diagonal():
-        d = np.diag(M)
+    W1, W2 = _kernel_factors(A)
+    if _is_diagonal(W1) and _is_diagonal(W2):
+        d = np.kron(np.diag(W1), np.diag(W2))
         vals = np.min(
             np.abs(lam.reshape(-1)[:, None] - d[None, :]), axis=1
         ).reshape(lam.shape)
-    elif M.shape[0] <= dense_cutoff:
-        flat = lam.reshape(-1)
-
-        def sv(l):
-            return scipy.linalg.svdvals(l * np.eye(M.shape[0]) - M)[-1]
-
-        with ThreadPoolExecutor(max_workers=_threads()) as ex:
-            vals = np.fromiter(ex.map(sv, flat), dtype=float, count=flat.size)
-        vals = vals.reshape(lam.shape)
+        steps = np.zeros(1, dtype=int)
+        capped = np.zeros(1, dtype=bool)
     else:
-        T = scipy.linalg.schur(M, output="complex")[0]
+        T1 = scipy.linalg.schur(W1, output="complex")[0]
+        T2 = scipy.linalg.schur(W2, output="complex")[0]
+        R1 = T1.conj().T[::-1, ::-1]
+        R2 = T2.conj().T[::-1, ::-1]
+        rng = np.random.default_rng(0)
+        start = rng.standard_normal(T1.shape[:1] + T2.shape[:1]) + 0j
+        # a Kronecker square commutes with the exchange of its two axes;
+        # runs started in one symmetry half stay there, which splits apart
+        # near-equal top eigenvalues that would stall a single run
+        if T1.shape[0] > 1 and np.array_equal(T1, T2):
+            starts = [start + start.T, start - start.T]
+        else:
+            starts = [start]
+        starts = [s / np.linalg.norm(s) for s in starts]
         flat = lam.reshape(-1)
+        chunks = [flat[lo : lo + LAMBDA_CHUNK] for lo in range(0, flat.size, LAMBDA_CHUNK)]
+
+        def run(chunk):
+            return _sigma_min_chunk(chunk, T1, T2, R1, R2, starts)
+
         with ThreadPoolExecutor(max_workers=_threads()) as ex:
-            vals = np.fromiter(
-                ex.map(lambda l: _sigma_min_triangular(T, l), flat),
-                dtype=float,
-                count=flat.size,
-            )
-        vals = vals.reshape(lam.shape)
-    pmap = PseudospectrumMap(tuple(region), tuple(resolution), vals)
+            parts = list(ex.map(run, chunks))
+        vals = np.concatenate([p[0] for p in parts]).reshape(lam.shape)
+        steps = np.concatenate([p[1] for p in parts])
+        capped = np.concatenate([p[2] for p in parts])
+    stats = {
+        "lanczos_max_steps": int(steps.max()),
+        "lanczos_cap_hits": int(np.sum(capped)),
+    }
+    pmap = PseudospectrumMap(tuple(region), tuple(resolution), vals, stats)
     return pmap, [pmap.level_set(e) for e in eps_list]
 
 
@@ -200,7 +348,9 @@ def essential_spectrum_surrogate(
     """Stability-filtered pseudospectrum intersection across finite sections.
 
     Keeps the grid points whose sigma_min stays below eps at EVERY listed
-    size.  An empty result is returned with a diagnostic rather than raised:
+    size.  Per size, the params record the survivor count, the largest
+    Lanczos step count and the number of points that hit the step cap.  An
+    empty result is returned with a diagnostic rather than raised:
     it is a legitimate (if suspicious) outcome.
     """
     sizes = list(sizes)
@@ -209,10 +359,14 @@ def essential_spectrum_surrogate(
     mask = None
     pmap = None
     per_size_counts = []
+    max_steps = []
+    cap_hits = []
     for n in sizes:
         pmap, _ = pseudospectrum(builder(n), region, resolution)
         m = pmap.values <= eps
         per_size_counts.append(int(np.sum(m)))
+        max_steps.append(pmap.stats["lanczos_max_steps"])
+        cap_hits.append(pmap.stats["lanczos_cap_hits"])
         mask = m if mask is None else (mask & m)
     pts = pmap.grid()[mask].reshape(-1)
     params = {
@@ -222,6 +376,8 @@ def essential_spectrum_surrogate(
         "resolution": tuple(resolution),
         "grid_step": pmap.step,
         "per_size_counts": per_size_counts,
+        "lanczos_max_steps": max_steps,
+        "lanczos_cap_hits": cap_hits,
     }
     if pts.size == 0:
         params["diagnostic"] = (

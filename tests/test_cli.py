@@ -142,6 +142,7 @@ def test_build_outputs_and_certificate(tmp_path):
     assert cert["remainder_bound"] > 0.0
     assert cert["series_direct_residual"] < 0.05
     assert cert["constant_closed_form_residual"] < 1e-10
+    assert cert["tol_met"] is True
     header = (out / "operator.csv").read_text().splitlines()[0]
     assert header.startswith("# config ")
 
@@ -167,13 +168,30 @@ def test_build_reruns_are_byte_identical(tmp_path):
     assert c1 == c2
 
 
-def test_capped_order_fails_certification(tmp_path):
+@pytest.mark.parametrize("command", ["build", "verify"])
+def test_capped_order_fails_certification(tmp_path, command):
     cfg = _config(tmp_path, plan={"n1": 2, "n2": 2, "remainder_tol": 1e-9})
     out = tmp_path / "out"
-    rc = main(["build", "--config", str(cfg), "--out", str(out)])
+    rc = main([command, "--config", str(cfg), "--out", str(out)])
     assert rc == 3
-    # artifacts still written for post-mortem
-    assert (out / "plan_certificate.json").exists()
+    if command == "build":
+        # artifacts still written for post-mortem
+        assert (out / "plan_certificate.json").exists()
+
+
+def test_truncation_cap_reports_tol_not_met(tmp_path):
+    # delta is so close to 1 that the order hits its cap of 60 far from tol;
+    # without remainder_tol the build still succeeds, and says so
+    slow = {"expr": "1+0.5*i", "im_lower_bound": 0.4, "sup_bound": 1.2,
+            "class": "constant"}
+    cfg = _config(tmp_path, symbols={"psi1": slow, "psi2": slow})
+    out = tmp_path / "out"
+    assert main(["build", "--config", str(cfg), "--out", str(out),
+                 "--no-crosscheck"]) == 0
+    cert = json.loads((out / "plan_certificate.json").read_text())
+    assert cert["n1"] == cert["n2"] == 60
+    assert cert["remainder_bound"] > 1e-8
+    assert cert["tol_met"] is False
 
 
 def test_uncertifiable_plan_exits_3_for_every_subcommand(tmp_path, capsys):

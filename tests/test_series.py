@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import eval_laguerre
 
+from qpspec.cli import CONFIG_DIR, RunConfig
 from qpspec.grids import BoundaryGrid, DomainError, FrequencyGrid
 from qpspec.operators import toeplitz_halfplane
 from qpspec.series import (
@@ -234,6 +235,27 @@ def test_dense_series_matches_per_axis_series(two_var, per_axis, p1, n):
     fg = (FrequencyGrid.uniform(8.0, n),) * 2
     diff = build_series(dense, plan, fg).entries - build_series(axis, plan, fg).entries
     assert np.max(np.abs(diff)) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "name", ["cay_quarter", "constants_basic", "dilation_case", "separable_mix"]
+)
+def test_per_axis_series_keeps_kron_factors(name):
+    # the per-axis branch keeps the factors of its entries, dilation included
+    cfg = RunConfig.load(CONFIG_DIR / f"{name}.json")
+    qmap = cfg.qmap()
+    op = build_series(qmap, plan_for_map(qmap, tol=cfg.plan_tol), cfg.fgrids())
+    assert np.max(np.abs(np.kron(*op.factors) - op.entries)) <= 1e-12
+
+
+def test_dense_series_and_products_carry_no_factors():
+    psi = make_symbol("i + 0.25*cay(z1) + 0*cay(z2)", 0.7, 1.3, "continuous-on-closure")
+    qmap = QuasiParabolicMap(1.0, 1.0, psi, CONST_2I)
+    fg = (FrequencyGrid.uniform(8.0, 8),) * 2
+    assert build_series(qmap, plan_for_map(qmap), fg).factors is None
+    dmap = DiscQuasiParabolicMap(CONST_I, CONST_2I)
+    plan = plan_for_map(halfplane_conjugate(dmap), tol=1e-10)
+    assert disc_side_operator(dmap, plan, fg).factors is None
 
 
 def test_series_refuses_uncontracted_plan():

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from qpspec.cli import CONFIG_DIR, RunConfig
 from qpspec.grids import DomainError, FrequencyGrid
-from qpspec.operators import OperatorMatrix
+from qpspec.operators import OperatorMatrix, weighted_matrix
+from qpspec.series import build_series, plan_for_map
 from qpspec.spectra import (
+    LANCZOS_MAX_STEPS,
+    RITZ_DENSE_MAX,
     PseudospectrumMap,
     SpectralSet,
     UsageError,
@@ -104,15 +109,60 @@ def test_pseudospectrum_is_one_lipschitz():
     assert np.max(np.abs(np.diff(pmap.values, axis=0))) <= h_re + 1e-9
 
 
+def _svd_sigma_min(A, pmap):
+    """Reference: one dense SVD of lambda I - A per grid point."""
+    M = weighted_matrix(A)
+    eye = np.eye(M.shape[0])
+    lam = pmap.grid().reshape(-1)
+    vals = [scipy.linalg.svdvals(z * eye - M)[-1] for z in lam]
+    return np.array(vals).reshape(pmap.values.shape)
+
+
+def _assert_matches_svd(A, region, resolution, eps):
+    pmap, levels = pseudospectrum(A, region, resolution, eps_list=[eps])
+    ref = _svd_sigma_min(A, pmap)
+    assert np.max(np.abs(pmap.values - ref) / ref) <= 1e-9
+    assert np.array_equal(pmap.values <= eps, ref <= eps)
+    assert levels[0].points.points.size == np.sum(ref <= eps)
+    return pmap
+
+
 def test_pseudospectrum_schur_path_matches_dense():
     rng = np.random.default_rng(11)
     g = _grid(40)
     A = rng.standard_normal((40, 40)) / 8.0
-    args = ((-1.0, 1.0, -1.0, 1.0), (32, 32))
-    dense, _ = pseudospectrum(_op(A, g), *args, dense_cutoff=160)
-    schur, _ = pseudospectrum(_op(A, g), *args, dense_cutoff=10)
-    rel = np.max(np.abs(dense.values - schur.values) / (dense.values + 1e-12))
-    assert rel < 1e-3
+    _assert_matches_svd(_op(A, g), (-1.0, 1.0, -1.0, 1.0), (32, 32), 0.1)
+
+
+def test_pseudospectrum_jordan_block_matches_svd():
+    g = _grid(9)
+    J = np.diag(np.ones(8), 1)
+    pmap = _assert_matches_svd(_op(J, g), (-0.6, 1.0, -0.6, 1.0), (32, 32), 1e-3)
+    assert pmap.stats["lanczos_max_steps"] > 0
+
+
+def _catalog_series(name, n):
+    cfg = RunConfig.load(CONFIG_DIR / f"{name}.json")
+    qmap = cfg.qmap()
+    op = build_series(qmap, plan_for_map(qmap, tol=cfg.plan_tol), cfg.fgrids(n))
+    assert op.factors is not None
+    return op
+
+
+@pytest.mark.parametrize("name, eps", [("cay_quarter", 0.01), ("separable_mix", 0.05)])
+def test_pseudospectrum_factored_matches_svd(name, eps):
+    # cay_quarter's two factors are equal, so its runs are split into the
+    # symmetric and antisymmetric halves of the Kronecker square
+    op = _catalog_series(name, 8)
+    pmap = _assert_matches_svd(op, (-1.1, 1.1, -1.1, 1.1), (32, 32), eps)
+    assert pmap.stats["lanczos_cap_hits"] == 0
+
+
+def test_pseudospectrum_long_runs_match_svd():
+    # runs longer than RITZ_DENSE_MAX steps take the per-lane Ritz path
+    op = _catalog_series("separable_mix", 12)
+    pmap = _assert_matches_svd(op, (-1.1, 1.1, -1.1, 1.1), (32, 32), 0.05)
+    assert pmap.stats["lanczos_max_steps"] > RITZ_DENSE_MAX
 
 
 def test_pseudospectrum_resolution_guard():
@@ -161,6 +211,24 @@ def test_surrogate_decay_multiplier_fills_unit_interval():
     assert np.min(pts.real) <= 0.1 and np.max(pts.real) >= 0.9
     mid = np.min(np.abs(pts - 0.5))
     assert mid <= 0.06
+
+
+def test_surrogate_records_lanczos_work_per_size():
+    rng = np.random.default_rng(5)
+
+    def builder(n):
+        return _op(rng.standard_normal((n, n)) / n, _grid(n))
+
+    out = essential_spectrum_surrogate(
+        builder, [8, 12, 16], 0.05, (-1.0, 1.0, -1.0, 1.0), (32, 32)
+    )
+    steps = out.params["lanczos_max_steps"]
+    assert len(steps) == 3 and all(0 < s <= LANCZOS_MAX_STEPS for s in steps)
+    assert out.params["lanczos_cap_hits"] == [0, 0, 0]
+    diag = essential_spectrum_surrogate(
+        lambda n: _op(np.eye(n), _grid(n)), [8, 12, 16], 0.05, (0.5, 1.5, -0.5, 0.5), (33, 33)
+    )
+    assert diag.params["lanczos_max_steps"] == [0, 0, 0]
 
 
 def test_surrogate_size_list_guard():
