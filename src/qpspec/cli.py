@@ -335,6 +335,8 @@ def _const_value(d: dict):
 def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
     digest = cfg.digest()
     qmap, plan = _plan(cfg)
+    if _remainder_fails(cfg, plan):
+        return EXIT_CERT
     op = build_series(qmap, plan, cfg.fgrids())
     pmap, levels = pseudospectrum(op, cfg.region, cfg.resolution, cfg.eps_list)
     _write_matrix_csv(out / "sigma_min.csv", pmap.values.astype(complex), digest)

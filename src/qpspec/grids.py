@@ -244,18 +244,21 @@ class TaylorBasis:
     def size(self) -> int:
         return self.degree + 1
 
+    @property
+    def weights(self) -> np.ndarray:
+        # the monomials are orthogonal on the circle, each of norm^2 2*pi
+        return np.full(self.size, 2.0 * np.pi)
+
 
 def inner_product(f: HardyVector, g: HardyVector) -> complex:
     """Pairing <f, g>, conjugate-linear in the second slot.
 
-    Boundary/frequency reps use the grid quadrature; disc reps use the
-    2*pi-per-axis circle pairing (so <z^n, z^n> = 2*pi per factor).
+    Every rep uses its grid weights: the quadrature for boundary and
+    frequency grids, the 2*pi-per-axis circle pairing for Taylor
+    coefficients (so <z^n, z^n> = 2*pi per factor).
     """
     if f.rep != g.rep or not _same_grid(f.grid, g.grid):
         raise GridError("inner_product requires matching rep and grid")
-    if f.rep == "disc-taylor":
-        d = len(f.grid) if isinstance(f.grid, tuple) else 1
-        return complex((2.0 * np.pi) ** d * np.sum(f.values * np.conj(g.values)))
     w = grid_weights(f.grid)
     return complex(np.sum(w * f.values * np.conj(g.values)))
 

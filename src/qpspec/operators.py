@@ -11,7 +11,6 @@ sum-of-products decomposition as Kronecker sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,6 +21,7 @@ from .grids import (
     FrequencyGrid,
     GridError,
     GridLike,
+    TaylorBasis,
     grid_size,
     grid_weights,
     tensor_nodes,
@@ -36,41 +36,57 @@ _TOEPLITZ_NODES = 16384
 _INFINITY_PROBE = 1e8
 
 
-@dataclass
 class OperatorMatrix:
-    """Dense operator between discretized Hardy spaces."""
+    """Operator between discretized Hardy spaces, in one of two stored forms.
 
-    entries: np.ndarray
-    domain_grid: GridLike
-    codomain_grid: GridLike
-    rep: str
-    meta: dict = field(default_factory=dict)
-    # per-axis factors (F1, F2) on the two axes of tensor grids, with entries
-    # equal to kron(F1, F2) up to rounding; None when no such split is known
-    factors: Optional[tuple] = None
+    A dense operator keeps its matrix.  A per-axis operator on two-axis
+    tensor grids keeps only its Kronecker factors ``factors = (F1, F2)``,
+    F_k acting on axis k (pass ``entries=None``); its ``entries`` are then
+    kron(F1, F2), formed on first read and kept, so both forms agree
+    exactly.  ``shape`` comes from the grids and never forms the entries.
+    """
 
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=complex)
-        if self.entries.ndim != 2:
-            raise GridError("operator entries must be a matrix")
-        if self.entries.shape != (grid_size(self.codomain_grid), grid_size(self.domain_grid)):
-            raise GridError(
-                f"entry shape {self.entries.shape} does not match grids "
-                f"({grid_size(self.codomain_grid)}, {grid_size(self.domain_grid)})"
-            )
+    def __init__(self, entries, domain_grid: GridLike, codomain_grid: GridLike,
+                 rep: str, meta: Optional[dict] = None, factors: Optional[tuple] = None):
+        self.domain_grid = domain_grid
+        self.codomain_grid = codomain_grid
+        self.rep = rep
+        self.meta = {} if meta is None else meta
+        self.shape = (grid_size(codomain_grid), grid_size(domain_grid))
+        if (entries is None) == (factors is None):
+            raise GridError("an operator is given by its entries or by its factors")
+        if factors is None:
+            self._entries = _checked(np.asarray(entries, dtype=complex), self.shape)
+            self.factors = None
+            return
+        if len(factors) != 2 or not all(
+            isinstance(g, tuple) and len(g) == 2 for g in (domain_grid, codomain_grid)
+        ):
+            raise GridError("Kronecker factors need two-axis grids")
+        self._entries = None
+        self.factors = tuple(
+            _checked(np.asarray(F), (grid_size(gc), grid_size(gd)))
+            for F, gd, gc in zip(factors, domain_grid, codomain_grid)
+        )
 
     @property
-    def shape(self):
-        return self.entries.shape
+    def entries(self) -> np.ndarray:
+        if self._entries is None:
+            self._entries = np.asarray(np.kron(*self.factors), dtype=complex)
+        return self._entries
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return self.entries @ np.asarray(values, dtype=complex)
 
-    def is_diagonal(self) -> bool:
-        if self.entries.shape[0] != self.entries.shape[1]:
-            return False
-        off = self.entries - np.diag(np.diag(self.entries))
-        return float(np.max(np.abs(off))) <= 0.0
+def _checked(M: np.ndarray, shape: tuple) -> np.ndarray:
+    if M.ndim != 2:
+        raise GridError("operator entries must be a matrix")
+    if M.shape != shape:
+        raise GridError(f"entry shape {M.shape} does not match grids {shape}")
+    return M
+
+
+def is_diagonal(M: np.ndarray) -> bool:
+    """True when M is square with no nonzero entry off its diagonal."""
+    return M.shape[0] == M.shape[1] and not np.any(M - np.diag(np.diag(M)))
 
 
 def identity_like(grid: GridLike, rep: str) -> OperatorMatrix:
@@ -78,12 +94,17 @@ def identity_like(grid: GridLike, rep: str) -> OperatorMatrix:
     return OperatorMatrix(np.eye(n, dtype=complex), grid, grid, rep)
 
 
+def weigh(M: np.ndarray, domain_grid: GridLike, codomain_grid: GridLike) -> np.ndarray:
+    """The similarity W_c^(1/2) M W_d^(-1/2), which represents the matrix M
+    on the quadrature-weighted L^2 spaces of its grids."""
+    wd = grid_weights(domain_grid)
+    wc = grid_weights(codomain_grid)
+    return (np.sqrt(wc)[:, None] * M) / np.sqrt(wd)[None, :]
+
+
 def weighted_matrix(A: OperatorMatrix) -> np.ndarray:
-    """The similarity W_c^(1/2) A W_d^(-1/2), which represents A on the
-    quadrature-weighted L^2 spaces of its grids."""
-    wd = grid_weights(A.domain_grid)
-    wc = grid_weights(A.codomain_grid)
-    return (np.sqrt(wc)[:, None] * A.entries) / np.sqrt(wd)[None, :]
+    """The weighted similarity (``weigh``) of A's entries."""
+    return weigh(A.entries, A.domain_grid, A.codomain_grid)
 
 
 def op_norm(A: OperatorMatrix) -> float:
@@ -93,20 +114,16 @@ def op_norm(A: OperatorMatrix) -> float:
 
 
 def kron(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
-    """Kronecker (tensor) product with the row-major flattening convention."""
+    """Kronecker (tensor) product A (x) B with the row-major flattening
+    convention, kept as its two factors."""
     if A.rep != B.rep:
         raise GridError("kron requires matching representations")
-
-    def combine(ga, gb):
-        ta = ga if isinstance(ga, tuple) else (ga,)
-        tb = gb if isinstance(gb, tuple) else (gb,)
-        return ta + tb
-
     return OperatorMatrix(
-        np.kron(A.entries, B.entries),
-        combine(A.domain_grid, B.domain_grid),
-        combine(A.codomain_grid, B.codomain_grid),
+        None,
+        (A.domain_grid, B.domain_grid),
+        (A.codomain_grid, B.codomain_grid),
         A.rep,
+        factors=(A.entries, B.entries),
     )
 
 
@@ -139,24 +156,8 @@ def toeplitz_disc(samples: np.ndarray, size: int) -> OperatorMatrix:
     coeffs = np.fft.fft(samples) / L  # coeffs[m] = phihat(m), m mod L
     idx = np.subtract.outer(np.arange(size), np.arange(size)) % L
     entries = coeffs[idx]
-    basis = _TaylorWindow(size)
+    basis = TaylorBasis(size - 1)
     return OperatorMatrix(entries, basis, basis, "disc-taylor")
-
-
-@dataclass(frozen=True)
-class _TaylorWindow:
-    """Size-N monomial window used as domain tag for disc finite sections."""
-
-    n: int
-
-    @property
-    def size(self) -> int:
-        return self.n
-
-    @property
-    def weights(self) -> np.ndarray:
-        # monomials are orthogonal with constant weight 2*pi on the circle
-        return np.full(self.n, 2.0 * np.pi)
 
 
 def _default_boundary_rule() -> BoundaryGrid:
@@ -196,7 +197,8 @@ def toeplitz_halfplane(
     t = fgrid.nodes
     diffs = np.subtract.outer(t, t)
     svals, inv = np.unique(np.round(diffs, 12), return_inverse=True)
-    phase = np.exp(-1j * np.outer(svals, brule.nodes))
+    phase = -1j * np.outer(svals, brule.nodes)
+    np.exp(phase, out=phase)  # in place: one (differences x rule) array, not two
     hhat = (phase @ (h * brule.weights)) / (2.0 * np.pi)
     entries = hhat[inv].reshape(t.size, t.size) * fgrid.weights[None, :]
     entries += c * np.eye(t.size)
@@ -266,20 +268,10 @@ def dilation_1d(p: float, fgrid: FrequencyGrid, max_stretch: float = 16.0) -> np
     return V / p
 
 
-def dilation(p1: float, p2: float, fgrids) -> OperatorMatrix:
-    """Tensor dilation V_{p1,p2} in the frequency representation."""
-    if isinstance(fgrids, tuple):
-        g1, g2 = fgrids
-        if p1 == 1.0:
-            V1 = np.eye(g1.size)
-        else:
-            V1 = dilation_1d(p1, g1)
-        if p2 == 1.0:
-            V2 = np.eye(g2.size)
-        else:
-            V2 = dilation_1d(p2, g2)
-        return OperatorMatrix(
-            np.kron(V1, V2), fgrids, fgrids, "frequency", factors=(V1, V2)
-        )
-    V = np.eye(fgrids.size) if p1 == 1.0 else dilation_1d(p1, fgrids)
-    return OperatorMatrix(V, fgrids, fgrids, "frequency")
+def dilation(p1: float, p2: float, fgrids: tuple) -> OperatorMatrix:
+    """Tensor dilation V_{p1} (x) V_{p2} in the frequency representation,
+    kept as its two factors (``dilation_1d`` is the one-axis matrix)."""
+    factors = tuple(
+        np.eye(g.size) if p == 1.0 else dilation_1d(p, g) for p, g in zip((p1, p2), fgrids)
+    )
+    return OperatorMatrix(None, fgrids, fgrids, "frequency", factors=factors)

@@ -68,6 +68,16 @@ class QuasiParabolicMap:
         if self.p1 <= 0 or self.p2 <= 0:
             raise DomainError("dilation parameters must be positive")
 
+    @property
+    def per_axis(self) -> bool:
+        """True when psi1 depends on z1 only and psi2 on z2 only (constants
+        included), read from their parsed expressions; C_phi is then the
+        Kronecker product of two one-variable operators."""
+        return (
+            self.psi1.expr.single_variable() in (0, 1)
+            and self.psi2.expr.single_variable() in (0, 2)
+        )
+
     def boundary_components(self):
         """Callables for phi_j^* on R^2 (broadcastable in both arguments)."""
 
@@ -308,35 +318,34 @@ def build_series(
 ) -> OperatorMatrix:
     """Truncated operator series for C_phi in the frequency representation.
 
-    When each tau sees only its own variable (constant symbols included) the
-    double series is the tensor product of two one-variable series, summed
-    axis by axis, and the result keeps the two factors in ``factors``;
-    otherwise it is summed densely on the tensor grid.  The result carries
-    the plan's certified remainder bound and per-order increment norms in
-    its meta dict.
+    For a per-axis map (``qmap.per_axis``) the double series is the tensor
+    product of two one-variable series, summed axis by axis; the result
+    stores only the two factors, each with its axis's dilation multiplied
+    in.  Otherwise it is summed densely on the tensor grid.  The result
+    carries the plan's certified remainder bound and per-order increment
+    norms in its meta dict.
     """
     if plan.delta >= 1.0:
         raise SeriesError("refusing to sum a series with delta >= 1")
     g1, g2 = fgrids
     tau1 = _tau_expr(qmap.psi1, plan.alpha, qmap.p1, qmap.p2)
     tau2 = _tau_expr(qmap.psi2, plan.alpha, qmap.p1, qmap.p2)
-    if tau1.single_variable() in (0, 1) and tau2.single_variable() in (0, 2):
+    dilated = qmap.p1 != 1.0 or qmap.p2 != 1.0
+    if qmap.per_axis:
         S1, term_norms = _axis_series(tau1.as_one_variable(), g1, plan.n1, plan.alpha, brule)
         S2, tn2 = _axis_series(tau2.as_one_variable(), g2, plan.n2, plan.alpha, brule)
-        norm_runs = (term_norms, tn2)
-        S = np.kron(S1, S2)
-        factors = (S1, S2)
+        _growth_check(term_norms)
+        _growth_check(tn2)
+        if dilated:
+            V1, V2 = dilation(qmap.p1, qmap.p2, fgrids).factors
+            S1, S2 = V1 @ S1, V2 @ S2
+        S, factors = None, (S1, S2)
     else:
         S, term_norms = _dense_series(tau1, tau2, plan, fgrids, brule)
-        norm_runs = (term_norms,)
+        _growth_check(term_norms)
+        if dilated:
+            S = dilation(qmap.p1, qmap.p2, fgrids).entries @ S
         factors = None
-    for norms in norm_runs:
-        _growth_check(norms)
-    if qmap.p1 != 1.0 or qmap.p2 != 1.0:
-        V = dilation(qmap.p1, qmap.p2, fgrids)
-        S = V.entries @ S
-        if factors is not None:
-            factors = (V.factors[0] @ S1, V.factors[1] @ S2)
     return OperatorMatrix(
         S,
         fgrids,
@@ -450,40 +459,32 @@ def _boundary_phi_values(qmap_or_fns, bgrids: tuple):
     return v1, v2
 
 
-def _cauchy_factors(qmap_or_fns, bgrids: tuple):
-    g1, g2 = bgrids
-    v1, v2 = _boundary_phi_values(qmap_or_fns, bgrids)
-    A = (g1.weights[None, :] / (2.0j * np.pi)) / (g1.nodes[None, :] - v1[:, None])
-    B = (g2.weights[None, :] / (2.0j * np.pi)) / (g2.nodes[None, :] - v2[:, None])
-    return A, B
+def _cauchy_kernel(g: BoundaryGrid, v: np.ndarray) -> np.ndarray:
+    """Row k: the quadrature form of the Cauchy integral at the point v[k]."""
+    return (g.weights[None, :] / (2.0j * np.pi)) / (g.nodes[None, :] - v[:, None])
 
 
 def direct_composition_apply(
     qmap_or_fns, bgrids: tuple, values: np.ndarray, chunk: int = 8192
 ) -> np.ndarray:
     """Apply the double Cauchy quadrature without materializing the full
-    matrix: the kernel is rank-one in the column tensor index, and output
-    rows are processed in chunks to bound memory."""
+    matrix.  For a per-axis map the kernel is the Kronecker product of two
+    one-variable kernels, applied factor by factor.  Otherwise (and for a
+    raw pair of callables) the kernel is rank-one in the column tensor
+    index, and output rows are processed in chunks to bound memory."""
     g1, g2 = bgrids
     v1, v2 = _boundary_phi_values(qmap_or_fns, bgrids)
     u = np.asarray(values, dtype=complex).reshape(g1.size, g2.size)
-    w1 = g1.weights / (2.0j * np.pi)
-    w2 = g2.weights / (2.0j * np.pi)
-    V1 = v1.reshape(g1.size, g2.size)
-    V2 = v2.reshape(g1.size, g2.size)
-    # when phi1 ignores x2 and phi2 ignores x1 the kernel tensor-factorizes
-    if (
-        np.max(np.abs(V1 - V1[:, :1])) < 1e-13
-        and np.max(np.abs(V2 - V2[:1, :])) < 1e-13
-    ):
-        C1 = w1[None, :] / (g1.nodes[None, :] - V1[:, 0][:, None])
-        C2 = w2[None, :] / (g2.nodes[None, :] - V2[0, :][:, None])
+    if isinstance(qmap_or_fns, QuasiParabolicMap) and qmap_or_fns.per_axis:
+        # phi1 ignores x2 and phi2 ignores x1 (row-major: x2 varies fastest)
+        C1 = _cauchy_kernel(g1, v1[:: g2.size])
+        C2 = _cauchy_kernel(g2, v2[: g2.size])
         return (C1 @ u @ C2.T).reshape(-1)
     out = np.empty(v1.size, dtype=complex)
     for lo in range(0, v1.size, chunk):
         hi = min(lo + chunk, v1.size)
-        A = w1[None, :] / (g1.nodes[None, :] - v1[lo:hi, None])
-        B = w2[None, :] / (g2.nodes[None, :] - v2[lo:hi, None])
+        A = _cauchy_kernel(g1, v1[lo:hi])
+        B = _cauchy_kernel(g2, v2[lo:hi])
         out[lo:hi] = np.einsum("aj,jk,ak->a", A, u, B, optimize=True)
     return out
 
@@ -492,7 +493,8 @@ def direct_composition(qmap_or_fns, bgrids: tuple) -> OperatorMatrix:
     """Dense boundary-representation matrix of the Cauchy-integral
     composition operator; meant for desk-scale grids."""
     g1, g2 = bgrids
-    A, B = _cauchy_factors(qmap_or_fns, bgrids)
+    v1, v2 = _boundary_phi_values(qmap_or_fns, bgrids)
+    A, B = _cauchy_kernel(g1, v1), _cauchy_kernel(g2, v2)
     entries = (A[:, :, None] * B[:, None, :]).reshape(
         g1.size * g2.size, g1.size * g2.size
     )

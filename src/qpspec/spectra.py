@@ -23,7 +23,7 @@ import scipy.linalg
 from scipy.linalg.lapack import dstebz
 
 from .grids import DomainError
-from .operators import OperatorMatrix, weighted_matrix
+from .operators import OperatorMatrix, is_diagonal, weigh, weighted_matrix
 from .symbols import PointCloud, dedup_points
 
 
@@ -94,10 +94,10 @@ class PseudospectrumMap:
 
 def eigenvalues(A: OperatorMatrix) -> SpectralSet:
     """Dense eigenvalue set of the weighted similarity of A."""
-    if A.entries.shape[0] != A.entries.shape[1]:
+    if A.shape[0] != A.shape[1]:
         raise UsageError("eigenvalues need a square matrix")
     M = weighted_matrix(A)
-    if A.is_diagonal():
+    if is_diagonal(M):
         vals = np.diag(M).copy()
     else:
         vals = np.linalg.eigvals(M)
@@ -264,13 +264,8 @@ def _kernel_factors(A: OperatorMatrix):
     if A.factors is None:
         return weighted_matrix(A), np.ones((1, 1), dtype=complex)
     return tuple(
-        weighted_matrix(OperatorMatrix(F, gd, gc, A.rep))
-        for F, gd, gc in zip(A.factors, A.domain_grid, A.codomain_grid)
+        weigh(F, gd, gc) for F, gd, gc in zip(A.factors, A.domain_grid, A.codomain_grid)
     )
-
-
-def _is_diagonal(M: np.ndarray) -> bool:
-    return not np.any(M - np.diag(np.diag(M)))
 
 
 def pseudospectrum(
@@ -281,12 +276,13 @@ def pseudospectrum(
 ) -> tuple[PseudospectrumMap, list[SpectralSet]]:
     """sigma_min(lambda I - A) on a rectangle, plus requested level sets.
 
-    Diagonal operators get the exact min |lambda - d_k| formula.  Every
-    other operator is written as kron(W1, W2) of its weighted per-axis
-    factors (an unfactored one as (M, [[1]])); with complex Schur forms
-    W_k = Q_k T_k Q_k^*, sigma_min(lambda I - A) = sigma_min(lambda I -
-    T1 (x) T2), found by inverse Lanczos with Kronecker back-substitution
-    solves.  The grid is cut into fixed-size lambda-chunks, mapped over
+    Every operator is written as kron(W1, W2) of its weighted per-axis
+    factors (an unfactored one as (M, [[1]])).  When both are diagonal,
+    with diagonal d, the value is the exact min_k |lambda - d_k|.
+    Otherwise, with complex Schur forms W_k = Q_k T_k Q_k^*,
+    sigma_min(lambda I - A) = sigma_min(lambda I - T1 (x) T2), found by
+    inverse Lanczos with Kronecker back-substitution solves.  Either way the
+    grid is cut into fixed-size lambda-chunks, mapped over
     HARDY_SPEC_THREADS workers with deterministic assembly.  ``stats``
     records the largest Lanczos step count and the number of points that
     hit the step cap.
@@ -297,13 +293,13 @@ def pseudospectrum(
     im = np.linspace(region[2], region[3], resolution[1])
     lam = re[None, :] + 1j * im[:, None]
     W1, W2 = _kernel_factors(A)
-    if _is_diagonal(W1) and _is_diagonal(W2):
+    if is_diagonal(W1) and is_diagonal(W2):
         d = np.kron(np.diag(W1), np.diag(W2))
-        vals = np.min(
-            np.abs(lam.reshape(-1)[:, None] - d[None, :]), axis=1
-        ).reshape(lam.shape)
-        steps = np.zeros(1, dtype=int)
-        capped = np.zeros(1, dtype=bool)
+
+        def run(chunk):
+            vals = np.min(np.abs(chunk[:, None] - d[None, :]), axis=1)
+            return vals, np.zeros(chunk.size, dtype=int), np.zeros(chunk.size, dtype=bool)
+
     else:
         T1 = scipy.linalg.schur(W1, output="complex")[0]
         T2 = scipy.linalg.schur(W2, output="complex")[0]
@@ -319,17 +315,17 @@ def pseudospectrum(
         else:
             starts = [start]
         starts = [s / np.linalg.norm(s) for s in starts]
-        flat = lam.reshape(-1)
-        chunks = [flat[lo : lo + LAMBDA_CHUNK] for lo in range(0, flat.size, LAMBDA_CHUNK)]
 
         def run(chunk):
             return _sigma_min_chunk(chunk, T1, T2, R1, R2, starts)
 
-        with ThreadPoolExecutor(max_workers=_threads()) as ex:
-            parts = list(ex.map(run, chunks))
-        vals = np.concatenate([p[0] for p in parts]).reshape(lam.shape)
-        steps = np.concatenate([p[1] for p in parts])
-        capped = np.concatenate([p[2] for p in parts])
+    flat = lam.reshape(-1)
+    chunks = [flat[lo : lo + LAMBDA_CHUNK] for lo in range(0, flat.size, LAMBDA_CHUNK)]
+    with ThreadPoolExecutor(max_workers=_threads()) as ex:
+        parts = list(ex.map(run, chunks))
+    vals = np.concatenate([p[0] for p in parts]).reshape(lam.shape)
+    steps = np.concatenate([p[1] for p in parts])
+    capped = np.concatenate([p[2] for p in parts])
     stats = {
         "lanczos_max_steps": int(steps.max()),
         "lanczos_cap_hits": int(np.sum(capped)),
@@ -453,20 +449,23 @@ def predicted_set(
     )
 
 
+def _nearest_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance from each point of a to the nearest point of b, taking a in
+    blocks of 4096 points so that no block holds more than 4096 x |b|
+    differences."""
+    return np.concatenate([
+        np.min(np.abs(a[lo : lo + 4096, None] - b[None, :]), axis=1)
+        for lo in range(0, a.size, 4096)
+    ])
+
+
 def directed_hausdorff(A: SpectralSet, B: SpectralSet) -> float:
     """max over a in A of the distance from a to B."""
     a = A.points.points
     b = B.points.points
     if a.size == 0 or b.size == 0:
         raise UsageError("directed Hausdorff distance needs nonempty sets")
-    worst = 0.0
-    for lo in range(0, a.size, 4096):
-        blk = a[lo : lo + 4096]
-        worst = max(
-            worst,
-            float(np.max(np.min(np.abs(blk[:, None] - b[None, :]), axis=1))),
-        )
-    return worst
+    return float(np.max(_nearest_distances(a, b)))
 
 
 def containment_verdict(
@@ -497,7 +496,7 @@ def containment_verdict(
         }
     a = predicted.points.points
     b = surrogate.points.points
-    dists = np.min(np.abs(a[:, None] - b[None, :]), axis=1)
+    dists = _nearest_distances(a, b)
     worst = int(np.argmax(dists))
     dist = float(dists[worst])
     return {

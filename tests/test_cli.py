@@ -168,7 +168,7 @@ def test_build_reruns_are_byte_identical(tmp_path):
     assert c1 == c2
 
 
-@pytest.mark.parametrize("command", ["build", "verify"])
+@pytest.mark.parametrize("command", ["build", "spectrum", "verify"])
 def test_capped_order_fails_certification(tmp_path, command):
     cfg = _config(tmp_path, plan={"n1": 2, "n2": 2, "remainder_tol": 1e-9})
     out = tmp_path / "out"

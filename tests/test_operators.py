@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
-from qpspec.grids import BoundaryGrid, FrequencyGrid, GridError
+from qpspec.grids import BoundaryGrid, FrequencyGrid, GridError, HardyVector, inner_product
 from qpspec.operators import (
     OperatorMatrix,
     dilation,
@@ -53,6 +53,16 @@ def test_toeplitz_disc_shift_symbol():
     T = toeplitz_disc(samples, 6)
     expect = np.diag(np.ones(5), -1)
     assert np.max(np.abs(T.entries - expect)) < 1e-12
+
+
+def test_toeplitz_disc_basis_holds_disc_taylor_vectors():
+    # the finite section's domain is the monomial basis of disc-taylor
+    # vectors, with the 2*pi circle pairing of each monomial
+    from qpspec.grids import CircleGrid
+
+    T = toeplitz_disc(np.exp(1j * CircleGrid(64).thetas), 6)
+    f = HardyVector(np.eye(6)[2], "disc-taylor", T.domain_grid)
+    assert inner_product(f, f) == pytest.approx(2.0 * np.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,6 +247,26 @@ def test_per_axis_series_keeps_kron_factors(name):
     qmap = cfg.qmap()
     op = build_series(qmap, plan_for_map(qmap, tol=cfg.plan_tol), cfg.fgrids())
     assert np.max(np.abs(np.kron(*op.factors) - op.entries)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["cay_quarter", "dilation_case"])
+def test_per_axis_series_forms_no_dense_matrix(name):
+    # at n = 48 nodes per axis one n^2 x n^2 complex matrix is 85 MB; the
+    # per-axis series stores two n x n factors and forms its entries only
+    # when they are read, as exactly kron(F1, F2)
+    n = 48
+    cfg = RunConfig.load(CONFIG_DIR / f"{name}.json")
+    qmap = cfg.qmap()
+    plan = plan_for_map(qmap, tol=cfg.plan_tol)
+    tracemalloc.start()
+    try:
+        op = build_series(qmap, plan, cfg.fgrids(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * n**4 * 16
+    assert op.shape == (n * n, n * n)
+    assert np.array_equal(op.entries, np.kron(*op.factors))
 
 
 def test_dense_series_and_products_carry_no_factors():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,13 +7,14 @@ import scipy.linalg
 from qpspec.cli import CONFIG_DIR, RunConfig
 from qpspec.grids import DomainError, FrequencyGrid
 from qpspec.operators import OperatorMatrix, weighted_matrix
-from qpspec.series import build_series, plan_for_map
+from qpspec.series import QuasiParabolicMap, build_series, plan_for_map
 from qpspec.spectra import (
     LANCZOS_MAX_STEPS,
     RITZ_DENSE_MAX,
     PseudospectrumMap,
     SpectralSet,
     UsageError,
+    _kernel_factors,
     containment_verdict,
     directed_hausdorff,
     eigenvalues,
@@ -19,7 +22,7 @@ from qpspec.spectra import (
     predicted_set,
     pseudospectrum,
 )
-from qpspec.symbols import PointCloud
+from qpspec.symbols import PointCloud, make_symbol
 
 
 def _op(entries, grid):
@@ -88,6 +91,31 @@ def test_pseudospectrum_diagonal_formula():
     lam = pmap.grid().reshape(-1)
     truth = np.min(np.abs(lam[:, None] - d[None, :]), axis=1).reshape(pmap.values.shape)
     assert np.max(np.abs(pmap.values - truth)) < 1e-12
+
+
+def test_pseudospectrum_diagonal_branch_runs_per_chunk(monkeypatch):
+    # constant symbols give a diagonal operator; with N = 45^2 on a 64 x 64
+    # grid the exact formula, evaluated per lambda-chunk, never holds the
+    # whole (lambda-points x N) distance matrix, and its values are unchanged
+    monkeypatch.setenv("HARDY_SPEC_THREADS", "1")
+    qmap = QuasiParabolicMap(
+        1.0, 1.0, make_symbol("i", 1.0, 1.0, "constant"), make_symbol("2*i", 2.0, 2.0, "constant")
+    )
+    g = FrequencyGrid.uniform(10.0, 45)
+    A = build_series(qmap, plan_for_map(qmap), (g, g))
+    tracemalloc.start()
+    try:
+        pmap, _ = pseudospectrum(A, (-1.1, 1.1, -1.1, 1.1), (64, 64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    unchunked = 64 * 64 * 45**2 * 16  # bytes of the complex distance matrix
+    assert peak < 0.5 * unchunked
+    W1, W2 = _kernel_factors(A)
+    d = np.kron(np.diag(W1), np.diag(W2))
+    lam = pmap.grid().reshape(-1)
+    truth = np.min(np.abs(lam[:, None] - d[None, :]), axis=1).reshape(pmap.values.shape)
+    assert np.array_equal(pmap.values, truth)
 
 
 def test_pseudospectrum_jordan_block_singular_at_zero():
@@ -359,6 +387,25 @@ def test_containment_verdict_empty_surrogate_fails():
     assert out["distance"] == float("inf")
     with pytest.raises(UsageError):
         containment_verdict(_spec_set([], image_spacing=0.0), empty)
+
+
+def test_containment_verdict_matches_brute_force_across_blocks():
+    # more predicted points than one 4096-row block; the largest distance is
+    # attained exactly at -0.9+0.3i and 0.9+0.3i, which the (re, im) order
+    # puts in different blocks: the first index wins, as in one argmax
+    rng = np.random.default_rng(5)
+    r = 0.7 * np.sqrt(rng.uniform(size=10000))
+    inner = r * np.exp(2j * np.pi * rng.uniform(size=10000))
+    pred = _spec_set(np.concatenate([inner, [-0.9 + 0.3j, 0.9 + 0.3j]]))
+    c = 0.1 * np.exp(1j * np.pi * rng.uniform(size=20))
+    surr = _spec_set(np.concatenate([c, -c.conj()]), kind="essential-surrogate")
+    a, b = pred.points.points, surr.points.points
+    dists = np.min(np.abs(a[:, None] - b[None, :]), axis=1)
+    ties = np.flatnonzero(dists == dists.max())
+    assert len({k // 4096 for k in ties}) == 2
+    out = containment_verdict(pred, surr, tol=1.0)
+    assert out["distance"] == float(dists.max()) == directed_hausdorff(pred, surr)
+    assert out["worst_point"] == [-0.9, 0.3]
 
 
 def test_containment_verdict_explicit_tol():
