@@ -292,10 +292,9 @@ def cmd_build(cfg: RunConfig, cross: bool, out: Path) -> int:
     if cross:
         resid = series_direct_residual(op, qmap, cfg.bgrids(), seed=cfg.seed)
         cert["series_direct_residual"] = resid
-    if _constant_case(cfg):
-        a1 = complex(*_const_value(cfg.psi1))
-        a2 = complex(*_const_value(cfg.psi2))
-        exact = exact_constant_multiplier(a1, a2, cfg.fgrids())
+    shifts = _constant_shifts(qmap)
+    if shifts is not None:
+        exact = exact_constant_multiplier(*shifts, cfg.fgrids())
         cert["constant_closed_form_residual"] = float(
             np.max(np.abs(op.entries - exact.entries))
         )
@@ -316,20 +315,13 @@ def _remainder_fails(cfg: RunConfig, plan) -> bool:
     return True
 
 
-def _constant_case(cfg: RunConfig) -> bool:
-    return (
-        cfg.psi1.get("class") == "constant"
-        and cfg.psi2.get("class") == "constant"
-        and cfg.p1 == 1.0
-        and cfg.p2 == 1.0
-    )
-
-
-def _const_value(d: dict):
-    from .symbols import parse_symbol_expression
-
-    v = complex(parse_symbol_expression(d["expr"])(0.0, 0.0))
-    return v.real, v.imag
+def _constant_shifts(qmap: QuasiParabolicMap):
+    """(psi1, psi2) when phi is the translation z -> z + (psi1, psi2), i.e.
+    p1 = p2 = 1 and both parsed symbols are constants; None otherwise."""
+    syms = (qmap.psi1, qmap.psi2)
+    if qmap.p1 != 1.0 or qmap.p2 != 1.0 or any(s.expr.single_variable() != 0 for s in syms):
+        return None
+    return tuple(complex(s.expr(0.0, 0.0)) for s in syms)
 
 
 def cmd_spectrum(cfg: RunConfig, out: Path) -> int:

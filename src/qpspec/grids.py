@@ -315,7 +315,6 @@ def kernel_value(w, z) -> complex:
 # The isometry onto the half-plane changes norms by a fixed factor of 1/2 per
 # axis (the circle pairing used here carries no 1/(2 pi)); c below is that
 # constant for the two-variable map.
-PHI_NORM_CONSTANT_1D = 0.5
 PHI_NORM_CONSTANT = 0.25
 
 
@@ -452,18 +451,3 @@ def _leakage_check(f, fgrids, out, tol):
             "to its Hardy part; it may not be of Hardy class at this resolution",
             stacklevel=3,
         )
-
-
-def bochner_inverse(f: HardyVector, bgrid: GridLike) -> HardyVector:
-    """Frequency -> boundary representation."""
-    if f.rep != "frequency":
-        raise GridError("bochner_inverse expects a frequency-rep vector")
-    fgrids = _axis_grids(f.grid)
-    bgrids = _axis_grids(bgrid)
-    if len(bgrids) != len(fgrids):
-        raise GridError("dimension mismatch between boundary and frequency grids")
-    vals = f.values.reshape([g.size for g in fgrids])
-    for axis, (bg, fg) in enumerate(zip(bgrids, fgrids)):
-        G = bochner_inverse_matrix(bg, fg)
-        vals = np.moveaxis(np.tensordot(G, vals, axes=([1], [axis])), 0, axis)
-    return HardyVector(vals.reshape(-1), "boundary", bgrid)

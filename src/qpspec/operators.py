@@ -30,9 +30,15 @@ from .symbols import SepExpr, SymbolError
 
 BOUNDARY_EVAL_HEIGHT = 1e-8
 
+# largest stretch p or 1/p that a dilation may apply to the frequency grid
+MAX_STRETCH = 16.0
+
 # internal boundary rule backing half-plane Toeplitz quadrature
 _TOEPLITZ_EXTENT = 800.0
 _TOEPLITZ_NODES = 16384
+# frequency differences per block of the quadrature's phase matrix, which
+# bounds it to _TOEPLITZ_BLOCK x _TOEPLITZ_NODES entries
+_TOEPLITZ_BLOCK = 16
 _INFINITY_PROBE = 1e8
 
 
@@ -44,6 +50,8 @@ class OperatorMatrix:
     F_k acting on axis k (pass ``entries=None``); its ``entries`` are then
     kron(F1, F2), formed on first read and kept, so both forms agree
     exactly.  ``shape`` comes from the grids and never forms the entries.
+    ``A @ B`` of two factored operators is factored, (A1 B1, A2 B2); any
+    other product is the dense product of the entries.
     """
 
     def __init__(self, entries, domain_grid: GridLike, codomain_grid: GridLike,
@@ -74,6 +82,16 @@ class OperatorMatrix:
         if self._entries is None:
             self._entries = np.asarray(np.kron(*self.factors), dtype=complex)
         return self._entries
+
+    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
+        if self.rep != other.rep:
+            raise GridError("operator product requires matching representations")
+        if self.factors is not None and other.factors is not None:
+            factors = tuple(A @ B for A, B in zip(self.factors, other.factors))
+            return OperatorMatrix(None, other.domain_grid, self.codomain_grid, self.rep,
+                                  factors=factors)
+        return OperatorMatrix(self.entries @ other.entries, other.domain_grid,
+                              self.codomain_grid, self.rep)
 
 
 def _checked(M: np.ndarray, shape: tuple) -> np.ndarray:
@@ -160,10 +178,6 @@ def toeplitz_disc(samples: np.ndarray, size: int) -> OperatorMatrix:
     return OperatorMatrix(entries, basis, basis, "disc-taylor")
 
 
-def _default_boundary_rule() -> BoundaryGrid:
-    return BoundaryGrid.uniform(_TOEPLITZ_EXTENT, _TOEPLITZ_NODES)
-
-
 def symbol_limit_at_infinity(fn: Callable, tol: float = 1e-6) -> complex:
     """Value of a boundary symbol at the point at infinity."""
     up = complex(np.asarray(fn(np.array([_INFINITY_PROBE + 1j * BOUNDARY_EVAL_HEIGHT]))).reshape(-1)[0])
@@ -176,20 +190,17 @@ def symbol_limit_at_infinity(fn: Callable, tol: float = 1e-6) -> complex:
     return (up + dn) / 2.0
 
 
-def toeplitz_halfplane(
-    symbol: Callable,
-    fgrid: FrequencyGrid,
-    brule: Optional[BoundaryGrid] = None,
-) -> OperatorMatrix:
+def toeplitz_halfplane(symbol: Callable, fgrid: FrequencyGrid) -> OperatorMatrix:
     """One-variable Wiener-Hopf finite section in the frequency picture.
 
     ``symbol`` is a callable of the complex boundary variable; it must be
     constant-plus-decaying along R.  entries[j][k] = hhat(t_j - t_k) * v_k +
-    c * delta_jk with hhat(s) = (2 pi)^-1 int h(x) exp(-i s x) dx.
+    c * delta_jk with hhat(s) = (2 pi)^-1 int h(x) exp(-i s x) dx, by the
+    trapezoid rule on a fixed uniform boundary grid.
     """
-    brule = brule or _default_boundary_rule()
+    rule = BoundaryGrid.uniform(_TOEPLITZ_EXTENT, _TOEPLITZ_NODES)
     c = symbol_limit_at_infinity(symbol)
-    x = brule.nodes + 1j * BOUNDARY_EVAL_HEIGHT
+    x = rule.nodes + 1j * BOUNDARY_EVAL_HEIGHT
     h = np.asarray(symbol(x), dtype=complex) - c
     tail = max(abs(h[0]), abs(h[-1]))
     if tail > 1e-2 * (1.0 + abs(c)):
@@ -197,19 +208,19 @@ def toeplitz_halfplane(
     t = fgrid.nodes
     diffs = np.subtract.outer(t, t)
     svals, inv = np.unique(np.round(diffs, 12), return_inverse=True)
-    phase = -1j * np.outer(svals, brule.nodes)
-    np.exp(phase, out=phase)  # in place: one (differences x rule) array, not two
-    hhat = (phase @ (h * brule.weights)) / (2.0 * np.pi)
+    hw = h * rule.weights
+    hhat = np.empty(svals.size, dtype=complex)
+    for lo in range(0, svals.size, _TOEPLITZ_BLOCK):
+        phase = -1j * np.outer(svals[lo:lo + _TOEPLITZ_BLOCK], rule.nodes)
+        np.exp(phase, out=phase)
+        hhat[lo:lo + _TOEPLITZ_BLOCK] = phase @ hw
+    hhat /= 2.0 * np.pi
     entries = hhat[inv].reshape(t.size, t.size) * fgrid.weights[None, :]
     entries += c * np.eye(t.size)
     return OperatorMatrix(entries, fgrid, fgrid, "frequency", {"limit": c})
 
 
-def toeplitz_separable(
-    expr: SepExpr,
-    fgrids: tuple,
-    brule: Optional[BoundaryGrid] = None,
-) -> OperatorMatrix:
+def toeplitz_separable(expr: SepExpr, fgrids: tuple) -> OperatorMatrix:
     """Two-variable Toeplitz operator from a separable sum-of-products symbol.
 
     Multiplication by f(x1) g(x2) tensor-factorizes, and so does the Riesz
@@ -222,11 +233,11 @@ def toeplitz_separable(
         if term.f1 is None:
             A = np.eye(g1.size, dtype=complex)
         else:
-            A = toeplitz_halfplane(term.f1, g1, brule).entries
+            A = toeplitz_halfplane(term.f1, g1).entries
         if term.f2 is None:
             B = np.eye(g2.size, dtype=complex)
         else:
-            B = toeplitz_halfplane(term.f2, g2, brule).entries
+            B = toeplitz_halfplane(term.f2, g2).entries
         total += term.coeff * np.kron(A, B)
     return OperatorMatrix(total, fgrids, fgrids, "frequency")
 
@@ -246,7 +257,7 @@ def fourier_multiplier(fn: Callable, grid: GridLike) -> OperatorMatrix:
     return OperatorMatrix(np.diag(diag), grid, grid, "frequency")
 
 
-def dilation_1d(p: float, fgrid: FrequencyGrid, max_stretch: float = 16.0) -> np.ndarray:
+def dilation_1d(p: float, fgrid: FrequencyGrid) -> np.ndarray:
     """Frequency-side matrix of (V_p f)(z) = f(p z): g(t) -> g(t / p) / p.
 
     Follows from the transform convention: f(p.)^hat(t) = f_hat(t/p)/p.
@@ -255,9 +266,9 @@ def dilation_1d(p: float, fgrid: FrequencyGrid, max_stretch: float = 16.0) -> np
     """
     if p <= 0:
         raise GridError("dilation parameter must be positive")
-    if p > max_stretch or 1.0 / p > max_stretch:
+    if p > MAX_STRETCH or 1.0 / p > MAX_STRETCH:
         raise GridError(
-            f"dilation p = {p} stretches frequencies beyond {max_stretch} times "
+            f"dilation p = {p} stretches frequencies beyond {MAX_STRETCH} times "
             "the grid extent"
         )
     t = fgrid.nodes

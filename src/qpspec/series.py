@@ -28,7 +28,6 @@ from .grids import (
     BOUNDARY_HEIGHT,
     BoundaryGrid,
     DomainError,
-    FrequencyGrid,
     bochner_matrix,
     grid_weights,
     tensor_nodes,
@@ -49,6 +48,9 @@ CLOUD_MARGIN = 1e-3
 
 # consecutive non-decreasing series increments that void the certificate
 GROWTH_GUARD = 5
+
+# rational Hardy test vectors behind the series-vs-Cauchy cross-check
+HARDY_TEST_COUNT = 12
 
 
 class SeriesError(ValueError):
@@ -310,110 +312,69 @@ def _tau_expr(psi: AnalyticSymbol, alpha: float, p1: float, p2: float) -> SepExp
     return SepExpr.constant(1j * alpha) - psi.expr.rescaled(p1, p2)
 
 
-def build_series(
-    qmap: QuasiParabolicMap,
-    plan: SeriesPlan,
-    fgrids: tuple,
-    brule: Optional[BoundaryGrid] = None,
-) -> OperatorMatrix:
+def build_series(qmap: QuasiParabolicMap, plan: SeriesPlan, fgrids: tuple) -> OperatorMatrix:
     """Truncated operator series for C_phi in the frequency representation.
 
-    For a per-axis map (``qmap.per_axis``) the double series is the tensor
-    product of two one-variable series, summed axis by axis; the result
-    stores only the two factors, each with its axis's dilation multiplied
-    in.  Otherwise it is summed densely on the tensor grid.  The result
-    carries the plan's certified remainder bound and per-order increment
-    norms in its meta dict.
+    Both sums come from ``_power_sum``.  For a per-axis map
+    (``qmap.per_axis``) the double series is the tensor product of two
+    one-variable series, one per axis, and the result stores only the two
+    factors.  Otherwise it is summed on the tensor grid through the
+    factorization sum_{n,m} T1^n T2^m D1n D2m = sum_n T1^n (sum_m T2^m D2m)
+    D1n, which keeps the number of dense matrix products linear in the
+    truncation order.  Every sum is growth-checked, and the dilation is
+    applied last.  The result carries the plan's certified remainder bound
+    and the first-axis increment norms in its meta dict.
     """
     if plan.delta >= 1.0:
         raise SeriesError("refusing to sum a series with delta >= 1")
     g1, g2 = fgrids
     tau1 = _tau_expr(qmap.psi1, plan.alpha, qmap.p1, qmap.p2)
     tau2 = _tau_expr(qmap.psi2, plan.alpha, qmap.p1, qmap.p2)
-    dilated = qmap.p1 != 1.0 or qmap.p2 != 1.0
     if qmap.per_axis:
-        S1, term_norms = _axis_series(tau1.as_one_variable(), g1, plan.n1, plan.alpha, brule)
-        S2, tn2 = _axis_series(tau2.as_one_variable(), g2, plan.n2, plan.alpha, brule)
-        _growth_check(term_norms)
-        _growth_check(tn2)
-        if dilated:
-            V1, V2 = dilation(qmap.p1, qmap.p2, fgrids).factors
-            S1, S2 = V1 @ S1, V2 @ S2
-        S, factors = None, (S1, S2)
+        T1 = toeplitz_halfplane(tau1.as_one_variable(), g1).entries
+        T2 = toeplitz_halfplane(tau2.as_one_variable(), g2).entries
+        S1, norms1 = _power_sum(T1, g1.nodes, plan.n1, plan.alpha)
+        S2, norms2 = _power_sum(T2, g2.nodes, plan.n2, plan.alpha)
+        op = OperatorMatrix(None, fgrids, fgrids, "frequency", factors=(S1, S2))
     else:
-        S, term_norms = _dense_series(tau1, tau2, plan, fgrids, brule)
-        _growth_check(term_norms)
-        if dilated:
-            S = dilation(qmap.p1, qmap.p2, fgrids).entries @ S
-        factors = None
-    return OperatorMatrix(
-        S,
-        fgrids,
-        fgrids,
-        "frequency",
-        {
-            "remainder_bound": plan.remainder,
-            "alpha": plan.alpha,
-            "delta": plan.delta,
-            "term_norms": term_norms,
-        },
-        factors,
-    )
+        T1 = toeplitz_separable(tau1, fgrids).entries
+        T2 = toeplitz_separable(tau2, fgrids).entries
+        t1, t2 = tensor_nodes(fgrids)
+        inner, norms2 = _power_sum(T2, t2, plan.n2, plan.alpha)
+        S, norms1 = _power_sum(T1, t1, plan.n1, plan.alpha, inner)
+        op = OperatorMatrix(S, fgrids, fgrids, "frequency")
+    _growth_check(norms1)
+    _growth_check(norms2)
+    if qmap.p1 != 1.0 or qmap.p2 != 1.0:
+        op = dilation(qmap.p1, qmap.p2, fgrids) @ op
+    op.meta = {
+        "remainder_bound": plan.remainder,
+        "alpha": plan.alpha,
+        "delta": plan.delta,
+        "term_norms": norms1,
+    }
+    return op
 
 
-def _axis_series(
-    tau_fn: Callable,
-    g: FrequencyGrid,
+def _power_sum(
+    T: np.ndarray,
+    t: np.ndarray,
     n_max: int,
     alpha: float,
-    brule: Optional[BoundaryGrid],
+    right: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, list[float]]:
-    """One-variable series sum_n T_tau^n D_n on a single frequency axis."""
-    A = toeplitz_halfplane(tau_fn, g, brule).entries
-    S = np.zeros((g.size, g.size), dtype=complex)
-    P = np.eye(g.size, dtype=complex)
+    """sum_{n <= n_max} T^n R diag(vartheta_n(t)), R = ``right`` or the
+    identity, and the Frobenius norm of each term."""
+    S = np.zeros_like(T)
+    P = np.eye(T.shape[0], dtype=complex)
     norms = []
     for n in range(n_max + 1):
-        incr = P * vartheta_symbol(n, 1, alpha)(g.nodes)[None, :]
+        theta = vartheta_symbol(n, 1, alpha)(t)[None, :]
+        incr = P * theta if right is None else P @ (right * theta)
         S += incr
         norms.append(float(np.linalg.norm(incr)))
         if n < n_max:
-            P = P @ A
-    return S, norms
-
-
-def _dense_series(
-    tau1: SepExpr,
-    tau2: SepExpr,
-    plan: SeriesPlan,
-    fgrids: tuple,
-    brule: Optional[BoundaryGrid],
-) -> tuple[np.ndarray, list[float]]:
-    """Two-variable series on the tensor grid.
-
-    Uses the factorization sum_{n,m} T1^n T2^m D1n D2m =
-    sum_n T1^n (sum_m T2^m D2m) D1n, which keeps the number of dense matrix
-    products linear in the truncation order.
-    """
-    T1 = toeplitz_separable(tau1, fgrids, brule).entries
-    T2 = toeplitz_separable(tau2, fgrids, brule).entries
-    t1, t2 = tensor_nodes(fgrids)
-    n_dim = t1.size
-    inner = np.zeros((n_dim, n_dim), dtype=complex)
-    P2 = np.eye(n_dim, dtype=complex)
-    for m in range(plan.n2 + 1):
-        inner += P2 * vartheta_symbol(m, 2, plan.alpha)(t1, t2)[None, :]
-        if m < plan.n2:
-            P2 = P2 @ T2
-    S = np.zeros((n_dim, n_dim), dtype=complex)
-    P1 = np.eye(n_dim, dtype=complex)
-    norms = []
-    for n in range(plan.n1 + 1):
-        incr = P1 @ (inner * vartheta_symbol(n, 1, plan.alpha)(t1, t2)[None, :])
-        S += incr
-        norms.append(float(np.linalg.norm(incr)))
-        if n < plan.n1:
-            P1 = P1 @ T1
+            P = P @ T
     return S, norms
 
 
@@ -501,14 +462,12 @@ def direct_composition(qmap_or_fns, bgrids: tuple) -> OperatorMatrix:
     return OperatorMatrix(entries, bgrids, bgrids, "boundary")
 
 
-def hardy_test_family(
-    bgrids: tuple, count: int = 12, seed: int = 0
-) -> list[np.ndarray]:
+def hardy_test_family(bgrids: tuple, seed: int = 0) -> list[np.ndarray]:
     """Decaying rational Hardy test vectors on the tensor boundary grid."""
     rng = np.random.default_rng(seed)
     g1, g2 = bgrids
     out = []
-    for _ in range(count):
+    for _ in range(HARDY_TEST_COUNT):
         c1, c2 = rng.uniform(0.5, 2.0, size=2)
         s1, s2 = rng.uniform(-3.0, 3.0, size=2)
         f1 = 1.0 / (g1.nodes - s1 + 1j * c1) ** 2
@@ -521,7 +480,6 @@ def series_direct_residual(
     series_op: OperatorMatrix,
     qmap: QuasiParabolicMap,
     bgrids: tuple,
-    count: int = 12,
     seed: int = 0,
 ) -> float:
     """Cross-validation metric between the series and direct constructions.
@@ -538,7 +496,7 @@ def series_direct_residual(
     F2 = bochner_matrix(bg2, fg2)
     wf = grid_weights(series_op.domain_grid)
     worst = 0.0
-    for u in hardy_test_family(bgrids, count, seed):
+    for u in hardy_test_family(bgrids, seed):
         u2 = u.reshape(bg1.size, bg2.size)
         fu = (F1 @ u2 @ F2.T).reshape(-1)
         cu = direct_composition_apply(qmap, bgrids, u).reshape(bg1.size, bg2.size)
@@ -600,15 +558,11 @@ def halfplane_conjugate(disc_map: DiscQuasiParabolicMap) -> QuasiParabolicMap:
 
 
 def disc_side_operator(
-    disc_map: DiscQuasiParabolicMap,
-    plan: SeriesPlan,
-    fgrids: tuple,
-    brule: Optional[BoundaryGrid] = None,
+    disc_map: DiscQuasiParabolicMap, plan: SeriesPlan, fgrids: tuple
 ) -> OperatorMatrix:
     """Half-plane-side realization T_m C_phitilde of a bidisc composition
     operator, in the frequency representation."""
-    qmap = halfplane_conjugate(disc_map)
-    C = build_series(qmap, plan, fgrids, brule)
-    Tm = toeplitz_separable(multiplier_expr(disc_map), fgrids, brule)
-    out = OperatorMatrix(Tm.entries @ C.entries, fgrids, fgrids, "frequency", dict(C.meta))
+    C = build_series(halfplane_conjugate(disc_map), plan, fgrids)
+    out = toeplitz_separable(multiplier_expr(disc_map), fgrids) @ C
+    out.meta = dict(C.meta)
     return out

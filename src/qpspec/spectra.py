@@ -24,7 +24,7 @@ from scipy.linalg.lapack import dstebz
 
 from .grids import DomainError
 from .operators import OperatorMatrix, is_diagonal, weigh, weighted_matrix
-from .symbols import PointCloud, dedup_points
+from .symbols import PointCloud
 
 
 class UsageError(ValueError):
@@ -433,11 +433,13 @@ def predicted_set(
                     float(np.max(np.abs(np.diff(img, axis=1)))),
                 )
             images.append(img.reshape(-1))
-    pts = dedup_points(np.concatenate([np.array([0.0 + 0.0j]), *images]))
-    if np.max(np.abs(pts)) > 1.0 + 1e-12:
+    cloud = PointCloud(
+        np.concatenate([np.array([0.0 + 0.0j]), *images]), "predicted-spiral"
+    )
+    if np.max(np.abs(cloud.points)) > 1.0 + 1e-12:
         raise DomainError("predicted points escaped the closed unit disc")
     return SpectralSet(
-        PointCloud(pts, "predicted-spiral"),
+        cloud,
         "predicted-spiral",
         {
             "t_max": T,

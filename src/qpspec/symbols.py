@@ -25,6 +25,9 @@ from .grids import BOUNDARY_HEIGHT, cayley
 
 DEDUP_RESOLUTION = 1e-9
 
+# quasi-random points of H^2 behind the sampled closure of a symbol image
+CLOSURE_SAMPLES = 4096
+
 
 class SymbolError(ValueError):
     """Bad symbol specification or failed admissibility check."""
@@ -32,13 +35,6 @@ class SymbolError(ValueError):
 
 # ---------------------------------------------------------------------------
 # separable expression algebra
-
-
-def _const_fn(c):
-    def fn(z):
-        return np.full_like(np.asarray(z, dtype=complex), c)
-
-    return fn
 
 
 def _mul_fns(a, b):
@@ -278,10 +274,6 @@ class AnalyticSymbol:
     def __call__(self, z1, z2):
         return self.expr(z1, z2)
 
-    @property
-    def separable_terms(self):
-        return self.expr.terms
-
 
 def halfplane_samples(count: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Quasi-random sweep of H^2, stratified in height and extent."""
@@ -493,13 +485,9 @@ def essential_range_at_infinity(
     )
 
 
-def closure_image(
-    sym: AnalyticSymbol, sample_count: int = 4096, seed: int = 0
-) -> PointCloud:
+def closure_image(sym: AnalyticSymbol, seed: int = 0) -> PointCloud:
     """Sampled approximation of the closure of psi(H^2)."""
-    if sample_count < 1000:
-        raise SymbolError("closure_image needs at least 10^3 samples")
-    z1, z2 = halfplane_samples(sample_count, seed=seed)
+    z1, z2 = halfplane_samples(CLOSURE_SAMPLES, seed=seed)
     vals = sym(z1, z2)
     if np.min(vals.imag) < sym.im_lower_bound - 1e-9:
         raise SymbolError("closure sample violates the certified Im bound")

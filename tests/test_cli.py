@@ -157,6 +157,28 @@ def test_build_no_crosscheck_skips_residual(tmp_path):
     assert "series_direct_residual" not in cert
 
 
+@pytest.mark.parametrize(
+    "expr, declared, closed_form",
+    [("i + 0.25*cay(z1)", "constant", False), ("i", "continuous-on-closure", True)],
+    ids=["declared_constant", "undeclared_constant"],
+)
+def test_closed_form_check_follows_the_parsed_symbol(tmp_path, expr, declared, closed_form):
+    # a constant is a parsed expression in neither variable; the declared
+    # class plays no part
+    cfg = _config(tmp_path)
+    raw = json.loads(cfg.read_text())
+    raw["symbols"]["psi1"] = {"expr": expr, "im_lower_bound": 0.7, "sup_bound": 1.3,
+                              "class": declared}
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["build", "--config", str(cfg), "--out", str(out), "--no-crosscheck"]) == 0
+    cert = json.loads((out / "plan_certificate.json").read_text())
+    if closed_form:
+        assert cert["constant_closed_form_residual"] < 1e-10
+    else:
+        assert "constant_closed_form_residual" not in cert
+
+
 def test_build_reruns_are_byte_identical(tmp_path):
     cfg = _config(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"

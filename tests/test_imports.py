@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and every
+name a package module defines is used somewhere in the repository."""
 
 import ast
 from pathlib import Path
@@ -6,6 +7,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qpspec"
+ROOT = SRC.parent.parent
+SEARCHED = ("src", "tests", "bench")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -21,11 +24,68 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
+def definitions(source: str) -> set[str]:
+    """Module-level functions, classes and assigned names, and the methods
+    of module-level classes; dunder names excepted."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            names |= {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+        elif isinstance(node, ast.Assign):
+            names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return {n for n in names if not (n.startswith("__") and n.endswith("__"))}
+
+
+def references(source: str) -> set[str]:
+    """Names a source reads, as a bare name, an attribute, an imported name
+    or a string (a name looked up with getattr)."""
+    refs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs.add(node.value)
+    return refs
+
+
+def unreferenced(source: str, others: list[str]) -> list[str]:
+    """Names ``source`` defines that neither it nor any of ``others`` reads."""
+    refs = set().union(references(source), *(references(s) for s in others))
+    return sorted(definitions(source) - refs)
+
+
 def test_detector_flags_unused_names():
     src = "import os, sys\nimport scipy.linalg\nfrom math import pi, tau as t\nprint(sys, scipy, t)\n"
     assert unused_imports(src) == ["os", "pi"]
 
 
+def test_detector_flags_unreferenced_definitions():
+    src = (
+        "LIMIT = 3\nSPARE = 4\n"
+        "def used(): pass\ndef unused(): pass\ndef looked_up(): pass\n"
+        "class K:\n    def m(self): pass\n    def dead(self): pass\n"
+        "    def __repr__(self): pass\n"
+    )
+    other = "from pkg import used\nK().m()\nprint(LIMIT)\ngetattr(K, 'looked_up')\n"
+    assert unreferenced(src, [other]) == ["SPARE", "dead", "unused"]
+
+
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_module_has_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def test_every_definition_is_referenced():
+    sources = {p: p.read_text() for d in SEARCHED for p in sorted((ROOT / d).rglob("*.py"))}
+    dead = {
+        p.name: unreferenced(text, [s for q, s in sources.items() if q != p])
+        for p, text in sources.items()
+        if p.parent == SRC
+    }
+    assert {name: names for name, names in dead.items() if names} == {}

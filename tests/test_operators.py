@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -103,6 +105,22 @@ def test_toeplitz_halfplane_multiplication_action():
     assert err < 2e-3
 
 
+def test_toeplitz_halfplane_quadrature_memory_is_bounded():
+    # all 2n - 1 frequency differences against the 16384 rule nodes make a
+    # 67 MB complex phase matrix at n = 128; the quadrature takes it in row
+    # blocks (the multiplication-action test above checks the values across
+    # the blocks of its 511 differences)
+    fg = FrequencyGrid.uniform(10.0, 128)
+    tracemalloc.start()
+    try:
+        T = toeplitz_halfplane(lambda x: 1.0 / (np.asarray(x) + 1j), fg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6
+    assert T.shape == (128, 128)
+
+
 def test_toeplitz_separable_expression():
     expr = parse_symbol_expression("i + 0.25*cay(z1)")
     T = toeplitz_separable(expr, (FG, FG))
@@ -176,6 +194,20 @@ def test_kron_of_diagonals_row_major():
     t1 = np.repeat(FG.nodes, FG.size)
     t2 = np.tile(FG.nodes, FG.size)
     assert np.max(np.abs(np.diag(K.entries) - np.exp(-t1 - 2 * t2))) < 1e-14
+
+
+def test_operator_product_keeps_factors_of_factored_operands():
+    rng = np.random.default_rng(5)
+    g1, g2 = FrequencyGrid.uniform(4.0, 5), FrequencyGrid.uniform(4.0, 6)
+    A = kron(_random_op(rng, g1), _random_op(rng, g2))
+    B = kron(_random_op(rng, g1), _random_op(rng, g2))
+    AB = A @ B
+    assert AB.factors is not None
+    assert np.allclose(AB.entries, A.entries @ B.entries, rtol=0, atol=1e-12)
+    dense = OperatorMatrix(B.entries, B.domain_grid, B.codomain_grid, "frequency")
+    for product in (A @ dense, dense @ A):
+        assert product.factors is None
+    assert np.array_equal((A @ dense).entries, A.entries @ B.entries)
 
 
 def test_op_norm_examples():

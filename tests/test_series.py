@@ -284,11 +284,22 @@ def test_series_refuses_uncontracted_plan():
         SeriesPlan(1.0, 1.2, 3, 3, default_norm_estimates(0.5, 1.0, 1.0))
 
 
-def test_growth_guard_fires_on_bogus_certificate():
-    psi_far = make_symbol("20*i", 19.0, 21.0, "constant")
-    qbad = QuasiParabolicMap(1.0, 1.0, psi_far, psi_far)
-    # alpha = 1 puts the tau cloud far outside the contraction disc even
-    # though the (forged) certificate claims delta = 0.9
+@pytest.mark.parametrize(
+    "psi1, psi2",
+    [
+        (("20*i", 19.0, 21.0, "constant"), ("20*i", 19.0, 21.0, "constant")),
+        # summed densely; only the inner (second-axis) sum grows
+        (
+            ("i + 0.25*cay(z1) + 0*cay(z2)", 0.7, 1.3, "continuous-on-closure"),
+            ("20*i + 0*cay(z1)", 19.0, 21.0, "continuous-on-closure"),
+        ),
+    ],
+    ids=["per_axis", "two_variable"],
+)
+def test_growth_guard_fires_on_bogus_certificate(psi1, psi2):
+    qbad = QuasiParabolicMap(1.0, 1.0, make_symbol(*psi1), make_symbol(*psi2))
+    # alpha = 1 puts the tau cloud of psi2 far outside the contraction disc
+    # even though the (forged) certificate claims delta = 0.9
     plan_bad = SeriesPlan(1.0, 0.9, 12, 12, default_norm_estimates(0.9, 19.0, 19.0))
     with pytest.raises(SeriesError):
         build_series(qbad, plan_bad, (FrequencyGrid.uniform(8.0, 16),) * 2)
