@@ -49,6 +49,9 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_CERT = 3
 
+# values formatted per write of a CSV output
+CSV_CHUNK = 8192
+
 
 class ConfigError(ValueError):
     pass
@@ -188,18 +191,22 @@ class RunConfig:
 # output helpers
 
 
-def _write_points_csv(path: Path, pts: np.ndarray, digest: str) -> None:
-    lines = [f"# config {digest}", "re,im"]
-    lines += [f"{z.real:.12g},{z.imag:.12g}" for z in np.asarray(pts).reshape(-1)]
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_matrix_csv(path: Path, M: np.ndarray, digest: str) -> None:
-    # row-major flattening, one entry per line
-    lines = [f"# config {digest}", f"# shape {M.shape[0]} {M.shape[1]}", "re,im"]
-    flat = M.reshape(-1)
-    lines += [f"{v.real:.12g},{v.imag:.12g}" for v in flat]
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, digest: str, blocks, shape: tuple | None = None) -> None:
+    """Write a config line, an optional "# shape rows cols" line, the "re,im"
+    header and then one value per line, row-major through each block in
+    turn.  Values are formatted and written CSV_CHUNK at a time, so no
+    output is ever held whole as text."""
+    head = [f"# config {digest}"]
+    if shape is not None:
+        head.append(f"# shape {shape[0]} {shape[1]}")
+    with open(path, "w") as f:
+        f.write("\n".join(head + ["re,im"]) + "\n")
+        for block in blocks:
+            flat = np.asarray(block).reshape(-1)
+            for lo in range(0, flat.size, CSV_CHUNK):
+                f.write("".join(
+                    f"{z.real:.12g},{z.imag:.12g}\n" for z in flat[lo:lo + CSV_CHUNK].tolist()
+                ))
 
 
 def _write_json(path: Path, payload: dict, digest: str) -> None:
@@ -232,10 +239,10 @@ def _predict(cfg: RunConfig, s1, s2):
 def cmd_predict(cfg: RunConfig, out: Path) -> int:
     digest = cfg.digest()
     c1, c2, pred = _predict(cfg, *cfg.symbols())
-    _write_points_csv(out / "cluster1.csv", c1.points, digest)
-    _write_points_csv(out / "cluster2.csv", c2.points, digest)
+    _write_csv(out / "cluster1.csv", digest, [c1.points])
+    _write_csv(out / "cluster2.csv", digest, [c2.points])
     # sweep order (t1 outer, t2 inner) so the first row is t=0 -> 1
-    _write_points_csv(out / "spiral.csv", np.concatenate(pred.images), digest)
+    _write_csv(out / "spiral.csv", digest, pred.images)
     (out / "spiral.svg").write_text(svgmod.spiral_figure(pred.images))
     _write_json(
         out / "predict_report.json",
@@ -274,7 +281,7 @@ def cmd_build(cfg: RunConfig, cross: bool, out: Path) -> int:
     except SeriesError as e:
         _write_json(out / "build_report.json", {"error": str(e)}, digest)
         raise
-    _write_matrix_csv(out / "operator.csv", op.entries, digest)
+    _write_csv(out / "operator.csv", digest, op.row_blocks(), op.shape)
     cert = json.loads(plan.to_json())
     cert.update(
         {
@@ -295,9 +302,9 @@ def cmd_build(cfg: RunConfig, cross: bool, out: Path) -> int:
     shifts = _constant_shifts(qmap)
     if shifts is not None:
         exact = exact_constant_multiplier(*shifts, cfg.fgrids())
-        cert["constant_closed_form_residual"] = float(
-            np.max(np.abs(op.entries - exact.entries))
-        )
+        cert["constant_closed_form_residual"] = float(np.max([
+            np.max(np.abs(a - b)) for a, b in zip(op.row_blocks(), exact.row_blocks())
+        ]))
     _write_json(out / "plan_certificate.json", cert, digest)
     return EXIT_CERT if _remainder_fails(cfg, plan) else EXIT_OK
 
@@ -331,9 +338,9 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
         return EXIT_CERT
     op = build_series(qmap, plan, cfg.fgrids())
     pmap, levels = pseudospectrum(op, cfg.region, cfg.resolution, cfg.eps_list)
-    _write_matrix_csv(out / "sigma_min.csv", pmap.values.astype(complex), digest)
+    _write_csv(out / "sigma_min.csv", digest, [pmap.values], pmap.values.shape)
     for eps, ls in zip(cfg.eps_list, levels):
-        _write_points_csv(out / f"level_{eps:g}.csv", ls.points.points, digest)
+        _write_csv(out / f"level_{eps:g}.csv", digest, [ls.points.points])
     _write_json(
         out / "spectrum_report.json",
         {
@@ -372,8 +379,8 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
         "verdict": verdict,
     }
     _write_json(out / "verify_report.json", report, digest)
-    _write_points_csv(out / "surrogate.csv", surro.points.points, digest)
-    _write_points_csv(out / "predicted.csv", pred.points.points, digest)
+    _write_csv(out / "surrogate.csv", digest, [surro.points.points])
+    _write_csv(out / "predicted.csv", digest, [pred.points.points])
     (out / "overlay.svg").write_text(
         svgmod.overlay_figure(
             [(surro.params["eps"], surro.points.points)], pred.points.points

@@ -24,7 +24,6 @@ from .grids import (
     TaylorBasis,
     grid_size,
     grid_weights,
-    tensor_nodes,
 )
 from .symbols import SepExpr, SymbolError
 
@@ -47,11 +46,12 @@ class OperatorMatrix:
 
     A dense operator keeps its matrix.  A per-axis operator on two-axis
     tensor grids keeps only its Kronecker factors ``factors = (F1, F2)``,
-    F_k acting on axis k (pass ``entries=None``); its ``entries`` are then
-    kron(F1, F2), formed on first read and kept, so both forms agree
-    exactly.  ``shape`` comes from the grids and never forms the entries.
-    ``A @ B`` of two factored operators is factored, (A1 B1, A2 B2); any
-    other product is the dense product of the entries.
+    F_k acting on axis k (pass ``entries=None``), and stands for the matrix
+    kron(F1, F2).  ``row_blocks()`` reads the matrix of either form a block
+    of rows at a time; a factored operator's full matrix is formed only
+    when ``entries`` is read.  ``shape`` comes from the grids.  ``A @ B`` of
+    two factored operators is factored, (A1 B1, A2 B2); any other product
+    is the dense product of the entries.
     """
 
     def __init__(self, entries, domain_grid: GridLike, codomain_grid: GridLike,
@@ -64,14 +64,14 @@ class OperatorMatrix:
         if (entries is None) == (factors is None):
             raise GridError("an operator is given by its entries or by its factors")
         if factors is None:
-            self._entries = _checked(np.asarray(entries, dtype=complex), self.shape)
+            self._matrix = _checked(np.asarray(entries, dtype=complex), self.shape)
             self.factors = None
             return
         if len(factors) != 2 or not all(
             isinstance(g, tuple) and len(g) == 2 for g in (domain_grid, codomain_grid)
         ):
             raise GridError("Kronecker factors need two-axis grids")
-        self._entries = None
+        self._matrix = None
         self.factors = tuple(
             _checked(np.asarray(F), (grid_size(gc), grid_size(gd)))
             for F, gd, gc in zip(factors, domain_grid, codomain_grid)
@@ -79,9 +79,30 @@ class OperatorMatrix:
 
     @property
     def entries(self) -> np.ndarray:
-        if self._entries is None:
-            self._entries = np.asarray(np.kron(*self.factors), dtype=complex)
-        return self._entries
+        """The full matrix.  A factored operator forms kron(F1, F2) anew on
+        every read: a conversion for tests and for whole-matrix operations
+        (norm, eigenvalues, a product with a dense operator)."""
+        if self.factors is None:
+            return self._matrix
+        return np.asarray(np.kron(*self.factors), dtype=complex)
+
+    def row_blocks(self):
+        """Yield the rows of the matrix in consecutive blocks.
+
+        A factored operator yields kron(F1[i], F2) for each row i of F1,
+        which equals that block of kron(F1, F2) exactly.  A dense operator
+        yields row slices of the same height, the codomain's second-axis
+        size (the whole matrix on a one-axis grid).
+        """
+        if self.factors is not None:
+            F1, F2 = self.factors
+            for i in range(F1.shape[0]):
+                yield np.asarray(np.kron(F1[i:i + 1], F2), dtype=complex)
+            return
+        g = self.codomain_grid
+        height = grid_size(g[1]) if isinstance(g, tuple) else self.shape[0]
+        for lo in range(0, self.shape[0], height):
+            yield self._matrix[lo:lo + height]
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         if self.rep != other.rep:
@@ -246,12 +267,10 @@ def toeplitz_separable(expr: SepExpr, fgrids: tuple) -> OperatorMatrix:
 # Fourier multipliers and dilations
 
 
-def fourier_multiplier(fn: Callable, grid: GridLike) -> OperatorMatrix:
-    """Diagonal multiplier diag(theta(t_k)) on a frequency grid (1- or 2-D)."""
-    if isinstance(grid, tuple):
-        diag = np.asarray(fn(*tensor_nodes(grid)), dtype=complex)
-    else:
-        diag = np.asarray(fn(grid.nodes), dtype=complex)
+def fourier_multiplier(fn: Callable, grid: FrequencyGrid) -> OperatorMatrix:
+    """Diagonal multiplier diag(theta(t_k)) on a one-axis frequency grid; a
+    two-axis multiplier is the ``kron`` of two of these."""
+    diag = np.asarray(fn(grid.nodes), dtype=complex)
     if not np.all(np.isfinite(diag)):
         raise SymbolError("multiplier function is unbounded on the grid")
     return OperatorMatrix(np.diag(diag), grid, grid, "frequency")

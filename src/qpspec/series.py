@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .operators import (
     OperatorMatrix,
     dilation,
     fourier_multiplier,
+    kron,
     toeplitz_halfplane,
     toeplitz_separable,
 )
@@ -104,16 +105,17 @@ def delta_of_alpha(alpha: float, points: np.ndarray) -> float:
 def choose_alpha(
     cloud: PointCloud | np.ndarray,
     mode: str = "minimize",
-    target_delta: Optional[float] = None,
     tol: float = 1e-10,
 ) -> tuple[float, float]:
     """Pick the series shift alpha for a compact cloud in the half-plane.
 
-    minimize: golden-section over log(alpha) of the minimax objective
+    Golden-section over log(alpha) of the minimax objective
     delta(alpha) = sup |i alpha - z| / alpha (each point's contribution is
-    quasiconvex in alpha, so the sup is unimodal).  target-delta: smallest
-    scan alpha achieving delta <= target_delta.
+    quasiconvex in alpha, so the sup is unimodal); "minimize" is the only
+    mode.
     """
+    if mode != "minimize":
+        raise DomainError(f"unknown mode {mode!r}")
     pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=complex)
     pts = pts.reshape(-1)
     if pts.size == 0:
@@ -124,20 +126,9 @@ def choose_alpha(
     rmax = float(np.max(np.abs(pts)))
     lo = math.log(ymin / 2.0)
     hi = math.log(4.0 * rmax**2 / ymin)
-    if mode == "minimize":
-        a = _golden_min(lambda u: delta_of_alpha(math.exp(u), pts), lo, hi, tol)
-        alpha = math.exp(a)
-        return alpha, delta_of_alpha(alpha, pts)
-    if mode == "target-delta":
-        if target_delta is None or not (0.0 < target_delta < 1.0):
-            raise DomainError("target-delta mode needs target_delta in (0, 1)")
-        for u in np.linspace(lo, hi, 4096):
-            alpha = math.exp(u)
-            d = delta_of_alpha(alpha, pts)
-            if d <= target_delta:
-                return alpha, d
-        raise SeriesError(f"no alpha in bracket reaches delta <= {target_delta}")
-    raise DomainError(f"unknown mode {mode!r}")
+    a = _golden_min(lambda u: delta_of_alpha(math.exp(u), pts), lo, hi, tol)
+    alpha = math.exp(a)
+    return alpha, delta_of_alpha(alpha, pts)
 
 
 def _golden_min(f: Callable, a: float, b: float, tol: float) -> float:
@@ -260,7 +251,7 @@ def plan_for_map(
     )
     pts = pts[pts.imag > 0]
     if alpha is None:
-        alpha, delta = choose_alpha(pts, mode="minimize")
+        alpha, delta = choose_alpha(pts)
     else:
         delta = delta_of_alpha(alpha, pts)
     if delta >= 1.0:
@@ -390,9 +381,13 @@ def _growth_check(norms: Sequence[float]) -> None:
 
 
 def exact_constant_multiplier(a1: complex, a2: complex, fgrids: tuple) -> OperatorMatrix:
-    """Closed-form collapse of the series for constant symbols:
-    diag(exp(i (a1 t1 + a2 t2)))."""
-    return fourier_multiplier(lambda t1, t2: np.exp(1j * (a1 * t1 + a2 * t2)), fgrids)
+    """Closed-form collapse of the series for constant symbols, kept as its
+    two factors: kron(diag(exp(i a1 t1)), diag(exp(i a2 t2)))."""
+    g1, g2 = fgrids
+    return kron(
+        fourier_multiplier(lambda t: np.exp(1j * a1 * t), g1),
+        fourier_multiplier(lambda t: np.exp(1j * a2 * t), g2),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -462,18 +457,17 @@ def direct_composition(qmap_or_fns, bgrids: tuple) -> OperatorMatrix:
     return OperatorMatrix(entries, bgrids, bgrids, "boundary")
 
 
-def hardy_test_family(bgrids: tuple, seed: int = 0) -> list[np.ndarray]:
-    """Decaying rational Hardy test vectors on the tensor boundary grid."""
+def hardy_test_family(bgrids: tuple, seed: int = 0) -> Iterator[np.ndarray]:
+    """Yield the decaying rational Hardy test vectors on the tensor boundary
+    grid one at a time."""
     rng = np.random.default_rng(seed)
     g1, g2 = bgrids
-    out = []
     for _ in range(HARDY_TEST_COUNT):
         c1, c2 = rng.uniform(0.5, 2.0, size=2)
         s1, s2 = rng.uniform(-3.0, 3.0, size=2)
         f1 = 1.0 / (g1.nodes - s1 + 1j * c1) ** 2
         f2 = 1.0 / (g2.nodes - s2 + 1j * c2) ** 2
-        out.append(np.kron(f1, f2))
-    return out
+        yield np.kron(f1, f2)
 
 
 def series_direct_residual(
@@ -501,7 +495,7 @@ def series_direct_residual(
         fu = (F1 @ u2 @ F2.T).reshape(-1)
         cu = direct_composition_apply(qmap, bgrids, u).reshape(bg1.size, bg2.size)
         fcu = (F1 @ cu @ F2.T).reshape(-1)
-        resid = series_op.entries @ fu - fcu
+        resid = np.concatenate([blk @ fu for blk in series_op.row_blocks()]) - fcu
         denom = float(np.sqrt(np.sum(wf * np.abs(fu) ** 2)))
         err = float(np.sqrt(np.sum(wf * np.abs(resid) ** 2))) / denom
         worst = max(worst, err)

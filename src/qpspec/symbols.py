@@ -349,16 +349,31 @@ class PointCloud:
 
 
 def dedup_points(pts: np.ndarray, resolution: float = DEDUP_RESOLUTION) -> np.ndarray:
-    """Deduplicate to the given resolution; sorted by (re, im)."""
+    """Deduplicate to the given resolution; sorted by (re, im).
+
+    In sorted order a point is kept when it lies more than ``resolution``
+    from the last kept point.  A point more than 2 resolutions from its
+    predecessor is always kept, since the predecessor is either kept or
+    within ``resolution`` of the last kept point; so only the points near
+    their predecessor go through the sequential test.
+    """
     if pts.size == 0:
         return pts
     order = np.lexsort((pts.imag, pts.real))
     pts = pts[order]
-    keep = [pts[0]]
-    for p in pts[1:]:
-        if abs(p - keep[-1]) > resolution:
-            keep.append(p)
-    return np.array(keep)
+    keep = np.ones(pts.size, dtype=bool)
+    # the margin over 2 absorbs the rounding of the computed distances
+    near = np.flatnonzero(~(np.abs(np.diff(pts)) > 2.001 * resolution)) + 1
+    last, prev = None, -1
+    for i, p, q in zip(near.tolist(), pts[near].tolist(), pts[near - 1].tolist()):
+        if i - 1 != prev:  # the predecessor is not near its own, so it was kept
+            last = q
+        if abs(p - last) > resolution:
+            last = p
+        else:
+            keep[i] = False
+        prev = i
+    return pts[keep]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from qpspec.cli import CONFIG_DIR, ConfigError, RunConfig, main
+from qpspec.cli import CONFIG_DIR, ConfigError, RunConfig, cmd_build, main
+from qpspec.operators import OperatorMatrix
 from qpspec.spectra import predicted_set
 from qpspec.symbols import DEDUP_RESOLUTION, ClusterPlan, cluster_set
 
@@ -188,6 +190,56 @@ def test_build_reruns_are_byte_identical(tmp_path):
     c1 = json.loads((out1 / "plan_certificate.json").read_text())
     c2 = json.loads((out2 / "plan_certificate.json").read_text())
     assert c1 == c2
+
+
+def _small_catalog_config(tmp_path, name):
+    raw = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    raw["grids"].update(frequency_nodes=12, boundary_nodes=160)
+    raw["spectra"] = {"resolution": [32, 32], "sizes": [6, 8, 10]}
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+@pytest.mark.parametrize(
+    "name, command, code",
+    [("cay_quarter", "build", 0), ("cay_quarter", "verify", 1),
+     ("dilation_case", "build", 0), ("dilation_case", "verify", 1)],
+)
+def test_build_and_verify_never_form_factored_entries(tmp_path, monkeypatch, name, command, code):
+    # every reader of a per-axis operator goes through row_blocks() or the
+    # factors; the n^2 x n^2 entries are a conversion for tests only
+    dense = OperatorMatrix.entries.fget
+
+    def entries(op):
+        if op.factors is not None:
+            raise AssertionError("formed the entries of a factored operator")
+        return dense(op)
+
+    monkeypatch.setattr(OperatorMatrix, "entries", property(entries))
+    path = _small_catalog_config(tmp_path, name)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == code
+
+
+def test_build_memory_stays_below_one_dense_operator(tmp_path):
+    # at 32 nodes per axis one n^2 x n^2 complex matrix is 16.8 MB; operator.csv
+    # and the cross-check read the factored operator a block of rows at a time
+    n = 32
+    raw = json.loads((CONFIG_DIR / "cay_quarter.json").read_text())
+    raw["grids"].update(frequency_nodes=n, boundary_nodes=160)
+    cfg = RunConfig.from_dict(raw)
+    out = tmp_path / "out"
+    out.mkdir()
+    tracemalloc.start()
+    try:
+        assert cmd_build(cfg, True, out) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n**4 * 16
+    lines = (out / "operator.csv").read_text().splitlines()
+    assert lines[1] == f"# shape {n * n} {n * n}"
+    assert len(lines) == 3 + n**4
 
 
 @pytest.mark.parametrize("command", ["build", "spectrum", "verify"])

@@ -208,6 +208,12 @@ def test_operator_product_keeps_factors_of_factored_operands():
     for product in (A @ dense, dense @ A):
         assert product.factors is None
     assert np.array_equal((A @ dense).entries, A.entries @ B.entries)
+    # both forms read their rows in blocks of the second axis' size
+    assert np.array_equal(A.entries, np.kron(*A.factors))
+    for op in (A, dense, A @ dense):
+        blocks = list(op.row_blocks())
+        assert [b.shape for b in blocks] == [(g2.size, op.shape[1])] * g1.size
+        assert np.array_equal(np.concatenate(blocks), op.entries)
 
 
 def test_op_norm_examples():

@@ -70,15 +70,6 @@ def test_choose_alpha_matches_brute_scan():
         assert delta <= best + 1e-6
 
 
-def test_choose_alpha_target_delta_mode():
-    pts = np.array([1.0j, 3.0j])
-    alpha, delta = choose_alpha(pts, mode="target-delta", target_delta=0.6)
-    assert delta <= 0.6
-    # unreachable target: the minimax optimum here is exactly 1/2
-    with pytest.raises(SeriesError):
-        choose_alpha(pts, mode="target-delta", target_delta=0.4)
-
-
 def test_choose_alpha_rejects_bad_clouds():
     with pytest.raises(DomainError):
         choose_alpha(np.array([1.0 - 0.5j]))

@@ -92,6 +92,42 @@ def test_dedup_orders_and_merges():
     assert np.all(np.diff(out.real) >= 0)
 
 
+def _dedup_reference(pts, resolution):
+    # the sequential rule: in (re, im) order, keep a point when it lies more
+    # than the resolution from the last kept point
+    pts = pts[np.lexsort((pts.imag, pts.real))]
+    keep = [pts[0]]
+    for p in pts[1:]:
+        if abs(p - keep[-1]) > resolution:
+            keep.append(p)
+    return np.array(keep)
+
+
+def test_dedup_keeps_against_the_last_kept_point():
+    # 0.9e-9i is dropped against 0; the third point lies 1.49e-9 from it
+    # but only 0.71e-9 from 0, the last kept point, so it is dropped too
+    pts = np.array([0.0, 0.9e-9j, 0.5e-9 - 0.5e-9j])
+    out = dedup_points(pts, 1e-9)
+    assert np.array_equal(out, _dedup_reference(pts, 1e-9))
+    assert np.array_equal(out, np.array([0.0 + 0.0j]))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dedup_matches_sequential_rule_on_near_duplicate_chains(seed):
+    rng = np.random.default_rng(seed)
+    res = 1e-9
+    base = rng.uniform(-1, 1, 400) + 1j * rng.uniform(-1, 1, 400)
+    # chains of points a fraction of the resolution apart, some wandering
+    # more than the resolution from their start
+    steps = (rng.uniform(-0.9, 0.9, (400, 6)) + 1j * rng.uniform(-0.9, 0.9, (400, 6))) * res
+    chains = base[:, None] + np.cumsum(steps, axis=1)
+    pts = np.concatenate([base, chains.reshape(-1), base[:50], rng.choice(chains.reshape(-1), 300)])
+    rng.shuffle(pts)
+    out = dedup_points(pts, res)
+    assert out.dtype == pts.dtype
+    assert np.array_equal(out, _dedup_reference(pts, res))
+
+
 @given(st.lists(st.complex_numbers(max_magnitude=10, allow_nan=False), min_size=1, max_size=50))
 @settings(max_examples=100)
 def test_dedup_idempotent(pts):
