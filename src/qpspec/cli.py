@@ -381,10 +381,8 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
     _write_json(out / "verify_report.json", report, digest)
     _write_csv(out / "surrogate.csv", digest, [surro.points.points])
     _write_csv(out / "predicted.csv", digest, [pred.points.points])
-    (out / "overlay.svg").write_text(
-        svgmod.overlay_figure(
-            [(surro.params["eps"], surro.points.points)], pred.points.points
-        )
+    svgmod.overlay_figure(
+        out / "overlay.svg", [(surro.params["eps"], surro.points.points)], pred.points.points
     )
     print(f"{cfg.name}: {verdict['verdict']} "
           f"(distance {verdict['distance']:.4g}, tol {verdict['tol']:.4g})")

@@ -146,10 +146,24 @@ def weighted_matrix(A: OperatorMatrix) -> np.ndarray:
     return weigh(A.entries, A.domain_grid, A.codomain_grid)
 
 
+def weighted_factors(A: OperatorMatrix) -> tuple:
+    """Per-axis weighted factors (W1, W2) with weighted_matrix(A) equal to
+    kron(W1, W2): the grid weights are tensor products, so a factored
+    operator's factors are weighed one axis at a time.  An unfactored
+    operator is the pair (M, [[1]])."""
+    if A.factors is None:
+        return weighted_matrix(A), np.ones((1, 1), dtype=complex)
+    return tuple(
+        weigh(F, gd, gc) for F, gd, gc in zip(A.factors, A.domain_grid, A.codomain_grid)
+    )
+
+
 def op_norm(A: OperatorMatrix) -> float:
     """Largest singular value of the weighted similarity: the matrix 2-norm
-    that approximates the continuum L^2 -> L^2 operator norm."""
-    return float(np.linalg.norm(weighted_matrix(A), 2))
+    that approximates the continuum L^2 -> L^2 operator norm.  The norm of
+    kron(W1, W2) is the product of the factor norms."""
+    W1, W2 = weighted_factors(A)
+    return float(np.linalg.norm(W1, 2) * np.linalg.norm(W2, 2))
 
 
 def kron(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -52,6 +52,9 @@ GROWTH_GUARD = 5
 
 # rational Hardy test vectors behind the series-vs-Cauchy cross-check
 HARDY_TEST_COUNT = 12
+# boundary values per group of direct images in the cross-check: all twelve
+# at 256^2 nodes, one at a time at 768^2
+DIRECT_IMAGE_ELEMENTS = 1 << 20
 
 
 class SeriesError(ValueError):
@@ -394,9 +397,13 @@ def exact_constant_multiplier(a1: complex, a2: complex, fgrids: tuple) -> Operat
 # direct Cauchy-integral construction
 
 
-def _boundary_phi_values(qmap_or_fns, bgrids: tuple):
+def _boundary_phi_values(qmap_or_fns, bgrids: tuple, per_axis: bool = False):
     """phi_1^*, phi_2^* on the tensor boundary grid, flattened row-major;
-    the Cauchy construction needs both strictly inside the half-plane."""
+    the Cauchy construction needs both strictly inside the half-plane.
+
+    With ``per_axis`` (phi_1 ignores x2 and phi_2 ignores x1) only the first
+    column of phi_1 and the first row of phi_2 are evaluated, which hold
+    every value either takes on the grid."""
     g1, g2 = bgrids
     x1 = g1.nodes[:, None] + 1j * BOUNDARY_HEIGHT
     x2 = g2.nodes[None, :] + 1j * BOUNDARY_HEIGHT
@@ -404,8 +411,15 @@ def _boundary_phi_values(qmap_or_fns, bgrids: tuple):
         phi1, phi2 = qmap_or_fns.boundary_components()
     else:
         phi1, phi2 = qmap_or_fns
-    v1 = np.broadcast_to(np.asarray(phi1(x1, x2), dtype=complex), (g1.size, g2.size)).reshape(-1)
-    v2 = np.broadcast_to(np.asarray(phi2(x1, x2), dtype=complex), (g1.size, g2.size)).reshape(-1)
+
+    def values(phi, a, b):
+        shape = np.broadcast_shapes(a.shape, b.shape)
+        return np.broadcast_to(np.asarray(phi(a, b), dtype=complex), shape).reshape(-1)
+
+    if per_axis:
+        v1, v2 = values(phi1, x1, x2[:, :1]), values(phi2, x1[:1], x2)
+    else:
+        v1, v2 = values(phi1, x1, x2), values(phi2, x1, x2)
     worst = min(float(np.min(v1.imag)), float(np.min(v2.imag)))
     if worst <= 0.0:
         raise DomainError(
@@ -416,32 +430,43 @@ def _boundary_phi_values(qmap_or_fns, bgrids: tuple):
 
 
 def _cauchy_kernel(g: BoundaryGrid, v: np.ndarray) -> np.ndarray:
-    """Row k: the quadrature form of the Cauchy integral at the point v[k]."""
-    return (g.weights[None, :] / (2.0j * np.pi)) / (g.nodes[None, :] - v[:, None])
+    """Row k: the quadrature form of the Cauchy integral at the point v[k],
+    divided in place so that building it holds one kernel-sized array."""
+    K = g.nodes[None, :] - v[:, None]
+    return np.divide(g.weights[None, :] / (2.0j * np.pi), K, out=K)
+
+
+def _column_kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Column k is kron(A[:, k], B[:, k])."""
+    return (A[:, None, :] * B[None, :, :]).reshape(A.shape[0] * B.shape[0], A.shape[1])
 
 
 def direct_composition_apply(
-    qmap_or_fns, bgrids: tuple, values: np.ndarray, chunk: int = 8192
+    qmap_or_fns, bgrids: tuple, f1: np.ndarray, f2: np.ndarray, chunk: int = 8192
 ) -> np.ndarray:
-    """Apply the double Cauchy quadrature without materializing the full
-    matrix.  For a per-axis map the kernel is the Kronecker product of two
-    one-variable kernels, applied factor by factor.  Otherwise (and for a
-    raw pair of callables) the kernel is rank-one in the column tensor
-    index, and output rows are processed in chunks to bound memory."""
+    """Apply the double Cauchy quadrature to the rank-one vectors
+    kron(f1[:, k], f2[:, k]) without materializing the full matrix.
+
+    ``f1`` (N1 x K) and ``f2`` (N2 x K) stack the factors on each boundary
+    axis; the result stacks the K images as an (N1 N2) x K array.  At the
+    boundary point a the image is (C1[a] f1)(C2[a] f2), with C_j[a] the
+    Cauchy kernel row at phi_j(a).  For a per-axis map C_j[a] depends on a_j
+    only, so each kernel is one N_j x N_j matrix and each image the outer
+    product of a column of C1 f1 with one of C2 f2.  Otherwise (and for a
+    raw pair of callables) output rows go in chunks, whose two kernels are
+    applied to all K columns at once."""
     g1, g2 = bgrids
-    v1, v2 = _boundary_phi_values(qmap_or_fns, bgrids)
-    u = np.asarray(values, dtype=complex).reshape(g1.size, g2.size)
-    if isinstance(qmap_or_fns, QuasiParabolicMap) and qmap_or_fns.per_axis:
-        # phi1 ignores x2 and phi2 ignores x1 (row-major: x2 varies fastest)
-        C1 = _cauchy_kernel(g1, v1[:: g2.size])
-        C2 = _cauchy_kernel(g2, v2[: g2.size])
-        return (C1 @ u @ C2.T).reshape(-1)
-    out = np.empty(v1.size, dtype=complex)
+    f1 = np.asarray(f1, dtype=complex)
+    f2 = np.asarray(f2, dtype=complex)
+    per_axis = isinstance(qmap_or_fns, QuasiParabolicMap) and qmap_or_fns.per_axis
+    v1, v2 = _boundary_phi_values(qmap_or_fns, bgrids, per_axis)
+    if per_axis:
+        return _column_kron(_cauchy_kernel(g1, v1) @ f1, _cauchy_kernel(g2, v2) @ f2)
+    out = np.empty((v1.size, f1.shape[1]), dtype=complex)
     for lo in range(0, v1.size, chunk):
         hi = min(lo + chunk, v1.size)
-        A = _cauchy_kernel(g1, v1[lo:hi])
-        B = _cauchy_kernel(g2, v2[lo:hi])
-        out[lo:hi] = np.einsum("aj,jk,ak->a", A, u, B, optimize=True)
+        np.multiply(_cauchy_kernel(g1, v1[lo:hi]) @ f1, _cauchy_kernel(g2, v2[lo:hi]) @ f2,
+                    out=out[lo:hi])
     return out
 
 
@@ -457,17 +482,21 @@ def direct_composition(qmap_or_fns, bgrids: tuple) -> OperatorMatrix:
     return OperatorMatrix(entries, bgrids, bgrids, "boundary")
 
 
-def hardy_test_family(bgrids: tuple, seed: int = 0) -> Iterator[np.ndarray]:
-    """Yield the decaying rational Hardy test vectors on the tensor boundary
-    grid one at a time."""
+def hardy_test_family(bgrids: tuple, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The decaying rational Hardy test vectors on the tensor boundary grid.
+
+    Every vector is rank one, kron(U1[:, k], U2[:, k]); the two factor
+    stacks U1 (N1 x K) and U2 (N2 x K) are returned."""
     rng = np.random.default_rng(seed)
     g1, g2 = bgrids
-    for _ in range(HARDY_TEST_COUNT):
+    U1 = np.empty((g1.size, HARDY_TEST_COUNT), dtype=complex)
+    U2 = np.empty((g2.size, HARDY_TEST_COUNT), dtype=complex)
+    for k in range(HARDY_TEST_COUNT):
         c1, c2 = rng.uniform(0.5, 2.0, size=2)
         s1, s2 = rng.uniform(-3.0, 3.0, size=2)
-        f1 = 1.0 / (g1.nodes - s1 + 1j * c1) ** 2
-        f2 = 1.0 / (g2.nodes - s2 + 1j * c2) ** 2
-        yield np.kron(f1, f2)
+        U1[:, k] = 1.0 / (g1.nodes - s1 + 1j * c1) ** 2
+        U2[:, k] = 1.0 / (g2.nodes - s2 + 1j * c2) ** 2
+    return U1, U2
 
 
 def series_direct_residual(
@@ -483,23 +512,34 @@ def series_direct_residual(
     to decaying vectors keeps the boundary quadrature honest; the Cauchy
     kernel applied to the non-decaying inverse transforms of raw frequency
     basis vectors would be dominated by truncation artifacts.
+
+    Each u = kron(f1, f2) is rank one, so F u = kron(F1 f1, F2 f2).  The
+    direct images C u are taken in groups of at most DIRECT_IMAGE_ELEMENTS
+    boundary values, and each is moved to the frequency side before the
+    next group is formed.
     """
     fg1, fg2 = series_op.domain_grid
     bg1, bg2 = bgrids
     F1 = bochner_matrix(bg1, fg1)
     F2 = bochner_matrix(bg2, fg2)
-    wf = grid_weights(series_op.domain_grid)
-    worst = 0.0
-    for u in hardy_test_family(bgrids, seed):
-        u2 = u.reshape(bg1.size, bg2.size)
-        fu = (F1 @ u2 @ F2.T).reshape(-1)
-        cu = direct_composition_apply(qmap, bgrids, u).reshape(bg1.size, bg2.size)
-        fcu = (F1 @ cu @ F2.T).reshape(-1)
-        resid = np.concatenate([blk @ fu for blk in series_op.row_blocks()]) - fcu
-        denom = float(np.sqrt(np.sum(wf * np.abs(fu) ** 2)))
-        err = float(np.sqrt(np.sum(wf * np.abs(resid) ** 2))) / denom
-        worst = max(worst, err)
-    return worst
+    U1, U2 = hardy_test_family(bgrids, seed)
+    fu = _column_kron(F1 @ U1, F2 @ U2)
+
+    def transform(cu):
+        """kron(F1, F2) applied to each column of cu."""
+        half = (F1 @ cu.reshape(bg1.size, -1)).reshape(fg1.size, bg2.size, -1)
+        return (F2 @ half).reshape(fu.shape[0], -1)
+
+    fcu = np.empty_like(fu)
+    group = max(1, DIRECT_IMAGE_ELEMENTS // (bg1.size * bg2.size))
+    for lo in range(0, HARDY_TEST_COUNT, group):
+        cols = slice(lo, lo + group)
+        fcu[:, cols] = transform(direct_composition_apply(qmap, bgrids, U1[:, cols], U2[:, cols]))
+    resid = np.concatenate([blk @ fu for blk in series_op.row_blocks()]) - fcu
+    wf = grid_weights(series_op.domain_grid)[:, None]
+    err = np.sqrt(np.sum(wf * np.abs(resid) ** 2, axis=0)) / np.sqrt(
+        np.sum(wf * np.abs(fu) ** 2, axis=0))
+    return float(np.max(err))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import scipy.linalg
 from scipy.linalg.lapack import dstebz
 
 from .grids import DomainError
-from .operators import OperatorMatrix, is_diagonal, weigh, weighted_matrix
+from .operators import OperatorMatrix, is_diagonal, weighted_factors
 from .symbols import PointCloud
 
 
@@ -93,14 +93,15 @@ class PseudospectrumMap:
 
 
 def eigenvalues(A: OperatorMatrix) -> SpectralSet:
-    """Dense eigenvalue set of the weighted similarity of A."""
+    """Dense eigenvalue set of the weighted similarity kron(W1, W2) of A
+    (``weighted_factors``): every product of an eigenvalue of W1 with one
+    of W2."""
     if A.shape[0] != A.shape[1]:
         raise UsageError("eigenvalues need a square matrix")
-    M = weighted_matrix(A)
-    if is_diagonal(M):
-        vals = np.diag(M).copy()
-    else:
-        vals = np.linalg.eigvals(M)
+    d1, d2 = (
+        np.diag(W) if is_diagonal(W) else np.linalg.eigvals(W) for W in weighted_factors(A)
+    )
+    vals = np.outer(d1, d2).reshape(-1)
     return SpectralSet(
         PointCloud(vals, "eigenvalues"), "eigenvalues", {"dim": vals.size}
     )
@@ -258,16 +259,6 @@ def _sigma_min_chunk(lam, T1, T2, R1, R2, starts):
     return sig, steps.max(axis=1), capped.any(axis=1)
 
 
-def _kernel_factors(A: OperatorMatrix):
-    """Per-axis weighted factors (W1, W2) with weighted_matrix(A) equal to
-    kron(W1, W2); an unfactored operator is the pair (M, [[1]])."""
-    if A.factors is None:
-        return weighted_matrix(A), np.ones((1, 1), dtype=complex)
-    return tuple(
-        weigh(F, gd, gc) for F, gd, gc in zip(A.factors, A.domain_grid, A.codomain_grid)
-    )
-
-
 def pseudospectrum(
     A: OperatorMatrix,
     region: tuple,
@@ -292,7 +283,7 @@ def pseudospectrum(
     re = np.linspace(region[0], region[1], resolution[0])
     im = np.linspace(region[2], region[3], resolution[1])
     lam = re[None, :] + 1j * im[:, None]
-    W1, W2 = _kernel_factors(A)
+    W1, W2 = weighted_factors(A)
     if is_diagonal(W1) and is_diagonal(W2):
         d = np.kron(np.diag(W1), np.diag(W2))
 

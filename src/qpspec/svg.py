@@ -7,12 +7,19 @@ dependency on a plotting stack; output is diff-able text.
 
 from __future__ import annotations
 
+from itertools import islice
+from pathlib import Path
+from typing import Iterator, TextIO
+
 import numpy as np
 
 VIEW = 480
 PAD = 1.25  # complex plane half-width mapped onto the viewport
 
 PATH_COLORS = ("#1f6fb2", "#b2421f", "#3a8f3a", "#7a3ab2", "#b28f1f")
+
+# glyphs formatted per write of a streamed figure
+GLYPH_CHUNK = 8192
 
 
 def _xy(z: complex) -> tuple[float, float]:
@@ -36,19 +43,18 @@ def polyline(points: np.ndarray, color: str, width: float = 1.0) -> str:
     )
 
 
-def scatter(points: np.ndarray, color: str, r: float = 1.6, shape: str = "circle") -> str:
-    out = []
-    for z in points:
+def scatter(points: np.ndarray, color: str, r: float = 1.6, shape: str = "circle") -> Iterator[str]:
+    """One circle or square glyph per point, in order."""
+    for z in points.tolist():
         x, y = _xy(z)
         if shape == "circle":
-            out.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{r}" fill="{color}"/>')
+            yield f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{r}" fill="{color}"/>'
         else:
             h = r
-            out.append(
+            yield (
                 f'<rect x="{_fmt(x - h)}" y="{_fmt(y - h)}" width="{_fmt(2 * h)}" '
                 f'height="{_fmt(2 * h)}" fill="{color}"/>'
             )
-    return "".join(out)
 
 
 def unit_circle_guide() -> str:
@@ -61,15 +67,20 @@ def unit_circle_guide() -> str:
     )
 
 
-def document(elements: list[str], title: str = "") -> str:
-    body = "\n".join(elements)
+def _head(title: str) -> str:
     head = f"<title>{title}</title>\n" if title else ""
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{VIEW}" '
         f'height="{VIEW}" viewBox="0 0 {VIEW} {VIEW}">\n{head}'
         f'<rect width="{VIEW}" height="{VIEW}" fill="white"/>\n'
-        f"{body}\n</svg>\n"
     )
+
+
+_TAIL = "\n</svg>\n"
+
+
+def document(elements: list[str], title: str = "") -> str:
+    return _head(title) + "\n".join(elements) + _TAIL
 
 
 def spiral_figure(paths: list[np.ndarray], title: str = "predicted spiral set") -> str:
@@ -80,18 +91,26 @@ def spiral_figure(paths: list[np.ndarray], title: str = "predicted spiral set") 
     return document(els, title)
 
 
+def _write_glyphs(f: TextIO, glyphs: Iterator[str]) -> None:
+    while chunk := "".join(islice(glyphs, GLYPH_CHUNK)):
+        f.write(chunk)
+
+
 def overlay_figure(
+    path: Path,
     level_sets: list[tuple[float, np.ndarray]],
     predicted: np.ndarray,
     title: str = "predicted set over pseudospectrum levels",
-) -> str:
-    """Pseudospectrum level points as squares under the predicted cloud."""
-    els = [unit_circle_guide()]
+) -> None:
+    """Write the pseudospectrum level points as squares under the predicted
+    cloud to ``path``, GLYPH_CHUNK glyphs at a time, so the document is
+    never held whole as text."""
     shades = ("#c9dcef", "#9fc2e3", "#6ea3d4")
-    for k, (eps, pts) in enumerate(level_sets):
-        els.append(
-            f"<!-- level eps={eps:g}: {pts.size} points -->"
-        )
-        els.append(scatter(pts, shades[k % len(shades)], 2.2, "rect"))
-    els.append(scatter(predicted, "#b2421f", 1.2, "circle"))
-    return document(els, title)
+    with open(path, "w") as f:
+        f.write(_head(title) + unit_circle_guide())
+        for k, (eps, pts) in enumerate(level_sets):
+            f.write(f"\n<!-- level eps={eps:g}: {pts.size} points -->\n")
+            _write_glyphs(f, scatter(pts, shades[k % len(shades)], 2.2, "rect"))
+        f.write("\n")
+        _write_glyphs(f, scatter(predicted, "#b2421f", 1.2, "circle"))
+        f.write(_TAIL)

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import eval_laguerre
 
 from qpspec.cli import CONFIG_DIR, RunConfig
-from qpspec.grids import BoundaryGrid, DomainError, FrequencyGrid
+from qpspec.grids import BoundaryGrid, DomainError, FrequencyGrid, bochner_matrix, grid_weights
 from qpspec.operators import toeplitz_halfplane
 from qpspec.series import (
+    HARDY_TEST_COUNT,
     DiscQuasiParabolicMap,
     QuasiParabolicMap,
     SeriesError,
@@ -30,6 +31,7 @@ from qpspec.series import (
     truncation_order,
     vartheta_sup,
     vartheta_symbol,
+    _boundary_phi_values,
 )
 from qpspec.symbols import make_symbol
 
@@ -319,8 +321,9 @@ def test_direct_apply_translates_hardy_functions():
     qmap = _const_map()
     bg = (BoundaryGrid.rational(400, 8.0), BoundaryGrid.rational(400, 8.0))
     g1, g2 = bg
-    u = np.kron(1.0 / (g1.nodes + 1.5j) ** 2, 1.0 / (g2.nodes - 1.0 + 1.0j) ** 2)
-    cu = direct_composition_apply(qmap, bg, u)
+    f1 = 1.0 / (g1.nodes + 1.5j) ** 2
+    f2 = 1.0 / (g2.nodes - 1.0 + 1.0j) ** 2
+    cu = direct_composition_apply(qmap, bg, f1[:, None], f2[:, None])[:, 0]
     truth = np.kron(
         1.0 / (g1.nodes + 2.5j) ** 2, 1.0 / (g2.nodes - 1.0 + 3.0j) ** 2
     )
@@ -331,32 +334,126 @@ def test_direct_dense_matches_chunked_apply():
     qmap = _const_map()
     bg = (BoundaryGrid.rational(60, 8.0), BoundaryGrid.rational(60, 8.0))
     g1, g2 = bg
-    u = np.kron(1.0 / (g1.nodes + 1.0j), 1.0 / (g2.nodes + 2.0j))
+    f1, f2 = 1.0 / (g1.nodes + 1.0j), 1.0 / (g2.nodes + 2.0j)
+    u = np.kron(f1, f2)
     dense = direct_composition(qmap, bg).entries @ u
-    fast = direct_composition_apply(qmap, bg, u)
+    fast = direct_composition_apply(qmap, bg, f1[:, None], f2[:, None])[:, 0]
     assert np.max(np.abs(dense - fast)) < 1e-12
 
 
+# phi1 depends on both variables: exercises the generic chunked path
+NONSEPARABLE_FNS = (
+    lambda x1, x2: x1 + 1.0j + 0.05j * np.cos(x2 / 3.0),
+    lambda x1, x2: x2 + 2.0j,
+)
+
+
 def test_direct_apply_nonseparable_agrees_with_dense():
-    # phi1 depends on both variables: exercises the generic chunked path
-    fns = (
-        lambda x1, x2: x1 + 1.0j + 0.05j * np.cos(x2 / 3.0),
-        lambda x1, x2: x2 + 2.0j,
-    )
+    fns = NONSEPARABLE_FNS
     bg = (BoundaryGrid.rational(40, 8.0), BoundaryGrid.rational(40, 8.0))
     g1, g2 = bg
-    u = np.kron(1.0 / (g1.nodes + 1.0j), 1.0 / (g2.nodes + 2.0j))
+    f1, f2 = 1.0 / (g1.nodes + 1.0j), 1.0 / (g2.nodes + 2.0j)
+    u = np.kron(f1, f2)
     dense = direct_composition(fns, bg).entries @ u
-    fast = direct_composition_apply(fns, bg, u, chunk=97)
+    fast = direct_composition_apply(fns, bg, f1[:, None], f2[:, None], chunk=97)[:, 0]
     assert np.max(np.abs(dense - fast)) < 1e-12
 
 
 def test_direct_apply_rejects_lower_halfplane_image():
     fns = (lambda x1, x2: x1 - 0.5j, lambda x1, x2: x2 + 1.0j)
     bg = (BoundaryGrid.rational(30, 6.0), BoundaryGrid.rational(30, 6.0))
-    u = np.zeros(900, dtype=complex)
+    f = np.zeros((30, 1), dtype=complex)
     with pytest.raises(DomainError):
-        direct_composition_apply(fns, bg, u)
+        direct_composition_apply(fns, bg, f, f)
+
+
+CAY_QUARTER_MAP = QuasiParabolicMap(
+    1.0, 1.0,
+    make_symbol("i + 0.25*cay(z1)", 0.7, 1.3, "continuous-on-closure"),
+    make_symbol("i + 0.25*cay(z2)", 0.7, 1.3, "continuous-on-closure"),
+)
+TWOVAR_MAP = QuasiParabolicMap(
+    1.0, 1.0,
+    make_symbol("i + 0.1*cay(z1)*cay(z2)", 0.85, 1.15, "continuous-on-closure"),
+    make_symbol("2*i - 0.2*cay(z1)*cay(z2)", 1.75, 2.25, "continuous-on-closure"),
+)
+
+
+@pytest.mark.parametrize("maps", ["per-axis", "nonseparable"])
+def test_direct_apply_batches_rank_one_vectors(maps):
+    # each column k is the image of kron(f1[:, k], f2[:, k]); chunk = 97 is
+    # not a multiple of the second-axis size
+    qmap_or_fns = CAY_QUARTER_MAP if maps == "per-axis" else NONSEPARABLE_FNS
+    bg = (BoundaryGrid.rational(36, 8.0), BoundaryGrid.rational(40, 8.0))
+    g1, g2 = bg
+    rng = np.random.default_rng(11)
+    s = rng.uniform(-2.0, 2.0, size=(2, 3))
+    f1 = 1.0 / (g1.nodes[:, None] - s[0] + 1.0j) ** 2
+    f2 = 1.0 / (g2.nodes[:, None] - s[1] + 1.5j) ** 2
+    dense = direct_composition(qmap_or_fns, bg).entries
+    fast = direct_composition_apply(qmap_or_fns, bg, f1, f2, chunk=97)
+    assert fast.shape == (g1.size * g2.size, 3)
+    for k in range(3):
+        ref = dense @ np.kron(f1[:, k], f2[:, k])
+        assert np.max(np.abs(fast[:, k] - ref)) < 1e-12
+
+
+def test_per_axis_boundary_values_are_one_column_and_one_row():
+    # the per-axis values are exactly those the full grid holds, so the
+    # Im > 0 check sees the same numbers
+    bg = (BoundaryGrid.uniform(20.0, 24), BoundaryGrid.uniform(20.0, 30))
+    w1, w2 = (v.reshape(24, 30) for v in _boundary_phi_values(CAY_QUARTER_MAP, bg))
+    v1, v2 = _boundary_phi_values(CAY_QUARTER_MAP, bg, per_axis=True)
+    assert np.array_equal(w1, np.broadcast_to(v1[:, None], w1.shape))
+    assert np.array_equal(w2, np.broadcast_to(v2[None, :], w2.shape))
+
+
+def _residual_per_vector(series_op, qmap, bg, seed=0):
+    """The cross-check one dense test vector at a time, through the dense
+    Cauchy matrix: the reference for the factored, batched computation."""
+    rng = np.random.default_rng(seed)
+    (fg1, fg2), (bg1, bg2) = series_op.domain_grid, bg
+    F1, F2 = bochner_matrix(bg1, fg1), bochner_matrix(bg2, fg2)
+    C = direct_composition(qmap, bg).entries
+    S = series_op.entries
+    wf = grid_weights(series_op.domain_grid)
+    worst = 0.0
+    for _ in range(HARDY_TEST_COUNT):
+        c1, c2 = rng.uniform(0.5, 2.0, size=2)
+        s1, s2 = rng.uniform(-3.0, 3.0, size=2)
+        u = np.kron(1.0 / (bg1.nodes - s1 + 1j * c1) ** 2, 1.0 / (bg2.nodes - s2 + 1j * c2) ** 2)
+        fu = (F1 @ u.reshape(bg1.size, bg2.size) @ F2.T).reshape(-1)
+        fcu = (F1 @ (C @ u).reshape(bg1.size, bg2.size) @ F2.T).reshape(-1)
+        resid = S @ fu - fcu
+        err = np.sqrt(np.sum(wf * np.abs(resid) ** 2)) / np.sqrt(np.sum(wf * np.abs(fu) ** 2))
+        worst = max(worst, float(err))
+    return worst
+
+
+@pytest.mark.parametrize("qmap", [_const_map(), TWOVAR_MAP], ids=["constant", "two-variable"])
+def test_series_direct_residual_matches_per_vector_formula(qmap):
+    fg = (FrequencyGrid.uniform(8.0, 10),) * 2
+    op = build_series(qmap, plan_for_map(qmap, tol=1e-6), fg)
+    bg = (BoundaryGrid.uniform(12.0, 30), BoundaryGrid.uniform(12.0, 34))
+    for seed in (0, 5):
+        ref = _residual_per_vector(op, qmap, bg, seed)
+        assert abs(series_direct_residual(op, qmap, bg, seed) - ref) <= 1e-12 * ref
+
+
+def test_cross_check_memory_stays_below_three_images():
+    # per-axis map at 768 boundary nodes: the kernels and each image are
+    # 768^2 complex values, and no more than one image is held at a time
+    fg = (FrequencyGrid.uniform(8.0, 8),) * 2
+    op = build_series(CAY_QUARTER_MAP, plan_for_map(CAY_QUARTER_MAP, tol=1e-6), fg)
+    bg = (BoundaryGrid.uniform(60.0, 768),) * 2
+    tracemalloc.start()
+    try:
+        resid = series_direct_residual(op, CAY_QUARTER_MAP, bg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(resid)
+    assert peak < 3 * 768**2 * 16
 
 
 def test_series_and_direct_constructions_agree():

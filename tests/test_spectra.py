@@ -6,7 +6,7 @@ import scipy.linalg
 
 from qpspec.cli import CONFIG_DIR, RunConfig
 from qpspec.grids import DomainError, FrequencyGrid
-from qpspec.operators import OperatorMatrix, weighted_matrix
+from qpspec.operators import OperatorMatrix, op_norm, weighted_factors, weighted_matrix
 from qpspec.series import QuasiParabolicMap, build_series, plan_for_map
 from qpspec.spectra import (
     LANCZOS_MAX_STEPS,
@@ -14,7 +14,6 @@ from qpspec.spectra import (
     PseudospectrumMap,
     SpectralSet,
     UsageError,
-    _kernel_factors,
     containment_verdict,
     directed_hausdorff,
     eigenvalues,
@@ -68,6 +67,45 @@ def test_eigenvalues_rejects_rectangular():
         eigenvalues(bad)
 
 
+def _factored_pair(kind):
+    """A factored operator on 9 x 12 nodes and the same operator stored
+    densely as np.kron of its factors."""
+    rng = np.random.default_rng(7)
+    grids = (FrequencyGrid.uniform(4.0, 9), FrequencyGrid.uniform(3.0, 12))
+    factors = [
+        rng.standard_normal((g.size, g.size)) + 1j * rng.standard_normal((g.size, g.size))
+        for g in grids
+    ]
+    if kind == "diagonal":
+        factors = [np.diag(np.diag(F)) for F in factors]
+    return (OperatorMatrix(None, grids, grids, "frequency", factors=factors),
+            OperatorMatrix(np.kron(*factors), grids, grids, "frequency"))
+
+
+@pytest.mark.parametrize("kind", ["general", "diagonal"])
+def test_factored_norm_and_eigenvalues_match_dense_kron(kind):
+    A, dense = _factored_pair(kind)
+    assert abs(op_norm(A) - op_norm(dense)) <= 1e-12 * op_norm(dense)
+    got = np.sort_complex(eigenvalues(A).points.points)
+    want = np.sort_complex(eigenvalues(dense).points.points)
+    assert got.size == want.size == 108
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_factored_norm_and_eigenvalues_never_form_entries(monkeypatch):
+    dense_entries = OperatorMatrix.entries.fget
+
+    def entries(op):
+        if op.factors is not None:
+            raise AssertionError("formed the entries of a factored operator")
+        return dense_entries(op)
+
+    A, _ = _factored_pair("general")
+    monkeypatch.setattr(OperatorMatrix, "entries", property(entries))
+    assert op_norm(A) > 0.0
+    assert eigenvalues(A).points.points.size == 108
+
+
 # ---------------------------------------------------------------------------
 # pseudospectrum
 
@@ -111,7 +149,7 @@ def test_pseudospectrum_diagonal_branch_runs_per_chunk(monkeypatch):
         tracemalloc.stop()
     unchunked = 64 * 64 * 45**2 * 16  # bytes of the complex distance matrix
     assert peak < 0.5 * unchunked
-    W1, W2 = _kernel_factors(A)
+    W1, W2 = weighted_factors(A)
     d = np.kron(np.diag(W1), np.diag(W2))
     lam = pmap.grid().reshape(-1)
     truth = np.min(np.abs(lam[:, None] - d[None, :]), axis=1).reshape(pmap.values.shape)
