@@ -50,8 +50,9 @@ class OperatorMatrix:
     kron(F1, F2).  ``row_blocks()`` reads the matrix of either form a block
     of rows at a time; a factored operator's full matrix is formed only
     when ``entries`` is read.  ``shape`` comes from the grids.  ``A @ B`` of
-    two factored operators is factored, (A1 B1, A2 B2); any other product
-    is the dense product of the entries.
+    two factored operators is factored, (A1 B1, A2 B2); a factored A
+    applies its factors to a dense B (``kron_apply``); any other product is
+    the dense product of the entries.
     """
 
     def __init__(self, entries, domain_grid: GridLike, codomain_grid: GridLike,
@@ -111,8 +112,12 @@ class OperatorMatrix:
             factors = tuple(A @ B for A, B in zip(self.factors, other.factors))
             return OperatorMatrix(None, other.domain_grid, self.codomain_grid, self.rep,
                                   factors=factors)
-        return OperatorMatrix(self.entries @ other.entries, other.domain_grid,
-                              self.codomain_grid, self.rep)
+        if self.factors is not None:
+            F1, F2 = self.factors
+            entries = kron_apply([(1.0, F1, F2)], other.entries, (F1.shape[1], F2.shape[1]))
+        else:
+            entries = self.entries @ other.entries
+        return OperatorMatrix(entries, other.domain_grid, self.codomain_grid, self.rep)
 
 
 def _checked(M: np.ndarray, shape: tuple) -> np.ndarray:
@@ -255,25 +260,66 @@ def toeplitz_halfplane(symbol: Callable, fgrid: FrequencyGrid) -> OperatorMatrix
     return OperatorMatrix(entries, fgrid, fgrid, "frequency", {"limit": c})
 
 
-def toeplitz_separable(expr: SepExpr, fgrids: tuple) -> OperatorMatrix:
-    """Two-variable Toeplitz operator from a separable sum-of-products symbol.
+def separable_terms(expr: SepExpr, fgrids: tuple) -> list:
+    """Two-variable Toeplitz operator of a separable sum-of-products symbol
+    as its Kronecker terms.
 
     Multiplication by f(x1) g(x2) tensor-factorizes, and so does the Riesz
-    projection, so T_{sum f_j g_j} = sum T_{f_j} (x) T_{g_j}.
+    projection, so T_{sum c_j f_j g_j} = sum c_j T_{f_j} (x) T_{g_j}.  Each
+    term is (c, A, B) with A the Toeplitz matrix of f on the first grid and
+    B that of g on the second, None standing for an identity factor.  The
+    constant terms are folded into one leading term (c, None, None).
     """
     g1, g2 = fgrids
-    n = g1.size * g2.size
-    total = np.zeros((n, n), dtype=complex)
-    for term in expr.terms:
-        if term.f1 is None:
-            A = np.eye(g1.size, dtype=complex)
+    const = [t.coeff for t in expr.terms if t.f1 is None and t.f2 is None]
+    terms = [(sum(const), None, None)] if const else []
+    for t in expr.terms:
+        if t.f1 is None and t.f2 is None:
+            continue
+        A = None if t.f1 is None else toeplitz_halfplane(t.f1, g1).entries
+        B = None if t.f2 is None else toeplitz_halfplane(t.f2, g2).entries
+        terms.append((t.coeff, A, B))
+    return terms
+
+
+def kron_apply(terms: list, X: np.ndarray, sizes: tuple) -> np.ndarray:
+    """sum c (A (x) B) X over Kronecker terms (c, A, B), None standing for
+    an identity factor, without forming any A (x) B.
+
+    X has sizes[0] * sizes[1] rows, in the row-major order of ``np.kron``.
+    Read each column as a sizes[0] x sizes[1] array Y; a term sends it to
+    c A Y B^T, one matrix product per non-identity factor for all columns
+    at once.
+    """
+    n1, n2 = sizes
+    m = X.shape[1]
+    out = None
+    for c, A, B in terms:
+        if A is None and B is None:
+            Y = c * X
         else:
-            A = toeplitz_halfplane(term.f1, g1).entries
-        if term.f2 is None:
-            B = np.eye(g2.size, dtype=complex)
+            Y = X.reshape(n1, n2 * m)
+            if A is not None:
+                Y = A @ Y
+            Y = Y.reshape(-1, n2, m)
+            if B is not None:
+                Y = np.matmul(B, Y)
+            Y *= c
+        Y = Y.reshape(-1, m)
+        if out is None:
+            out = Y
         else:
-            B = toeplitz_halfplane(term.f2, g2).entries
-        total += term.coeff * np.kron(A, B)
+            out += Y
+    return out
+
+
+def toeplitz_separable(expr: SepExpr, fgrids: tuple) -> OperatorMatrix:
+    """The dense matrix sum c A (x) B of the terms of ``separable_terms``."""
+    g1, g2 = fgrids
+    total = np.zeros((g1.size * g2.size,) * 2, dtype=complex)
+    for c, A, B in separable_terms(expr, fgrids):
+        total += c * np.kron(np.eye(g1.size) if A is None else A,
+                             np.eye(g2.size) if B is None else B)
     return OperatorMatrix(total, fgrids, fgrids, "frequency")
 
 

@@ -37,6 +37,8 @@ from .operators import (
     dilation,
     fourier_multiplier,
     kron,
+    kron_apply,
+    separable_terms,
     toeplitz_halfplane,
     toeplitz_separable,
 )
@@ -314,10 +316,13 @@ def build_series(qmap: QuasiParabolicMap, plan: SeriesPlan, fgrids: tuple) -> Op
     one-variable series, one per axis, and the result stores only the two
     factors.  Otherwise it is summed on the tensor grid through the
     factorization sum_{n,m} T1^n T2^m D1n D2m = sum_n T1^n (sum_m T2^m D2m)
-    D1n, which keeps the number of dense matrix products linear in the
-    truncation order.  Every sum is growth-checked, and the dilation is
-    applied last.  The result carries the plan's certified remainder bound
-    and the first-axis increment norms in its meta dict.
+    D1n: the inner sum from the identity, then the outer sum from the inner
+    one.  T1 and T2 are kept as their Kronecker terms (``separable_terms``)
+    and applied from the left (``kron_apply``), so an order costs a few
+    products with n x n factors and no n^2 x n^2 matrix product.  Every sum
+    is growth-checked, and the dilation is applied last.  The result carries
+    the plan's certified remainder bound and the first-axis increment norms
+    in its meta dict.
     """
     if plan.delta >= 1.0:
         raise SeriesError("refusing to sum a series with delta >= 1")
@@ -327,15 +332,20 @@ def build_series(qmap: QuasiParabolicMap, plan: SeriesPlan, fgrids: tuple) -> Op
     if qmap.per_axis:
         T1 = toeplitz_halfplane(tau1.as_one_variable(), g1).entries
         T2 = toeplitz_halfplane(tau2.as_one_variable(), g2).entries
-        S1, norms1 = _power_sum(T1, g1.nodes, plan.n1, plan.alpha)
-        S2, norms2 = _power_sum(T2, g2.nodes, plan.n2, plan.alpha)
+        S1, norms1 = _power_sum(lambda P: P @ T1, g1.nodes, plan.n1, plan.alpha,
+                                np.eye(g1.size, dtype=complex))
+        S2, norms2 = _power_sum(lambda P: P @ T2, g2.nodes, plan.n2, plan.alpha,
+                                np.eye(g2.size, dtype=complex))
         op = OperatorMatrix(None, fgrids, fgrids, "frequency", factors=(S1, S2))
     else:
-        T1 = toeplitz_separable(tau1, fgrids).entries
-        T2 = toeplitz_separable(tau2, fgrids).entries
+        sizes = (g1.size, g2.size)
+        terms1 = separable_terms(tau1, fgrids)
+        terms2 = separable_terms(tau2, fgrids)
         t1, t2 = tensor_nodes(fgrids)
-        inner, norms2 = _power_sum(T2, t2, plan.n2, plan.alpha)
-        S, norms1 = _power_sum(T1, t1, plan.n1, plan.alpha, inner)
+        inner, norms2 = _power_sum(lambda Q: kron_apply(terms2, Q, sizes), t2, plan.n2,
+                                   plan.alpha, np.eye(t2.size, dtype=complex))
+        S, norms1 = _power_sum(lambda Q: kron_apply(terms1, Q, sizes), t1, plan.n1,
+                               plan.alpha, inner)
         op = OperatorMatrix(S, fgrids, fgrids, "frequency")
     _growth_check(norms1)
     _growth_check(norms2)
@@ -351,24 +361,20 @@ def build_series(qmap: QuasiParabolicMap, plan: SeriesPlan, fgrids: tuple) -> Op
 
 
 def _power_sum(
-    T: np.ndarray,
-    t: np.ndarray,
-    n_max: int,
-    alpha: float,
-    right: Optional[np.ndarray] = None,
+    step: Callable, t: np.ndarray, n_max: int, alpha: float, start: np.ndarray
 ) -> tuple[np.ndarray, list[float]]:
-    """sum_{n <= n_max} T^n R diag(vartheta_n(t)), R = ``right`` or the
-    identity, and the Frobenius norm of each term."""
-    S = np.zeros_like(T)
-    P = np.eye(T.shape[0], dtype=complex)
+    """sum_{n <= n_max} Q_n diag(vartheta_n(t)) with Q_0 = ``start`` and
+    Q_{n+1} = step(Q_n), and the Frobenius norm of each term."""
+    S = np.zeros_like(start)
+    Q = start
     norms = []
     for n in range(n_max + 1):
-        theta = vartheta_symbol(n, 1, alpha)(t)[None, :]
-        incr = P * theta if right is None else P @ (right * theta)
+        incr = Q * vartheta_symbol(n, 1, alpha)(t)[None, :]
         S += incr
         norms.append(float(np.linalg.norm(incr)))
+        del incr
         if n < n_max:
-            P = P @ T
+            Q = step(Q)
     return S, norms
 
 
@@ -450,18 +456,12 @@ def direct_composition_apply(
     ``f1`` (N1 x K) and ``f2`` (N2 x K) stack the factors on each boundary
     axis; the result stacks the K images as an (N1 N2) x K array.  At the
     boundary point a the image is (C1[a] f1)(C2[a] f2), with C_j[a] the
-    Cauchy kernel row at phi_j(a).  For a per-axis map C_j[a] depends on a_j
-    only, so each kernel is one N_j x N_j matrix and each image the outer
-    product of a column of C1 f1 with one of C2 f2.  Otherwise (and for a
-    raw pair of callables) output rows go in chunks, whose two kernels are
-    applied to all K columns at once."""
+    Cauchy kernel row at phi_j(a).  Output rows go in chunks, whose two
+    kernels are applied to all K columns at once."""
     g1, g2 = bgrids
     f1 = np.asarray(f1, dtype=complex)
     f2 = np.asarray(f2, dtype=complex)
-    per_axis = isinstance(qmap_or_fns, QuasiParabolicMap) and qmap_or_fns.per_axis
-    v1, v2 = _boundary_phi_values(qmap_or_fns, bgrids, per_axis)
-    if per_axis:
-        return _column_kron(_cauchy_kernel(g1, v1) @ f1, _cauchy_kernel(g2, v2) @ f2)
+    v1, v2 = _boundary_phi_values(qmap_or_fns, bgrids)
     out = np.empty((v1.size, f1.shape[1]), dtype=complex)
     for lo in range(0, v1.size, chunk):
         hi = min(lo + chunk, v1.size)
@@ -513,10 +513,12 @@ def series_direct_residual(
     kernel applied to the non-decaying inverse transforms of raw frequency
     basis vectors would be dominated by truncation artifacts.
 
-    Each u = kron(f1, f2) is rank one, so F u = kron(F1 f1, F2 f2).  The
-    direct images C u are taken in groups of at most DIRECT_IMAGE_ELEMENTS
-    boundary values, and each is moved to the frequency side before the
-    next group is formed.
+    Each u = kron(f1, f2) is rank one, so F u = kron(F1 f1, F2 f2).  For a
+    per-axis map C u is rank one too, kron(C1 f1, C2 f2), so F(C u) =
+    kron(F1 C1 f1, F2 C2 f2) needs no image.  Otherwise the direct images
+    C u are taken in groups of at most DIRECT_IMAGE_ELEMENTS boundary
+    values, and each is moved to the frequency side before the next group
+    is formed.
     """
     fg1, fg2 = series_op.domain_grid
     bg1, bg2 = bgrids
@@ -530,11 +532,18 @@ def series_direct_residual(
         half = (F1 @ cu.reshape(bg1.size, -1)).reshape(fg1.size, bg2.size, -1)
         return (F2 @ half).reshape(fu.shape[0], -1)
 
-    fcu = np.empty_like(fu)
-    group = max(1, DIRECT_IMAGE_ELEMENTS // (bg1.size * bg2.size))
-    for lo in range(0, HARDY_TEST_COUNT, group):
-        cols = slice(lo, lo + group)
-        fcu[:, cols] = transform(direct_composition_apply(qmap, bgrids, U1[:, cols], U2[:, cols]))
+    if qmap.per_axis:
+        # each N_j x N_j kernel is freed before the next is built
+        v1, v2 = _boundary_phi_values(qmap, bgrids, per_axis=True)
+        fcu = _column_kron(F1 @ (_cauchy_kernel(bg1, v1) @ U1),
+                           F2 @ (_cauchy_kernel(bg2, v2) @ U2))
+    else:
+        fcu = np.empty_like(fu)
+        group = max(1, DIRECT_IMAGE_ELEMENTS // (bg1.size * bg2.size))
+        for lo in range(0, HARDY_TEST_COUNT, group):
+            cols = slice(lo, lo + group)
+            fcu[:, cols] = transform(
+                direct_composition_apply(qmap, bgrids, U1[:, cols], U2[:, cols]))
     resid = np.concatenate([blk @ fu for blk in series_op.row_blocks()]) - fcu
     wf = grid_weights(series_op.domain_grid)[:, None]
     err = np.sqrt(np.sum(wf * np.abs(resid) ** 2, axis=0)) / np.sqrt(

@@ -13,7 +13,9 @@ from qpspec.operators import (
     embed_one_variable,
     fourier_multiplier,
     kron,
+    kron_apply,
     op_norm,
+    separable_terms,
     toeplitz_disc,
     toeplitz_halfplane,
     toeplitz_separable,
@@ -131,6 +133,52 @@ def test_toeplitz_separable_expression():
     assert np.max(np.abs(T.entries - expect)) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "i + 0.1*cay(z1)*cay(z2)",
+        "2*i - 0.2*cay(z1)*cay(z2)",
+        "i + 0.25*cay(z1) + 0*cay(z2)",
+        "2*i - 0.5",
+        "0.5*cay(z2)",
+    ],
+    ids=["twovar_psi1", "twovar_psi2", "zero_z2_term", "constant_only", "f2_only"],
+)
+def test_kron_apply_matches_dense_separable_toeplitz(text):
+    # unequal axis sizes and a column count that is neither, so a swapped
+    # axis or a transposed factor cannot pass
+    fg = (FrequencyGrid.uniform(8.0, 7), FrequencyGrid.uniform(8.0, 9))
+    expr = parse_symbol_expression(text)
+    terms = separable_terms(expr, fg)
+    # the constants are folded into one leading (c, None, None) term
+    scalars = [i for i, (c, A, B) in enumerate(terms) if A is None and B is None]
+    assert scalars in ([], [0])
+    X = np.random.default_rng(3).standard_normal((63, 5 * 2)).view(complex)
+    ref = toeplitz_separable(expr, fg).entries @ X
+    diff = kron_apply(terms, X, (7, 9)) - ref
+    assert np.max(np.abs(diff)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_factored_times_dense_product_forms_no_kron(monkeypatch):
+    rng = np.random.default_rng(11)
+    g1, g2 = FrequencyGrid.uniform(4.0, 7), FrequencyGrid.uniform(4.0, 5)
+    A = kron(_random_op(rng, g1), _random_op(rng, g2))
+    dense = OperatorMatrix(kron(_random_op(rng, g1), _random_op(rng, g2)).entries,
+                           (g1, g2), (g1, g2), "frequency")
+    ref = A.entries @ dense.entries
+    entries = OperatorMatrix.entries
+
+    def dense_only(op):
+        if op.factors is not None:
+            raise AssertionError("formed the entries of a factored operator")
+        return entries.fget(op)
+
+    monkeypatch.setattr(OperatorMatrix, "entries", property(dense_only))
+    product = A @ dense
+    assert product.factors is None
+    assert np.max(np.abs(product.entries - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 # ---------------------------------------------------------------------------
 # multipliers, dilations
 
@@ -207,7 +255,10 @@ def test_operator_product_keeps_factors_of_factored_operands():
     dense = OperatorMatrix(B.entries, B.domain_grid, B.codomain_grid, "frequency")
     for product in (A @ dense, dense @ A):
         assert product.factors is None
-    assert np.array_equal((A @ dense).entries, A.entries @ B.entries)
+    # a factored left operand applies its factors to the dense one
+    # (kron_apply), which sums in another order than the dense product
+    ref = A.entries @ B.entries
+    assert np.max(np.abs((A @ dense).entries - ref)) <= 1e-13 * np.max(np.abs(ref))
     # both forms read their rows in blocks of the second axis' size
     assert np.array_equal(A.entries, np.kron(*A.factors))
     for op in (A, dense, A @ dense):

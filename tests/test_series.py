@@ -6,9 +6,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import eval_laguerre
 
+import qpspec.operators
+import qpspec.series
 from qpspec.cli import CONFIG_DIR, RunConfig
-from qpspec.grids import BoundaryGrid, DomainError, FrequencyGrid, bochner_matrix, grid_weights
-from qpspec.operators import toeplitz_halfplane
+from qpspec.grids import (
+    BoundaryGrid,
+    DomainError,
+    FrequencyGrid,
+    bochner_matrix,
+    grid_weights,
+    tensor_nodes,
+)
+from qpspec.operators import dilation, toeplitz_halfplane
 from qpspec.series import (
     HARDY_TEST_COUNT,
     DiscQuasiParabolicMap,
@@ -33,7 +42,7 @@ from qpspec.series import (
     vartheta_symbol,
     _boundary_phi_values,
 )
-from qpspec.symbols import make_symbol
+from qpspec.symbols import SepExpr, make_symbol
 
 CONST_I = make_symbol("i", 0.9, 1.1, "constant")
 CONST_2I = make_symbol("2*i", 1.9, 2.1, "constant")
@@ -313,6 +322,79 @@ def test_dilation_path_matches_closed_form():
     assert np.max(np.abs(op.entries @ f - truth)) < 1e-3
 
 
+def _dense_series_reference(qmap, plan, fgrids):
+    """The two-variable summation as it was before T1 and T2 were kept as
+    Kronecker terms: each T a dense n^2 x n^2 matrix with one np.kron per
+    symbol term, the powers multiplied on the right, the inner sum entering
+    the outer one as a right factor, and the dilation a dense product."""
+    g1, g2 = fgrids
+
+    def dense_toeplitz(expr):
+        total = np.zeros((g1.size * g2.size,) * 2, dtype=complex)
+        for term in expr.terms:
+            A = np.eye(g1.size) if term.f1 is None else toeplitz_halfplane(term.f1, g1).entries
+            B = np.eye(g2.size) if term.f2 is None else toeplitz_halfplane(term.f2, g2).entries
+            total += term.coeff * np.kron(A, B)
+        return total
+
+    def power_sum(T, t, n_max, right=None):
+        S = np.zeros_like(T)
+        P = np.eye(T.shape[0], dtype=complex)
+        norms = []
+        for n in range(n_max + 1):
+            theta = vartheta_symbol(n, 1, plan.alpha)(t)[None, :]
+            incr = P * theta if right is None else P @ (right * theta)
+            S += incr
+            norms.append(float(np.linalg.norm(incr)))
+            if n < n_max:
+                P = P @ T
+        return S, norms
+
+    T1, T2 = (
+        dense_toeplitz(SepExpr.constant(1j * plan.alpha) - psi.expr.rescaled(qmap.p1, qmap.p2))
+        for psi in (qmap.psi1, qmap.psi2)
+    )
+    t1, t2 = tensor_nodes(fgrids)
+    inner, _ = power_sum(T2, t2, plan.n2)
+    S, norms = power_sum(T1, t1, plan.n1, inner)
+    return np.kron(*dilation(qmap.p1, qmap.p2, fgrids).factors) @ S, norms
+
+
+@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("p1", [1.0, 2.0])
+def test_two_variable_series_matches_dense_recursion(p1, n):
+    qmap = QuasiParabolicMap(p1, 1.0, TWOVAR_MAP.psi1, TWOVAR_MAP.psi2)
+    plan = plan_for_map(qmap)
+    fg = (FrequencyGrid.uniform(8.0, n),) * 2
+    op = build_series(qmap, plan, fg)
+    ref, norms = _dense_series_reference(qmap, plan, fg)
+    assert np.max(np.abs(op.entries - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.allclose(op.meta["term_norms"], norms, rtol=1e-12, atol=0)
+
+
+def test_two_variable_series_keeps_toeplitz_as_kronecker_terms(monkeypatch):
+    # no dense n^2 x n^2 Toeplitz matrix: each order is one Kronecker-term
+    # product, and the p1 = 2 dilation one more
+    def forbidden(*args, **kwargs):
+        raise AssertionError("formed a dense two-variable Toeplitz matrix")
+
+    calls = []
+    apply = qpspec.operators.kron_apply
+
+    def counted(*args):
+        calls.append(1)
+        return apply(*args)
+
+    for module in (qpspec.operators, qpspec.series):
+        monkeypatch.setattr(module, "toeplitz_separable", forbidden)
+        monkeypatch.setattr(module, "kron_apply", counted)
+    qmap = QuasiParabolicMap(2.0, 1.0, TWOVAR_MAP.psi1, TWOVAR_MAP.psi2)
+    plan = plan_for_map(qmap)
+    op = build_series(qmap, plan, (FrequencyGrid.uniform(8.0, 8),) * 2)
+    assert op.factors is None and op.shape == (64, 64)
+    assert len(calls) == plan.n1 + plan.n2 + 1
+
+
 # ---------------------------------------------------------------------------
 # direct Cauchy construction
 
@@ -438,6 +520,21 @@ def test_series_direct_residual_matches_per_vector_formula(qmap):
     for seed in (0, 5):
         ref = _residual_per_vector(op, qmap, bg, seed)
         assert abs(series_direct_residual(op, qmap, bg, seed) - ref) <= 1e-12 * ref
+
+
+def test_per_axis_cross_check_forms_no_image(monkeypatch):
+    # F(C u) = kron(F1 C1 f1, F2 C2 f2) for a per-axis map, so the
+    # cross-check never asks for the images C u
+    fg = (FrequencyGrid.uniform(8.0, 10),) * 2
+    op = build_series(CAY_QUARTER_MAP, plan_for_map(CAY_QUARTER_MAP, tol=1e-6), fg)
+    bg = (BoundaryGrid.uniform(12.0, 30), BoundaryGrid.uniform(12.0, 34))
+    ref = _residual_per_vector(op, CAY_QUARTER_MAP, bg)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("formed direct images of a per-axis map")
+
+    monkeypatch.setattr(qpspec.series, "direct_composition_apply", forbidden)
+    assert abs(series_direct_residual(op, CAY_QUARTER_MAP, bg) - ref) <= 1e-12 * ref
 
 
 def test_cross_check_memory_stays_below_three_images():
