@@ -40,7 +40,6 @@ from .operators import (
     kron_apply,
     separable_terms,
     toeplitz_halfplane,
-    toeplitz_separable,
 )
 from .symbols import AnalyticSymbol, PointCloud, SepExpr, SepTerm, closure_image
 
@@ -604,8 +603,25 @@ def disc_side_operator(
     disc_map: DiscQuasiParabolicMap, plan: SeriesPlan, fgrids: tuple
 ) -> OperatorMatrix:
     """Half-plane-side realization T_m C_phitilde of a bidisc composition
-    operator, in the frequency representation."""
+    operator, in the frequency representation.
+
+    T_m is kept as its Kronecker terms c A (x) B (``separable_terms``).  A
+    per-axis C = S1 (x) S2 gives the sum of c (A S1) (x) (B S2); a dense C
+    takes the terms through ``kron_apply``.  Neither forms T_m.
+    """
     C = build_series(halfplane_conjugate(disc_map), plan, fgrids)
-    out = toeplitz_separable(multiplier_expr(disc_map), fgrids) @ C
-    out.meta = dict(C.meta)
-    return out
+    terms = separable_terms(multiplier_expr(disc_map), fgrids)
+    if C.factors is None:
+        entries = kron_apply(terms, C.entries, tuple(g.size for g in fgrids))
+    else:
+        S1, S2 = C.factors
+        entries = np.zeros(C.shape, dtype=complex)
+        # kron(X, Y) added one block row at a time: row i of X gives the
+        # rows i*n2 .. (i+1)*n2 - 1, entry X[i, j] * Y[k, l] at (k, j, l)
+        blocks = entries.reshape(S1.shape[0], S2.shape[0], S1.shape[1], S2.shape[1])
+        for c, A, B in terms:
+            X = c * (S1 if A is None else A @ S1)
+            Y = S2 if B is None else B @ S2
+            for i, row in enumerate(X):
+                blocks[i] += Y[:, None, :] * row[None, :, None]
+    return OperatorMatrix(entries, C.domain_grid, fgrids, C.rep, meta=dict(C.meta))

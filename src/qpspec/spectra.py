@@ -56,6 +56,20 @@ class SpectralSet:
             raise UsageError("spectral set contains non-finite points")
 
 
+def _grid_points(region: tuple, resolution: tuple) -> np.ndarray:
+    """The (n_im, n_re) grid of lambda-points over a rectangle."""
+    re = np.linspace(region[0], region[1], resolution[0])
+    im = np.linspace(region[2], region[3], resolution[1])
+    return re[None, :] + 1j * im[:, None]
+
+
+def _grid_step(region: tuple, resolution: tuple) -> float:
+    """The larger of the two spacings of a rectangle's lambda-grid."""
+    dre = (region[1] - region[0]) / (resolution[0] - 1)
+    dim = (region[3] - region[2]) / (resolution[1] - 1)
+    return max(dre, dim)
+
+
 @dataclass
 class PseudospectrumMap:
     """sigma_min(lambda I - A) sampled over a complex rectangle."""
@@ -73,15 +87,11 @@ class PseudospectrumMap:
             raise UsageError("singular values cannot be negative")
 
     def grid(self) -> np.ndarray:
-        re = np.linspace(self.region[0], self.region[1], self.resolution[0])
-        im = np.linspace(self.region[2], self.region[3], self.resolution[1])
-        return re[None, :] + 1j * im[:, None]
+        return _grid_points(self.region, self.resolution)
 
     @property
     def step(self) -> float:
-        dre = (self.region[1] - self.region[0]) / (self.resolution[0] - 1)
-        dim = (self.region[3] - self.region[2]) / (self.resolution[1] - 1)
-        return max(dre, dim)
+        return _grid_step(self.region, self.resolution)
 
     def level_set(self, eps: float) -> SpectralSet:
         pts = self.grid()[self.values <= eps]
@@ -259,30 +269,25 @@ def _sigma_min_chunk(lam, T1, T2, R1, R2, starts):
     return sig, steps.max(axis=1), capped.any(axis=1)
 
 
-def pseudospectrum(
-    A: OperatorMatrix,
-    region: tuple,
-    resolution: tuple,
-    eps_list: Sequence[float] = (),
-) -> tuple[PseudospectrumMap, list[SpectralSet]]:
-    """sigma_min(lambda I - A) on a rectangle, plus requested level sets.
+def _lambda_grid(region: tuple, resolution: tuple) -> np.ndarray:
+    """The (n_im, n_re) grid of lambda-points over the rectangle."""
+    if resolution[0] < 32 or resolution[1] < 32:
+        raise UsageError("pseudospectrum resolution must be at least 32x32")
+    return _grid_points(region, resolution)
+
+
+def _sigma_min_kernel(A: OperatorMatrix) -> Callable:
+    """run(points) -> (values, steps, capped) for sigma_min(lambda I - A)
+    at a flat array of lambda-points.
 
     Every operator is written as kron(W1, W2) of its weighted per-axis
     factors (an unfactored one as (M, [[1]])).  When both are diagonal,
-    with diagonal d, the value is the exact min_k |lambda - d_k|.
-    Otherwise, with complex Schur forms W_k = Q_k T_k Q_k^*,
-    sigma_min(lambda I - A) = sigma_min(lambda I - T1 (x) T2), found by
-    inverse Lanczos with Kronecker back-substitution solves.  Either way the
-    grid is cut into fixed-size lambda-chunks, mapped over
-    HARDY_SPEC_THREADS workers with deterministic assembly.  ``stats``
-    records the largest Lanczos step count and the number of points that
-    hit the step cap.
+    with diagonal d, the value is the exact min_k |lambda - d_k| (no
+    Lanczos steps, no cap hits).  Otherwise, with complex Schur forms
+    W_k = Q_k T_k Q_k^*, sigma_min(lambda I - A) = sigma_min(lambda I -
+    T1 (x) T2), found by inverse Lanczos with Kronecker back-substitution
+    solves (``_sigma_min_chunk``).
     """
-    if resolution[0] < 32 or resolution[1] < 32:
-        raise UsageError("pseudospectrum resolution must be at least 32x32")
-    re = np.linspace(region[0], region[1], resolution[0])
-    im = np.linspace(region[2], region[3], resolution[1])
-    lam = re[None, :] + 1j * im[:, None]
     W1, W2 = weighted_factors(A)
     if is_diagonal(W1) and is_diagonal(W2):
         d = np.kron(np.diag(W1), np.diag(W2))
@@ -291,38 +296,126 @@ def pseudospectrum(
             vals = np.min(np.abs(chunk[:, None] - d[None, :]), axis=1)
             return vals, np.zeros(chunk.size, dtype=int), np.zeros(chunk.size, dtype=bool)
 
+        return run
+    T1 = scipy.linalg.schur(W1, output="complex")[0]
+    T2 = scipy.linalg.schur(W2, output="complex")[0]
+    R1 = T1.conj().T[::-1, ::-1]
+    R2 = T2.conj().T[::-1, ::-1]
+    rng = np.random.default_rng(0)
+    start = rng.standard_normal(T1.shape[:1] + T2.shape[:1]) + 0j
+    # a Kronecker square commutes with the exchange of its two axes;
+    # runs started in one symmetry half stay there, which splits apart
+    # near-equal top eigenvalues that would stall a single run
+    if T1.shape[0] > 1 and np.array_equal(T1, T2):
+        starts = [start + start.T, start - start.T]
     else:
-        T1 = scipy.linalg.schur(W1, output="complex")[0]
-        T2 = scipy.linalg.schur(W2, output="complex")[0]
-        R1 = T1.conj().T[::-1, ::-1]
-        R2 = T2.conj().T[::-1, ::-1]
-        rng = np.random.default_rng(0)
-        start = rng.standard_normal(T1.shape[:1] + T2.shape[:1]) + 0j
-        # a Kronecker square commutes with the exchange of its two axes;
-        # runs started in one symmetry half stay there, which splits apart
-        # near-equal top eigenvalues that would stall a single run
-        if T1.shape[0] > 1 and np.array_equal(T1, T2):
-            starts = [start + start.T, start - start.T]
-        else:
-            starts = [start]
-        starts = [s / np.linalg.norm(s) for s in starts]
+        starts = [start]
+    starts = [s / np.linalg.norm(s) for s in starts]
 
-        def run(chunk):
-            return _sigma_min_chunk(chunk, T1, T2, R1, R2, starts)
+    def run(chunk):
+        return _sigma_min_chunk(chunk, T1, T2, R1, R2, starts)
 
-    flat = lam.reshape(-1)
-    chunks = [flat[lo : lo + LAMBDA_CHUNK] for lo in range(0, flat.size, LAMBDA_CHUNK)]
+    return run
+
+
+def _run_chunked(run: Callable, points: np.ndarray) -> tuple:
+    """Apply a kernel's run to a flat array of lambda-points, cut into
+    LAMBDA_CHUNK-point chunks mapped over HARDY_SPEC_THREADS workers, and
+    assemble (values, steps, capped) in point order."""
+    chunks = [points[lo : lo + LAMBDA_CHUNK] for lo in range(0, points.size, LAMBDA_CHUNK)]
     with ThreadPoolExecutor(max_workers=_threads()) as ex:
         parts = list(ex.map(run, chunks))
-    vals = np.concatenate([p[0] for p in parts]).reshape(lam.shape)
-    steps = np.concatenate([p[1] for p in parts])
-    capped = np.concatenate([p[2] for p in parts])
+    return tuple(np.concatenate([p[k] for p in parts]) for k in range(3))
+
+
+def pseudospectrum(
+    A: OperatorMatrix,
+    region: tuple,
+    resolution: tuple,
+    eps_list: Sequence[float] = (),
+) -> tuple[PseudospectrumMap, list[SpectralSet]]:
+    """sigma_min(lambda I - A) at every point of a rectangle's grid, plus
+    requested level sets.
+
+    The values come from ``_sigma_min_kernel``, evaluated chunk by chunk
+    (``_run_chunked``) with deterministic assembly.  ``stats`` records the
+    largest Lanczos step count and the number of points that hit the step
+    cap.
+    """
+    lam = _lambda_grid(region, resolution)
+    vals, steps, capped = _run_chunked(_sigma_min_kernel(A), lam.reshape(-1))
     stats = {
         "lanczos_max_steps": int(steps.max()),
         "lanczos_cap_hits": int(np.sum(capped)),
     }
-    pmap = PseudospectrumMap(tuple(region), tuple(resolution), vals, stats)
+    pmap = PseudospectrumMap(tuple(region), tuple(resolution), vals.reshape(lam.shape), stats)
     return pmap, [pmap.level_set(e) for e in eps_list]
+
+
+# relative shortening of each exclusion radius (v - eps): it keeps the rule
+# clear of rounding in v and of the 1e-13 relative Lanczos tolerance
+EXCLUSION_MARGIN = 1e-9
+
+
+def _coarsest_stride(resolution: tuple) -> int:
+    """The largest power of two s with 4 s <= min(resolution)."""
+    s = 1
+    while 8 * s <= min(resolution):
+        s *= 2
+    return s
+
+
+def pseudospectrum_mask(
+    A: OperatorMatrix,
+    region: tuple,
+    resolution: tuple,
+    eps: float,
+) -> tuple[np.ndarray, dict]:
+    """The level mask sigma_min(lambda I - A) <= eps on a rectangle's grid,
+    equal to ``pseudospectrum(A, region, resolution)[0].values <= eps``, found
+    coarse to fine without evaluating every point.
+
+    Rounds run at strides s = S, S/2, ..., 1 (S from ``_coarsest_stride``);
+    each evaluates the undecided grid points whose two indices are
+    multiples of s.  sigma_min(lambda I - A) is 1-Lipschitz in lambda, so an
+    evaluated point p with a converged value v > eps decides as outside
+    every undecided grid point q with |q - p| < (v - eps)(1 - EXCLUSION_MARGIN).
+    A run stopped at the step cap over-estimates sigma_min and excludes
+    nothing, nor does a point with v <= eps; their neighbours are evaluated
+    in later rounds.  ``stats`` records the number of points evaluated and,
+    over those only, the largest Lanczos step count and the cap hits.
+    """
+    lam = _lambda_grid(region, resolution)
+    re, im = lam[0].real, lam[:, 0].imag
+    run = _sigma_min_kernel(A)
+    mask = np.zeros(lam.shape, dtype=bool)
+    undecided = np.ones(lam.shape, dtype=bool)
+    evaluated = max_steps = cap_hits = 0
+    s = _coarsest_stride(resolution)
+    while s >= 1:
+        rows, cols = np.nonzero(undecided[::s, ::s])
+        rows, cols = rows * s, cols * s
+        if rows.size:
+            vals, steps, capped = _run_chunked(run, lam[rows, cols])
+            evaluated += rows.size
+            max_steps = max(max_steps, int(steps.max()))
+            cap_hits += int(np.sum(capped))
+            mask[rows, cols] = vals <= eps
+            undecided[rows, cols] = False
+            for k in np.flatnonzero(~capped & (vals > eps)):
+                r = (vals[k] - eps) * (1.0 - EXCLUSION_MARGIN)
+                p = lam[rows[k], cols[k]]
+                # the box of grid rows and columns that the disc |q - p| < r reaches
+                box = np.ix_(np.flatnonzero(np.abs(im - p.imag) < r),
+                             np.flatnonzero(np.abs(re - p.real) < r))
+                undecided[box] &= np.abs(lam[box] - p) >= r
+        s //= 2
+    stats = {
+        "lambda_evaluated": evaluated,
+        "lanczos_max_steps": max_steps,
+        "lanczos_cap_hits": cap_hits,
+    }
+    return mask, stats
 
 
 def essential_spectrum_surrogate(
@@ -335,34 +428,37 @@ def essential_spectrum_surrogate(
     """Stability-filtered pseudospectrum intersection across finite sections.
 
     Keeps the grid points whose sigma_min stays below eps at EVERY listed
-    size.  Per size, the params record the survivor count, the largest
-    Lanczos step count and the number of points that hit the step cap.  An
-    empty result is returned with a diagnostic rather than raised:
-    it is a legitimate (if suspicious) outcome.
+    size; each size's level mask comes from ``pseudospectrum_mask`` over the
+    whole grid.  Per size, the params record the survivor count, the number
+    of lambda-points evaluated, and over those the largest Lanczos step
+    count and the number that hit the step cap.  An empty result is
+    returned with a diagnostic rather than raised: it is a legitimate (if
+    suspicious) outcome.
     """
     sizes = list(sizes)
     if len(sizes) < 3 or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise UsageError("surrogate needs at least 3 strictly increasing sizes")
     mask = None
-    pmap = None
     per_size_counts = []
+    evaluated = []
     max_steps = []
     cap_hits = []
     for n in sizes:
-        pmap, _ = pseudospectrum(builder(n), region, resolution)
-        m = pmap.values <= eps
+        m, stats = pseudospectrum_mask(builder(n), region, resolution, eps)
         per_size_counts.append(int(np.sum(m)))
-        max_steps.append(pmap.stats["lanczos_max_steps"])
-        cap_hits.append(pmap.stats["lanczos_cap_hits"])
+        evaluated.append(stats["lambda_evaluated"])
+        max_steps.append(stats["lanczos_max_steps"])
+        cap_hits.append(stats["lanczos_cap_hits"])
         mask = m if mask is None else (mask & m)
-    pts = pmap.grid()[mask].reshape(-1)
+    pts = _lambda_grid(region, resolution)[mask].reshape(-1)
     params = {
         "sizes": sizes,
         "eps": eps,
         "region": tuple(region),
         "resolution": tuple(resolution),
-        "grid_step": pmap.step,
+        "grid_step": _grid_step(region, resolution),
         "per_size_counts": per_size_counts,
+        "lambda_evaluated": evaluated,
         "lanczos_max_steps": max_steps,
         "lanczos_cap_hits": cap_hits,
     }

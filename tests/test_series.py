@@ -17,7 +17,7 @@ from qpspec.grids import (
     grid_weights,
     tensor_nodes,
 )
-from qpspec.operators import dilation, toeplitz_halfplane
+from qpspec.operators import dilation, toeplitz_halfplane, toeplitz_separable
 from qpspec.series import (
     HARDY_TEST_COUNT,
     DiscQuasiParabolicMap,
@@ -42,7 +42,7 @@ from qpspec.series import (
     vartheta_symbol,
     _boundary_phi_values,
 )
-from qpspec.symbols import SepExpr, make_symbol
+from qpspec.symbols import AnalyticSymbol, SepExpr, make_symbol, parse_symbol_expression
 
 CONST_I = make_symbol("i", 0.9, 1.1, "constant")
 CONST_2I = make_symbol("2*i", 1.9, 2.1, "constant")
@@ -386,7 +386,9 @@ def test_two_variable_series_keeps_toeplitz_as_kronecker_terms(monkeypatch):
         return apply(*args)
 
     for module in (qpspec.operators, qpspec.series):
-        monkeypatch.setattr(module, "toeplitz_separable", forbidden)
+        # raising=False: series does not import toeplitz_separable, and the
+        # forbidden stub still catches a later import of it there
+        monkeypatch.setattr(module, "toeplitz_separable", forbidden, raising=False)
         monkeypatch.setattr(module, "kron_apply", counted)
     qmap = QuasiParabolicMap(2.0, 1.0, TWOVAR_MAP.psi1, TWOVAR_MAP.psi2)
     plan = plan_for_map(qmap)
@@ -662,3 +664,47 @@ def test_disc_side_operator_two_variable_monomials():
         err = np.sqrt(np.sum(w2 * np.abs(lhs - rhs) ** 2))
         scale = np.sqrt(np.sum(w2 * np.abs(fu) ** 2))
         assert err / scale < 5e-2
+
+
+def _disc_symbol(text, im_lower_bound, sup_bound):
+    # a disc symbol is a function of w in the bidisc, so make_symbol's
+    # half-plane spot checks do not apply; the bounds hold for |w_j| < 1
+    return AnalyticSymbol(parse_symbol_expression(text), im_lower_bound, sup_bound,
+                          "continuous-on-closure", text)
+
+
+DISC_MAPS = {
+    "constant": DiscQuasiParabolicMap(CONST_I, CONST_2I),
+    "per-axis": DiscQuasiParabolicMap(_disc_symbol("i + 0.25*z1", 0.75, 1.25), CONST_2I),
+    "two-variable": DiscQuasiParabolicMap(_disc_symbol("i + 0.1*z1*z2", 0.9, 1.1), CONST_2I),
+}
+
+
+@pytest.mark.parametrize("name", DISC_MAPS)
+def test_disc_side_operator_matches_dense_product(name):
+    # reference: the dense T_m times the dense entries of C
+    dmap = DISC_MAPS[name]
+    qmap = halfplane_conjugate(dmap)
+    plan = plan_for_map(qmap, tol=1e-10)
+    fg = (FrequencyGrid.uniform(8.0, 7), FrequencyGrid.uniform(8.0, 6))
+    C = build_series(qmap, plan, fg)
+    assert (C.factors is None) == (name == "two-variable")
+    ref = toeplitz_separable(multiplier_expr(dmap), fg).entries @ C.entries
+    op = disc_side_operator(dmap, plan, fg)
+    assert op.factors is None and op.meta == C.meta
+    assert np.max(np.abs(op.entries - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_disc_side_operator_never_forms_factored_entries(monkeypatch):
+    entries = qpspec.operators.OperatorMatrix.entries
+
+    def dense_only(op):
+        if op.factors is not None:
+            raise AssertionError("formed the entries of a factored operator")
+        return entries.fget(op)
+
+    monkeypatch.setattr(qpspec.operators.OperatorMatrix, "entries", property(dense_only))
+    dmap = DISC_MAPS["per-axis"]
+    plan = plan_for_map(halfplane_conjugate(dmap), tol=1e-10)
+    op = disc_side_operator(dmap, plan, (FrequencyGrid.uniform(8.0, 6),) * 2)
+    assert op.shape == (36, 36)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import qpspec.spectra
 from qpspec.cli import CONFIG_DIR, RunConfig
 from qpspec.grids import DomainError, FrequencyGrid
 from qpspec.operators import OperatorMatrix, op_norm, weighted_factors, weighted_matrix
@@ -20,6 +21,8 @@ from qpspec.spectra import (
     essential_spectrum_surrogate,
     predicted_set,
     pseudospectrum,
+    pseudospectrum_mask,
+    _coarsest_stride,
 )
 from qpspec.symbols import PointCloud, make_symbol
 
@@ -333,6 +336,76 @@ def test_surrogate_antitone_in_eps():
     assert a.size <= b.size
     if a.size:
         assert np.max(np.min(np.abs(a[:, None] - b[None, :]), axis=1)) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# coarse-to-fine level masks
+
+CATALOG_REGION = (-1.1, 1.1, -1.1, 1.1)
+# the verify_small configs of the benchmark and their eps
+VERIFY_SMALL = [("cay_quarter", 1e-2), ("separable_mix", 5e-2)]
+
+
+def _assert_mask_matches_full_grid(A, region, resolution, eps):
+    mask, stats = pseudospectrum_mask(A, region, resolution, eps)
+    pmap, _ = pseudospectrum(A, region, resolution)
+    assert np.array_equal(mask, pmap.values <= eps)
+    assert 0 < stats["lambda_evaluated"] <= resolution[0] * resolution[1]
+    assert stats["lanczos_max_steps"] <= pmap.stats["lanczos_max_steps"]
+    assert stats["lanczos_cap_hits"] <= pmap.stats["lanczos_cap_hits"]
+    return stats
+
+
+def test_mask_stride_schedule_follows_resolution():
+    assert _coarsest_stride((32, 32)) == 8
+    assert _coarsest_stride((129, 129)) == 32
+    assert _coarsest_stride((40, 33)) == 8
+    assert _coarsest_stride((64, 31)) == 4
+
+
+@pytest.mark.parametrize("resolution", [(32, 32), (64, 64)])
+@pytest.mark.parametrize("n", [8, 12, 16])
+@pytest.mark.parametrize("name, eps", VERIFY_SMALL)
+def test_mask_matches_full_grid_on_catalog_maps(name, eps, n, resolution):
+    _assert_mask_matches_full_grid(_catalog_series(name, n), CATALOG_REGION, resolution, eps)
+
+
+def test_mask_matches_full_grid_on_diagonal_operator():
+    # exact values; a non-square grid over an off-centre rectangle
+    rng = np.random.default_rng(2)
+    d = rng.uniform(-1.0, 1.0, 30) + 1j * rng.uniform(-1.0, 1.0, 30)
+    stats = _assert_mask_matches_full_grid(
+        _op(np.diag(d), _grid(30)), (-1.2, 1.0, -0.8, 1.4), (48, 40), 0.05
+    )
+    assert stats["lanczos_max_steps"] == 0 and stats["lanczos_cap_hits"] == 0
+    assert stats["lambda_evaluated"] < 48 * 40
+
+
+def test_mask_matches_full_grid_with_step_cap_hits(monkeypatch):
+    # a run stopped at the cap over-estimates sigma_min, so it must exclude
+    # no neighbour; the mask still equals the full grid's at the same cap
+    # (at this cap, letting capped runs exclude loses two points in)
+    monkeypatch.setattr(qpspec.spectra, "LANCZOS_MAX_STEPS", 4)
+    op = _catalog_series("separable_mix", 12)
+    stats = _assert_mask_matches_full_grid(op, CATALOG_REGION, (32, 32), 5e-2)
+    assert stats["lanczos_cap_hits"] > 0
+
+
+@pytest.mark.parametrize("name, eps", VERIFY_SMALL)
+def test_mask_evaluates_at_most_a_quarter_of_the_grid(name, eps):
+    _, stats = pseudospectrum_mask(_catalog_series(name, 8), CATALOG_REGION, (32, 32), eps)
+    assert stats["lambda_evaluated"] <= 32 * 32 // 4
+
+
+def test_surrogate_reports_points_evaluated_per_size():
+    def builder(n):
+        return _op(np.eye(n), _grid(n))
+
+    args = ([8, 12, 16], 0.05, (0.5, 1.5, -0.5, 0.5), (33, 33))
+    out = essential_spectrum_surrogate(builder, *args)
+    stats = pseudospectrum_mask(builder(8), args[2], args[3], args[1])[1]
+    assert out.params["lambda_evaluated"] == [stats["lambda_evaluated"]] * 3
+    assert 0 < stats["lambda_evaluated"] < 33 * 33
 
 
 # ---------------------------------------------------------------------------
