@@ -64,24 +64,24 @@ class RunConfig:
     name: str
     psi1: dict
     psi2: dict
-    p1: float = 1.0
-    p2: float = 1.0
-    frequency_extent: float = 10.0
-    frequency_nodes: int = 32
-    boundary_extent: float = 60.0
-    boundary_nodes: int = 768
-    plan_tol: float = 1e-8
-    plan_alpha: float | None = None
-    plan_n1: int | None = None
-    plan_n2: int | None = None
-    remainder_tol: float | None = None
-    region: tuple = (-1.1, 1.1, -1.1, 1.1)
-    resolution: tuple = (129, 129)
-    eps_list: tuple = (1e-2,)
-    sizes: tuple = (32, 48, 64)
-    t_samples: int = 64
-    seed: int = 0
-    raw: dict = field(default_factory=dict, repr=False)
+    p1: float
+    p2: float
+    frequency_extent: float
+    frequency_nodes: int
+    boundary_extent: float
+    boundary_nodes: int
+    plan_tol: float
+    plan_alpha: float | None
+    plan_n1: int | None
+    plan_n2: int | None
+    remainder_tol: float | None
+    region: tuple
+    resolution: tuple
+    eps_list: tuple
+    sizes: tuple
+    t_samples: int
+    seed: int
+    raw: dict = field(repr=False)
 
     @classmethod
     def load(cls, path: Path) -> "RunConfig":

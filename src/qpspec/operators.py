@@ -257,7 +257,7 @@ def toeplitz_halfplane(symbol: Callable, fgrid: FrequencyGrid) -> OperatorMatrix
     hhat /= 2.0 * np.pi
     entries = hhat[inv].reshape(t.size, t.size) * fgrid.weights[None, :]
     entries += c * np.eye(t.size)
-    return OperatorMatrix(entries, fgrid, fgrid, "frequency", {"limit": c})
+    return OperatorMatrix(entries, fgrid, fgrid, "frequency")
 
 
 def separable_terms(expr: SepExpr, fgrids: tuple) -> list:

@@ -108,18 +108,14 @@ def delta_of_alpha(alpha: float, points: np.ndarray) -> float:
 
 def choose_alpha(
     cloud: PointCloud | np.ndarray,
-    mode: str = "minimize",
     tol: float = 1e-10,
 ) -> tuple[float, float]:
     """Pick the series shift alpha for a compact cloud in the half-plane.
 
     Golden-section over log(alpha) of the minimax objective
     delta(alpha) = sup |i alpha - z| / alpha (each point's contribution is
-    quasiconvex in alpha, so the sup is unimodal); "minimize" is the only
-    mode.
+    quasiconvex in alpha, so the sup is unimodal).
     """
-    if mode != "minimize":
-        raise DomainError(f"unknown mode {mode!r}")
     pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=complex)
     pts = pts.reshape(-1)
     if pts.size == 0:

@@ -13,8 +13,6 @@ produced it.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -117,22 +115,13 @@ def eigenvalues(A: OperatorMatrix) -> SpectralSet:
     )
 
 
-def _threads() -> int:
-    raw = os.environ.get("HARDY_SPEC_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 # inverse-Lanczos stopping rule: the top Ritz value changed by at most this
 # relative amount, or the step cap was reached (counted as a cap hit)
 LANCZOS_RTOL = 1e-13
 LANCZOS_MAX_STEPS = 100
-# lambda-points per chunk (the unit mapped over worker threads), and Lanczos
-# runs in flight per chunk: a finished run hands its lane to the next point,
-# so a chunk holds a few (LANCZOS_BATCH x N) arrays and no lane idles
-LAMBDA_CHUNK = 1024
+# Lanczos runs in flight: a finished run hands its lane to the next point,
+# so a call over any number of points holds only a few (LANCZOS_BATCH x N)
+# arrays and no lane idles
 LANCZOS_BATCH = 128
 # Ritz problems up to this many rows use the batched dense eigvalsh
 RITZ_DENSE_MAX = 32
@@ -185,9 +174,10 @@ def _top_ritz(a: np.ndarray, b: np.ndarray, m: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _sigma_min_chunk(lam, T1, T2, R1, R2, starts):
-    """sigma_min(lam I - T1 (x) T2) for a chunk of lambda-points, by Lanczos
-    on (B^* B)^-1 with B = lam I - T1 (x) T2, batched over the points.
+def _sigma_min_lanczos(lam, T1, T2, R1, R2, starts):
+    """sigma_min(lam I - T1 (x) T2) at a flat array of lambda-points, by
+    Lanczos on (B^* B)^-1 with B = lam I - T1 (x) T2, batched over the
+    points.
 
     T1, T2 are upper triangular (complex Schur forms); R1, R2 are their
     index-reversed adjoints, which are upper triangular again, so the solve
@@ -282,19 +272,19 @@ def _sigma_min_kernel(A: OperatorMatrix) -> Callable:
 
     Every operator is written as kron(W1, W2) of its weighted per-axis
     factors (an unfactored one as (M, [[1]])).  When both are diagonal,
-    with diagonal d, the value is the exact min_k |lambda - d_k| (no
-    Lanczos steps, no cap hits).  Otherwise, with complex Schur forms
-    W_k = Q_k T_k Q_k^*, sigma_min(lambda I - A) = sigma_min(lambda I -
-    T1 (x) T2), found by inverse Lanczos with Kronecker back-substitution
-    solves (``_sigma_min_chunk``).
+    with diagonal d, the value is the exact min_k |lambda - d_k|
+    (``_nearest_distances``; no Lanczos steps, no cap hits).  Otherwise,
+    with complex Schur forms W_k = Q_k T_k Q_k^*, sigma_min(lambda I - A) =
+    sigma_min(lambda I - T1 (x) T2), found by inverse Lanczos with Kronecker
+    back-substitution solves (``_sigma_min_lanczos``).
     """
     W1, W2 = weighted_factors(A)
     if is_diagonal(W1) and is_diagonal(W2):
         d = np.kron(np.diag(W1), np.diag(W2))
 
-        def run(chunk):
-            vals = np.min(np.abs(chunk[:, None] - d[None, :]), axis=1)
-            return vals, np.zeros(chunk.size, dtype=int), np.zeros(chunk.size, dtype=bool)
+        def run(points):
+            vals = _nearest_distances(points, d)
+            return vals, np.zeros(points.size, dtype=int), np.zeros(points.size, dtype=bool)
 
         return run
     T1 = scipy.linalg.schur(W1, output="complex")[0]
@@ -312,20 +302,10 @@ def _sigma_min_kernel(A: OperatorMatrix) -> Callable:
         starts = [start]
     starts = [s / np.linalg.norm(s) for s in starts]
 
-    def run(chunk):
-        return _sigma_min_chunk(chunk, T1, T2, R1, R2, starts)
+    def run(points):
+        return _sigma_min_lanczos(points, T1, T2, R1, R2, starts)
 
     return run
-
-
-def _run_chunked(run: Callable, points: np.ndarray) -> tuple:
-    """Apply a kernel's run to a flat array of lambda-points, cut into
-    LAMBDA_CHUNK-point chunks mapped over HARDY_SPEC_THREADS workers, and
-    assemble (values, steps, capped) in point order."""
-    chunks = [points[lo : lo + LAMBDA_CHUNK] for lo in range(0, points.size, LAMBDA_CHUNK)]
-    with ThreadPoolExecutor(max_workers=_threads()) as ex:
-        parts = list(ex.map(run, chunks))
-    return tuple(np.concatenate([p[k] for p in parts]) for k in range(3))
 
 
 def pseudospectrum(
@@ -337,13 +317,12 @@ def pseudospectrum(
     """sigma_min(lambda I - A) at every point of a rectangle's grid, plus
     requested level sets.
 
-    The values come from ``_sigma_min_kernel``, evaluated chunk by chunk
-    (``_run_chunked``) with deterministic assembly.  ``stats`` records the
-    largest Lanczos step count and the number of points that hit the step
-    cap.
+    The values come from one run of ``_sigma_min_kernel`` over the whole
+    grid.  ``stats`` records the largest Lanczos step count and the number
+    of points that hit the step cap.
     """
     lam = _lambda_grid(region, resolution)
-    vals, steps, capped = _run_chunked(_sigma_min_kernel(A), lam.reshape(-1))
+    vals, steps, capped = _sigma_min_kernel(A)(lam.reshape(-1))
     stats = {
         "lanczos_max_steps": int(steps.max()),
         "lanczos_cap_hits": int(np.sum(capped)),
@@ -396,7 +375,7 @@ def pseudospectrum_mask(
         rows, cols = np.nonzero(undecided[::s, ::s])
         rows, cols = rows * s, cols * s
         if rows.size:
-            vals, steps, capped = _run_chunked(run, lam[rows, cols])
+            vals, steps, capped = run(lam[rows, cols])
             evaluated += rows.size
             max_steps = max(max_steps, int(steps.max()))
             cap_hits += int(np.sum(capped))
@@ -538,13 +517,18 @@ def predicted_set(
     )
 
 
+# complex differences held at once by _nearest_distances (16 bytes each)
+DISTANCE_BLOCK = 1 << 16
+
+
 def _nearest_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distance from each point of a to the nearest point of b, taking a in
-    blocks of 4096 points so that no block holds more than 4096 x |b|
-    differences."""
+    blocks of rows so that no block holds more than DISTANCE_BLOCK
+    differences, or one row when |b| alone exceeds it."""
+    rows = max(1, DISTANCE_BLOCK // b.size)
     return np.concatenate([
-        np.min(np.abs(a[lo : lo + 4096, None] - b[None, :]), axis=1)
-        for lo in range(0, a.size, 4096)
+        np.min(np.abs(a[lo : lo + rows, None] - b[None, :]), axis=1)
+        for lo in range(0, a.size, rows)
     ])
 
 

@@ -86,8 +86,6 @@ def test_choose_alpha_rejects_bad_clouds():
         choose_alpha(np.array([1.0 - 0.5j]))
     with pytest.raises(DomainError):
         choose_alpha(np.array([], dtype=complex))
-    with pytest.raises(DomainError):
-        choose_alpha(np.array([1.0j]), mode="nonsense")
 
 
 @given(

@@ -218,12 +218,17 @@ def _catalog_series(name, n):
     return op
 
 
-@pytest.mark.parametrize("name, eps", [("cay_quarter", 0.01), ("separable_mix", 0.05)])
-def test_pseudospectrum_factored_matches_svd(name, eps):
+@pytest.mark.parametrize("name, eps, side", [
+    pytest.param("cay_quarter", 0.01, 32, id="cay_quarter-0.01"),
+    pytest.param("separable_mix", 0.05, 32, id="separable_mix-0.05"),
+    # 2,304 points share one lane queue
+    pytest.param("cay_quarter", 0.01, 48, id="cay_quarter-0.01-48x48"),
+])
+def test_pseudospectrum_factored_matches_svd(name, eps, side):
     # cay_quarter's two factors are equal, so its runs are split into the
     # symmetric and antisymmetric halves of the Kronecker square
     op = _catalog_series(name, 8)
-    pmap = _assert_matches_svd(op, (-1.1, 1.1, -1.1, 1.1), (32, 32), eps)
+    pmap = _assert_matches_svd(op, (-1.1, 1.1, -1.1, 1.1), (side, side), eps)
     assert pmap.stats["lanczos_cap_hits"] == 0
 
 
