@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import svg as svgmod
+from . import textfmt
 from .grids import BoundaryGrid, DomainError, FrequencyGrid, GridError
 from .series import (
     QuasiParabolicMap,
@@ -194,19 +195,19 @@ class RunConfig:
 def _write_csv(path: Path, digest: str, blocks, shape: tuple | None = None) -> None:
     """Write a config line, an optional "# shape rows cols" line, the "re,im"
     header and then one value per line, row-major through each block in
-    turn.  Values are formatted and written CSV_CHUNK at a time, so no
-    output is ever held whole as text."""
+    turn, as "%.12g,%.12g" of its real and imaginary parts.  Values are
+    formatted and written CSV_CHUNK at a time, so no output is ever held
+    whole as text."""
     head = [f"# config {digest}"]
     if shape is not None:
         head.append(f"# shape {shape[0]} {shape[1]}")
-    with open(path, "w") as f:
-        f.write("\n".join(head + ["re,im"]) + "\n")
+    with open(path, "wb") as f:
+        f.write(("\n".join(head + ["re,im"]) + "\n").encode())
         for block in blocks:
             flat = np.asarray(block).reshape(-1)
             for lo in range(0, flat.size, CSV_CHUNK):
-                f.write("".join(
-                    f"{z.real:.12g},{z.imag:.12g}\n" for z in flat[lo:lo + CSV_CHUNK].tolist()
-                ))
+                z = flat[lo:lo + CSV_CHUNK]
+                f.write(textfmt.rows(".12g", z.real, b",", z.imag, b"\n"))
 
 
 def _write_json(path: Path, payload: dict, digest: str) -> None:
@@ -243,7 +244,7 @@ def cmd_predict(cfg: RunConfig, out: Path) -> int:
     _write_csv(out / "cluster2.csv", digest, [c2.points])
     # sweep order (t1 outer, t2 inner) so the first row is t=0 -> 1
     _write_csv(out / "spiral.csv", digest, pred.images)
-    (out / "spiral.svg").write_text(svgmod.spiral_figure(pred.images))
+    svgmod.spiral_figure(out / "spiral.svg", pred.images)
     _write_json(
         out / "predict_report.json",
         {

@@ -7,53 +7,63 @@ dependency on a plotting stack; output is diff-able text.
 
 from __future__ import annotations
 
-from itertools import islice
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Iterator
 
 import numpy as np
+
+from . import textfmt
 
 VIEW = 480
 PAD = 1.25  # complex plane half-width mapped onto the viewport
 
 PATH_COLORS = ("#1f6fb2", "#b2421f", "#3a8f3a", "#7a3ab2", "#b28f1f")
 
-# glyphs formatted per write of a streamed figure
+# points formatted per write of a figure
 GLYPH_CHUNK = 8192
 
 
-def _xy(z: complex) -> tuple[float, float]:
+def _xy(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Viewport coordinates of the complex points ``z``."""
     return (
         (z.real + PAD) / (2 * PAD) * VIEW,
         (PAD - z.imag) / (2 * PAD) * VIEW,
     )
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
+def _chunks(points: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Viewport coordinates of ``points``, GLYPH_CHUNK points at a time."""
+    points = np.asarray(points).reshape(-1)
+    for lo in range(0, points.size, GLYPH_CHUNK):
+        yield _xy(points[lo:lo + GLYPH_CHUNK])
 
 
-def polyline(points: np.ndarray, color: str, width: float = 1.0) -> str:
-    coords = " ".join(
-        f"{_fmt(x)},{_fmt(y)}" for x, y in (_xy(z) for z in points)
-    )
-    return (
+def polyline(points: np.ndarray, color: str, width: float = 1.0) -> Iterator[bytes]:
+    """A polyline through ``points``, in pieces of GLYPH_CHUNK points."""
+    yield (
         f'<polyline fill="none" stroke="{color}" '
-        f'stroke-width="{width}" points="{coords}"/>'
-    )
+        f'stroke-width="{width}" points="'
+    ).encode()
+    for k, (x, y) in enumerate(_chunks(points)):
+        coords = textfmt.rows(".2f", b" ", x, b",", y)
+        yield coords[1:] if k == 0 else coords
+    yield b'"/>'
 
 
-def scatter(points: np.ndarray, color: str, r: float = 1.6, shape: str = "circle") -> Iterator[str]:
-    """One circle or square glyph per point, in order."""
-    for z in points.tolist():
-        x, y = _xy(z)
+def scatter(
+    points: np.ndarray, color: str, r: float = 1.6, shape: str = "circle"
+) -> Iterator[bytes]:
+    """One circle or square glyph per point, in order, in pieces of
+    GLYPH_CHUNK glyphs."""
+    for x, y in _chunks(points):
         if shape == "circle":
-            yield f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{r}" fill="{color}"/>'
+            yield textfmt.rows(
+                ".2f", b'<circle cx="', x, b'" cy="', y, f'" r="{r}" fill="{color}"/>'.encode()
+            )
         else:
-            h = r
-            yield (
-                f'<rect x="{_fmt(x - h)}" y="{_fmt(y - h)}" width="{_fmt(2 * h)}" '
-                f'height="{_fmt(2 * h)}" fill="{color}"/>'
+            yield textfmt.rows(
+                ".2f", b'<rect x="', x - r, b'" y="', y - r,
+                f'" width="{2 * r:.2f}" height="{2 * r:.2f}" fill="{color}"/>'.encode(),
             )
 
 
@@ -61,7 +71,7 @@ def unit_circle_guide() -> str:
     x, y = _xy(0j)
     r = VIEW / (2 * PAD)
     return (
-        f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(r)}" fill="none" '
+        f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{r:.2f}" fill="none" '
         'stroke="#999999" stroke-width="0.8" stroke-dasharray="4 3" '
         'class="unit-circle-guide"/>'
     )
@@ -79,21 +89,18 @@ def _head(title: str) -> str:
 _TAIL = "\n</svg>\n"
 
 
-def document(elements: list[str], title: str = "") -> str:
-    return _head(title) + "\n".join(elements) + _TAIL
-
-
-def spiral_figure(paths: list[np.ndarray], title: str = "predicted spiral set") -> str:
-    """Unit-circle guide plus one polyline path per cluster pair."""
-    els = [unit_circle_guide()]
-    for k, p in enumerate(paths):
-        els.append(polyline(p, PATH_COLORS[k % len(PATH_COLORS)], 1.0))
-    return document(els, title)
-
-
-def _write_glyphs(f: TextIO, glyphs: Iterator[str]) -> None:
-    while chunk := "".join(islice(glyphs, GLYPH_CHUNK)):
-        f.write(chunk)
+def spiral_figure(
+    path: Path, paths: list[np.ndarray], title: str = "predicted spiral set"
+) -> None:
+    """Write the unit-circle guide plus one polyline path per cluster pair
+    to ``path``, GLYPH_CHUNK points at a time, so the document is never
+    held whole as text."""
+    with open(path, "wb") as f:
+        f.write((_head(title) + unit_circle_guide()).encode())
+        for k, p in enumerate(paths):
+            f.write(b"\n")
+            f.writelines(polyline(p, PATH_COLORS[k % len(PATH_COLORS)], 1.0))
+        f.write(_TAIL.encode())
 
 
 def overlay_figure(
@@ -106,11 +113,11 @@ def overlay_figure(
     cloud to ``path``, GLYPH_CHUNK glyphs at a time, so the document is
     never held whole as text."""
     shades = ("#c9dcef", "#9fc2e3", "#6ea3d4")
-    with open(path, "w") as f:
-        f.write(_head(title) + unit_circle_guide())
+    with open(path, "wb") as f:
+        f.write((_head(title) + unit_circle_guide()).encode())
         for k, (eps, pts) in enumerate(level_sets):
-            f.write(f"\n<!-- level eps={eps:g}: {pts.size} points -->\n")
-            _write_glyphs(f, scatter(pts, shades[k % len(shades)], 2.2, "rect"))
-        f.write("\n")
-        _write_glyphs(f, scatter(predicted, "#b2421f", 1.2, "circle"))
-        f.write(_TAIL)
+            f.write(f"\n<!-- level eps={eps:g}: {pts.size} points -->\n".encode())
+            f.writelines(scatter(pts, shades[k % len(shades)], 2.2, "rect"))
+        f.write(b"\n")
+        f.writelines(scatter(predicted, "#b2421f", 1.2, "circle"))
+        f.write(_TAIL.encode())

@@ -1,0 +1,209 @@
+"""The vectorized formatter against ``format``, and every CLI output against
+the per-value f-string writers it replaced."""
+
+import json
+import struct
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qpspec import cli, svg, textfmt
+from qpspec.cli import CONFIG_DIR, main
+
+SPECS = (".12g", ".2f")
+
+
+def _reference(values, spec):
+    return "".join(format(float(v), spec) + "\n" for v in values).encode()
+
+
+def _assert_formats(values, spec):
+    x = np.asarray(values, dtype=np.float64)
+    got = textfmt.rows(spec, x, b"\n").split(b"\n")
+    want = _reference(x, spec).split(b"\n")
+    assert got == want, [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w][:5]
+
+
+EDGES = (
+    [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, -5e-324,
+     1e270, -1e270, 1e-270, -1e-270, 1e300, -1.7976931348623157e308]
+    + [10.0**k for k in range(-5, 23)]
+    # the %g switch points: to fixed notation at 1e-4, to exponent at 1e12
+    + [9.9999999999996e-5, 9.99999999999949e-5, 999999999999.4, 999999999999.5,
+       999999999999.6, 1e12, -999999999999.5]
+    # 13 significant digits ending in 5 (ties or near-ties of .12g)
+    + [float(f"{m}5e{k}") for m in (100000000000, 123456789012, 999999999999)
+       for k in (-20, -13, -7, -1, 0, 5)]
+    + [0.125, 2.675, 0.005, 1.005, 239.995, -0.001, -0.005, 9999999.995, 1e7, 1e7 - 0.005]
+    + [float(2**k) for k in range(0, 54)] + [2.0**53 - 1, 2.0**53 + 2, 123456789012345.0]
+)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_edge_values_match_format(spec):
+    _assert_formats(EDGES, spec)
+    _assert_formats([-v for v in EDGES], spec)
+
+
+def _from_bits(bits):
+    return [struct.unpack("<d", struct.pack("<Q", b))[0] for b in bits]
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@settings(max_examples=200, deadline=None)
+@given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_any_bit_pattern_matches_format(spec, bits):
+    _assert_formats(_from_bits(bits), spec)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(
+    st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+              st.floats(-1e8, 1e8), st.floats(-1e-3, 1e-3),
+              st.integers(-10**13, 10**13).map(lambda k: k / 1000 + 0.0005)),
+    min_size=1, max_size=64))
+def test_any_float_matches_format(spec, values):
+    _assert_formats(values, spec)
+
+
+def test_rows_joins_columns_and_literals():
+    re = np.array([1.5, -0.0, 1e-7])
+    im = np.array([0.0, 2.0, float("nan")])
+    assert textfmt.rows(".12g", re, b",", im, b"\n") == b"1.5,0\n-0,2\n1e-07,nan\n"
+    assert textfmt.rows(".12g", np.empty(0), b"\n") == b""
+    assert textfmt.rows(".2f", b"<", np.array([1e300]), b">") == f"<{1e300:.2f}>".encode()
+    with pytest.raises(ValueError):
+        textfmt.rows(".12g", np.zeros(3), b",", np.zeros(5))
+
+
+# ---------------------------------------------------------------------------
+# the per-value writers the formatter replaced, as the byte reference
+
+
+def _write_csv_reference(path, digest, blocks, shape=None):
+    head = [f"# config {digest}"]
+    if shape is not None:
+        head.append(f"# shape {shape[0]} {shape[1]}")
+    with open(path, "w") as f:
+        f.write("\n".join(head + ["re,im"]) + "\n")
+        for block in blocks:
+            for z in np.asarray(block).reshape(-1).tolist():
+                f.write(f"{z.real:.12g},{z.imag:.12g}\n")
+
+
+def _xy_reference(z):
+    return (
+        (z.real + svg.PAD) / (2 * svg.PAD) * svg.VIEW,
+        (svg.PAD - z.imag) / (2 * svg.PAD) * svg.VIEW,
+    )
+
+
+def _polyline_reference(points, color, width):
+    coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in (_xy_reference(z) for z in points))
+    return f'<polyline fill="none" stroke="{color}" stroke-width="{width}" points="{coords}"/>'
+
+
+def _scatter_reference(points, color, r, shape):
+    for z in points.tolist():
+        x, y = _xy_reference(z)
+        if shape == "circle":
+            yield f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{r}" fill="{color}"/>'
+        else:
+            h = r
+            yield (
+                f'<rect x="{x - h:.2f}" y="{y - h:.2f}" width="{2 * h:.2f}" '
+                f'height="{2 * h:.2f}" fill="{color}"/>'
+            )
+
+
+def _spiral_figure_reference(path, paths, title="predicted spiral set"):
+    els = [svg.unit_circle_guide()] + [
+        _polyline_reference(p, svg.PATH_COLORS[k % len(svg.PATH_COLORS)], 1.0)
+        for k, p in enumerate(paths)
+    ]
+    Path(path).write_text(svg._head(title) + "\n".join(els) + svg._TAIL)
+
+
+def _overlay_figure_reference(path, level_sets, predicted,
+                              title="predicted set over pseudospectrum levels"):
+    shades = ("#c9dcef", "#9fc2e3", "#6ea3d4")
+    with open(path, "w") as f:
+        f.write(svg._head(title) + svg.unit_circle_guide())
+        for k, (eps, pts) in enumerate(level_sets):
+            f.write(f"\n<!-- level eps={eps:g}: {pts.size} points -->\n")
+            f.write("".join(_scatter_reference(pts, shades[k % len(shades)], 2.2, "rect")))
+        f.write("\n")
+        f.write("".join(_scatter_reference(predicted, "#b2421f", 1.2, "circle")))
+        f.write(svg._TAIL)
+
+
+def _use_reference_writers(monkeypatch):
+    monkeypatch.setattr(cli, "_write_csv", _write_csv_reference)
+    monkeypatch.setattr(svg, "spiral_figure", _spiral_figure_reference)
+    monkeypatch.setattr(svg, "overlay_figure", _overlay_figure_reference)
+
+
+def test_csv_writer_matches_per_value_writer(tmp_path):
+    rng = np.random.default_rng(0)
+    n = cli.CSV_CHUNK + 5
+    blocks = [
+        np.empty(0, complex),  # an empty surrogate
+        rng.random(n),  # real values, written as "v,0"
+        np.array([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-1e-20, 3)]),
+        (rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))) * 10.0 ** rng.integers(-9, 14, (3, n)),
+    ]
+    cli._write_csv(tmp_path / "new.csv", "abc", blocks, (3, n))
+    _write_csv_reference(tmp_path / "ref.csv", "abc", blocks, (3, n))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_figures_match_per_value_writers(tmp_path):
+    rng = np.random.default_rng(1)
+    n = svg.GLYPH_CHUNK + 3
+    paths = [rng.standard_normal(n) + 1j * rng.standard_normal(n), np.empty(0, complex),
+             np.array([0j, -0.005 + 0.005j, 1e9 + 0j])]
+    # the coordinates themselves are bit-identical, not only their text
+    x, y = svg._xy(paths[0])
+    assert list(zip(x.tolist(), y.tolist())) == [_xy_reference(z) for z in paths[0].tolist()]
+    svg.spiral_figure(tmp_path / "new.svg", paths)
+    _spiral_figure_reference(tmp_path / "ref.svg", paths)
+    assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
+    levels = [(0.01, paths[0]), (0.02, paths[1])]
+    svg.overlay_figure(tmp_path / "new.svg", levels, paths[2])
+    _overlay_figure_reference(tmp_path / "ref.svg", levels, paths[2])
+    assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
+
+
+CATALOG = ("constants_basic", "cay_quarter", "dilation_case", "separable_mix")
+COMMANDS = ("build", "predict", "spectrum", "verify")
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_outputs_match_per_value_writers(tmp_path, monkeypatch, name):
+    raw = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    raw["grids"].update(frequency_nodes=12, boundary_nodes=160)
+    raw["spectra"] = {"resolution": [32, 32], "sizes": [6, 8, 10]}
+    config = tmp_path / f"{name}.json"
+    config.write_text(json.dumps(raw))
+
+    def run_all(root):
+        codes = []
+        for command in COMMANDS:
+            out = root / command
+            codes.append(main([command, "--config", str(config), "--out", str(out)]))
+        return codes
+
+    codes = run_all(tmp_path / "new")
+    with monkeypatch.context() as m:
+        _use_reference_writers(m)
+        assert run_all(tmp_path / "ref") == codes
+    files = sorted(p.relative_to(tmp_path / "ref")
+                   for p in (tmp_path / "ref").rglob("*") if p.suffix in (".csv", ".svg"))
+    assert {f.suffix for f in files} == {".csv", ".svg"}
+    assert files == sorted(p.relative_to(tmp_path / "new")
+                           for p in (tmp_path / "new").rglob("*") if p.suffix in (".csv", ".svg"))
+    for f in files:
+        assert (tmp_path / "new" / f).read_bytes() == (tmp_path / "ref" / f).read_bytes(), f
