@@ -3,9 +3,9 @@
 Subcommands: predict (cluster sets + spiral sweep + SVG), build (series
 operator + plan certificate + cross-check), spectrum (pseudospectrum map and
 level sets), verify (full containment pipeline with PASS/FAIL verdict), demo
-(run the bundled catalog configs).  Every output file carries the sha256 of
-the canonicalized config so reruns are traceable; numeric payloads are
-deterministic given the seed.
+(run the bundled catalog configs).  Every CSV and JSON file carries the
+sha256 of the canonicalized config so reruns are traceable; numeric payloads
+are deterministic given the seed.
 
 Exit codes: 0 success/PASS, 1 FAIL verdict, 2 config error, 3 certification
 failure.

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .grids import (
     BoundaryGrid,
@@ -343,6 +342,10 @@ def dilation_1d(p: float, fgrid: FrequencyGrid) -> np.ndarray:
     Samples beyond the grid extent are taken as zero (Hardy frequency
     profiles decay); cubic-spline interpolation in between.
     """
+    # imported here, not at module level: only maps with p != 1 reach this,
+    # and the import would otherwise add to every process's start-up
+    from scipy.interpolate import CubicSpline
+
     if p <= 0:
         raise GridError("dilation parameter must be positive")
     if p > MAX_STRETCH or 1.0 / p > MAX_STRETCH:

@@ -15,11 +15,11 @@ at infinity, and sampled closures of the symbol's image.
 from __future__ import annotations
 
 import ast
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from .grids import BOUNDARY_HEIGHT, cayley
 
@@ -275,10 +275,40 @@ class AnalyticSymbol:
         return self.expr(z1, z2)
 
 
+HALTON_BASES = (2, 3, 5, 7)
+
+
+def halton(count: int, seed: int) -> np.ndarray:
+    """The first ``count`` points of Owen's randomized Halton sequence in
+    [0, 1)^4 (A. B. Owen, "A randomized Halton algorithm in R",
+    arXiv:1706.02808), bit-identical to scipy 1.17.1's
+    ``scipy.stats.qmc.Halton(d=4, scramble=True, seed=seed).random(count)``.
+
+    Base b scrambles its first ceil(54 / log2 b) - 1 digits (the digits with
+    b^-k > 2^-54) each by its own permutation, drawn base after base from
+    ``np.random.default_rng(seed)``; point i sums perm_k[digit_k(i)] b^-k in
+    digit order.  Each point depends only on its index, so the first m
+    points of a longer draw are the draw of m points.
+    """
+    rng = np.random.default_rng(seed)
+    out = np.zeros((len(HALTON_BASES), count))
+    for col, base in zip(out, HALTON_BASES):
+        perms = [rng.permutation(base) for _ in range(math.ceil(54 / math.log2(base)) - 1)]
+        q = np.arange(count)
+        scale = 1.0 / base
+        for perm in perms:
+            if q.any():
+                col += perm[q % base] * scale
+                q //= base
+            else:  # every remaining digit is 0
+                col += perm[0] * scale
+            scale /= base
+    return out.T
+
+
 def halfplane_samples(count: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Quasi-random sweep of H^2, stratified in height and extent."""
-    eng = qmc.Halton(d=4, scramble=True, seed=seed)
-    u = eng.random(count)
+    u = halton(count, seed)
     x1 = np.tan(np.pi * (u[:, 0] - 0.5) * 0.999)
     x2 = np.tan(np.pi * (u[:, 1] - 0.5) * 0.999)
     y1 = 10.0 ** (4.0 * u[:, 2] - 2.0)
@@ -416,11 +446,12 @@ def cluster_set(
     """
     if plan is None:
         plan = ClusterPlan() if target == "infinity" else finite_target_plan()
-    eng = qmc.Halton(d=4, scramble=True, seed=plan.seed)
+    m = plan.samples_per_shell
+    draw = halton(len(plan.shells) * m, plan.seed)
     per_shell = []
     all_pts = []
-    for shell in plan.shells:
-        u = eng.random(plan.samples_per_shell)
+    for k, shell in enumerate(plan.shells):
+        u = draw[k * m : (k + 1) * m]
         if target == "infinity":
             r1 = shell * (1.0 + u[:, 0])
             r2 = shell * (1.0 + u[:, 2])

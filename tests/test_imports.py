@@ -1,7 +1,12 @@
-"""Every name a package module imports is used in that module, and every
-name a package module defines is used somewhere in the repository."""
+"""Every name a package module imports is used in that module, every name
+a package module defines is used somewhere in the repository, and start-up
+loads no scipy subpackage that only some runs need."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -89,3 +94,27 @@ def test_every_definition_is_referenced():
         if p.parent == SRC
     }
     assert {name: names for name, names in dead.items() if names} == {}
+
+
+# run in a fresh interpreter, since this test process has loaded everything
+STARTUP_PROBE = """
+import json, sys
+loaded = lambda: sorted(m for m in ("scipy.stats", "scipy.interpolate") if m in sys.modules)
+import qpspec.cli
+at_import = loaded()
+from qpspec.grids import FrequencyGrid
+from qpspec.operators import dilation_1d
+dilation_1d(2.0, FrequencyGrid.uniform(10.0, 16))
+print(json.dumps([at_import, loaded()]))
+"""
+
+
+def test_startup_defers_scipy_interpolate_and_loads_no_scipy_stats():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    at_import, after_dilation = json.loads(done.stdout.splitlines()[-1])
+    assert at_import == []
+    assert after_dilation == ["scipy.interpolate"]

@@ -134,11 +134,11 @@ def test_pseudospectrum_diagonal_formula():
     assert np.max(np.abs(pmap.values - truth)) < 1e-12
 
 
-def test_pseudospectrum_diagonal_branch_runs_per_chunk(monkeypatch):
+def test_pseudospectrum_diagonal_branch_runs_per_chunk():
     # constant symbols give a diagonal operator; with N = 45^2 on a 64 x 64
-    # grid the exact formula, evaluated per lambda-chunk, never holds the
-    # whole (lambda-points x N) distance matrix, and its values are unchanged
-    monkeypatch.setenv("HARDY_SPEC_THREADS", "1")
+    # grid the exact formula, evaluated by _nearest_distances in blocks of
+    # lambda-points, never holds the whole (lambda-points x N) distance
+    # matrix, and its values are unchanged
     qmap = QuasiParabolicMap(
         1.0, 1.0, make_symbol("i", 1.0, 1.0, "constant"), make_symbol("2*i", 2.0, 2.0, "constant")
     )
@@ -506,9 +506,10 @@ def test_containment_verdict_empty_surrogate_fails():
 
 
 def test_containment_verdict_matches_brute_force_across_blocks():
-    # more predicted points than one 4096-row block; the largest distance is
-    # attained exactly at -0.9+0.3i and 0.9+0.3i, which the (re, im) order
-    # puts in different blocks: the first index wins, as in one argmax
+    # more predicted points than one block of _nearest_distances rows; the
+    # largest distance is attained exactly at -0.9+0.3i and 0.9+0.3i, which
+    # the (re, im) order puts in different blocks: the first index wins, as
+    # in one argmax
     rng = np.random.default_rng(5)
     r = 0.7 * np.sqrt(rng.uniform(size=10000))
     inner = r * np.exp(2j * np.pi * rng.uniform(size=10000))
@@ -518,7 +519,9 @@ def test_containment_verdict_matches_brute_force_across_blocks():
     a, b = pred.points.points, surr.points.points
     dists = np.min(np.abs(a[:, None] - b[None, :]), axis=1)
     ties = np.flatnonzero(dists == dists.max())
-    assert len({k // 4096 for k in ties}) == 2
+    rows = qpspec.spectra.DISTANCE_BLOCK // b.size
+    assert a.size > rows
+    assert len({k // rows for k in ties}) == 2
     out = containment_verdict(pred, surr, tol=1.0)
     assert out["distance"] == float(dists.max()) == directed_hausdorff(pred, surr)
     assert out["worst_point"] == [-0.9, 0.3]
