@@ -249,10 +249,30 @@ def toeplitz_halfplane(symbol: Callable, fgrid: FrequencyGrid) -> OperatorMatrix
     svals, inv = np.unique(np.round(diffs, 12), return_inverse=True)
     hw = h * rule.weights
     hhat = np.empty(svals.size, dtype=complex)
-    for lo in range(0, svals.size, _TOEPLITZ_BLOCK):
-        phase = -1j * np.outer(svals[lo:lo + _TOEPLITZ_BLOCK], rule.nodes)
-        np.exp(phase, out=phase)
-        hhat[lo:lo + _TOEPLITZ_BLOCK] = phase @ hw
+    # t_j - t_k = -(t_k - t_j) exactly and rounding is odd, so svals[-1 - i]
+    # = -svals[i] and the row of exp(-i s x) for -s is the conjugate of the
+    # row for s: each block takes the exponential of up to half its rows,
+    # those of s >= 0, and conjugates them into the rest
+    mid = svals.size // 2
+    step = _TOEPLITZ_BLOCK // 2
+    for lo in range(mid, svals.size, step):
+        s = svals[lo:lo + step]
+        k = s.size
+        phase = np.empty((2 * k, rule.nodes.size), dtype=complex)
+        np.multiply(-1j, np.outer(s, rule.nodes), out=phase[:k])
+        np.exp(phase[:k], out=phase[:k])
+        np.conjugate(phase[:k], out=phase[k:])
+        vals = phase @ hw
+        # the mirror of index i is 2 mid - i; s = 0 is its own mirror
+        hhat[2 * mid - lo - k + 1:2 * mid - lo + 1] = vals[k:][::-1]
+        hhat[lo:lo + k] = vals[:k]
+    if svals.size % _TOEPLITZ_BLOCK == 1:
+        # hhat stays bit-identical to the plain quadrature, which takes all
+        # of svals _TOEPLITZ_BLOCK rows at a time in order (the tests compare
+        # the two); there the largest s is alone in its block, and numpy
+        # multiplies a one-row block as a dot product, which rounds
+        # differently from a multi-row GEMV
+        hhat[-1] = phase[k - 1] @ hw
     hhat /= 2.0 * np.pi
     entries = hhat[inv].reshape(t.size, t.size) * fgrid.weights[None, :]
     entries += c * np.eye(t.size)

@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dstebz
 
 from .grids import DomainError
 from .operators import OperatorMatrix, is_diagonal, weighted_factors
@@ -162,6 +160,8 @@ def _top_ritz(a: np.ndarray, b: np.ndarray, m: np.ndarray) -> np.ndarray:
     for size in np.unique(m):
         lanes = np.flatnonzero(m == size)
         if size > RITZ_DENSE_MAX:
+            from scipy.linalg.lapack import dstebz
+
             for k in lanes:
                 found = dstebz(a[:size, k], b[: size - 1, k], 2, 0.0, 0.0, size, size, 0.0, "E")
                 theta[k] = found[1][0]
@@ -287,6 +287,10 @@ def _sigma_min_kernel(A: OperatorMatrix) -> Callable:
             return vals, np.zeros(points.size, dtype=int), np.zeros(points.size, dtype=bool)
 
         return run
+    # loaded here so that processes which never run Lanczos (build, predict,
+    # the spectrum of a diagonal map) never import scipy.linalg
+    import scipy.linalg
+
     T1 = scipy.linalg.schur(W1, output="complex")[0]
     T2 = scipy.linalg.schur(W2, output="complex")[0]
     R1 = T1.conj().T[::-1, ::-1]

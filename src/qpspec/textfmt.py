@@ -22,7 +22,9 @@ The values the float path cannot decide go to ``format`` itself: those
 with |frac(m) - 1/2| below the tie margin (G_TIE, F_TIE), non-finite
 values, and values outside the scaled range (nonzero |x| outside
 [G_MIN, G_MAX] for ``.12g``, |x| >= F_MAX for ``.2f``).  A slot array is widened when a
-fallback text does not fit.
+fallback text does not fit.  A ``.12g`` array that is at least half ±0 (the
+operator of a constant or dilation map) sends only its nonzero values down
+this path and writes "0" and "-0" into the zero slots directly.
 """
 
 from __future__ import annotations
@@ -82,6 +84,8 @@ _exps[_short, 2:4] = _QUADS[np.abs(_ex[_short]), 2:]
 _exps[_short, 4] = 0
 _exps[_E0] = 0
 _G_EXPS = _exps.view(np.uint64).reshape(-1)
+# the first two bytes of the slot of +0 and of -0
+_G_ZEROS = np.frombuffer(b"0\0-0", np.uint16)
 
 # .2f slot: five 4-byte words, [sign][digits 1-4][digits 5-8][digits 9-10,
 # the point, digits 11-12 and three 0 bytes], digits of rint(100 |x|)
@@ -136,7 +140,24 @@ def _place(out: np.ndarray, texts: list) -> np.ndarray:
 
 
 def _g12(x: np.ndarray) -> np.ndarray:
-    """(n, width) byte slots of ``format(v, ".12g")``."""
+    """(n, width) byte slots of ``format(v, ".12g")``.
+
+    When at least half the values are zeros, only the others go through the
+    digit pipeline and the zero slots get "0" or "-0" directly; with few
+    zeros the gather and scatter would cost more than they save."""
+    zero = x == 0
+    if 2 * np.count_nonzero(zero) < x.size:
+        return _g12_digits(x)
+    rest = _g12_digits(x[~zero])
+    out = np.zeros((x.size, rest.shape[1]), np.uint8)
+    out.view(np.uint16)[:, 0] = np.take(_G_ZEROS, np.signbit(x).view(np.uint8))
+    out[~zero] = rest
+    return out
+
+
+def _g12_digits(x: np.ndarray) -> np.ndarray:
+    """(n, width) byte slots of ``format(v, ".12g")``, every value through
+    the digit pipeline."""
     a = np.abs(x)
     zero = a == 0
     fast = (a >= G_MIN) & (a <= G_MAX)

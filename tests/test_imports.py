@@ -1,6 +1,8 @@
 """Every name a package module imports is used in that module, every name
-a package module defines is used somewhere in the repository, and start-up
-loads no scipy subpackage that only some runs need."""
+a package module defines is used somewhere in the repository, and scipy
+loads only where it is needed: ``import qpspec.cli``, ``build`` and
+``predict`` load no scipy module, the Lanczos sigma_min kernel loads
+``scipy.linalg`` and a dilation with p != 1 loads ``scipy.interpolate``."""
 
 import ast
 import json
@@ -96,25 +98,40 @@ def test_every_definition_is_referenced():
     assert {name: names for name, names in dead.items() if names} == {}
 
 
-# run in a fresh interpreter, since this test process has loaded everything
+# run in a fresh interpreter, since this test process has loaded everything;
+# argv[1] is a temporary directory for the CLI outputs
 STARTUP_PROBE = """
 import json, sys
-loaded = lambda: sorted(m for m in ("scipy.stats", "scipy.interpolate") if m in sys.modules)
+loaded = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+stages = {}
 import qpspec.cli
-at_import = loaded()
+stages["import"] = loaded()
+config = str(qpspec.cli.CONFIG_DIR / "cay_quarter.json")
+for command in ("build", "predict"):
+    assert qpspec.cli.main([command, "--config", config, "--out", sys.argv[1] + "/" + command]) == 0
+stages["build_predict"] = loaded()
 from qpspec.grids import FrequencyGrid
-from qpspec.operators import dilation_1d
-dilation_1d(2.0, FrequencyGrid.uniform(10.0, 16))
-print(json.dumps([at_import, loaded()]))
+from qpspec.operators import dilation_1d, toeplitz_halfplane
+from qpspec.spectra import pseudospectrum_mask
+fg = FrequencyGrid.uniform(10.0, 4)
+pseudospectrum_mask(toeplitz_halfplane(lambda x: 1.0 / (x + 1j), fg), (-1, 1, -1, 1), (32, 32), 0.1)
+stages["mask"] = loaded()
+dilation_1d(2.0, fg)
+stages["dilation"] = loaded()
+print(json.dumps(stages))
 """
 
 
-def test_startup_defers_scipy_interpolate_and_loads_no_scipy_stats():
+def test_only_lanczos_and_dilations_load_scipy(tmp_path):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", STARTUP_PROBE], env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, timeout=120, check=True,
+        [sys.executable, "-c", STARTUP_PROBE, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=300, check=True,
     )
-    at_import, after_dilation = json.loads(done.stdout.splitlines()[-1])
-    assert at_import == []
-    assert after_dilation == ["scipy.interpolate"]
+    stages = json.loads(done.stdout.splitlines()[-1])
+    assert stages["import"] == []
+    assert stages["build_predict"] == []
+    assert "scipy.linalg" in stages["mask"]
+    assert "scipy.interpolate" not in stages["mask"]
+    assert "scipy.interpolate" in stages["dilation"]

@@ -123,6 +123,33 @@ def test_toeplitz_halfplane_quadrature_memory_is_bounded():
     assert T.shape == (128, 128)
 
 
+def _full_quadrature(symbol, fgrid):
+    """toeplitz_halfplane with the exponential taken for every frequency
+    difference, in blocks of 16 rows in order."""
+    from qpspec import operators
+
+    rule = BoundaryGrid.uniform(operators._TOEPLITZ_EXTENT, operators._TOEPLITZ_NODES)
+    c = operators.symbol_limit_at_infinity(symbol)
+    hw = (np.asarray(symbol(rule.nodes + 1j * operators.BOUNDARY_EVAL_HEIGHT)) - c) * rule.weights
+    t = fgrid.nodes
+    svals, inv = np.unique(np.round(np.subtract.outer(t, t), 12), return_inverse=True)
+    hhat = np.empty(svals.size, dtype=complex)
+    for lo in range(0, svals.size, 16):
+        hhat[lo:lo + 16] = np.exp(-1j * np.outer(svals[lo:lo + 16], rule.nodes)) @ hw
+    hhat /= 2.0 * np.pi
+    return hhat[inv].reshape(t.size, t.size) * fgrid.weights[None, :] + c * np.eye(t.size)
+
+
+# n = 9 and 17 give 2n - 1 differences one more than a multiple of 16
+@pytest.mark.parametrize("n", [2, 8, 9, 16, 17, 32])
+@pytest.mark.parametrize("text", ["i + 0.25*cay(z1)", "2*i - 0.5*cay(z1)"])
+def test_toeplitz_halfplane_conjugate_rows_are_bit_identical(n, text):
+    symbol = parse_symbol_expression(text).as_one_variable()
+    fg = FrequencyGrid.uniform(10.0, n)
+    got = toeplitz_halfplane(symbol, fg).entries
+    assert got.tobytes() == _full_quadrature(symbol, fg).tobytes()
+
+
 def test_toeplitz_separable_expression():
     expr = parse_symbol_expression("i + 0.25*cay(z1)")
     T = toeplitz_separable(expr, (FG, FG))

@@ -47,6 +47,29 @@ def test_edge_values_match_format(spec):
     _assert_formats([-v for v in EDGES], spec)
 
 
+# a .12g chunk with at least half its values ±0 formats only the others
+# through the digit pipeline; 32 of 64 is the threshold, 33 takes every value
+# through it.  Random lists of up to 64 values almost never reach this rule.
+@pytest.mark.parametrize("others", [0, 1, 7, 32, 33])
+def test_mostly_zero_chunks_match_format(others):
+    rng = np.random.default_rng(others)
+    x = np.where(rng.random(64) < 0.5, 0.0, -0.0)
+    pool = np.array([v for v in EDGES + [-v for v in EDGES] if v != 0])
+    x[rng.choice(64, others, replace=False)] = rng.choice(pool, others)
+    _assert_formats(x, ".12g")
+
+
+def test_zero_chunks_match_format():
+    _assert_formats([0.0] * 5, ".12g")
+    _assert_formats([-0.0] * 5, ".12g")
+    _assert_formats([-0.0, 0.0] * 3 + [float("nan"), 1e300], ".12g")
+    # one CSV chunk of a sparse operator: mostly zeros of both signs
+    x = np.zeros(16384)
+    x[::3] = -0.0
+    x[::17] = np.linspace(-3.0, 3.0, x[::17].size)
+    _assert_formats(x, ".12g")
+
+
 def _from_bits(bits):
     return [struct.unpack("<d", struct.pack("<Q", b))[0] for b in bits]
 
