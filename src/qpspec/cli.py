@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -112,14 +113,16 @@ class RunConfig:
                 boundary_extent=float(grids.get("boundary_extent", 60.0)),
                 boundary_nodes=int(grids.get("boundary_nodes", 768)),
                 plan_tol=float(plan.get("tol", 1e-8)),
-                plan_alpha=plan.get("alpha"),
-                plan_n1=plan.get("n1"),
-                plan_n2=plan.get("n2"),
-                remainder_tol=plan.get("remainder_tol"),
-                region=tuple(spectra.get("region", (-1.1, 1.1, -1.1, 1.1))),
+                plan_alpha=_optional(_positive, plan.get("alpha"), "plan.alpha"),
+                plan_n1=_optional(_integer, plan.get("n1"), "plan.n1"),
+                plan_n2=_optional(_integer, plan.get("n2"), "plan.n2"),
+                remainder_tol=_optional(_positive, plan.get("remainder_tol"),
+                                        "plan.remainder_tol"),
+                region=_region(spectra.get("region", (-1.1, 1.1, -1.1, 1.1))),
                 resolution=tuple(spectra.get("resolution", (129, 129))),
-                eps_list=tuple(spectra.get("eps", (1e-2,))),
-                sizes=tuple(spectra.get("sizes", (32, 48, 64))),
+                eps_list=_eps(spectra.get("eps", (1e-2,))),
+                sizes=tuple(_integer(n, "spectra.sizes", 1)
+                            for n in spectra.get("sizes", (32, 48, 64))),
                 t_samples=int(raw.get("t_samples", 64)),
                 seed=int(raw.get("seed", 0)),
                 raw=raw,
@@ -150,10 +153,10 @@ class RunConfig:
             self.raw["seed"] = seed
         spectra = dict(self.raw.get("spectra", {}))
         if sizes:
-            self.sizes = tuple(int(s) for s in sizes.split(","))
+            self.sizes = tuple(_integer(int(s), "--sizes", 1) for s in sizes.split(","))
             spectra["sizes"] = list(self.sizes)
         if eps:
-            self.eps_list = tuple(float(s) for s in eps.split(","))
+            self.eps_list = _eps(float(s) for s in eps.split(","))
             spectra["eps"] = list(self.eps_list)
         if sizes or eps:
             self.raw["spectra"] = spectra
@@ -186,6 +189,51 @@ class RunConfig:
     def bgrids(self):
         g = BoundaryGrid.uniform(self.boundary_extent, self.boundary_nodes)
         return (g, g)
+
+
+# Checks of single config values.  Each raises ValueError naming the field,
+# which from_dict reports as a config error; none truncates or rounds.
+
+
+def _number(v, label: str) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ValueError(f"{label} must be a finite number, got {v!r}")
+    return float(v)
+
+
+def _positive(v, label: str) -> float:
+    x = _number(v, label)
+    if x <= 0:
+        raise ValueError(f"{label} must be positive, got {v!r}")
+    return x
+
+
+def _integer(v, label: str, least: int = 0) -> int:
+    x = _number(v, label)
+    if x != int(x) or x < least:
+        raise ValueError(f"{label} must be an integer >= {least}, got {v!r}")
+    return int(x)
+
+
+def _optional(check, v, label: str):
+    return None if v is None else check(v, label)
+
+
+def _region(values) -> tuple:
+    region = tuple(_number(v, "spectra.region") for v in values)
+    if len(region) != 4 or region[0] >= region[1] or region[2] >= region[3]:
+        raise ValueError(
+            "spectra.region must be 4 numbers (re_lo, re_hi, im_lo, im_hi) with "
+            f"lo < hi, got {list(values)!r}"
+        )
+    return region
+
+
+def _eps(values) -> tuple:
+    eps = tuple(_positive(v, "spectra.eps") for v in values)
+    if not eps:
+        raise ValueError("spectra.eps must list at least one level")
+    return eps
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +280,8 @@ def _js(o):
 
 def _predict(cfg: RunConfig, s1, s2):
     plan = ClusterPlan(seed=cfg.seed)
-    c1 = cluster_set(s1, "infinity", plan)
-    c2 = cluster_set(s2, "infinity", plan)
+    c1 = cluster_set(s1, plan)
+    c2 = cluster_set(s2, plan)
     return c1, c2, predicted_set(c1, c2, t_samples=cfg.t_samples, seed=cfg.seed)
 
 

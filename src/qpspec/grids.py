@@ -1,9 +1,8 @@
-"""Discretized Hardy spaces of the half-plane and disc.
+"""Discretized Hardy spaces of the upper half-plane and its square.
 
 Quadrature grids for the boundary line and the frequency half-line, the
-Cayley transform between half-plane and disc, the weighted isometry between
-the two Hardy spaces, reproducing kernels, and the frequency (Paley-Wiener)
-representation.
+Cayley transform behind the symbol language's ``cay``, reproducing kernels,
+and the frequency (Paley-Wiener) transform matrix.
 
 Conventions fixed here and used everywhere else:
 
@@ -20,9 +19,8 @@ Conventions fixed here and used everywhere else:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -40,24 +38,12 @@ class DomainError(ValueError):
     """Input outside the mathematical domain of an operation."""
 
 
-class ResolutionError(ValueError):
-    """Grid too coarse to resolve the requested function."""
-
-
 def cayley(z):
     """Map the upper half-plane onto the unit disc, z -> (z-i)/(z+i)."""
     z = np.asarray(z, dtype=complex)
     if np.any(np.abs(z + 1j) == 0.0):
         raise DomainError("cayley has a pole at z = -i")
     return (z - 1j) / (z + 1j)
-
-
-def cayley_inv(w):
-    """Inverse Cayley transform, w -> i(1+w)/(1-w)."""
-    w = np.asarray(w, dtype=complex)
-    if np.any(np.abs(w - 1.0) == 0.0):
-        raise DomainError("cayley_inv has a pole at w = 1")
-    return 1j * (1.0 + w) / (1.0 - w)
 
 
 @dataclass(frozen=True)
@@ -143,30 +129,7 @@ class FrequencyGrid:
         return cls(t, w, float(extent))
 
 
-@dataclass(frozen=True)
-class CircleGrid:
-    """Uniform grid on the unit circle, theta_j = 2 pi j / n."""
-
-    n: int
-
-    @property
-    def thetas(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.n) / self.n
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return np.exp(1j * self.thetas)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.full(self.n, 2.0 * np.pi / self.n)
-
-    @property
-    def size(self) -> int:
-        return self.n
-
-
-Grid = Union[BoundaryGrid, FrequencyGrid, CircleGrid]
+Grid = Union[BoundaryGrid, FrequencyGrid]
 GridLike = Union[Grid, tuple]
 
 
@@ -199,8 +162,8 @@ def tensor_nodes(grids: tuple) -> tuple[np.ndarray, np.ndarray]:
 class HardyVector:
     """Sampled element of a discretized Hardy space.
 
-    rep is one of 'boundary', 'frequency', 'disc-taylor'; for tensor grids the
-    values are stored flattened row-major (index = k1 * M2 + k2).
+    rep is 'boundary' or 'frequency'; for tensor grids the values are stored
+    flattened row-major (index = k1 * M2 + k2).
     """
 
     values: np.ndarray
@@ -209,14 +172,11 @@ class HardyVector:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
-        if self.rep not in ("boundary", "frequency", "disc-taylor", "disc-boundary"):
+        if self.rep not in ("boundary", "frequency"):
             raise GridError(f"unknown representation {self.rep!r}")
         if self.values.size != grid_size(self.grid):
             raise GridError("value length does not match grid size")
         _check_rep_grid(self.rep, self.grid)
-
-    def copy(self) -> "HardyVector":
-        return HardyVector(self.values.copy(), self.rep, self.grid)
 
 
 def _check_rep_grid(rep: str, grid: GridLike) -> None:
@@ -224,47 +184,20 @@ def _check_rep_grid(rep: str, grid: GridLike) -> None:
         for g in grid:
             _check_rep_grid(rep, g)
         return
-    ok = {
-        "boundary": BoundaryGrid,
-        "frequency": FrequencyGrid,
-        "disc-boundary": CircleGrid,
-        "disc-taylor": TaylorBasis,
-    }
-    if not isinstance(grid, ok[rep]):
+    ok = BoundaryGrid if rep == "boundary" else FrequencyGrid
+    if not isinstance(grid, ok):
         raise GridError(f"rep {rep!r} inconsistent with grid type {type(grid).__name__}")
-
-
-@dataclass(frozen=True)
-class TaylorBasis:
-    """Monomial basis z^0 .. z^(degree) for one disc factor."""
-
-    degree: int
-
-    @property
-    def size(self) -> int:
-        return self.degree + 1
-
-    @property
-    def weights(self) -> np.ndarray:
-        # the monomials are orthogonal on the circle, each of norm^2 2*pi
-        return np.full(self.size, 2.0 * np.pi)
 
 
 def inner_product(f: HardyVector, g: HardyVector) -> complex:
     """Pairing <f, g>, conjugate-linear in the second slot.
 
-    Every rep uses its grid weights: the quadrature for boundary and
-    frequency grids, the 2*pi-per-axis circle pairing for Taylor
-    coefficients (so <z^n, z^n> = 2*pi per factor).
+    Both reps use the quadrature weights of their grid.
     """
     if f.rep != g.rep or not _same_grid(f.grid, g.grid):
         raise GridError("inner_product requires matching rep and grid")
     w = grid_weights(f.grid)
     return complex(np.sum(w * f.values * np.conj(g.values)))
-
-
-def norm(f: HardyVector) -> float:
-    return float(np.sqrt(max(inner_product(f, f).real, 0.0)))
 
 
 def _same_grid(a: GridLike, b: GridLike) -> bool:
@@ -274,10 +207,6 @@ def _same_grid(a: GridLike, b: GridLike) -> bool:
         return len(a) == len(b) and all(_same_grid(x, y) for x, y in zip(a, b))
     if type(a) is not type(b):
         return False
-    if isinstance(a, CircleGrid):
-        return a.n == b.n
-    if isinstance(a, TaylorBasis):
-        return a.degree == b.degree
     return a.nodes.size == b.nodes.size and np.array_equal(a.nodes, b.nodes)
 
 
@@ -312,142 +241,8 @@ def kernel_value(w, z) -> complex:
     return complex(out)
 
 
-# The isometry onto the half-plane changes norms by a fixed factor of 1/2 per
-# axis (the circle pairing used here carries no 1/(2 pi)); c below is that
-# constant for the two-variable map.
-PHI_NORM_CONSTANT = 0.25
-
-
-def phi_isometry(f, grids: tuple, check_resolution: bool = True) -> HardyVector:
-    """Transport a bidisc Hardy function to half-plane boundary samples.
-
-    (Phi f)(z1, z2) = f(cayley(z1), cayley(z2)) / ((z1 + i)(z2 + i)).
-    ``f`` is a callable on the bidisc or a disc-taylor HardyVector; the result
-    satisfies ||Phi f|| = PHI_NORM_CONSTANT * ||f||.
-    """
-    if isinstance(f, HardyVector):
-        if f.rep != "disc-taylor":
-            raise GridError("phi_isometry wants a callable or a disc-taylor vector")
-        coeffs = f.values.reshape([g.size for g in f.grid]) if isinstance(
-            f.grid, tuple
-        ) else f.values
-        fn = _taylor_evaluator(coeffs)
-    else:
-        fn = f
-    g1, g2 = grids
-    z1 = g1.nodes + 1j * BOUNDARY_HEIGHT
-    z2 = g2.nodes + 1j * BOUNDARY_HEIGHT
-    w1 = cayley(z1)
-    w2 = cayley(z2)
-    vals = fn(w1[:, None], w2[None, :]) / ((z1[:, None] + 1j) * (z2[None, :] + 1j))
-    vals = np.asarray(vals, dtype=complex).reshape(g1.size * g2.size)
-    out = HardyVector(vals, "boundary", (g1, g2))
-    if check_resolution:
-        _resolution_check(vals.reshape(g1.size, g2.size))
-    return out
-
-
-def _taylor_evaluator(coeffs: np.ndarray) -> Callable:
-    coeffs = np.atleast_2d(np.asarray(coeffs, dtype=complex))
-
-    def fn(w1, w2):
-        out = np.zeros(np.broadcast(w1, w2).shape, dtype=complex)
-        for a in range(coeffs.shape[0]):
-            for b in range(coeffs.shape[1]):
-                if coeffs[a, b] != 0:
-                    out = out + coeffs[a, b] * w1**a * w2**b
-        return out
-
-    return fn
-
-
-def _resolution_check(vals2d: np.ndarray) -> None:
-    peak = np.max(np.abs(vals2d))
-    if peak == 0:
-        return
-    jump = max(
-        np.max(np.abs(np.diff(vals2d, axis=0))) if vals2d.shape[0] > 1 else 0.0,
-        np.max(np.abs(np.diff(vals2d, axis=1))) if vals2d.shape[1] > 1 else 0.0,
-    )
-    if jump > 0.5 * peak:
-        raise ResolutionError(
-            "boundary grid too coarse: adjacent samples jump by "
-            f"{jump / peak:.2f} of the peak value"
-        )
-
-
 def bochner_matrix(bgrid: BoundaryGrid, fgrid: FrequencyGrid) -> np.ndarray:
     """Forward frequency-transform matrix, shape (K, M)."""
     t = fgrid.nodes[:, None]
     x = bgrid.nodes[None, :]
     return np.exp(-1j * x * t) * (bgrid.weights[None, :] / SQRT2PI)
-
-
-def bochner_inverse_matrix(bgrid: BoundaryGrid, fgrid: FrequencyGrid) -> np.ndarray:
-    """Inverse transform matrix, shape (M, K)."""
-    t = fgrid.nodes[None, :]
-    x = bgrid.nodes[:, None]
-    return np.exp(1j * x * t) * (fgrid.weights[None, :] / SQRT2PI)
-
-
-def _axis_grids(grid: GridLike) -> tuple:
-    return grid if isinstance(grid, tuple) else (grid,)
-
-
-def bochner_transform(
-    f: HardyVector,
-    fgrid: GridLike,
-    leakage_tol: float = 1e-3,
-) -> HardyVector:
-    """Boundary -> frequency representation.
-
-    Warns (does not fail) when the input carries significant
-    negative-frequency mass, i.e. when it is not resolvably of Hardy class.
-    """
-    if f.rep != "boundary":
-        raise GridError("bochner_transform expects a boundary-rep vector")
-    bgrids = _axis_grids(f.grid)
-    fgrids = _axis_grids(fgrid)
-    if len(bgrids) != len(fgrids):
-        raise GridError("dimension mismatch between boundary and frequency grids")
-    vals = f.values.reshape([g.size for g in bgrids])
-    for axis, (bg, fg) in enumerate(zip(bgrids, fgrids)):
-        F = bochner_matrix(bg, fg)
-        vals = np.moveaxis(np.tensordot(F, vals, axes=([1], [axis])), 0, axis)
-    out = HardyVector(vals.reshape(-1), "frequency", fgrid)
-    _leakage_check(f, fgrids, out, leakage_tol)
-    return out
-
-
-def _leakage_check(f, fgrids, out, tol):
-    # probe a mirrored (negative) frequency grid for stray mass
-    neg_mass = 0.0
-    bgrids = _axis_grids(f.grid)
-    vals = f.values.reshape([g.size for g in bgrids])
-    for axis, (bg, fg) in enumerate(zip(bgrids, fgrids)):
-        neg = FrequencyGrid(fg.nodes[1:], fg.weights[1:], fg.extent)
-        Fneg = np.exp(1j * bg.nodes[None, :] * neg.nodes[:, None]) * (
-            bg.weights[None, :] / SQRT2PI
-        )
-        probe = np.moveaxis(np.tensordot(Fneg, vals, axes=([1], [axis])), 0, axis)
-        wn = grid_weights(neg)
-        sl = [None] * probe.ndim
-        sl[axis] = slice(None)
-        neg_mass = max(
-            neg_mass,
-            float(
-                np.sqrt(
-                    np.sum(
-                        wn.reshape([-1 if k == axis else 1 for k in range(probe.ndim)])
-                        * np.abs(probe) ** 2
-                    )
-                )
-            ),
-        )
-    pos_mass = float(np.sqrt(np.sum(grid_weights(out.grid) * np.abs(out.values) ** 2)))
-    if pos_mass > 0 and neg_mass > tol * pos_mass:
-        warnings.warn(
-            f"input has negative-frequency mass {neg_mass / pos_mass:.2e} relative "
-            "to its Hardy part; it may not be of Hardy class at this resolution",
-            stacklevel=3,
-        )

@@ -1,12 +1,12 @@
 """Matrix-backed operators on the discretized Hardy spaces.
 
-Toeplitz operators (disc and half-plane flavours), diagonal Fourier
-multipliers, dilations, Kronecker products, and the weight-adjusted operator
-norm.  Half-plane Toeplitz operators live in the frequency representation,
-where they are Wiener-Hopf matrices ``hhat(t_j - t_k) * weight_k + c *
-delta_jk`` for the symbol split ``phi = c + h`` with ``c`` the value at
-infinity; two-variable symbols are handled through their separable
-sum-of-products decomposition as Kronecker sums.
+Half-plane Toeplitz operators, diagonal Fourier multipliers, dilations,
+Kronecker products, and the weight-adjusted operator norm.  Toeplitz
+operators live in the frequency representation, where they are Wiener-Hopf
+matrices ``hhat(t_j - t_k) * weight_k + c * delta_jk`` for the symbol split
+``phi = c + h`` with ``c`` the value at infinity; two-variable symbols are
+handled through their separable sum-of-products decomposition as Kronecker
+sums.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .grids import (
     FrequencyGrid,
     GridError,
     GridLike,
-    TaylorBasis,
     grid_size,
     grid_weights,
 )
@@ -80,8 +79,8 @@ class OperatorMatrix:
     @property
     def entries(self) -> np.ndarray:
         """The full matrix.  A factored operator forms kron(F1, F2) anew on
-        every read: a conversion for tests and for whole-matrix operations
-        (norm, eigenvalues, a product with a dense operator)."""
+        every read: a conversion for tests and for a product with a dense
+        operator.  Norm and eigenvalues read ``weighted_factors`` instead."""
         if self.factors is None:
             return self._matrix
         return np.asarray(np.kron(*self.factors), dtype=complex)
@@ -198,23 +197,6 @@ def embed_one_variable(A: OperatorMatrix, axis: int, other_grid: GridLike) -> Op
 
 # ---------------------------------------------------------------------------
 # Toeplitz operators
-
-
-def toeplitz_disc(samples: np.ndarray, size: int) -> OperatorMatrix:
-    """Finite section of a disc Toeplitz operator from circle samples.
-
-    entries[j][k] = phihat(j - k), Fourier coefficients by FFT of the
-    samples; the circle grid must oversample (>= 4 * size nodes).
-    """
-    samples = np.asarray(samples, dtype=complex)
-    L = samples.size
-    if L < 4 * size:
-        raise GridError(f"need >= {4 * size} circle samples for size {size}, got {L}")
-    coeffs = np.fft.fft(samples) / L  # coeffs[m] = phihat(m), m mod L
-    idx = np.subtract.outer(np.arange(size), np.arange(size)) % L
-    entries = coeffs[idx]
-    basis = TaylorBasis(size - 1)
-    return OperatorMatrix(entries, basis, basis, "disc-taylor")
 
 
 def symbol_limit_at_infinity(fn: Callable, tol: float = 1e-6) -> complex:

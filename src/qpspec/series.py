@@ -1,4 +1,5 @@
-"""Quasi-parabolic composition operators.
+"""Quasi-parabolic composition operators on the Hardy space of the upper
+half-plane squared, the model on which the bidisc result is computed.
 
 Two independent constructions of C_phi for maps phi(z1,z2) = (p1 z1 + psi1(z),
 p2 z2 + psi2(z)) with bounded analytic psi_j of strictly positive imaginary
@@ -41,7 +42,7 @@ from .operators import (
     separable_terms,
     toeplitz_halfplane,
 )
-from .symbols import AnalyticSymbol, PointCloud, SepExpr, SepTerm, closure_image
+from .symbols import AnalyticSymbol, PointCloud, SepExpr, closure_image
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -160,13 +161,12 @@ class SeriesPlan:
     n1: int
     n2: int
     norm_estimates: dict = field(default_factory=dict)
-    remainder: float = field(default=float("nan"))
+    remainder: float = field(init=False)
 
     def __post_init__(self):
         if not (0.0 < self.delta < 1.0):
             raise SeriesError(f"delta = {self.delta} is not in (0, 1)")
-        if math.isnan(self.remainder):
-            self.remainder = remainder_bound(self)
+        self.remainder = remainder_bound(self)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -180,14 +180,6 @@ class SeriesPlan:
             },
             indent=2,
             sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SeriesPlan":
-        d = json.loads(text)
-        return cls(
-            d["alpha"], d["delta"], d["n1"], d["n2"],
-            d.get("norm_estimates", {}), d.get("remainder_bound", float("nan")),
         )
 
 
@@ -269,29 +261,19 @@ def plan_for_map(
 # multiplier symbols
 
 
-def vartheta_symbol(n: int, axis: int, alpha: float) -> Callable:
-    """Multiplier (t1, t2) -> (-i t_axis)^n exp(-alpha t_axis) / n!."""
+def vartheta_symbol(n: int, alpha: float) -> Callable:
+    """Multiplier t -> (-i t)^n exp(-alpha t) / n!."""
     if n < 0:
         raise DomainError("order must be nonnegative")
     if alpha <= 0:
         raise DomainError("alpha must be positive")
-    if axis not in (1, 2):
-        raise DomainError("axis must be 1 or 2")
     fac = math.factorial(n)
 
-    def fn(t1, t2=None):
-        t = t1 if axis == 1 or t2 is None else t2
+    def fn(t):
         t = np.asarray(t, dtype=float)
         return (-1j * t) ** n * np.exp(-alpha * t) / fac
 
     return fn
-
-
-def vartheta_sup(n: int, alpha: float) -> float:
-    """sup over t >= 0 of |vartheta_n|, i.e. (n / (e alpha))^n / n!."""
-    if n == 0:
-        return 1.0
-    return (n / (math.e * alpha)) ** n / math.factorial(n)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +346,7 @@ def _power_sum(
     Q = start
     norms = []
     for n in range(n_max + 1):
-        incr = Q * vartheta_symbol(n, 1, alpha)(t)[None, :]
+        incr = Q * vartheta_symbol(n, alpha)(t)[None, :]
         S += incr
         norms.append(float(np.linalg.norm(incr)))
         del incr
@@ -465,18 +447,6 @@ def direct_composition_apply(
     return out
 
 
-def direct_composition(qmap_or_fns, bgrids: tuple) -> OperatorMatrix:
-    """Dense boundary-representation matrix of the Cauchy-integral
-    composition operator; meant for desk-scale grids."""
-    g1, g2 = bgrids
-    v1, v2 = _boundary_phi_values(qmap_or_fns, bgrids)
-    A, B = _cauchy_kernel(g1, v1), _cauchy_kernel(g2, v2)
-    entries = (A[:, :, None] * B[:, None, :]).reshape(
-        g1.size * g2.size, g1.size * g2.size
-    )
-    return OperatorMatrix(entries, bgrids, bgrids, "boundary")
-
-
 def hardy_test_family(bgrids: tuple, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """The decaying rational Hardy test vectors on the tensor boundary grid.
 
@@ -544,80 +514,3 @@ def series_direct_residual(
     err = np.sqrt(np.sum(wf * np.abs(resid) ** 2, axis=0)) / np.sqrt(
         np.sum(wf * np.abs(fu) ** 2, axis=0))
     return float(np.max(err))
-
-
-# ---------------------------------------------------------------------------
-# disc-side operator
-
-
-@dataclass
-class DiscQuasiParabolicMap:
-    """Bidisc self-map whose half-plane conjugate is z -> z + psi o cay."""
-
-    psi1: AnalyticSymbol
-    psi2: AnalyticSymbol
-
-    def components(self):
-        def phi1(w1, w2):
-            p = self.psi1(w1, w2)
-            return (2j * w1 + p * (1.0 - w1)) / (2j + p * (1.0 - w1))
-
-        def phi2(w1, w2):
-            p = self.psi2(w1, w2)
-            return (2j * w2 + p * (1.0 - w2)) / (2j + p * (1.0 - w2))
-
-        return phi1, phi2
-
-
-def multiplier_expr(disc_map: DiscQuasiParabolicMap) -> SepExpr:
-    """Separable expression of the intertwining Toeplitz multiplier
-    (1 + u1)(1 + u2) with u_j = psi_j o cay2 / (z_j + i)."""
-    inv1 = SepExpr([SepTerm(f1=lambda z: 1.0 / (z + 1j))])
-    inv2 = SepExpr([SepTerm(f2=lambda z: 1.0 / (z + 1j))])
-    u1 = disc_map.psi1.expr.composed_cayley() * inv1
-    u2 = disc_map.psi2.expr.composed_cayley() * inv2
-    one = SepExpr.constant(1.0)
-    return (one + u1) * (one + u2)
-
-
-def halfplane_conjugate(disc_map: DiscQuasiParabolicMap) -> QuasiParabolicMap:
-    """The half-plane map z -> z + psi_j o cay2(z) conjugate to the disc map."""
-
-    def lift(sym: AnalyticSymbol) -> AnalyticSymbol:
-        return AnalyticSymbol(
-            sym.expr.composed_cayley(),
-            sym.im_lower_bound,
-            sym.sup_bound,
-            sym.continuity_class,
-            f"({sym.source}) o cay2",
-        )
-
-    return QuasiParabolicMap(1.0, 1.0, lift(disc_map.psi1), lift(disc_map.psi2))
-
-
-def disc_side_operator(
-    disc_map: DiscQuasiParabolicMap, plan: SeriesPlan, fgrids: tuple
-) -> OperatorMatrix:
-    """Half-plane-side realization T_m C_phitilde of a bidisc composition
-    operator, in the frequency representation.
-
-    T_m is kept as its Kronecker terms c A (x) B (``separable_terms``).  A
-    per-axis C = S1 (x) S2 gives the sum of c (A S1) (x) (B S2); a dense C
-    takes the terms through ``kron_apply``.  Neither forms T_m.
-    """
-    C = build_series(halfplane_conjugate(disc_map), plan, fgrids)
-    terms = separable_terms(multiplier_expr(disc_map), fgrids)
-    if C.factors is None:
-        entries = kron_apply(terms, C.entries, tuple(g.size for g in fgrids))
-    else:
-        S1, S2 = C.factors
-        entries = np.zeros(C.shape, dtype=complex)
-        # kron(X, Y) added one block row at a time: row i of X gives the
-        # rows i*n2 .. (i+1)*n2 - 1, entry X[i, j] * Y[k, l] at (k, j, l)
-        blocks = entries.reshape(S1.shape[0], S2.shape[0], S1.shape[1], S2.shape[1])
-        for c, A, B in terms:
-            X = c * (S1 if A is None else A @ S1)
-            Y = S2 if B is None else B @ S2
-            for i, row in enumerate(X):
-                blocks[i] += Y[:, None, :] * row[None, :, None]
-    return OperatorMatrix(entries, C.domain_grid, fgrids, C.rep, meta=dict(C.meta))

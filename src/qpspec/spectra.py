@@ -85,10 +85,6 @@ class PseudospectrumMap:
     def grid(self) -> np.ndarray:
         return _grid_points(self.region, self.resolution)
 
-    @property
-    def step(self) -> float:
-        return _grid_step(self.region, self.resolution)
-
     def level_set(self, eps: float) -> SpectralSet:
         pts = self.grid()[self.values <= eps]
         return SpectralSet(

@@ -8,8 +8,8 @@ produces, wherever possible, a sum-of-products decomposition
 ``sum_j f_j(z1) g_j(z2)`` which the Toeplitz machinery later relies on.
 
 Also provides the boundary estimators feeding the spectral predictor:
-cluster sets along sequences to a boundary point, the local essential range
-at infinity, and sampled closures of the symbol's image.
+cluster sets at infinity, the local essential range at infinity, and
+sampled closures of the symbol's image.
 """
 
 from __future__ import annotations
@@ -145,16 +145,6 @@ class SepExpr:
             f2 = None if t.f2 is None else (lambda z, f=t.f2: f(z / p2))
             out.append(SepTerm(t.coeff, f1, f2))
         return SepExpr(out)
-
-    def composed_cayley(self) -> "SepExpr":
-        """Expression (z1, z2) -> self(cayley(z1), cayley(z2))."""
-        out = []
-        for t in self.terms:
-            f1 = None if t.f1 is None else (lambda z, f=t.f1: f(cayley(z)))
-            f2 = None if t.f2 is None else (lambda z, f=t.f2: f(cayley(z)))
-            out.append(SepTerm(t.coeff, f1, f2))
-        return SepExpr(out)
-
 
 # ---------------------------------------------------------------------------
 # expression parser
@@ -422,52 +412,27 @@ class ClusterPlan:
         if len(self.shells) < 3:
             raise SymbolError("cluster plan needs at least 3 shells")
         r = np.asarray(self.shells, dtype=float)
-        ratios = r[1:] / r[:-1]
-        if not (np.all(ratios > 1.0) or np.all(ratios < 1.0)):
-            raise SymbolError("shells must grow or shrink monotonically")
+        if not np.all(r[1:] > r[:-1]):
+            raise SymbolError("shells must grow monotonically")
 
 
-def finite_target_plan(seed: int = 0) -> ClusterPlan:
-    return ClusterPlan(tuple(2.0**-k for k in range(3, 14)), 512, seed)
-
-
-def cluster_set(
-    sym: AnalyticSymbol,
-    target: str = "infinity",
-    plan: Optional[ClusterPlan] = None,
-) -> PointCloud:
-    """Approximate the cluster set of psi at (inf, inf) on H^2 or (1,1) on D^2.
-
-    target 'infinity': shells of growing modulus in the half-plane;
-    target 'one': shells of shrinking distance to (1, 1) inside the bidisc
-    (the symbol is then read as a function on the bidisc via composition
-    with the inverse Cayley map of its half-plane incarnation -- callers on
-    the disc side pass the half-plane symbol psi o cayley_inv themselves).
-    """
+def cluster_set(sym: AnalyticSymbol, plan: Optional[ClusterPlan] = None) -> PointCloud:
+    """Approximate the cluster set of psi at (inf, inf) on H^2 from shells
+    of growing modulus in the half-plane."""
     if plan is None:
-        plan = ClusterPlan() if target == "infinity" else finite_target_plan()
+        plan = ClusterPlan()
     m = plan.samples_per_shell
     draw = halton(len(plan.shells) * m, plan.seed)
     per_shell = []
     all_pts = []
     for k, shell in enumerate(plan.shells):
         u = draw[k * m : (k + 1) * m]
-        if target == "infinity":
-            r1 = shell * (1.0 + u[:, 0])
-            r2 = shell * (1.0 + u[:, 2])
-            a1 = np.pi * (0.02 + 0.96 * u[:, 1])
-            a2 = np.pi * (0.02 + 0.96 * u[:, 3])
-            z1 = r1 * np.exp(1j * a1)
-            z2 = r2 * np.exp(1j * a2)
-        elif target == "one":
-            rho1 = shell * (1.0 + u[:, 0])
-            rho2 = shell * (1.0 + u[:, 2])
-            b1 = (np.pi / 3.0) * (2.0 * u[:, 1] - 1.0)
-            b2 = (np.pi / 3.0) * (2.0 * u[:, 3] - 1.0)
-            z1 = 1.0 - rho1 * np.exp(1j * b1)
-            z2 = 1.0 - rho2 * np.exp(1j * b2)
-        else:
-            raise SymbolError(f"unknown cluster target {target!r}")
+        r1 = shell * (1.0 + u[:, 0])
+        r2 = shell * (1.0 + u[:, 2])
+        a1 = np.pi * (0.02 + 0.96 * u[:, 1])
+        a2 = np.pi * (0.02 + 0.96 * u[:, 3])
+        z1 = r1 * np.exp(1j * a1)
+        z2 = r2 * np.exp(1j * a2)
         vals = sym(z1, z2)
         per_shell.append(
             {
@@ -478,11 +443,11 @@ def cluster_set(
         )
         all_pts.append(vals)
     # inner shells are convergence diagnostics only: cluster points are
-    # limits along the target approach, so keep the outermost shells
+    # limits along the approach to infinity, so keep the outermost shells
     pts = np.concatenate(all_pts[-3:])
     return PointCloud(
         pts,
-        label=f"cluster-set[{target}] of {sym.source or 'symbol'}",
+        label=f"cluster-set[infinity] of {sym.source or 'symbol'}",
         diagnostics={"shells": per_shell},
     )
 

@@ -172,8 +172,8 @@ def test_criterion_5_spiral_containment_bidisc():
         return build_series(qmap, plan, (FrequencyGrid.uniform(10.0, n),) * 2)
 
     surro = essential_spectrum_surrogate(builder, [32, 48, 64], 1e-2, region, (129, 129))
-    c1 = cluster_set(qmap.psi1, "infinity", ClusterPlan(seed=0))
-    c2 = cluster_set(qmap.psi2, "infinity", ClusterPlan(seed=0))
+    c1 = cluster_set(qmap.psi1, ClusterPlan(seed=0))
+    c2 = cluster_set(qmap.psi2, ClusterPlan(seed=0))
     pred = predicted_set(c1, c2)
     verdict = containment_verdict(pred, surro)
     shifted = SpectralSet(
@@ -312,7 +312,7 @@ def test_criterion_9_cluster_vs_essential_range():
     for sym in catalog:
         field = eval_boundary(sym, (g, g))
         r = essential_range_at_infinity(field, (g, g), [200.0, 500.0, 1000.0], radius)
-        c = cluster_set(sym, "infinity")
+        c = cluster_set(sym)
         a, b = c.points, r.points
         h = max(
             float(np.max(np.min(np.abs(a[:, None] - b[None, :]), axis=1))),

@@ -69,6 +69,15 @@ def test_bad_sizes_flag_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--sizes", "0"), ("--eps", "-1")])
+def test_bad_override_value_exits_2(tmp_path, capsys, flag, value):
+    # size 0 used to fall back to frequency_nodes, eps -1 to a FAIL verdict
+    cfg = _config(tmp_path)
+    rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o"), flag, value])
+    assert rc == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_config_validation_rejects_nonpositive():
     with pytest.raises(ConfigError):
         RunConfig.from_dict({
@@ -78,6 +87,29 @@ def test_config_validation_rejects_nonpositive():
                                  "sup_bound": 1.1}},
             "grids": {"frequency_nodes": -4},
         })
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("plan", "alpha", "abc"),
+    ("plan", "alpha", -1),
+    ("plan", "n1", 2.5),
+    ("plan", "n2", -3),
+    ("plan", "remainder_tol", "x"),
+    ("spectra", "region", [-1.1, 1.1, -1.1]),
+    ("spectra", "region", [1.1, -1.1, -1.1, 1.1]),
+    ("spectra", "eps", []),
+    ("spectra", "eps", [-1]),
+    ("spectra", "sizes", "abc"),
+    ("spectra", "sizes", [12, 16.5]),
+])
+def test_malformed_config_value_exits_2(tmp_path, capsys, section, key, value):
+    cfg = _config(tmp_path)
+    raw = json.loads(cfg.read_text())
+    raw.setdefault(section, {})[key] = value
+    cfg.write_text(json.dumps(raw))
+    rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "config error:" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +149,8 @@ def test_spiral_csv_is_the_predicted_set(tmp_path):
     spiral = _csv_points(out / "spiral.csv")
     s1, s2 = RunConfig.load(path).symbols()
     plan = ClusterPlan(seed=0)
-    pred = predicted_set(cluster_set(s1, "infinity", plan),
-                         cluster_set(s2, "infinity", plan), t_samples=8, seed=0)
+    pred = predicted_set(cluster_set(s1, plan),
+                         cluster_set(s2, plan), t_samples=8, seed=0)
     pts = pred.points.points
 
     def dist(a, b):

@@ -1,5 +1,6 @@
 """Every name a package module imports is used in that module, every name
-a package module defines is used somewhere in the repository, and scipy
+a package module defines is read by the package, the benchmark or the
+acceptance tests (a name only unit tests read is dead code), and scipy
 loads only where it is needed: ``import qpspec.cli``, ``build`` and
 ``predict`` load no scipy module, the Lanczos sigma_min kernel loads
 ``scipy.linalg`` and a dilation with p != 1 loads ``scipy.interpolate``."""
@@ -15,7 +16,9 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qpspec"
 ROOT = SRC.parent.parent
-SEARCHED = ("src", "tests", "bench")
+# the directories and the test file whose reads keep a definition alive
+READERS = ("src", "bench")
+ACCEPTANCE = Path("tests", "test_acceptance.py")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -67,6 +70,19 @@ def unreferenced(source: str, others: list[str]) -> list[str]:
     return sorted(definitions(source) - refs)
 
 
+def dead_definitions(root: Path) -> dict[str, list[str]]:
+    """Per module of src/qpspec under ``root``, the names it defines that no
+    file under READERS and not the acceptance tests read."""
+    paths = [p for d in READERS for p in sorted((root / d).rglob("*.py"))]
+    sources = {p: p.read_text() for p in paths + [root / ACCEPTANCE]}
+    dead = {
+        p.name: unreferenced(text, [s for q, s in sources.items() if q != p])
+        for p, text in sources.items()
+        if p.parent == root / "src" / "qpspec"
+    }
+    return {name: names for name, names in dead.items() if names}
+
+
 def test_detector_flags_unused_names():
     src = "import os, sys\nimport scipy.linalg\nfrom math import pi, tau as t\nprint(sys, scipy, t)\n"
     assert unused_imports(src) == ["os", "pi"]
@@ -83,19 +99,26 @@ def test_detector_flags_unreferenced_definitions():
     assert unreferenced(src, [other]) == ["SPARE", "dead", "unused"]
 
 
+def test_detector_counts_only_package_bench_and_acceptance_readers(tmp_path):
+    files = {
+        "src/qpspec/mod.py": "def live(): pass\ndef accepted(): pass\ndef unit_only(): pass\n",
+        "bench/run.py": "from qpspec.mod import live\n",
+        "tests/test_acceptance.py": "from qpspec.mod import accepted\n",
+        "tests/test_mod.py": "from qpspec.mod import unit_only\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert dead_definitions(tmp_path) == {"mod.py": ["unit_only"]}
+
+
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_module_has_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
 
 
 def test_every_definition_is_referenced():
-    sources = {p: p.read_text() for d in SEARCHED for p in sorted((ROOT / d).rglob("*.py"))}
-    dead = {
-        p.name: unreferenced(text, [s for q, s in sources.items() if q != p])
-        for p, text in sources.items()
-        if p.parent == SRC
-    }
-    assert {name: names for name, names in dead.items() if names} == {}
+    assert dead_definitions(ROOT) == {}
 
 
 # run in a fresh interpreter, since this test process has loaded everything;

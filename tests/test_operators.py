@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
-from qpspec.grids import BoundaryGrid, FrequencyGrid, GridError, HardyVector, inner_product
+from qpspec.grids import BoundaryGrid, FrequencyGrid, GridError
 from qpspec.operators import (
     OperatorMatrix,
     dilation,
@@ -16,7 +16,6 @@ from qpspec.operators import (
     kron_apply,
     op_norm,
     separable_terms,
-    toeplitz_disc,
     toeplitz_halfplane,
     toeplitz_separable,
 )
@@ -33,40 +32,6 @@ def _random_op(rng, grid):
         grid,
         "frequency",
     )
-
-
-# ---------------------------------------------------------------------------
-# disc Toeplitz
-
-
-def test_toeplitz_disc_constant():
-    from qpspec.grids import CircleGrid
-
-    circle = CircleGrid(256)
-    samples = np.full(256, 2.0 + 0j)
-    T = toeplitz_disc(samples, 8)
-    assert np.allclose(T.entries, 2.0 * np.eye(8))
-
-
-def test_toeplitz_disc_shift_symbol():
-    # symbol e^{i theta} acts as the forward shift on Taylor coefficients
-    from qpspec.grids import CircleGrid
-
-    circle = CircleGrid(256)
-    samples = np.exp(1j * circle.thetas)
-    T = toeplitz_disc(samples, 6)
-    expect = np.diag(np.ones(5), -1)
-    assert np.max(np.abs(T.entries - expect)) < 1e-12
-
-
-def test_toeplitz_disc_basis_holds_disc_taylor_vectors():
-    # the finite section's domain is the monomial basis of disc-taylor
-    # vectors, with the 2*pi circle pairing of each monomial
-    from qpspec.grids import CircleGrid
-
-    T = toeplitz_disc(np.exp(1j * CircleGrid(64).thetas), 6)
-    f = HardyVector(np.eye(6)[2], "disc-taylor", T.domain_grid)
-    assert inner_product(f, f) == pytest.approx(2.0 * np.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +57,7 @@ def test_toeplitz_halfplane_cauchy_symbol():
 def test_toeplitz_halfplane_multiplication_action():
     # against a dense quadrature oracle: T_phi f = P(phi f) on a smooth
     # frequency profile; check via boundary-side multiplication
-    from qpspec.grids import bochner_inverse_matrix, bochner_matrix
+    from qpspec.grids import bochner_matrix
 
     bg = BoundaryGrid.uniform(100.0, 4096)
     fg = FrequencyGrid.uniform(12.0, 256)

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -17,10 +18,9 @@ from qpspec.grids import (
     grid_weights,
     tensor_nodes,
 )
-from qpspec.operators import dilation, toeplitz_halfplane, toeplitz_separable
+from qpspec.operators import OperatorMatrix, dilation, toeplitz_halfplane
 from qpspec.series import (
     HARDY_TEST_COUNT,
-    DiscQuasiParabolicMap,
     QuasiParabolicMap,
     SeriesError,
     SeriesPlan,
@@ -28,21 +28,17 @@ from qpspec.series import (
     choose_alpha,
     default_norm_estimates,
     delta_of_alpha,
-    direct_composition,
     direct_composition_apply,
-    disc_side_operator,
     exact_constant_multiplier,
-    halfplane_conjugate,
-    multiplier_expr,
     plan_for_map,
     remainder_bound,
     series_direct_residual,
     truncation_order,
-    vartheta_sup,
     vartheta_symbol,
     _boundary_phi_values,
+    _cauchy_kernel,
 )
-from qpspec.symbols import AnalyticSymbol, SepExpr, make_symbol, parse_symbol_expression
+from qpspec.symbols import SepExpr, make_symbol
 
 CONST_I = make_symbol("i", 0.9, 1.1, "constant")
 CONST_2I = make_symbol("2*i", 1.9, 2.1, "constant")
@@ -144,12 +140,12 @@ def test_truncation_order_cap():
 
 def test_plan_json_roundtrip():
     plan = plan_for_map(_const_map(), tol=1e-6)
-    again = SeriesPlan.from_json(plan.to_json())
-    assert again.alpha == plan.alpha
-    assert again.delta == plan.delta
-    assert (again.n1, again.n2) == (plan.n1, plan.n2)
-    assert again.norm_estimates == plan.norm_estimates
-    assert json.loads(plan.to_json())["remainder_bound"] == plan.remainder
+    again = json.loads(plan.to_json())
+    assert again["alpha"] == plan.alpha
+    assert again["delta"] == plan.delta
+    assert (again["n1"], again["n2"]) == (plan.n1, plan.n2)
+    assert again["norm_estimates"] == plan.norm_estimates
+    assert again["remainder_bound"] == plan.remainder
 
 
 def test_plan_for_map_certificate_is_usable():
@@ -164,33 +160,26 @@ def test_plan_for_map_certificate_is_usable():
 
 def test_vartheta_low_orders():
     t = np.linspace(0.0, 5.0, 41)
-    f0 = vartheta_symbol(0, 1, 2.0)
-    f1 = vartheta_symbol(1, 1, 2.0)
+    f0 = vartheta_symbol(0, 2.0)
+    f1 = vartheta_symbol(1, 2.0)
     assert np.allclose(f0(t), np.exp(-2.0 * t))
     assert np.allclose(f1(t), -1j * t * np.exp(-2.0 * t))
 
 
-def test_vartheta_axis_two_reads_second_argument():
-    f = vartheta_symbol(2, 2, 1.0)
-    t1 = np.zeros(5)
-    t2 = np.linspace(0.0, 2.0, 5)
-    assert np.allclose(f(t1, t2), (-1j * t2) ** 2 * np.exp(-t2) / 2.0)
-
-
 def test_vartheta_sup_matches_numeric_max():
+    # |vartheta_n| peaks at t = n / alpha with value (n / (e alpha))^n / n!
     t = np.linspace(0.0, 60.0, 400001)
     for n in (0, 1, 3, 7):
-        vals = np.abs(vartheta_symbol(n, 1, 1.5)(t))
-        assert abs(vartheta_sup(n, 1.5) - vals.max()) < 1e-6
+        vals = np.abs(vartheta_symbol(n, 1.5)(t))
+        sup = (n / (np.e * 1.5)) ** n / math.factorial(n)
+        assert abs(sup - vals.max()) < 1e-6
 
 
 def test_vartheta_rejects_bad_arguments():
     with pytest.raises(DomainError):
-        vartheta_symbol(-1, 1, 1.0)
+        vartheta_symbol(-1, 1.0)
     with pytest.raises(DomainError):
-        vartheta_symbol(0, 1, 0.0)
-    with pytest.raises(DomainError):
-        vartheta_symbol(0, 3, 1.0)
+        vartheta_symbol(0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +263,6 @@ def test_dense_series_and_products_carry_no_factors():
     qmap = QuasiParabolicMap(1.0, 1.0, psi, CONST_2I)
     fg = (FrequencyGrid.uniform(8.0, 8),) * 2
     assert build_series(qmap, plan_for_map(qmap), fg).factors is None
-    dmap = DiscQuasiParabolicMap(CONST_I, CONST_2I)
-    plan = plan_for_map(halfplane_conjugate(dmap), tol=1e-10)
-    assert disc_side_operator(dmap, plan, fg).factors is None
 
 
 def test_series_refuses_uncontracted_plan():
@@ -340,7 +326,7 @@ def _dense_series_reference(qmap, plan, fgrids):
         P = np.eye(T.shape[0], dtype=complex)
         norms = []
         for n in range(n_max + 1):
-            theta = vartheta_symbol(n, 1, plan.alpha)(t)[None, :]
+            theta = vartheta_symbol(n, plan.alpha)(t)[None, :]
             incr = P * theta if right is None else P @ (right * theta)
             S += incr
             norms.append(float(np.linalg.norm(incr)))
@@ -397,6 +383,18 @@ def test_two_variable_series_keeps_toeplitz_as_kronecker_terms(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # direct Cauchy construction
+
+
+def direct_composition(qmap_or_fns, bgrids: tuple) -> OperatorMatrix:
+    """Dense boundary-representation matrix of the Cauchy-integral
+    composition operator; meant for desk-scale grids."""
+    g1, g2 = bgrids
+    v1, v2 = _boundary_phi_values(qmap_or_fns, bgrids)
+    A, B = _cauchy_kernel(g1, v1), _cauchy_kernel(g2, v2)
+    entries = (A[:, :, None] * B[:, None, :]).reshape(
+        g1.size * g2.size, g1.size * g2.size
+    )
+    return OperatorMatrix(entries, bgrids, bgrids, "boundary")
 
 
 def test_direct_apply_translates_hardy_functions():
@@ -563,7 +561,7 @@ def test_series_and_direct_constructions_agree():
 
 
 # ---------------------------------------------------------------------------
-# disc-side operator
+# disc intertwining
 
 
 def _axis_profiles(fgrid, n_max=60):
@@ -574,30 +572,6 @@ def _axis_profiles(fgrid, n_max=60):
         [-1j * np.sqrt(2.0 * np.pi) * eval_laguerre(k, 2.0 * t) * np.exp(-t)
          for k in range(n_max)]
     )
-
-
-def test_disc_multiplier_tends_to_one_at_infinity():
-    dmap = DiscQuasiParabolicMap(CONST_I, CONST_2I)
-    m = multiplier_expr(dmap)
-    far = np.array([1e6 + 0.0j])
-    assert abs(m(far, far)[0] - 1.0) < 1e-5
-
-
-def test_disc_multiplier_constant_closed_form():
-    # psi = (i, 2i): m = (x1+2i)/(x1+i) * (x2+3i)/(x2+i)
-    dmap = DiscQuasiParabolicMap(CONST_I, CONST_2I)
-    m = multiplier_expr(dmap)
-    x = np.linspace(-5.0, 5.0, 21) + 0.0j
-    truth = (x + 2.0j) / (x + 1.0j) * (x + 3.0j) / (x + 1.0j)
-    assert np.max(np.abs(m(x, x) - truth)) < 1e-12
-
-
-def test_halfplane_conjugate_lifts_symbols():
-    dmap = DiscQuasiParabolicMap(CONST_I, CONST_2I)
-    qmap = halfplane_conjugate(dmap)
-    x = np.linspace(-3.0, 3.0, 7) + 0.5j
-    assert np.allclose(qmap.psi1(x, x), 1.0j)
-    assert np.allclose(qmap.psi2(x, x), 2.0j)
 
 
 def test_disc_intertwining_one_variable_monomials():
@@ -618,91 +592,3 @@ def test_disc_intertwining_one_variable_monomials():
         err = np.sqrt(np.sum(w * np.abs(lhs - rhs) ** 2))
         scale = np.sqrt(np.sum(w * np.abs(profiles[a]) ** 2))
         assert err / scale < 1e-3
-
-
-def test_disc_side_operator_tensor_consistency():
-    # constant symbols: the assembled operator must equal the tensor product
-    # of its one-variable factors
-    dmap = DiscQuasiParabolicMap(CONST_I, CONST_2I)
-    qmap = halfplane_conjugate(dmap)
-    plan = plan_for_map(qmap, tol=1e-10)
-    fg1 = FrequencyGrid.uniform(10.0, 24)
-    fg2 = FrequencyGrid.uniform(10.0, 20)
-    op = disc_side_operator(dmap, plan, (fg1, fg2))
-    T1 = toeplitz_halfplane(lambda z: (np.asarray(z) + 2.0j) / (np.asarray(z) + 1.0j), fg1)
-    T2 = toeplitz_halfplane(lambda z: (np.asarray(z) + 3.0j) / (np.asarray(z) + 1.0j), fg2)
-    A1 = T1.entries @ np.diag(np.exp(-fg1.nodes))
-    A2 = T2.entries @ np.diag(np.exp(-2.0 * fg2.nodes))
-    assert np.max(np.abs(op.entries - np.kron(A1, A2))) < 1e-10
-
-
-def test_disc_side_operator_two_variable_monomials():
-    # assembled two-variable check at desk resolution; the tolerance is the
-    # Toeplitz quadrature floor at 64 nodes per axis (the identity itself is
-    # verified to 1e-3 in the one-variable test above at 512 nodes)
-    dmap = DiscQuasiParabolicMap(CONST_I, CONST_2I)
-    qmap = halfplane_conjugate(dmap)
-    plan = plan_for_map(qmap, tol=1e-10)
-    fg = FrequencyGrid.uniform(10.0, 64)
-    op = disc_side_operator(dmap, plan, (fg, fg))
-    profiles = _axis_profiles(fg)
-    L = 512
-    circ = np.exp(2j * np.pi * np.arange(L) / L)
-    phi1, phi2 = dmap.components()
-    p1 = phi1(circ, circ)
-    p2 = phi2(circ, circ)
-    w2 = np.kron(fg.weights, fg.weights)
-    for a, b in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1)):
-        fu = np.kron(profiles[a], profiles[b])
-        lhs = op.entries @ fu
-        rhs = np.kron(
-            (np.fft.fft(p1**a) / L)[:60] @ profiles,
-            (np.fft.fft(p2**b) / L)[:60] @ profiles,
-        )
-        err = np.sqrt(np.sum(w2 * np.abs(lhs - rhs) ** 2))
-        scale = np.sqrt(np.sum(w2 * np.abs(fu) ** 2))
-        assert err / scale < 5e-2
-
-
-def _disc_symbol(text, im_lower_bound, sup_bound):
-    # a disc symbol is a function of w in the bidisc, so make_symbol's
-    # half-plane spot checks do not apply; the bounds hold for |w_j| < 1
-    return AnalyticSymbol(parse_symbol_expression(text), im_lower_bound, sup_bound,
-                          "continuous-on-closure", text)
-
-
-DISC_MAPS = {
-    "constant": DiscQuasiParabolicMap(CONST_I, CONST_2I),
-    "per-axis": DiscQuasiParabolicMap(_disc_symbol("i + 0.25*z1", 0.75, 1.25), CONST_2I),
-    "two-variable": DiscQuasiParabolicMap(_disc_symbol("i + 0.1*z1*z2", 0.9, 1.1), CONST_2I),
-}
-
-
-@pytest.mark.parametrize("name", DISC_MAPS)
-def test_disc_side_operator_matches_dense_product(name):
-    # reference: the dense T_m times the dense entries of C
-    dmap = DISC_MAPS[name]
-    qmap = halfplane_conjugate(dmap)
-    plan = plan_for_map(qmap, tol=1e-10)
-    fg = (FrequencyGrid.uniform(8.0, 7), FrequencyGrid.uniform(8.0, 6))
-    C = build_series(qmap, plan, fg)
-    assert (C.factors is None) == (name == "two-variable")
-    ref = toeplitz_separable(multiplier_expr(dmap), fg).entries @ C.entries
-    op = disc_side_operator(dmap, plan, fg)
-    assert op.factors is None and op.meta == C.meta
-    assert np.max(np.abs(op.entries - ref)) <= 1e-13 * np.max(np.abs(ref))
-
-
-def test_disc_side_operator_never_forms_factored_entries(monkeypatch):
-    entries = qpspec.operators.OperatorMatrix.entries
-
-    def dense_only(op):
-        if op.factors is not None:
-            raise AssertionError("formed the entries of a factored operator")
-        return entries.fget(op)
-
-    monkeypatch.setattr(qpspec.operators.OperatorMatrix, "entries", property(dense_only))
-    dmap = DISC_MAPS["per-axis"]
-    plan = plan_for_map(halfplane_conjugate(dmap), tol=1e-10)
-    op = disc_side_operator(dmap, plan, (FrequencyGrid.uniform(8.0, 6),) * 2)
-    assert op.shape == (36, 36)

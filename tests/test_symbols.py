@@ -5,7 +5,6 @@ from scipy.stats import qmc
 
 from qpspec.grids import BoundaryGrid
 from qpspec.symbols import (
-    AnalyticSymbol,
     ClusterPlan,
     SymbolError,
     closure_image,
@@ -13,7 +12,6 @@ from qpspec.symbols import (
     dedup_points,
     essential_range_at_infinity,
     eval_boundary,
-    finite_target_plan,
     halton,
     make_symbol,
     parse_symbol_expression,
@@ -170,35 +168,25 @@ def test_halton_one_draw_matches_successive_engine_draws(seed):
 
 
 def test_cluster_constant_is_singleton():
-    c = cluster_set(const_i(), "infinity")
+    c = cluster_set(const_i())
     assert np.max(np.abs(c.points - 1j)) < 1e-12
 
 
 def test_cluster_continuous_symbol_hits_boundary_limit():
     sym = make_symbol("i + 0.5*cay(z1)", 0.45, 1.6, "continuous-on-closure")
-    c = cluster_set(sym, "infinity")
+    c = cluster_set(sym)
     assert np.max(np.abs(c.points - (0.5 + 1j))) < 1e-3
 
 
 def test_cluster_product_symbol():
     sym = make_symbol("i + 0.5*cay(z1)*cay(z2)", 0.4, 1.6, "continuous-on-closure")
-    c = cluster_set(sym, "infinity")
+    c = cluster_set(sym)
     assert np.max(np.abs(c.points - (0.5 + 1j))) < 1e-3
 
 
 def test_cluster_plan_needs_three_shells():
     with pytest.raises(SymbolError):
         ClusterPlan(shells=(8.0, 16.0))
-
-
-def test_cluster_finite_target():
-    # disc-side reading: i + 0.5*w1 near w1 = 1 has cluster value i + 0.5
-    sym = AnalyticSymbol(
-        parse_symbol_expression("i + 0.5*z1"), 0.4, 1.6,
-        "continuous-on-closure", "disc-side i + w1/2",
-    )
-    c = cluster_set(sym, "one", finite_target_plan())
-    assert np.max(np.abs(c.points - (0.5 + 1j))) < 2e-3
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +206,7 @@ def test_essential_range_matches_cluster_set():
     g = BoundaryGrid.rational(2000, 50.0)
     field = eval_boundary(sym, (g, g))
     r = essential_range_at_infinity(field, (g, g), [200.0, 500.0, 1000.0], 0.02)
-    c = cluster_set(sym, "infinity")
+    c = cluster_set(sym)
     a, b = c.points, r.points
     h = max(
         np.max(np.min(np.abs(a[:, None] - b[None, :]), axis=1)),
