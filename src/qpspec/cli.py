@@ -42,7 +42,7 @@ from .spectra import (
     predicted_set,
     pseudospectrum,
 )
-from .symbols import ClusterPlan, SymbolError, cluster_set, make_symbol
+from .symbols import SymbolError, cluster_set, make_symbol
 
 CONFIG_DIR = Path(__file__).parent / "configs"
 
@@ -61,7 +61,8 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Parsed and validated run configuration."""
+    """Parsed and validated run configuration: every number passes one of
+    the checks below, and a failed check is a ConfigError."""
 
     name: str
     psi1: dict
@@ -104,43 +105,34 @@ class RunConfig:
             spectra = raw.get("spectra", {})
             cfg = cls(
                 name=raw.get("name", default_name),
-                psi1=dict(sym["psi1"]),
-                psi2=dict(sym["psi2"]),
-                p1=float(raw.get("p1", 1.0)),
-                p2=float(raw.get("p2", 1.0)),
-                frequency_extent=float(grids.get("frequency_extent", 10.0)),
-                frequency_nodes=int(grids.get("frequency_nodes", 32)),
-                boundary_extent=float(grids.get("boundary_extent", 60.0)),
-                boundary_nodes=int(grids.get("boundary_nodes", 768)),
-                plan_tol=float(plan.get("tol", 1e-8)),
+                psi1=_symbol(sym["psi1"], "symbols.psi1"),
+                psi2=_symbol(sym["psi2"], "symbols.psi2"),
+                p1=_positive(raw.get("p1", 1.0), "p1"),
+                p2=_positive(raw.get("p2", 1.0), "p2"),
+                frequency_extent=_positive(grids.get("frequency_extent", 10.0),
+                                           "grids.frequency_extent"),
+                frequency_nodes=_integer(grids.get("frequency_nodes", 32),
+                                         "grids.frequency_nodes", 2),
+                boundary_extent=_positive(grids.get("boundary_extent", 60.0),
+                                          "grids.boundary_extent"),
+                boundary_nodes=_integer(grids.get("boundary_nodes", 768),
+                                        "grids.boundary_nodes", 2),
+                plan_tol=_positive(plan.get("tol", 1e-8), "plan.tol"),
                 plan_alpha=_optional(_positive, plan.get("alpha"), "plan.alpha"),
                 plan_n1=_optional(_integer, plan.get("n1"), "plan.n1"),
                 plan_n2=_optional(_integer, plan.get("n2"), "plan.n2"),
                 remainder_tol=_optional(_positive, plan.get("remainder_tol"),
                                         "plan.remainder_tol"),
                 region=_region(spectra.get("region", (-1.1, 1.1, -1.1, 1.1))),
-                resolution=tuple(spectra.get("resolution", (129, 129))),
+                resolution=_resolution(spectra.get("resolution", (129, 129))),
                 eps_list=_eps(spectra.get("eps", (1e-2,))),
-                sizes=tuple(_integer(n, "spectra.sizes", 1)
-                            for n in spectra.get("sizes", (32, 48, 64))),
-                t_samples=int(raw.get("t_samples", 64)),
-                seed=int(raw.get("seed", 0)),
+                sizes=_sizes(spectra.get("sizes", (32, 48, 64)), "spectra.sizes"),
+                t_samples=_integer(raw.get("t_samples", 64), "t_samples", 1),
+                seed=_integer(raw.get("seed", 0), "seed"),
                 raw=raw,
             )
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"bad config structure: {e}")
-        for v, label in (
-            (cfg.p1, "p1"),
-            (cfg.p2, "p2"),
-            (cfg.frequency_extent, "frequency_extent"),
-            (cfg.frequency_nodes, "frequency_nodes"),
-            (cfg.boundary_extent, "boundary_extent"),
-            (cfg.boundary_nodes, "boundary_nodes"),
-            (cfg.plan_tol, "plan tol"),
-            (cfg.t_samples, "t_samples"),
-        ):
-            if v <= 0:
-                raise ConfigError(f"{label} must be positive, got {v}")
         return cfg
 
     def apply_overrides(
@@ -153,7 +145,7 @@ class RunConfig:
             self.raw["seed"] = seed
         spectra = dict(self.raw.get("spectra", {}))
         if sizes:
-            self.sizes = tuple(_integer(int(s), "--sizes", 1) for s in sizes.split(","))
+            self.sizes = _sizes((int(s) for s in sizes.split(",")), "--sizes")
             spectra["sizes"] = list(self.sizes)
         if eps:
             self.eps_list = _eps(float(s) for s in eps.split(","))
@@ -169,8 +161,8 @@ class RunConfig:
         def mk(d):
             return make_symbol(
                 d["expr"],
-                float(d["im_lower_bound"]),
-                float(d["sup_bound"]),
+                d["im_lower_bound"],
+                d["sup_bound"],
                 d.get("class", "continuous-on-closure"),
                 seed=self.seed,
             )
@@ -229,6 +221,28 @@ def _region(values) -> tuple:
     return region
 
 
+def _symbol(entry: dict, label: str) -> dict:
+    """A symbol entry with both bounds checked as numbers; make_symbol
+    checks them against the expression."""
+    return {
+        **entry,
+        "im_lower_bound": _number(entry["im_lower_bound"], f"{label}.im_lower_bound"),
+        "sup_bound": _number(entry["sup_bound"], f"{label}.sup_bound"),
+    }
+
+
+def _sizes(values, label: str) -> tuple:
+    """Finite-section sizes: each is at least 2 nodes per axis."""
+    return tuple(_integer(n, label, 2) for n in values)
+
+
+def _resolution(values) -> tuple:
+    resolution = tuple(_integer(v, "spectra.resolution", 32) for v in values)
+    if len(resolution) != 2:
+        raise ValueError(f"spectra.resolution must be 2 integers, got {list(values)!r}")
+    return resolution
+
+
 def _eps(values) -> tuple:
     eps = tuple(_positive(v, "spectra.eps") for v in values)
     if not eps:
@@ -279,9 +293,8 @@ def _js(o):
 
 
 def _predict(cfg: RunConfig, s1, s2):
-    plan = ClusterPlan(seed=cfg.seed)
-    c1 = cluster_set(s1, plan)
-    c2 = cluster_set(s2, plan)
+    c1 = cluster_set(s1, cfg.seed)
+    c2 = cluster_set(s2, cfg.seed)
     return c1, c2, predicted_set(c1, c2, t_samples=cfg.t_samples, seed=cfg.seed)
 
 
@@ -400,6 +413,7 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
             "eps": list(cfg.eps_list),
             "level_counts": [len(ls.points) for ls in levels],
             "plan": json.loads(plan.to_json()),
+            **pmap.stats,
         },
         digest,
     )
@@ -505,14 +519,16 @@ def main(argv=None) -> int:
 
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    if args.command == "demo":
-        return cmd_demo(out, args.seed)
     try:
-        cfg = RunConfig.load(args.config)
-        cfg.apply_overrides(args.seed, args.sizes, args.eps)
+        seed = _optional(_integer, args.seed, "--seed")
+        if args.command != "demo":
+            cfg = RunConfig.load(args.config)
+            cfg.apply_overrides(seed, args.sizes, args.eps)
     except (ConfigError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    if args.command == "demo":
+        return cmd_demo(out, seed)
     return run_command(args.command, cfg, out, cross=not args.no_crosscheck)
 
 

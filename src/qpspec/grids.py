@@ -160,42 +160,25 @@ def tensor_nodes(grids: tuple) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class HardyVector:
-    """Sampled element of a discretized Hardy space.
-
-    rep is 'boundary' or 'frequency'; for tensor grids the values are stored
-    flattened row-major (index = k1 * M2 + k2).
+    """Sampled element of a discretized Hardy space: boundary values on a
+    BoundaryGrid or frequency values on a FrequencyGrid.  For tensor grids
+    the values are stored flattened row-major (index = k1 * M2 + k2).
     """
 
     values: np.ndarray
-    rep: str
     grid: GridLike
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
-        if self.rep not in ("boundary", "frequency"):
-            raise GridError(f"unknown representation {self.rep!r}")
         if self.values.size != grid_size(self.grid):
             raise GridError("value length does not match grid size")
-        _check_rep_grid(self.rep, self.grid)
-
-
-def _check_rep_grid(rep: str, grid: GridLike) -> None:
-    if isinstance(grid, tuple):
-        for g in grid:
-            _check_rep_grid(rep, g)
-        return
-    ok = BoundaryGrid if rep == "boundary" else FrequencyGrid
-    if not isinstance(grid, ok):
-        raise GridError(f"rep {rep!r} inconsistent with grid type {type(grid).__name__}")
 
 
 def inner_product(f: HardyVector, g: HardyVector) -> complex:
-    """Pairing <f, g>, conjugate-linear in the second slot.
-
-    Both reps use the quadrature weights of their grid.
-    """
-    if f.rep != g.rep or not _same_grid(f.grid, g.grid):
-        raise GridError("inner_product requires matching rep and grid")
+    """Pairing <f, g>, conjugate-linear in the second slot, with the
+    quadrature weights of the common grid."""
+    if not _same_grid(f.grid, g.grid):
+        raise GridError("inner_product requires matching grids")
     w = grid_weights(f.grid)
     return complex(np.sum(w * f.values * np.conj(g.values)))
 
@@ -228,7 +211,7 @@ def reproducing_kernel(w, grid: GridLike) -> HardyVector:
     vals = factors[0]
     for fac in factors[1:]:
         vals = np.kron(vals, fac)
-    return HardyVector(vals, "boundary", grid)
+    return HardyVector(vals, grid)
 
 
 def kernel_value(w, z) -> complex:

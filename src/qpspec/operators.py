@@ -37,6 +37,7 @@ _TOEPLITZ_NODES = 16384
 # bounds it to _TOEPLITZ_BLOCK x _TOEPLITZ_NODES entries
 _TOEPLITZ_BLOCK = 16
 _INFINITY_PROBE = 1e8
+_INFINITY_RTOL = 1e-6
 
 
 class OperatorMatrix:
@@ -50,15 +51,15 @@ class OperatorMatrix:
     when ``entries`` is read.  ``shape`` comes from the grids.  ``A @ B`` of
     two factored operators is factored, (A1 B1, A2 B2); a factored A
     applies its factors to a dense B (``kron_apply``); any other product is
-    the dense product of the entries.
+    the dense product of the entries.  ``meta`` starts empty;
+    ``build_series`` fills it with its certificate and term norms.
     """
 
     def __init__(self, entries, domain_grid: GridLike, codomain_grid: GridLike,
-                 rep: str, meta: Optional[dict] = None, factors: Optional[tuple] = None):
+                 factors: Optional[tuple] = None):
         self.domain_grid = domain_grid
         self.codomain_grid = codomain_grid
-        self.rep = rep
-        self.meta = {} if meta is None else meta
+        self.meta = {}
         self.shape = (grid_size(codomain_grid), grid_size(domain_grid))
         if (entries is None) == (factors is None):
             raise GridError("an operator is given by its entries or by its factors")
@@ -104,18 +105,15 @@ class OperatorMatrix:
             yield self._matrix[lo:lo + height]
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if self.rep != other.rep:
-            raise GridError("operator product requires matching representations")
         if self.factors is not None and other.factors is not None:
             factors = tuple(A @ B for A, B in zip(self.factors, other.factors))
-            return OperatorMatrix(None, other.domain_grid, self.codomain_grid, self.rep,
-                                  factors=factors)
+            return OperatorMatrix(None, other.domain_grid, self.codomain_grid, factors)
         if self.factors is not None:
             F1, F2 = self.factors
             entries = kron_apply([(1.0, F1, F2)], other.entries, (F1.shape[1], F2.shape[1]))
         else:
             entries = self.entries @ other.entries
-        return OperatorMatrix(entries, other.domain_grid, self.codomain_grid, self.rep)
+        return OperatorMatrix(entries, other.domain_grid, self.codomain_grid)
 
 
 def _checked(M: np.ndarray, shape: tuple) -> np.ndarray:
@@ -131,9 +129,9 @@ def is_diagonal(M: np.ndarray) -> bool:
     return M.shape[0] == M.shape[1] and not np.any(M - np.diag(np.diag(M)))
 
 
-def identity_like(grid: GridLike, rep: str) -> OperatorMatrix:
+def identity_like(grid: GridLike) -> OperatorMatrix:
     n = grid_size(grid)
-    return OperatorMatrix(np.eye(n, dtype=complex), grid, grid, rep)
+    return OperatorMatrix(np.eye(n, dtype=complex), grid, grid)
 
 
 def weigh(M: np.ndarray, domain_grid: GridLike, codomain_grid: GridLike) -> np.ndarray:
@@ -172,14 +170,11 @@ def op_norm(A: OperatorMatrix) -> float:
 def kron(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
     """Kronecker (tensor) product A (x) B with the row-major flattening
     convention, kept as its two factors."""
-    if A.rep != B.rep:
-        raise GridError("kron requires matching representations")
     return OperatorMatrix(
         None,
         (A.domain_grid, B.domain_grid),
         (A.codomain_grid, B.codomain_grid),
-        A.rep,
-        factors=(A.entries, B.entries),
+        (A.entries, B.entries),
     )
 
 
@@ -187,7 +182,7 @@ def embed_one_variable(A: OperatorMatrix, axis: int, other_grid: GridLike) -> Op
     """Lift a one-variable operator to the tensor space: A (x) I or I (x) A."""
     if isinstance(A.domain_grid, tuple):
         raise GridError("embed_one_variable expects a one-variable operator")
-    eye = identity_like(other_grid, A.rep)
+    eye = identity_like(other_grid)
     if axis == 1:
         return kron(A, eye)
     if axis == 2:
@@ -199,11 +194,12 @@ def embed_one_variable(A: OperatorMatrix, axis: int, other_grid: GridLike) -> Op
 # Toeplitz operators
 
 
-def symbol_limit_at_infinity(fn: Callable, tol: float = 1e-6) -> complex:
-    """Value of a boundary symbol at the point at infinity."""
+def symbol_limit_at_infinity(fn: Callable) -> complex:
+    """Value of a boundary symbol at the point at infinity: the mean of its
+    values at +/- _INFINITY_PROBE, which must agree to _INFINITY_RTOL."""
     up = complex(np.asarray(fn(np.array([_INFINITY_PROBE + 1j * BOUNDARY_EVAL_HEIGHT]))).reshape(-1)[0])
     dn = complex(np.asarray(fn(np.array([-_INFINITY_PROBE + 1j * BOUNDARY_EVAL_HEIGHT]))).reshape(-1)[0])
-    if abs(up - dn) > tol * (1.0 + abs(up)):
+    if abs(up - dn) > _INFINITY_RTOL * (1.0 + abs(up)):
         raise SymbolError(
             f"symbol has different limits at +/- infinity ({up:.6g} vs {dn:.6g}); "
             "not constant-plus-decaying"
@@ -258,7 +254,7 @@ def toeplitz_halfplane(symbol: Callable, fgrid: FrequencyGrid) -> OperatorMatrix
     hhat /= 2.0 * np.pi
     entries = hhat[inv].reshape(t.size, t.size) * fgrid.weights[None, :]
     entries += c * np.eye(t.size)
-    return OperatorMatrix(entries, fgrid, fgrid, "frequency")
+    return OperatorMatrix(entries, fgrid, fgrid)
 
 
 def separable_terms(expr: SepExpr, fgrids: tuple) -> list:
@@ -321,7 +317,7 @@ def toeplitz_separable(expr: SepExpr, fgrids: tuple) -> OperatorMatrix:
     for c, A, B in separable_terms(expr, fgrids):
         total += c * np.kron(np.eye(g1.size) if A is None else A,
                              np.eye(g2.size) if B is None else B)
-    return OperatorMatrix(total, fgrids, fgrids, "frequency")
+    return OperatorMatrix(total, fgrids, fgrids)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +330,7 @@ def fourier_multiplier(fn: Callable, grid: FrequencyGrid) -> OperatorMatrix:
     diag = np.asarray(fn(grid.nodes), dtype=complex)
     if not np.all(np.isfinite(diag)):
         raise SymbolError("multiplier function is unbounded on the grid")
-    return OperatorMatrix(np.diag(diag), grid, grid, "frequency")
+    return OperatorMatrix(np.diag(diag), grid, grid)
 
 
 def dilation_1d(p: float, fgrid: FrequencyGrid) -> np.ndarray:
@@ -369,4 +365,4 @@ def dilation(p1: float, p2: float, fgrids: tuple) -> OperatorMatrix:
     factors = tuple(
         np.eye(g.size) if p == 1.0 else dilation_1d(p, g) for p, g in zip((p1, p2), fgrids)
     )
-    return OperatorMatrix(None, fgrids, fgrids, "frequency", factors=factors)
+    return OperatorMatrix(None, fgrids, fgrids, factors)

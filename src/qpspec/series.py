@@ -52,11 +52,19 @@ CLOUD_MARGIN = 1e-3
 # consecutive non-decreasing series increments that void the certificate
 GROWTH_GUARD = 5
 
+# width in log(alpha) at which the golden-section search for alpha stops
+ALPHA_TOL = 1e-10
+
+# largest truncation order a plan uses, whatever its tolerance
+TRUNCATION_CAP = 60
+
 # rational Hardy test vectors behind the series-vs-Cauchy cross-check
 HARDY_TEST_COUNT = 12
 # boundary values per group of direct images in the cross-check: all twelve
 # at 256^2 nodes, one at a time at 768^2
 DIRECT_IMAGE_ELEMENTS = 1 << 20
+# output rows per pair of Cauchy kernels in direct_composition_apply
+DIRECT_CHUNK = 8192
 
 
 class SeriesError(ValueError):
@@ -107,10 +115,7 @@ def delta_of_alpha(alpha: float, points: np.ndarray) -> float:
     return float(np.max(np.abs(1j * alpha - points)) / alpha)
 
 
-def choose_alpha(
-    cloud: PointCloud | np.ndarray,
-    tol: float = 1e-10,
-) -> tuple[float, float]:
+def choose_alpha(cloud: PointCloud | np.ndarray) -> tuple[float, float]:
     """Pick the series shift alpha for a compact cloud in the half-plane.
 
     Golden-section over log(alpha) of the minimax objective
@@ -127,16 +132,16 @@ def choose_alpha(
     rmax = float(np.max(np.abs(pts)))
     lo = math.log(ymin / 2.0)
     hi = math.log(4.0 * rmax**2 / ymin)
-    a = _golden_min(lambda u: delta_of_alpha(math.exp(u), pts), lo, hi, tol)
+    a = _golden_min(lambda u: delta_of_alpha(math.exp(u), pts), lo, hi)
     alpha = math.exp(a)
     return alpha, delta_of_alpha(alpha, pts)
 
 
-def _golden_min(f: Callable, a: float, b: float, tol: float) -> float:
+def _golden_min(f: Callable, a: float, b: float) -> float:
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while abs(b - a) > tol:
+    while abs(b - a) > ALPHA_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - GOLDEN * (b - a)
@@ -211,16 +216,15 @@ def remainder_bound(plan: SeriesPlan) -> float:
     return r1 + r2 + r12
 
 
-def truncation_order(delta: float, tol: float, cap: int = 60) -> int:
-    """Smallest N with delta^(N+1)/(1-delta) <= tol, capped."""
+def truncation_order(delta: float, tol: float) -> int:
+    """Smallest N with delta^(N+1)/(1-delta) <= tol, capped at TRUNCATION_CAP."""
     n = math.ceil(math.log(tol * (1.0 - delta)) / math.log(delta))
-    return int(min(max(n, 1), cap))
+    return int(min(max(n, 1), TRUNCATION_CAP))
 
 
 def plan_for_map(
     qmap: QuasiParabolicMap,
     tol: float = 1e-8,
-    cap: int = 60,
     seed: int = 0,
     alpha: Optional[float] = None,
     n1: Optional[int] = None,
@@ -251,7 +255,7 @@ def plan_for_map(
     sup1 = float(np.max(np.abs(1j * alpha - pts)))
     sup2 = sup1
     est = default_norm_estimates(delta, sup1, sup2)
-    order = truncation_order(delta, tol, cap)
+    order = truncation_order(delta, tol)
     plan = SeriesPlan(alpha, delta, n1 if n1 is not None else order,
                       n2 if n2 is not None else order, est)
     return plan
@@ -313,7 +317,7 @@ def build_series(qmap: QuasiParabolicMap, plan: SeriesPlan, fgrids: tuple) -> Op
                                 np.eye(g1.size, dtype=complex))
         S2, norms2 = _power_sum(lambda P: P @ T2, g2.nodes, plan.n2, plan.alpha,
                                 np.eye(g2.size, dtype=complex))
-        op = OperatorMatrix(None, fgrids, fgrids, "frequency", factors=(S1, S2))
+        op = OperatorMatrix(None, fgrids, fgrids, (S1, S2))
     else:
         sizes = (g1.size, g2.size)
         terms1 = separable_terms(tau1, fgrids)
@@ -323,7 +327,7 @@ def build_series(qmap: QuasiParabolicMap, plan: SeriesPlan, fgrids: tuple) -> Op
                                    plan.alpha, np.eye(t2.size, dtype=complex))
         S, norms1 = _power_sum(lambda Q: kron_apply(terms1, Q, sizes), t1, plan.n1,
                                plan.alpha, inner)
-        op = OperatorMatrix(S, fgrids, fgrids, "frequency")
+        op = OperatorMatrix(S, fgrids, fgrids)
     _growth_check(norms1)
     _growth_check(norms2)
     if qmap.p1 != 1.0 or qmap.p2 != 1.0:
@@ -380,7 +384,7 @@ def exact_constant_multiplier(a1: complex, a2: complex, fgrids: tuple) -> Operat
 # direct Cauchy-integral construction
 
 
-def _boundary_phi_values(qmap_or_fns, bgrids: tuple, per_axis: bool = False):
+def _boundary_phi_values(qmap: QuasiParabolicMap, bgrids: tuple, per_axis: bool = False):
     """phi_1^*, phi_2^* on the tensor boundary grid, flattened row-major;
     the Cauchy construction needs both strictly inside the half-plane.
 
@@ -390,10 +394,7 @@ def _boundary_phi_values(qmap_or_fns, bgrids: tuple, per_axis: bool = False):
     g1, g2 = bgrids
     x1 = g1.nodes[:, None] + 1j * BOUNDARY_HEIGHT
     x2 = g2.nodes[None, :] + 1j * BOUNDARY_HEIGHT
-    if isinstance(qmap_or_fns, QuasiParabolicMap):
-        phi1, phi2 = qmap_or_fns.boundary_components()
-    else:
-        phi1, phi2 = qmap_or_fns
+    phi1, phi2 = qmap.boundary_components()
 
     def values(phi, a, b):
         shape = np.broadcast_shapes(a.shape, b.shape)
@@ -425,7 +426,7 @@ def _column_kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def direct_composition_apply(
-    qmap_or_fns, bgrids: tuple, f1: np.ndarray, f2: np.ndarray, chunk: int = 8192
+    qmap: QuasiParabolicMap, bgrids: tuple, f1: np.ndarray, f2: np.ndarray
 ) -> np.ndarray:
     """Apply the double Cauchy quadrature to the rank-one vectors
     kron(f1[:, k], f2[:, k]) without materializing the full matrix.
@@ -433,15 +434,15 @@ def direct_composition_apply(
     ``f1`` (N1 x K) and ``f2`` (N2 x K) stack the factors on each boundary
     axis; the result stacks the K images as an (N1 N2) x K array.  At the
     boundary point a the image is (C1[a] f1)(C2[a] f2), with C_j[a] the
-    Cauchy kernel row at phi_j(a).  Output rows go in chunks, whose two
-    kernels are applied to all K columns at once."""
+    Cauchy kernel row at phi_j(a).  Output rows go in chunks of
+    DIRECT_CHUNK, whose two kernels are applied to all K columns at once."""
     g1, g2 = bgrids
     f1 = np.asarray(f1, dtype=complex)
     f2 = np.asarray(f2, dtype=complex)
-    v1, v2 = _boundary_phi_values(qmap_or_fns, bgrids)
+    v1, v2 = _boundary_phi_values(qmap, bgrids)
     out = np.empty((v1.size, f1.shape[1]), dtype=complex)
-    for lo in range(0, v1.size, chunk):
-        hi = min(lo + chunk, v1.size)
+    for lo in range(0, v1.size, DIRECT_CHUNK):
+        hi = min(lo + DIRECT_CHUNK, v1.size)
         np.multiply(_cauchy_kernel(g1, v1[lo:hi]) @ f1, _cauchy_kernel(g2, v2[lo:hi]) @ f2,
                     out=out[lo:hi])
     return out

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,25 +29,15 @@ class UsageError(ValueError):
 
 @dataclass
 class SpectralSet:
-    """Finite point cloud tagged with how it was produced."""
+    """Finite point cloud with the parameters that produced it."""
 
     points: PointCloud
-    kind: str
     params: dict = field(default_factory=dict)
-    # predicted-spiral only: the sweep image of each cluster pair, row-major
+    # predicted set only: the sweep image of each cluster pair, row-major
     # over (t1, t2), in pair order
     images: list = field(default_factory=list, repr=False)
 
-    KINDS = (
-        "eigenvalues",
-        "pseudospectrum-level",
-        "predicted-spiral",
-        "essential-surrogate",
-    )
-
     def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise UsageError(f"unknown spectral-set kind {self.kind!r}")
         if not np.all(np.isfinite(self.points.points)):
             raise UsageError("spectral set contains non-finite points")
 
@@ -88,8 +78,7 @@ class PseudospectrumMap:
     def level_set(self, eps: float) -> SpectralSet:
         pts = self.grid()[self.values <= eps]
         return SpectralSet(
-            PointCloud(pts.reshape(-1), "pseudospectrum-level"),
-            "pseudospectrum-level",
+            PointCloud(pts.reshape(-1)),
             {"eps": eps, "region": self.region, "resolution": self.resolution},
         )
 
@@ -104,9 +93,7 @@ def eigenvalues(A: OperatorMatrix) -> SpectralSet:
         np.diag(W) if is_diagonal(W) else np.linalg.eigvals(W) for W in weighted_factors(A)
     )
     vals = np.outer(d1, d2).reshape(-1)
-    return SpectralSet(
-        PointCloud(vals, "eigenvalues"), "eigenvalues", {"dim": vals.size}
-    )
+    return SpectralSet(PointCloud(vals), {"dim": vals.size})
 
 
 # inverse-Lanczos stopping rule: the top Ritz value changed by at most this
@@ -446,26 +433,26 @@ def essential_spectrum_surrogate(
             "empty intersection: no grid point stays below eps at all sizes; "
             f"per-size survivor counts {per_size_counts}"
         )
-        cloud = PointCloud(np.empty(0, dtype=complex), "essential-surrogate")
-    else:
-        cloud = PointCloud(pts, "essential-surrogate")
-    return SpectralSet(cloud, "essential-surrogate", params)
+    return SpectralSet(PointCloud(pts), params)
+
+
+# cluster pairs swept at most by predicted_set
+MAX_PAIRS = 64
 
 
 def predicted_set(
     cluster1: PointCloud,
     cluster2: PointCloud,
-    t_grid: Optional[np.ndarray] = None,
     t_samples: int = 64,
-    max_pairs: int = 64,
     seed: int = 0,
 ) -> SpectralSet:
-    """{exp(i(z1 t1 + z2 t2))} over cluster pairs and a [0,T]^2 grid, u {0}.
+    """{exp(i(z1 t1 + z2 t2))} over cluster pairs and a [0,T]^2 grid of
+    t_samples^2 points, u {0}.
 
-    T defaults to 8 / min Im so the sweep reaches magnitudes below 3e-4 and
-    the adjoined 0 is an honest closure proxy for t -> infinity.  Cluster
-    pairs beyond max_pairs are subsampled deterministically.  The per-pair
-    sweep images are kept in ``images``.
+    T = 8 / min Im, so the sweep reaches magnitudes below 3e-4 and the
+    adjoined 0 is an honest closure proxy for t -> infinity.  Cluster pairs
+    beyond MAX_PAIRS are subsampled deterministically.  The per-pair sweep
+    images are kept in ``images``.
     """
     z1 = cluster1.points
     z2 = cluster2.points
@@ -473,16 +460,11 @@ def predicted_set(
         raise UsageError("predicted set needs nonempty clusters")
     if np.any(z1.imag <= 0) or np.any(z2.imag <= 0):
         raise DomainError("cluster points must have positive imaginary part")
-    min_im = min(float(np.min(z1.imag)), float(np.min(z2.imag)))
-    if t_grid is None:
-        T = 8.0 / min_im
-        t = np.linspace(0.0, T, t_samples)
-    else:
-        t = np.asarray(t_grid, dtype=float).reshape(-1)
-        T = float(t.max())
+    T = 8.0 / min(float(np.min(z1.imag)), float(np.min(z2.imag)))
+    t = np.linspace(0.0, T, t_samples)
     rng = np.random.default_rng(seed)
-    if z1.size * z2.size > max_pairs:
-        k = max(1, int(math.sqrt(max_pairs)))
+    if z1.size * z2.size > MAX_PAIRS:
+        k = max(1, int(math.sqrt(MAX_PAIRS)))
         z1 = rng.choice(z1, size=min(k, z1.size), replace=False)
         z2 = rng.choice(z2, size=min(k, z2.size), replace=False)
     t1 = t[:, None]
@@ -499,14 +481,11 @@ def predicted_set(
                     float(np.max(np.abs(np.diff(img, axis=1)))),
                 )
             images.append(img.reshape(-1))
-    cloud = PointCloud(
-        np.concatenate([np.array([0.0 + 0.0j]), *images]), "predicted-spiral"
-    )
+    cloud = PointCloud(np.concatenate([np.array([0.0 + 0.0j]), *images]))
     if np.max(np.abs(cloud.points)) > 1.0 + 1e-12:
         raise DomainError("predicted points escaped the closed unit disc")
     return SpectralSet(
         cloud,
-        "predicted-spiral",
         {
             "t_max": T,
             "t_samples": t.size,
@@ -541,22 +520,17 @@ def directed_hausdorff(A: SpectralSet, B: SpectralSet) -> float:
     return float(np.max(_nearest_distances(a, b)))
 
 
-def containment_verdict(
-    predicted: SpectralSet,
-    surrogate: SpectralSet,
-    tol: Optional[float] = None,
-) -> dict:
+def containment_verdict(predicted: SpectralSet, surrogate: SpectralSet) -> dict:
     """PASS iff every predicted point sits within tol of the surrogate.
 
-    The default tolerance combines the two discretization scales: twice the
-    sum of the pseudospectrum grid step and the spiral image spacing.
+    The tolerance combines the two discretization scales: twice the sum of
+    the pseudospectrum grid step and the spiral image spacing.
     """
     if predicted.points.points.size == 0:
         raise UsageError("containment verdict needs a nonempty prediction")
-    if tol is None:
-        step = surrogate.params.get("grid_step", 0.0)
-        spacing = predicted.params.get("image_spacing", 0.0)
-        tol = 2.0 * (step + spacing)
+    step = surrogate.params.get("grid_step", 0.0)
+    spacing = predicted.params.get("image_spacing", 0.0)
+    tol = 2.0 * (step + spacing)
     if surrogate.points.points.size == 0:
         return {
             "verdict": "FAIL",

@@ -78,10 +78,9 @@ def unit_circle_guide() -> str:
 
 
 def _head(title: str) -> str:
-    head = f"<title>{title}</title>\n" if title else ""
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{VIEW}" '
-        f'height="{VIEW}" viewBox="0 0 {VIEW} {VIEW}">\n{head}'
+        f'height="{VIEW}" viewBox="0 0 {VIEW} {VIEW}">\n<title>{title}</title>\n'
         f'<rect width="{VIEW}" height="{VIEW}" fill="white"/>\n'
     )
 
@@ -89,14 +88,12 @@ def _head(title: str) -> str:
 _TAIL = "\n</svg>\n"
 
 
-def spiral_figure(
-    path: Path, paths: list[np.ndarray], title: str = "predicted spiral set"
-) -> None:
+def spiral_figure(path: Path, paths: list[np.ndarray]) -> None:
     """Write the unit-circle guide plus one polyline path per cluster pair
     to ``path``, GLYPH_CHUNK points at a time, so the document is never
     held whole as text."""
     with open(path, "wb") as f:
-        f.write((_head(title) + unit_circle_guide()).encode())
+        f.write((_head("predicted spiral set") + unit_circle_guide()).encode())
         for k, p in enumerate(paths):
             f.write(b"\n")
             f.writelines(polyline(p, PATH_COLORS[k % len(PATH_COLORS)], 1.0))
@@ -107,14 +104,14 @@ def overlay_figure(
     path: Path,
     level_sets: list[tuple[float, np.ndarray]],
     predicted: np.ndarray,
-    title: str = "predicted set over pseudospectrum levels",
 ) -> None:
     """Write the pseudospectrum level points as squares under the predicted
     cloud to ``path``, GLYPH_CHUNK glyphs at a time, so the document is
     never held whole as text."""
     shades = ("#c9dcef", "#9fc2e3", "#6ea3d4")
     with open(path, "wb") as f:
-        f.write((_head(title) + unit_circle_guide()).encode())
+        f.write((_head("predicted set over pseudospectrum levels")
+                 + unit_circle_guide()).encode())
         for k, (eps, pts) in enumerate(level_sets):
             f.write(f"\n<!-- level eps={eps:g}: {pts.size} points -->\n".encode())
             f.writelines(scatter(pts, shades[k % len(shades)], 2.2, "rect"))

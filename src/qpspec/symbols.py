@@ -257,9 +257,6 @@ class AnalyticSymbol:
 
     expr: SepExpr
     im_lower_bound: float
-    sup_bound: float
-    continuity_class: str
-    source: str = ""
 
     def __call__(self, z1, z2):
         return self.expr(z1, z2)
@@ -334,7 +331,7 @@ def make_symbol(
             f"{np.abs(vals[worst]):.6g} > {sup_bound} at z = "
             f"({z1[worst]:.6g}, {z2[worst]:.6g})"
         )
-    return AnalyticSymbol(expr, im_lower_bound, sup_bound, continuity_class, expression)
+    return AnalyticSymbol(expr, im_lower_bound)
 
 
 def eval_boundary(sym: AnalyticSymbol, grids: tuple) -> np.ndarray:
@@ -354,10 +351,9 @@ def eval_boundary(sym: AnalyticSymbol, grids: tuple) -> np.ndarray:
 
 @dataclass
 class PointCloud:
-    """Finite, deduplicated cloud of complex points with provenance."""
+    """Finite, deduplicated cloud of complex points with diagnostics."""
 
     points: np.ndarray
-    label: str = ""
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -400,32 +396,20 @@ def dedup_points(pts: np.ndarray, resolution: float = DEDUP_RESOLUTION) -> np.nd
 # cluster sets and essential range
 
 
-@dataclass(frozen=True)
-class ClusterPlan:
-    """Shell-sampling plan for cluster-set estimation."""
-
-    shells: tuple = tuple(2.0**k for k in range(3, 14))
-    samples_per_shell: int = 512
-    seed: int = 0
-
-    def __post_init__(self):
-        if len(self.shells) < 3:
-            raise SymbolError("cluster plan needs at least 3 shells")
-        r = np.asarray(self.shells, dtype=float)
-        if not np.all(r[1:] > r[:-1]):
-            raise SymbolError("shells must grow monotonically")
+# moduli of the cluster-set shells, and the quasi-random points on each
+CLUSTER_SHELLS = tuple(2.0**k for k in range(3, 14))
+CLUSTER_SAMPLES = 512
 
 
-def cluster_set(sym: AnalyticSymbol, plan: Optional[ClusterPlan] = None) -> PointCloud:
+def cluster_set(sym: AnalyticSymbol, seed: int = 0) -> PointCloud:
     """Approximate the cluster set of psi at (inf, inf) on H^2 from shells
-    of growing modulus in the half-plane."""
-    if plan is None:
-        plan = ClusterPlan()
-    m = plan.samples_per_shell
-    draw = halton(len(plan.shells) * m, plan.seed)
+    of growing modulus in the half-plane (CLUSTER_SHELLS, CLUSTER_SAMPLES
+    points each)."""
+    m = CLUSTER_SAMPLES
+    draw = halton(len(CLUSTER_SHELLS) * m, seed)
     per_shell = []
     all_pts = []
-    for k, shell in enumerate(plan.shells):
+    for k, shell in enumerate(CLUSTER_SHELLS):
         u = draw[k * m : (k + 1) * m]
         r1 = shell * (1.0 + u[:, 0])
         r2 = shell * (1.0 + u[:, 2])
@@ -445,11 +429,7 @@ def cluster_set(sym: AnalyticSymbol, plan: Optional[ClusterPlan] = None) -> Poin
     # inner shells are convergence diagnostics only: cluster points are
     # limits along the approach to infinity, so keep the outermost shells
     pts = np.concatenate(all_pts[-3:])
-    return PointCloud(
-        pts,
-        label=f"cluster-set[infinity] of {sym.source or 'symbol'}",
-        diagnostics={"shells": per_shell},
-    )
+    return PointCloud(pts, {"shells": per_shell})
 
 
 def essential_range_at_infinity(
@@ -478,7 +458,7 @@ def essential_range_at_infinity(
     diagnostics = {}
     if not np.any(mask_outer & (w2d > 0)):
         diagnostics["empty_tail"] = True
-        return PointCloud(np.array([]), "essential-range@inf", diagnostics)
+        return PointCloud(np.array([]), diagnostics)
     candidates = dedup_points(field[mask_outer], resolution=ball_radius / 4.0)
     survivors = []
     for z in candidates:
@@ -491,9 +471,7 @@ def essential_range_at_infinity(
                 break
         if ok:
             survivors.append(z)
-    return PointCloud(
-        np.asarray(survivors), "essential-range@inf", diagnostics
-    )
+    return PointCloud(np.asarray(survivors), diagnostics)
 
 
 def closure_image(sym: AnalyticSymbol, seed: int = 0) -> PointCloud:
@@ -502,4 +480,4 @@ def closure_image(sym: AnalyticSymbol, seed: int = 0) -> PointCloud:
     vals = sym(z1, z2)
     if np.min(vals.imag) < sym.im_lower_bound - 1e-9:
         raise SymbolError("closure sample violates the certified Im bound")
-    return PointCloud(vals, label=f"closure-image of {sym.source or 'symbol'}")
+    return PointCloud(vals)

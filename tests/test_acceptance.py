@@ -36,7 +36,7 @@ from qpspec.spectra import (
     essential_spectrum_surrogate,
     predicted_set,
 )
-from qpspec.symbols import ClusterPlan, PointCloud, cluster_set, eval_boundary, make_symbol
+from qpspec.symbols import PointCloud, cluster_set, eval_boundary, make_symbol
 from qpspec.symbols import essential_range_at_infinity
 
 
@@ -88,7 +88,7 @@ def test_criterion_2_certified_geometric_remainder():
         p = SeriesPlan(plan0.alpha, plan0.delta, n, n, plan0.norm_estimates)
         ops[n] = build_series(qmap, p, fg)
     diffs = [
-        op_norm(OperatorMatrix(ops[n + 1].entries - ops[n].entries, fg, fg, "frequency"))
+        op_norm(OperatorMatrix(ops[n + 1].entries - ops[n].entries, fg, fg))
         for n in range(3, 16)
     ]
     worst_ratio = max(b / a for a, b in zip(diffs, diffs[1:]))
@@ -99,7 +99,7 @@ def test_criterion_2_certified_geometric_remainder():
     for n in range(1, 21):
         p = SeriesPlan(cplan0.alpha, cplan0.delta, n, n, cplan0.norm_estimates)
         op = build_series(cq, p, fg)
-        err = op_norm(OperatorMatrix(op.entries - exact.entries, fg, fg, "frequency"))
+        err = op_norm(OperatorMatrix(op.entries - exact.entries, fg, fg))
         bound_ok = bound_ok and err <= remainder_bound(p)
     ok = worst_ratio <= plan0.delta + 0.05 and bound_ok
     _verdict(
@@ -139,17 +139,12 @@ def test_criterion_4_spiral_containment_one_variable():
     # z -> z + i acts as diag(e^{-t_k}); predicted {e^{-t}} u {0} must lie
     # within 2x the t-sample image spacing of the eigenvalue set
     t = np.linspace(0.0, 8.0, 64)
-    pred = SpectralSet(
-        PointCloud(np.concatenate([np.exp(-t), [0.0]]).astype(complex), "pred"),
-        "predicted-spiral",
-    )
+    pred = SpectralSet(PointCloud(np.concatenate([np.exp(-t), [0.0]]).astype(complex)))
     spacing = float(np.max(np.abs(np.diff(np.exp(-t)))))
     dists = []
     for n in (64, 128, 256):
         g = FrequencyGrid.uniform(10.0, n)
-        op = OperatorMatrix(
-            np.diag(np.exp(-g.nodes)).astype(complex), g, g, "frequency"
-        )
+        op = OperatorMatrix(np.diag(np.exp(-g.nodes)).astype(complex), g, g)
         dists.append(directed_hausdorff(pred, eigenvalues(op)))
     ok = all(d <= 2.0 * spacing for d in dists)
     _verdict(
@@ -172,15 +167,11 @@ def test_criterion_5_spiral_containment_bidisc():
         return build_series(qmap, plan, (FrequencyGrid.uniform(10.0, n),) * 2)
 
     surro = essential_spectrum_surrogate(builder, [32, 48, 64], 1e-2, region, (129, 129))
-    c1 = cluster_set(qmap.psi1, ClusterPlan(seed=0))
-    c2 = cluster_set(qmap.psi2, ClusterPlan(seed=0))
+    c1 = cluster_set(qmap.psi1, seed=0)
+    c2 = cluster_set(qmap.psi2, seed=0)
     pred = predicted_set(c1, c2)
     verdict = containment_verdict(pred, surro)
-    shifted = SpectralSet(
-        PointCloud(pred.points.points + 0.5, "shifted"),
-        "predicted-spiral",
-        dict(pred.params),
-    )
+    shifted = SpectralSet(PointCloud(pred.points.points + 0.5), dict(pred.params))
     control = containment_verdict(shifted, surro)
     ok = verdict["verdict"] == "PASS" and control["verdict"] == "FAIL"
     _verdict(
@@ -223,7 +214,7 @@ def test_criterion_7_kernel_and_boundedness():
         w = tuple(rng.uniform(-1, 1, 2) + 1j * rng.uniform(0.5, 2.0, 2))
         a, b = rng.uniform(0.5, 2.0, 2)
         vals = np.kron(1.0 / (g1.nodes + 1j * a), 1.0 / (g2.nodes + 1j * b))
-        f = HardyVector(vals, "boundary", grid)
+        f = HardyVector(vals, grid)
         k = reproducing_kernel(w, grid)
         target = 1.0 / ((w[0] + 1j * a) * (w[1] + 1j * b))
         rep_err = max(rep_err, abs(inner_product(f, k) - target))
@@ -259,10 +250,7 @@ def test_criterion_8_tensor_identities():
     def rand(g):
         n = g.size
         return OperatorMatrix(
-            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
-            g,
-            g,
-            "frequency",
+            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), g, g
         )
 
     norm_err = 0.0
@@ -274,8 +262,8 @@ def test_criterion_8_tensor_identities():
         norm_err = max(norm_err, abs(op_norm(K) - op_norm(A) * op_norm(B)))
         lhs = kron(A, B).entries @ kron(C, D).entries
         rhs = kron(
-            OperatorMatrix(A.entries @ C.entries, g1, g1, "frequency"),
-            OperatorMatrix(B.entries @ D.entries, g2, g2, "frequency"),
+            OperatorMatrix(A.entries @ C.entries, g1, g1),
+            OperatorMatrix(B.entries @ D.entries, g2, g2),
         ).entries
         scale = np.max(np.abs(rhs))
         mixed_err = max(mixed_err, float(np.max(np.abs(lhs - rhs))) / scale)

@@ -9,7 +9,7 @@ from scipy.spatial import cKDTree
 from qpspec.cli import CONFIG_DIR, ConfigError, RunConfig, cmd_build, main
 from qpspec.operators import OperatorMatrix
 from qpspec.spectra import predicted_set
-from qpspec.symbols import DEDUP_RESOLUTION, ClusterPlan, cluster_set
+from qpspec.symbols import DEDUP_RESOLUTION, cluster_set
 
 
 def _config(tmp_path, name="run", **over):
@@ -69,9 +69,12 @@ def test_bad_sizes_flag_exits_2(tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("flag, value", [("--sizes", "0"), ("--eps", "-1")])
+@pytest.mark.parametrize("flag, value", [
+    ("--sizes", "0"), ("--eps", "-1"), ("--seed", "-1"), ("--sizes", "1,2,3"),
+])
 def test_bad_override_value_exits_2(tmp_path, capsys, flag, value):
-    # size 0 used to fall back to frequency_nodes, eps -1 to a FAIL verdict
+    # size 0 used to fall back to frequency_nodes, eps -1 to a FAIL verdict;
+    # seed -1 and size 1 used to end in a traceback
     cfg = _config(tmp_path)
     rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o"), flag, value])
     assert rc == 2
@@ -101,11 +104,24 @@ def test_config_validation_rejects_nonpositive():
     ("spectra", "eps", [-1]),
     ("spectra", "sizes", "abc"),
     ("spectra", "sizes", [12, 16.5]),
+    # a section of None is a top-level key
+    (None, "p1", float("nan")),
+    ("grids", "frequency_nodes", 16.7),
+    ("grids", "frequency_nodes", 1),
+    ("grids", "boundary_nodes", True),
+    (None, "t_samples", 2.5),
+    (None, "seed", 1.5),
+    (None, "seed", -1),
+    ("spectra", "resolution", [40, 40, 40]),
+    ("spectra", "resolution", "ab"),
+    ("symbols", "psi1", {"expr": "i", "im_lower_bound": float("nan"), "sup_bound": 1.1}),
+    ("symbols", "psi1", {"expr": "i", "im_lower_bound": 0.9, "sup_bound": "abc"}),
+    ("symbols", "psi1", {"expr": "i", "im_lower_bound": 0.9}),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, section, key, value):
     cfg = _config(tmp_path)
     raw = json.loads(cfg.read_text())
-    raw.setdefault(section, {})[key] = value
+    (raw if section is None else raw.setdefault(section, {}))[key] = value
     cfg.write_text(json.dumps(raw))
     rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 2
@@ -148,9 +164,8 @@ def test_spiral_csv_is_the_predicted_set(tmp_path):
     assert main(["predict", "--config", str(path), "--out", str(out)]) == 0
     spiral = _csv_points(out / "spiral.csv")
     s1, s2 = RunConfig.load(path).symbols()
-    plan = ClusterPlan(seed=0)
-    pred = predicted_set(cluster_set(s1, plan),
-                         cluster_set(s2, plan), t_samples=8, seed=0)
+    pred = predicted_set(cluster_set(s1, seed=0),
+                         cluster_set(s2, seed=0), t_samples=8, seed=0)
     pts = pred.points.points
 
     def dist(a, b):
@@ -328,6 +343,25 @@ def test_spectrum_outputs(tmp_path):
     assert (out / "level_0.05.csv").exists()
     report = json.loads((out / "spectrum_report.json").read_text())
     assert report["level_counts"][0] > 0
+
+
+@pytest.mark.parametrize("name", ["constants_basic", "cay_quarter"])
+def test_spectrum_report_counts_lanczos_work(tmp_path, name):
+    # constants_basic is diagonal, so its sigma_min is an exact distance and
+    # runs no Lanczos step; cay_quarter's is not
+    raw = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    raw["grids"]["frequency_nodes"] = 8
+    raw.setdefault("spectra", {})["resolution"] = [32, 32]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "spectrum_report.json").read_text())
+    if name == "constants_basic":
+        assert report["lanczos_max_steps"] == report["lanczos_cap_hits"] == 0
+    else:
+        assert report["lanczos_max_steps"] > 0
+        assert report["lanczos_cap_hits"] >= 0
 
 
 def test_verify_constants_pass(tmp_path, capsys):

@@ -75,7 +75,7 @@ def test_frequency_grid_rejects_negative_nodes():
 
 def test_inner_product_zero():
     g = RAT[0]
-    f = HardyVector(np.zeros(g.size, complex), "boundary", g)
+    f = HardyVector(np.zeros(g.size, complex), g)
     assert inner_product(f, f) == 0
 
 
@@ -99,7 +99,7 @@ def test_reproducing_identity_rational_function():
     k = reproducing_kernel(w, RAT)
     g1, g2 = RAT
     vals = np.kron(1.0 / (g1.nodes + 1j), 1.0 / (g2.nodes + 1j))
-    f = HardyVector(vals, "boundary", RAT)
+    f = HardyVector(vals, RAT)
     target = 1.0 / ((w[0] + 1j) * (w[1] + 1j))
     assert abs(inner_product(f, k) - target) < 1e-6
 
@@ -135,9 +135,9 @@ def test_parseval_two_variable():
     g = BoundaryGrid.uniform(200.0, 4096)
     fg = FrequencyGrid.uniform(20.0, 1024)
     u1, u2 = 1.0 / (g.nodes + 1j), 1.0 / (g.nodes + 2j)
-    f = HardyVector(np.kron(u1, u2), "boundary", (g, g))
+    f = HardyVector(np.kron(u1, u2), (g, g))
     B = bochner_matrix(g, fg)
-    F = HardyVector(np.kron(B @ u1, B @ u2), "frequency", (fg, fg))
+    F = HardyVector(np.kron(B @ u1, B @ u2), (fg, fg))
     closed = np.sqrt(np.pi * (np.pi / 2.0))
     norm = lambda v: np.sqrt(inner_product(v, v).real)
     assert abs(norm(f) - closed) / closed < 6e-3

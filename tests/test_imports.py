@@ -1,6 +1,8 @@
 """Every name a package module imports is used in that module, every name
 a package module defines is read by the package, the benchmark or the
-acceptance tests (a name only unit tests read is dead code), and scipy
+acceptance tests (a name only unit tests read is dead code), every
+defaulted parameter is passed by one of those readers (a setting only unit
+tests set is a constant), and scipy
 loads only where it is needed: ``import qpspec.cli``, ``build`` and
 ``predict`` load no scipy module, the Lanczos sigma_min kernel loads
 ``scipy.linalg`` and a dilation with p != 1 loads ``scipy.interpolate``."""
@@ -83,6 +85,99 @@ def dead_definitions(root: Path) -> dict[str, list[str]]:
     return {name: names for name, names in dead.items() if names}
 
 
+def _callee(func: ast.expr) -> str | None:
+    """The name a call goes to: ``f(...)`` and ``obj.f(...)`` both call f."""
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def defaulted_parameters(source: str) -> list[tuple[str, str, int | None, str]]:
+    """(qualified name, called name, position, keyword) of each defaulted
+    parameter of a module-level function, of a method or constructor of a
+    module-level class, and of each defaulted dataclass field.
+
+    The position counts the arguments a caller passes (self and cls
+    excepted), None for a keyword-only parameter; a constructor and a
+    dataclass are called by their class name.  A ``field()`` with neither
+    ``default`` nor ``default_factory``, or with ``init``, is not defaulted.
+    """
+    out = []
+    for node in ast.parse(source).body:
+        funcs = []
+        if isinstance(node, ast.FunctionDef):
+            funcs.append((node.name, node.name, node, 0))
+        elif isinstance(node, ast.ClassDef):
+            for f in node.body:
+                if not isinstance(f, ast.FunctionDef):
+                    continue
+                if f.name.startswith("__") and f.name != "__init__":
+                    continue
+                static = any(_callee(d) == "staticmethod" for d in f.decorator_list)
+                called = node.name if f.name == "__init__" else f.name
+                funcs.append((f"{node.name}.{f.name}", called, f, 0 if static else 1))
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            if "dataclass" in map(_callee, decorators):
+                fields = [s for s in node.body
+                          if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+                for i, s in enumerate(fields):
+                    if s.value is None:
+                        continue
+                    if isinstance(s.value, ast.Call) and _callee(s.value.func) == "field":
+                        kws = {k.arg for k in s.value.keywords}
+                        if "init" in kws or not kws & {"default", "default_factory"}:
+                            continue
+                    out.append((f"{node.name}.{s.target.id}", node.name, i, s.target.id))
+        for qual, called, f, skip in funcs:
+            pos = f.args.posonlyargs + f.args.args
+            first = len(pos) - len(f.args.defaults)
+            for i, a in enumerate(pos[first:], first):
+                out.append((f"{qual}.{a.arg}", called, i - skip, a.arg))
+            for a, d in zip(f.args.kwonlyargs, f.args.kw_defaults):
+                if d is not None:
+                    out.append((f"{qual}.{a.arg}", called, None, a.arg))
+    return out
+
+
+def passed_arguments(sources: list[str]) -> dict[str, tuple[int, set[str]]]:
+    """Per called name, the most positional arguments any call passes (all
+    of them through a ``*`` argument) and the keywords passed (``**`` for
+    a ``**`` argument)."""
+    seen: dict[str, tuple[int, set[str]]] = {}
+    for text in sources:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call) and _callee(node.func):
+                npos, kws = seen.get(_callee(node.func), (0, set()))
+                star = any(isinstance(a, ast.Starred) for a in node.args)
+                npos = max(npos, sys.maxsize if star else len(node.args))
+                kws = kws | {k.arg or "**" for k in node.keywords}
+                seen[_callee(node.func)] = (npos, kws)
+    return seen
+
+
+def unset_keywords(root: Path) -> dict[str, list[str]]:
+    """Per module of src/qpspec under ``root``, its defaulted parameters and
+    fields that no call in the READERS files and the acceptance tests
+    passes, by keyword or by position: a setting only unit tests set."""
+    paths = [p for d in READERS for p in sorted((root / d).rglob("*.py"))]
+    sources = {p: p.read_text() for p in paths + [root / ACCEPTANCE]}
+    seen = passed_arguments(list(sources.values()))
+    unset = {}
+    for p, text in sources.items():
+        if p.parent != root / "src" / "qpspec":
+            continue
+        names = []
+        for qual, called, pos, kw in defaulted_parameters(text):
+            npos, kws = seen.get(called, (0, set()))
+            if not (kw in kws or "**" in kws or (pos is not None and npos > pos)):
+                names.append(qual)
+        if names:
+            unset[p.name] = sorted(names)
+    return unset
+
+
 def test_detector_flags_unused_names():
     src = "import os, sys\nimport scipy.linalg\nfrom math import pi, tau as t\nprint(sys, scipy, t)\n"
     assert unused_imports(src) == ["os", "pi"]
@@ -119,6 +214,34 @@ def test_module_has_no_unused_imports(module):
 
 def test_every_definition_is_referenced():
     assert dead_definitions(ROOT) == {}
+
+
+def test_keyword_detector_counts_only_package_bench_and_acceptance_readers(tmp_path):
+    files = {
+        "src/qpspec/mod.py": (
+            "from dataclasses import dataclass, field\n"
+            "def f(a, by_bench=1, by_position=2, unit_only=3, *, kw_unit_only=4): pass\n"
+            "@dataclass\nclass D:\n    x: int\n    y: int = 0\n"
+            "    z: list = field(default_factory=list)\n    w: dict = field(repr=False)\n"
+            "class K:\n    def __init__(self, a, b=1): pass\n"
+            "    def m(self, c=2): pass\n"
+        ),
+        "bench/run.py": "from qpspec.mod import f\nf(0, by_bench=5)\nK(0).m(3)\n",
+        "tests/test_acceptance.py": "from qpspec.mod import f, D\nf(0, 1, 2)\nD(1, 2)\n",
+        "tests/test_mod.py": (
+            "from qpspec.mod import f\nf(0, unit_only=6)\nD(1, z=[])\nK(0, 1)\n"
+        ),
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert unset_keywords(tmp_path) == {
+        "mod.py": ["D.z", "K.__init__.b", "f.kw_unit_only", "f.unit_only"]
+    }
+
+
+def test_every_keyword_is_set():
+    assert unset_keywords(ROOT) == {}
 
 
 # run in a fresh interpreter, since this test process has loaded everything;

@@ -27,10 +27,7 @@ FG = FrequencyGrid.uniform(10.0, 48)
 def _random_op(rng, grid):
     n = grid.size
     return OperatorMatrix(
-        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
-        grid,
-        grid,
-        "frequency",
+        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), grid, grid
     )
 
 
@@ -156,7 +153,7 @@ def test_factored_times_dense_product_forms_no_kron(monkeypatch):
     g1, g2 = FrequencyGrid.uniform(4.0, 7), FrequencyGrid.uniform(4.0, 5)
     A = kron(_random_op(rng, g1), _random_op(rng, g2))
     dense = OperatorMatrix(kron(_random_op(rng, g1), _random_op(rng, g2)).entries,
-                           (g1, g2), (g1, g2), "frequency")
+                           (g1, g2), (g1, g2))
     ref = A.entries @ dense.entries
     entries = OperatorMatrix.entries
 
@@ -244,7 +241,7 @@ def test_operator_product_keeps_factors_of_factored_operands():
     AB = A @ B
     assert AB.factors is not None
     assert np.allclose(AB.entries, A.entries @ B.entries, rtol=0, atol=1e-12)
-    dense = OperatorMatrix(B.entries, B.domain_grid, B.codomain_grid, "frequency")
+    dense = OperatorMatrix(B.entries, B.domain_grid, B.codomain_grid)
     for product in (A @ dense, dense @ A):
         assert product.factors is None
     # a factored left operand applies its factors to the dense one
@@ -260,7 +257,7 @@ def test_operator_product_keeps_factors_of_factored_operands():
 
 
 def test_op_norm_examples():
-    I = OperatorMatrix(np.eye(FG.size, dtype=complex), FG, FG, "frequency")
+    I = OperatorMatrix(np.eye(FG.size, dtype=complex), FG, FG)
     assert abs(op_norm(I) - 1.0) < 1e-12
     D = fourier_multiplier(lambda t: np.exp(-t), FG)
     assert abs(op_norm(D) - 1.0) < 1e-12

@@ -38,7 +38,7 @@ from qpspec.series import (
     _boundary_phi_values,
     _cauchy_kernel,
 )
-from qpspec.symbols import SepExpr, make_symbol
+from qpspec.symbols import AnalyticSymbol, SepExpr, make_symbol
 
 CONST_I = make_symbol("i", 0.9, 1.1, "constant")
 CONST_2I = make_symbol("2*i", 1.9, 2.1, "constant")
@@ -134,8 +134,10 @@ def test_truncation_order_meets_tolerance():
         assert remainder_bound(_unit_plan(0.5, n - 1, n - 1)) > tol
 
 
-def test_truncation_order_cap():
-    assert truncation_order(0.999, 1e-12, cap=25) == 25
+def test_truncation_order_cap(monkeypatch):
+    assert truncation_order(0.999, 1e-12) == qpspec.series.TRUNCATION_CAP
+    monkeypatch.setattr(qpspec.series, "TRUNCATION_CAP", 25)
+    assert truncation_order(0.999, 1e-12) == 25
 
 
 def test_plan_json_roundtrip():
@@ -385,16 +387,16 @@ def test_two_variable_series_keeps_toeplitz_as_kronecker_terms(monkeypatch):
 # direct Cauchy construction
 
 
-def direct_composition(qmap_or_fns, bgrids: tuple) -> OperatorMatrix:
+def direct_composition(qmap, bgrids: tuple) -> OperatorMatrix:
     """Dense boundary-representation matrix of the Cauchy-integral
     composition operator; meant for desk-scale grids."""
     g1, g2 = bgrids
-    v1, v2 = _boundary_phi_values(qmap_or_fns, bgrids)
+    v1, v2 = _boundary_phi_values(qmap, bgrids)
     A, B = _cauchy_kernel(g1, v1), _cauchy_kernel(g2, v2)
     entries = (A[:, :, None] * B[:, None, :]).reshape(
         g1.size * g2.size, g1.size * g2.size
     )
-    return OperatorMatrix(entries, bgrids, bgrids, "boundary")
+    return OperatorMatrix(entries, bgrids, bgrids)
 
 
 def test_direct_apply_translates_hardy_functions():
@@ -421,30 +423,27 @@ def test_direct_dense_matches_chunked_apply():
     assert np.max(np.abs(dense - fast)) < 1e-12
 
 
-# phi1 depends on both variables: exercises the generic chunked path
-NONSEPARABLE_FNS = (
-    lambda x1, x2: x1 + 1.0j + 0.05j * np.cos(x2 / 3.0),
-    lambda x1, x2: x2 + 2.0j,
-)
-
-
-def test_direct_apply_nonseparable_agrees_with_dense():
-    fns = NONSEPARABLE_FNS
+def test_direct_apply_nonseparable_agrees_with_dense(monkeypatch):
+    # TWOVAR_MAP's phi1 depends on both variables: the generic chunked path,
+    # in chunks of 97 rows
+    monkeypatch.setattr(qpspec.series, "DIRECT_CHUNK", 97)
     bg = (BoundaryGrid.rational(40, 8.0), BoundaryGrid.rational(40, 8.0))
     g1, g2 = bg
     f1, f2 = 1.0 / (g1.nodes + 1.0j), 1.0 / (g2.nodes + 2.0j)
     u = np.kron(f1, f2)
-    dense = direct_composition(fns, bg).entries @ u
-    fast = direct_composition_apply(fns, bg, f1[:, None], f2[:, None], chunk=97)[:, 0]
+    dense = direct_composition(TWOVAR_MAP, bg).entries @ u
+    fast = direct_composition_apply(TWOVAR_MAP, bg, f1[:, None], f2[:, None])[:, 0]
     assert np.max(np.abs(dense - fast)) < 1e-12
 
 
 def test_direct_apply_rejects_lower_halfplane_image():
-    fns = (lambda x1, x2: x1 - 0.5j, lambda x1, x2: x2 + 1.0j)
+    # built directly: make_symbol would reject the claimed Im bound
+    below = AnalyticSymbol(SepExpr.constant(-0.5j), 0.5)
+    qmap = QuasiParabolicMap(1.0, 1.0, below, CONST_I)
     bg = (BoundaryGrid.rational(30, 6.0), BoundaryGrid.rational(30, 6.0))
     f = np.zeros((30, 1), dtype=complex)
     with pytest.raises(DomainError):
-        direct_composition_apply(fns, bg, f, f)
+        direct_composition_apply(qmap, bg, f, f)
 
 
 CAY_QUARTER_MAP = QuasiParabolicMap(
@@ -460,18 +459,19 @@ TWOVAR_MAP = QuasiParabolicMap(
 
 
 @pytest.mark.parametrize("maps", ["per-axis", "nonseparable"])
-def test_direct_apply_batches_rank_one_vectors(maps):
-    # each column k is the image of kron(f1[:, k], f2[:, k]); chunk = 97 is
-    # not a multiple of the second-axis size
-    qmap_or_fns = CAY_QUARTER_MAP if maps == "per-axis" else NONSEPARABLE_FNS
+def test_direct_apply_batches_rank_one_vectors(maps, monkeypatch):
+    # each column k is the image of kron(f1[:, k], f2[:, k]); chunks of 97
+    # rows are not a multiple of the second-axis size
+    monkeypatch.setattr(qpspec.series, "DIRECT_CHUNK", 97)
+    qmap = CAY_QUARTER_MAP if maps == "per-axis" else TWOVAR_MAP
     bg = (BoundaryGrid.rational(36, 8.0), BoundaryGrid.rational(40, 8.0))
     g1, g2 = bg
     rng = np.random.default_rng(11)
     s = rng.uniform(-2.0, 2.0, size=(2, 3))
     f1 = 1.0 / (g1.nodes[:, None] - s[0] + 1.0j) ** 2
     f2 = 1.0 / (g2.nodes[:, None] - s[1] + 1.5j) ** 2
-    dense = direct_composition(qmap_or_fns, bg).entries
-    fast = direct_composition_apply(qmap_or_fns, bg, f1, f2, chunk=97)
+    dense = direct_composition(qmap, bg).entries
+    fast = direct_composition_apply(qmap, bg, f1, f2)
     assert fast.shape == (g1.size * g2.size, 3)
     for k in range(3):
         ref = dense @ np.kron(f1[:, k], f2[:, k])

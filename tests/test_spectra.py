@@ -28,15 +28,15 @@ from qpspec.symbols import PointCloud, make_symbol
 
 
 def _op(entries, grid):
-    return OperatorMatrix(np.asarray(entries, dtype=complex), grid, grid, "frequency")
+    return OperatorMatrix(np.asarray(entries, dtype=complex), grid, grid)
 
 
 def _grid(n):
     return FrequencyGrid.uniform(1.0, n)
 
 
-def _spec_set(pts, kind="predicted-spiral", **params):
-    return SpectralSet(PointCloud(np.asarray(pts, dtype=complex), kind), kind, params)
+def _spec_set(pts, **params):
+    return SpectralSet(PointCloud(np.asarray(pts, dtype=complex)), params)
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +48,6 @@ def test_eigenvalues_diagonal():
     d = np.array([1.0, 2.0, -1.0, 0.5j, 3.0 + 1.0j])
     out = eigenvalues(_op(np.diag(d), g))
     assert np.allclose(np.sort_complex(out.points.points), np.sort_complex(d))
-    assert out.kind == "eigenvalues"
 
 
 def test_eigenvalues_nilpotent_shift():
@@ -65,7 +64,7 @@ def test_eigenvalues_swap_matrix():
 
 def test_eigenvalues_rejects_rectangular():
     g1, g2 = _grid(3), _grid(4)
-    bad = OperatorMatrix(np.zeros((3, 4), dtype=complex), g2, g1, "frequency")
+    bad = OperatorMatrix(np.zeros((3, 4), dtype=complex), g2, g1)
     with pytest.raises(UsageError):
         eigenvalues(bad)
 
@@ -81,8 +80,8 @@ def _factored_pair(kind):
     ]
     if kind == "diagonal":
         factors = [np.diag(np.diag(F)) for F in factors]
-    return (OperatorMatrix(None, grids, grids, "frequency", factors=factors),
-            OperatorMatrix(np.kron(*factors), grids, grids, "frequency"))
+    return (OperatorMatrix(None, grids, grids, factors),
+            OperatorMatrix(np.kron(*factors), grids, grids))
 
 
 @pytest.mark.parametrize("kind", ["general", "diagonal"])
@@ -418,8 +417,9 @@ def test_surrogate_reports_points_evaluated_per_size():
 
 
 def test_predicted_set_pure_decay_cluster():
-    c = PointCloud(np.array([1.0j]), "a")
-    out = predicted_set(c, c, t_grid=np.linspace(0.0, 8.0, 65))
+    # min Im = 1, so T = 8 and the t-grid is linspace(0, 8, 65)
+    c = PointCloud(np.array([1.0j]))
+    out = predicted_set(c, c, t_samples=65)
     pts = out.points.points
     # t1 = t2 = 1 lands exactly on e^{-2}
     assert np.min(np.abs(pts - np.exp(-2.0))) < 1e-12
@@ -428,15 +428,16 @@ def test_predicted_set_pure_decay_cluster():
 
 
 def test_predicted_set_spiral_hits_negative_axis():
-    c = PointCloud(np.array([1.0 + 1.0j]), "a")
-    out = predicted_set(c, c, t_grid=np.array([0.0, np.pi]))
+    # T = 8 and t = (0, 8): at t1 = 8, t2 = 0 the image is exp(i pi - 8)
+    c = PointCloud(np.array([np.pi / 8.0 + 1.0j]))
+    out = predicted_set(c, c, t_samples=2)
     pts = out.points.points
-    assert np.min(np.abs(pts - (-np.exp(-np.pi)))) < 1e-12
+    assert np.min(np.abs(pts - (-np.exp(-8.0)))) < 1e-12
 
 
 def test_predicted_set_lives_in_closed_unit_disc():
-    c1 = PointCloud(np.array([0.5 + 0.7j, 1.0j]), "a")
-    c2 = PointCloud(np.array([2.0j, 1.0 + 2.0j]), "b")
+    c1 = PointCloud(np.array([0.5 + 0.7j, 1.0j]))
+    c2 = PointCloud(np.array([2.0j, 1.0 + 2.0j]))
     out = predicted_set(c1, c2, t_samples=48)
     pts = out.points.points
     assert np.max(np.abs(pts)) <= 1.0 + 1e-12
@@ -445,17 +446,18 @@ def test_predicted_set_lives_in_closed_unit_disc():
 
 
 def test_predicted_set_rejects_bad_clusters():
-    good = PointCloud(np.array([1.0j]), "a")
+    good = PointCloud(np.array([1.0j]))
     with pytest.raises(DomainError):
-        predicted_set(good, PointCloud(np.array([1.0 - 0.1j]), "b"))
+        predicted_set(good, PointCloud(np.array([1.0 - 0.1j])))
     with pytest.raises(UsageError):
-        predicted_set(good, PointCloud(np.empty(0, dtype=complex), "b"))
+        predicted_set(good, PointCloud(np.empty(0, dtype=complex)))
 
 
-def test_predicted_set_subsamples_large_pair_counts():
+def test_predicted_set_subsamples_large_pair_counts(monkeypatch):
+    monkeypatch.setattr(qpspec.spectra, "MAX_PAIRS", 16)
     rng = np.random.default_rng(0)
-    big = PointCloud(rng.uniform(0, 1, 20) + 1j * rng.uniform(1, 2, 20), "a")
-    out = predicted_set(big, big, t_samples=16, max_pairs=16)
+    big = PointCloud(rng.uniform(0, 1, 20) + 1j * rng.uniform(1, 2, 20))
+    out = predicted_set(big, big, t_samples=16)
     assert out.params["pairs"] <= 16
 
 
@@ -483,8 +485,8 @@ def test_directed_hausdorff_rejects_empty():
 
 def test_containment_verdict_pass_and_fail():
     pred = _spec_set([1.0, 0.5], image_spacing=0.01)
-    near = _spec_set([1.005, 0.5], kind="essential-surrogate", grid_step=0.01)
-    far = _spec_set([3.0], kind="essential-surrogate", grid_step=0.01)
+    near = _spec_set([1.005, 0.5], grid_step=0.01)
+    far = _spec_set([3.0], grid_step=0.01)
     ok = containment_verdict(pred, near)
     assert ok["verdict"] == "PASS"
     assert ok["tol"] == pytest.approx(2.0 * 0.02)
@@ -496,8 +498,7 @@ def test_containment_verdict_pass_and_fail():
 
 def test_containment_verdict_empty_surrogate_fails():
     pred = _spec_set([1.0], image_spacing=0.01)
-    empty = _spec_set([], kind="essential-surrogate", grid_step=0.01,
-                      diagnostic="empty intersection")
+    empty = _spec_set([], grid_step=0.01, diagnostic="empty intersection")
     out = containment_verdict(pred, empty)
     assert out["verdict"] == "FAIL"
     assert out["distance"] == float("inf")
@@ -515,20 +516,24 @@ def test_containment_verdict_matches_brute_force_across_blocks():
     inner = r * np.exp(2j * np.pi * rng.uniform(size=10000))
     pred = _spec_set(np.concatenate([inner, [-0.9 + 0.3j, 0.9 + 0.3j]]))
     c = 0.1 * np.exp(1j * np.pi * rng.uniform(size=20))
-    surr = _spec_set(np.concatenate([c, -c.conj()]), kind="essential-surrogate")
+    # tol = 2 * grid_step = 1.0
+    surr = _spec_set(np.concatenate([c, -c.conj()]), grid_step=0.5)
     a, b = pred.points.points, surr.points.points
     dists = np.min(np.abs(a[:, None] - b[None, :]), axis=1)
     ties = np.flatnonzero(dists == dists.max())
     rows = qpspec.spectra.DISTANCE_BLOCK // b.size
     assert a.size > rows
     assert len({k // rows for k in ties}) == 2
-    out = containment_verdict(pred, surr, tol=1.0)
+    out = containment_verdict(pred, surr)
     assert out["distance"] == float(dists.max()) == directed_hausdorff(pred, surr)
     assert out["worst_point"] == [-0.9, 0.3]
 
 
 def test_containment_verdict_explicit_tol():
-    pred = _spec_set([1.0])
-    surr = _spec_set([1.2], kind="essential-surrogate")
-    assert containment_verdict(pred, surr, tol=0.3)["verdict"] == "PASS"
-    assert containment_verdict(pred, surr, tol=0.1)["verdict"] == "FAIL"
+    # tol = 2 * (grid_step + image_spacing): 0.3 passes distance 0.2, 0.1 fails it
+    pred = _spec_set([1.0], image_spacing=0.1)
+    surr = _spec_set([1.2], grid_step=0.05)
+    assert containment_verdict(pred, surr)["verdict"] == "PASS"
+    pred = _spec_set([1.0], image_spacing=0.05)
+    surr = _spec_set([1.2], grid_step=0.0)
+    assert containment_verdict(pred, surr)["verdict"] == "FAIL"

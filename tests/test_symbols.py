@@ -5,7 +5,6 @@ from scipy.stats import qmc
 
 from qpspec.grids import BoundaryGrid
 from qpspec.symbols import (
-    ClusterPlan,
     SymbolError,
     closure_image,
     cluster_set,
@@ -182,11 +181,6 @@ def test_cluster_product_symbol():
     sym = make_symbol("i + 0.5*cay(z1)*cay(z2)", 0.4, 1.6, "continuous-on-closure")
     c = cluster_set(sym)
     assert np.max(np.abs(c.points - (0.5 + 1j))) < 1e-3
-
-
-def test_cluster_plan_needs_three_shells():
-    with pytest.raises(SymbolError):
-        ClusterPlan(shells=(8.0, 16.0))
 
 
 # ---------------------------------------------------------------------------
