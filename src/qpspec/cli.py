@@ -344,7 +344,7 @@ def cmd_build(cfg: RunConfig, cross: bool, out: Path) -> int:
         _write_json(out / "build_report.json", {"error": str(e)}, digest)
         raise
     _write_csv(out / "operator.csv", digest, op.row_blocks(), op.shape)
-    cert = json.loads(plan.to_json())
+    cert = plan.as_dict()
     cert.update(
         {
             "name": cfg.name,
@@ -412,7 +412,7 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
             "resolution": cfg.resolution,
             "eps": list(cfg.eps_list),
             "level_counts": [len(ls.points) for ls in levels],
-            "plan": json.loads(plan.to_json()),
+            "plan": plan.as_dict(),
             **pmap.stats,
         },
         digest,
@@ -426,7 +426,6 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
     if _remainder_fails(cfg, plan):
         return EXIT_CERT
     _, _, pred = _predict(cfg, qmap.psi1, qmap.psi2)
-    pred.images.clear()  # verify writes no sweep; free it before the surrogate
 
     def builder(n):
         return build_series(qmap, plan, cfg.fgrids(n))
@@ -438,7 +437,7 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
     report = {
         "name": cfg.name,
         "seed": cfg.seed,
-        "plan": json.loads(plan.to_json()),
+        "plan": plan.as_dict(),
         "verdict": verdict,
     }
     _write_json(out / "verify_report.json", report, digest)

@@ -16,6 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grids import (
+    BOUNDARY_HEIGHT,
     BoundaryGrid,
     FrequencyGrid,
     GridError,
@@ -24,8 +25,6 @@ from .grids import (
     grid_weights,
 )
 from .symbols import SepExpr, SymbolError
-
-BOUNDARY_EVAL_HEIGHT = 1e-8
 
 # largest stretch p or 1/p that a dilation may apply to the frequency grid
 MAX_STRETCH = 16.0
@@ -197,8 +196,8 @@ def embed_one_variable(A: OperatorMatrix, axis: int, other_grid: GridLike) -> Op
 def symbol_limit_at_infinity(fn: Callable) -> complex:
     """Value of a boundary symbol at the point at infinity: the mean of its
     values at +/- _INFINITY_PROBE, which must agree to _INFINITY_RTOL."""
-    up = complex(np.asarray(fn(np.array([_INFINITY_PROBE + 1j * BOUNDARY_EVAL_HEIGHT]))).reshape(-1)[0])
-    dn = complex(np.asarray(fn(np.array([-_INFINITY_PROBE + 1j * BOUNDARY_EVAL_HEIGHT]))).reshape(-1)[0])
+    up = complex(np.asarray(fn(np.array([_INFINITY_PROBE + 1j * BOUNDARY_HEIGHT]))).reshape(-1)[0])
+    dn = complex(np.asarray(fn(np.array([-_INFINITY_PROBE + 1j * BOUNDARY_HEIGHT]))).reshape(-1)[0])
     if abs(up - dn) > _INFINITY_RTOL * (1.0 + abs(up)):
         raise SymbolError(
             f"symbol has different limits at +/- infinity ({up:.6g} vs {dn:.6g}); "
@@ -217,7 +216,7 @@ def toeplitz_halfplane(symbol: Callable, fgrid: FrequencyGrid) -> OperatorMatrix
     """
     rule = BoundaryGrid.uniform(_TOEPLITZ_EXTENT, _TOEPLITZ_NODES)
     c = symbol_limit_at_infinity(symbol)
-    x = rule.nodes + 1j * BOUNDARY_EVAL_HEIGHT
+    x = rule.nodes + 1j * BOUNDARY_HEIGHT
     h = np.asarray(symbol(x), dtype=complex) - c
     tail = max(abs(h[0]), abs(h[-1]))
     if tail > 1e-2 * (1.0 + abs(c)):

@@ -18,7 +18,6 @@ closure of the symbol image (golden-section over log alpha).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -173,19 +172,15 @@ class SeriesPlan:
             raise SeriesError(f"delta = {self.delta} is not in (0, 1)")
         self.remainder = remainder_bound(self)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "alpha": self.alpha,
-                "delta": self.delta,
-                "n1": self.n1,
-                "n2": self.n2,
-                "remainder_bound": self.remainder,
-                "norm_estimates": self.norm_estimates,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+    def as_dict(self) -> dict:
+        return {
+            "alpha": self.alpha,
+            "delta": self.delta,
+            "n1": self.n1,
+            "n2": self.n2,
+            "remainder_bound": self.remainder,
+            "norm_estimates": self.norm_estimates,
+        }
 
 
 def default_norm_estimates(delta: float, sup_tau1: float, sup_tau2: float) -> dict:

@@ -404,7 +404,10 @@ CLUSTER_SAMPLES = 512
 def cluster_set(sym: AnalyticSymbol, seed: int = 0) -> PointCloud:
     """Approximate the cluster set of psi at (inf, inf) on H^2 from shells
     of growing modulus in the half-plane (CLUSTER_SHELLS, CLUSTER_SAMPLES
-    points each)."""
+    points each).  The three outermost shells are merged by dedup_points at
+    twice their largest spread, so each distinct cluster point appears once
+    and a symbol with a limit at infinity gives one point; only a larger set
+    can reach predicted_set's MAX_PAIRS cap."""
     m = CLUSTER_SAMPLES
     draw = halton(len(CLUSTER_SHELLS) * m, seed)
     per_shell = []
@@ -428,7 +431,8 @@ def cluster_set(sym: AnalyticSymbol, seed: int = 0) -> PointCloud:
         all_pts.append(vals)
     # inner shells are convergence diagnostics only: cluster points are
     # limits along the approach to infinity, so keep the outermost shells
-    pts = np.concatenate(all_pts[-3:])
+    resolution = 2.0 * max(s["spread"] for s in per_shell[-3:])
+    pts = dedup_points(np.concatenate(all_pts[-3:]), resolution)
     return PointCloud(pts, {"shells": per_shell})
 
 

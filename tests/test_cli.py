@@ -163,6 +163,11 @@ def test_spiral_csv_is_the_predicted_set(tmp_path):
     out = tmp_path / "out"
     assert main(["predict", "--config", str(path), "--out", str(out)]) == 0
     spiral = _csv_points(out / "spiral.csv")
+    # each symbol has a limit at infinity: one cluster point, one sweep
+    report = json.loads((out / "predict_report.json").read_text())
+    assert report["cluster_sizes"] == [1, 1]
+    assert report["params"]["pairs"] == 1
+    assert spiral.size == 8**2
     s1, s2 = RunConfig.load(path).symbols()
     pred = predicted_set(cluster_set(s1, seed=0),
                          cluster_set(s2, seed=0), t_samples=8, seed=0)

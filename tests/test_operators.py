@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
-from qpspec.grids import BoundaryGrid, FrequencyGrid, GridError
+from qpspec.grids import BOUNDARY_HEIGHT, BoundaryGrid, FrequencyGrid, GridError
 from qpspec.operators import (
     OperatorMatrix,
     dilation,
@@ -92,7 +92,7 @@ def _full_quadrature(symbol, fgrid):
 
     rule = BoundaryGrid.uniform(operators._TOEPLITZ_EXTENT, operators._TOEPLITZ_NODES)
     c = operators.symbol_limit_at_infinity(symbol)
-    hw = (np.asarray(symbol(rule.nodes + 1j * operators.BOUNDARY_EVAL_HEIGHT)) - c) * rule.weights
+    hw = (np.asarray(symbol(rule.nodes + 1j * BOUNDARY_HEIGHT)) - c) * rule.weights
     t = fgrid.nodes
     svals, inv = np.unique(np.round(np.subtract.outer(t, t), 12), return_inverse=True)
     hhat = np.empty(svals.size, dtype=complex)

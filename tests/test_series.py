@@ -142,7 +142,7 @@ def test_truncation_order_cap(monkeypatch):
 
 def test_plan_json_roundtrip():
     plan = plan_for_map(_const_map(), tol=1e-6)
-    again = json.loads(plan.to_json())
+    again = json.loads(json.dumps(plan.as_dict()))
     assert again["alpha"] == plan.alpha
     assert again["delta"] == plan.delta
     assert (again["n1"], again["n2"]) == (plan.n1, plan.n2)

@@ -175,12 +175,14 @@ def test_cluster_continuous_symbol_hits_boundary_limit():
     sym = make_symbol("i + 0.5*cay(z1)", 0.45, 1.6, "continuous-on-closure")
     c = cluster_set(sym)
     assert np.max(np.abs(c.points - (0.5 + 1j))) < 1e-3
+    assert len(c) == 1
 
 
 def test_cluster_product_symbol():
     sym = make_symbol("i + 0.5*cay(z1)*cay(z2)", 0.4, 1.6, "continuous-on-closure")
     c = cluster_set(sym)
     assert np.max(np.abs(c.points - (0.5 + 1j))) < 1e-3
+    assert len(c) == 1
 
 
 # ---------------------------------------------------------------------------
