@@ -332,17 +332,77 @@ def fourier_multiplier(fn: Callable, grid: FrequencyGrid) -> OperatorMatrix:
     return OperatorMatrix(np.diag(diag), grid, grid)
 
 
+def _not_a_knot_splines(x: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Values at ``targets`` of the not-a-knot cubic splines on the nodes x
+    (at least 4) through the unit vectors: column k interpolates e_k.
+
+    Bit-identical to scipy's ``CubicSpline(x, np.eye(n), bc_type="not-a-knot")
+    (targets)``, signs of zeros included, because it repeats its arithmetic
+    step for step: the banded slope system with both not-a-knot end rows,
+    LAPACK ?gtsv (elimination with row interchanges, then back substitution),
+    CubicHermiteSpline's coefficients and PPoly's evaluation.
+    """
+    n = x.size
+    y = np.eye(n)
+    dx = np.diff(x)
+    dxr = dx[:, None]
+    slope = np.diff(y, axis=0) / dxr
+    # the slopes s solve a tridiagonal system: sub-diagonal dl, diagonal d,
+    # super-diagonal du, right-hand sides b (one column per unit vector)
+    d = np.empty(n)
+    d[1:-1] = 2 * (dx[:-1] + dx[1:])
+    du = np.concatenate(([x[2] - x[0]], dx[:-1]))
+    dl = np.concatenate((dx[1:], [x[-1] - x[-3]]))
+    d[0], d[-1] = dx[1], dx[-2]
+    b = np.empty((n, n))
+    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    h = du[0]
+    b[0] = ((dxr[0] + 2 * h) * dxr[1] * slope[0] + dxr[0]**2 * slope[1]) / h
+    h = dl[-1]
+    b[-1] = (dxr[-1]**2 * slope[-2] + (2 * h + dxr[-1]) * dxr[-2] * slope[-1]) / h
+    # ?gtsv's elimination; after an interchange dl[i] holds the fill-in of
+    # the second super-diagonal, otherwise it is 0
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] -= fact * du[i]
+            b[i + 1] -= fact * b[i]
+            dl[i] = 0.0
+        else:
+            fact = d[i] / dl[i]
+            d[i], d[i + 1], du[i] = dl[i], du[i] - fact * d[i + 1], d[i + 1]
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            b[i], b[i + 1] = b[i + 1].copy(), b[i] - fact * b[i + 1]
+    b[-1] /= d[-1]
+    b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
+    for i in range(n - 3, -1, -1):
+        # the dl term stays when dl[i] is 0: it decides the sign of zeros
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    s = b  # the solved slopes
+    # CubicHermiteSpline's coefficients, highest power first
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    c = (t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1])
+    # PPoly's evaluation, extrapolating with the end pieces
+    k = np.clip(np.searchsorted(x, targets, side="right") - 1, 0, n - 2)
+    u = (targets - x[k])[:, None]
+    res = 0.0 + c[3][k]
+    res += c[2][k] * u
+    res += c[1][k] * (u * u)
+    res += c[0][k] * ((u * u) * u)
+    return res
+
+
 def dilation_1d(p: float, fgrid: FrequencyGrid) -> np.ndarray:
     """Frequency-side matrix of (V_p f)(z) = f(p z): g(t) -> g(t / p) / p.
 
     Follows from the transform convention: f(p.)^hat(t) = f_hat(t/p)/p.
     Samples beyond the grid extent are taken as zero (Hardy frequency
-    profiles decay); cubic-spline interpolation in between.
+    profiles decay); in between, the not-a-knot cubic spline through the
+    samples, bit-identical to scipy's ``CubicSpline`` (needs at least 4
+    nodes).
     """
-    # imported here, not at module level: only maps with p != 1 reach this,
-    # and the import would otherwise add to every process's start-up
-    from scipy.interpolate import CubicSpline
-
     if p <= 0:
         raise GridError("dilation parameter must be positive")
     if p > MAX_STRETCH or 1.0 / p > MAX_STRETCH:
@@ -351,9 +411,11 @@ def dilation_1d(p: float, fgrid: FrequencyGrid) -> np.ndarray:
             "the grid extent"
         )
     t = fgrid.nodes
+    if t.size < 4:
+        raise GridError(f"a dilation needs at least 4 frequency nodes, got {t.size}")
     targets = t / p
     # column k interpolates the k-th unit vector
-    V = CubicSpline(t, np.eye(t.size), bc_type="not-a-knot")(targets)
+    V = _not_a_knot_splines(t, targets)
     V[targets > fgrid.extent] = 0.0
     return V / p
 

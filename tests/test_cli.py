@@ -128,6 +128,15 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, section, key, value):
     assert "config error:" in capsys.readouterr().err
 
 
+def test_dilation_on_three_frequency_nodes_exits_2(tmp_path, capsys):
+    raw = json.loads((CONFIG_DIR / "dilation_case.json").read_text())
+    raw["grids"].update(frequency_nodes=3, boundary_nodes=160)
+    path = tmp_path / "dilation_case.json"
+    path.write_text(json.dumps(raw))
+    assert main(["build", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "at least 4 frequency nodes" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # predict
 

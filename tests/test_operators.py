@@ -197,17 +197,26 @@ def test_dilation_roundtrip():
     assert np.max(np.abs(V2 @ (Vh @ h) - h)) < 5e-3
 
 
-@pytest.mark.parametrize("n", [8, 32, 64])
-@pytest.mark.parametrize("p", [2.0, 0.5])
+@pytest.mark.parametrize("n", [4, 5, 8, 32, 64, 129])
+@pytest.mark.parametrize("p", [2.0, 0.5, 1.5, 7.9])
 def test_dilation_matches_per_column_splines(p, n):
-    fg = FrequencyGrid.uniform(16.0, n)
-    t = fg.nodes
-    ref = np.zeros((n, n))
-    for k in range(n):
-        col = CubicSpline(t, np.eye(n)[k], bc_type="not-a-knot")(t / p)
-        col[t / p > fg.extent] = 0.0
-        ref[:, k] = col
-    assert np.array_equal(dilation_1d(p, fg), ref / p)
+    # bit patterns, not values: -0 and +0 are written as "-0" and "0"
+    for extent in (1.0, 16.0):
+        fg = FrequencyGrid.uniform(extent, n)
+        t = fg.nodes
+        ref = np.zeros((n, n))
+        for k in range(n):
+            col = CubicSpline(t, np.eye(n)[k], bc_type="not-a-knot")(t / p)
+            col[t / p > fg.extent] = 0.0
+            ref[:, k] = col
+        got = dilation_1d(p, fg)
+        assert np.array_equal(got.view(np.uint64), (ref / p).view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_dilation_rejects_fewer_than_four_nodes(n):
+    with pytest.raises(GridError):
+        dilation_1d(2.0, FrequencyGrid.uniform(10.0, n))
 
 
 def test_dilation_identity_for_p_one():
