@@ -27,6 +27,7 @@ import numpy as np
 from . import svg as svgmod
 from . import textfmt
 from .grids import BoundaryGrid, DomainError, FrequencyGrid, GridError
+from .operators import MIN_DILATION_NODES
 from .series import (
     QuasiParabolicMap,
     SeriesError,
@@ -103,16 +104,19 @@ class RunConfig:
             grids = raw.get("grids", {})
             plan = raw.get("plan", {})
             spectra = raw.get("spectra", {})
+            p1 = _positive(raw.get("p1", 1.0), "p1")
+            p2 = _positive(raw.get("p2", 1.0), "p2")
+            dilated = p1 != 1.0 or p2 != 1.0
             cfg = cls(
                 name=raw.get("name", default_name),
                 psi1=_symbol(sym["psi1"], "symbols.psi1"),
                 psi2=_symbol(sym["psi2"], "symbols.psi2"),
-                p1=_positive(raw.get("p1", 1.0), "p1"),
-                p2=_positive(raw.get("p2", 1.0), "p2"),
+                p1=p1,
+                p2=p2,
                 frequency_extent=_positive(grids.get("frequency_extent", 10.0),
                                            "grids.frequency_extent"),
-                frequency_nodes=_integer(grids.get("frequency_nodes", 32),
-                                         "grids.frequency_nodes", 2),
+                frequency_nodes=_nodes(grids.get("frequency_nodes", 32),
+                                       "grids.frequency_nodes", dilated),
                 boundary_extent=_positive(grids.get("boundary_extent", 60.0),
                                           "grids.boundary_extent"),
                 boundary_nodes=_integer(grids.get("boundary_nodes", 768),
@@ -126,7 +130,7 @@ class RunConfig:
                 region=_region(spectra.get("region", (-1.1, 1.1, -1.1, 1.1))),
                 resolution=_resolution(spectra.get("resolution", (129, 129))),
                 eps_list=_eps(spectra.get("eps", (1e-2,))),
-                sizes=_sizes(spectra.get("sizes", (32, 48, 64)), "spectra.sizes"),
+                sizes=_sizes(spectra.get("sizes", (32, 48, 64)), "spectra.sizes", dilated),
                 t_samples=_integer(raw.get("t_samples", 64), "t_samples", 1),
                 seed=_integer(raw.get("seed", 0), "seed"),
                 raw=raw,
@@ -145,7 +149,8 @@ class RunConfig:
             self.raw["seed"] = seed
         spectra = dict(self.raw.get("spectra", {}))
         if sizes:
-            self.sizes = _sizes((int(s) for s in sizes.split(",")), "--sizes")
+            self.sizes = _sizes((int(s) for s in sizes.split(",")), "--sizes",
+                                self.p1 != 1.0 or self.p2 != 1.0)
             spectra["sizes"] = list(self.sizes)
         if eps:
             self.eps_list = _eps(float(s) for s in eps.split(","))
@@ -231,9 +236,21 @@ def _symbol(entry: dict, label: str) -> dict:
     }
 
 
-def _sizes(values, label: str) -> tuple:
-    """Finite-section sizes: each is at least 2 nodes per axis."""
-    return tuple(_integer(n, label, 2) for n in values)
+def _nodes(v, label: str, dilated: bool) -> int:
+    """Frequency nodes per axis: at least 2, and at least
+    MIN_DILATION_NODES for a map with a dilation (p1 or p2 not 1)."""
+    n = _integer(v, label, 2)
+    if dilated and n < MIN_DILATION_NODES:
+        raise ValueError(
+            f"{label} = {n}: a map with p1 or p2 not 1 needs at least "
+            f"{MIN_DILATION_NODES} frequency nodes per axis"
+        )
+    return n
+
+
+def _sizes(values, label: str, dilated: bool) -> tuple:
+    """Finite-section sizes, each checked as frequency nodes per axis."""
+    return tuple(_nodes(n, label, dilated) for n in values)
 
 
 def _resolution(values) -> tuple:
@@ -269,7 +286,7 @@ def _write_csv(path: Path, digest: str, blocks, shape: tuple | None = None) -> N
             flat = np.asarray(block).reshape(-1)
             for lo in range(0, flat.size, CSV_CHUNK):
                 z = flat[lo:lo + CSV_CHUNK]
-                f.write(textfmt.rows(".12g", z.real, b",", z.imag, b"\n"))
+                f.write(textfmt.rows(z.real, z.imag))
 
 
 def _write_json(path: Path, payload: dict, digest: str) -> None:
@@ -444,7 +461,7 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
     _write_csv(out / "surrogate.csv", digest, [surro.points.points])
     _write_csv(out / "predicted.csv", digest, [pred.points.points])
     svgmod.overlay_figure(
-        out / "overlay.svg", [(surro.params["eps"], surro.points.points)], pred.points.points
+        out / "overlay.svg", surro.params["eps"], surro.points.points, pred.points.points
     )
     print(f"{cfg.name}: {verdict['verdict']} "
           f"(distance {verdict['distance']:.4g}, tol {verdict['tol']:.4g})")

@@ -37,6 +37,8 @@ _TOEPLITZ_NODES = 16384
 _TOEPLITZ_BLOCK = 16
 _INFINITY_PROBE = 1e8
 _INFINITY_RTOL = 1e-6
+# the not-a-knot spline of a dilation needs this many frequency nodes
+MIN_DILATION_NODES = 4
 
 
 class OperatorMatrix:
@@ -50,15 +52,13 @@ class OperatorMatrix:
     when ``entries`` is read.  ``shape`` comes from the grids.  ``A @ B`` of
     two factored operators is factored, (A1 B1, A2 B2); a factored A
     applies its factors to a dense B (``kron_apply``); any other product is
-    the dense product of the entries.  ``meta`` starts empty;
-    ``build_series`` fills it with its certificate and term norms.
+    the dense product of the entries.
     """
 
     def __init__(self, entries, domain_grid: GridLike, codomain_grid: GridLike,
                  factors: Optional[tuple] = None):
         self.domain_grid = domain_grid
         self.codomain_grid = codomain_grid
-        self.meta = {}
         self.shape = (grid_size(codomain_grid), grid_size(domain_grid))
         if (entries is None) == (factors is None):
             raise GridError("an operator is given by its entries or by its factors")
@@ -411,8 +411,10 @@ def dilation_1d(p: float, fgrid: FrequencyGrid) -> np.ndarray:
             "the grid extent"
         )
     t = fgrid.nodes
-    if t.size < 4:
-        raise GridError(f"a dilation needs at least 4 frequency nodes, got {t.size}")
+    if t.size < MIN_DILATION_NODES:
+        raise GridError(
+            f"a dilation needs at least {MIN_DILATION_NODES} frequency nodes, got {t.size}"
+        )
     targets = t / p
     # column k interpolates the k-th unit vector
     V = _not_a_knot_splines(t, targets)

@@ -164,7 +164,7 @@ class SeriesPlan:
     delta: float
     n1: int
     n2: int
-    norm_estimates: dict = field(default_factory=dict)
+    norm_estimates: dict
     remainder: float = field(init=False)
 
     def __post_init__(self):
@@ -183,15 +183,16 @@ class SeriesPlan:
         }
 
 
-def default_norm_estimates(delta: float, sup_tau1: float, sup_tau2: float) -> dict:
+def default_norm_estimates(delta: float, sup: float) -> dict:
     """Geometric a-priori bounds used inside the remainder certificate.
 
     The one-axis helper maps have single geometric series, the full map a
-    double one; Toeplitz factors are bounded by the sup of their symbols.
+    double one; both Toeplitz factors are bounded by ``sup``, a bound of
+    |tau_1| and |tau_2| on the sampled closure cloud.
     """
     return {
-        "T_tau1": sup_tau1,
-        "T_tau2": sup_tau2,
+        "T_tau1": sup,
+        "T_tau2": sup,
         "C_phi1": 1.0 / (1.0 - delta),
         "C_phi2": 1.0 / (1.0 - delta),
         "C_phi": 1.0 / (1.0 - delta) ** 2,
@@ -247,9 +248,7 @@ def plan_for_map(
         delta = delta_of_alpha(alpha, pts)
     if delta >= 1.0:
         raise SeriesError(f"alpha selection failed: delta = {delta} >= 1")
-    sup1 = float(np.max(np.abs(1j * alpha - pts)))
-    sup2 = sup1
-    est = default_norm_estimates(delta, sup1, sup2)
+    est = default_norm_estimates(delta, float(np.max(np.abs(1j * alpha - pts))))
     order = truncation_order(delta, tol)
     plan = SeriesPlan(alpha, delta, n1 if n1 is not None else order,
                       n2 if n2 is not None else order, est)
@@ -296,9 +295,7 @@ def build_series(qmap: QuasiParabolicMap, plan: SeriesPlan, fgrids: tuple) -> Op
     one.  T1 and T2 are kept as their Kronecker terms (``separable_terms``)
     and applied from the left (``kron_apply``), so an order costs a few
     products with n x n factors and no n^2 x n^2 matrix product.  Every sum
-    is growth-checked, and the dilation is applied last.  The result carries
-    the plan's certified remainder bound and the first-axis increment norms
-    in its meta dict.
+    is growth-checked, and the dilation is applied last.
     """
     if plan.delta >= 1.0:
         raise SeriesError("refusing to sum a series with delta >= 1")
@@ -327,12 +324,6 @@ def build_series(qmap: QuasiParabolicMap, plan: SeriesPlan, fgrids: tuple) -> Op
     _growth_check(norms2)
     if qmap.p1 != 1.0 or qmap.p2 != 1.0:
         op = dilation(qmap.p1, qmap.p2, fgrids) @ op
-    op.meta = {
-        "remainder_bound": plan.remainder,
-        "alpha": plan.alpha,
-        "delta": plan.delta,
-        "term_norms": norms1,
-    }
     return op
 
 

@@ -12,8 +12,6 @@ from typing import Iterator
 
 import numpy as np
 
-from . import textfmt
-
 VIEW = 480
 PAD = 1.25  # complex plane half-width mapped onto the viewport
 
@@ -38,33 +36,30 @@ def _chunks(points: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         yield _xy(points[lo:lo + GLYPH_CHUNK])
 
 
-def polyline(points: np.ndarray, color: str, width: float = 1.0) -> Iterator[bytes]:
+def polyline(points: np.ndarray, color: str) -> Iterator[bytes]:
     """A polyline through ``points``, in pieces of GLYPH_CHUNK points."""
-    yield (
-        f'<polyline fill="none" stroke="{color}" '
-        f'stroke-width="{width}" points="'
-    ).encode()
+    yield f'<polyline fill="none" stroke="{color}" stroke-width="1.0" points="'.encode()
     for k, (x, y) in enumerate(_chunks(points)):
-        coords = textfmt.rows(".2f", b" ", x, b",", y)
-        yield coords[1:] if k == 0 else coords
+        coords = " ".join([f"{a:.2f},{b:.2f}" for a, b in zip(x.tolist(), y.tolist())])
+        yield (coords if k == 0 else " " + coords).encode()
     yield b'"/>'
 
 
-def scatter(
-    points: np.ndarray, color: str, r: float = 1.6, shape: str = "circle"
-) -> Iterator[bytes]:
+def scatter(points: np.ndarray, color: str, r: float, shape: str) -> Iterator[bytes]:
     """One circle or square glyph per point, in order, in pieces of
     GLYPH_CHUNK glyphs."""
     for x, y in _chunks(points):
         if shape == "circle":
-            yield textfmt.rows(
-                ".2f", b'<circle cx="', x, b'" cy="', y, f'" r="{r}" fill="{color}"/>'.encode()
-            )
+            yield "".join([
+                f'<circle cx="{a:.2f}" cy="{b:.2f}" r="{r}" fill="{color}"/>'
+                for a, b in zip(x.tolist(), y.tolist())
+            ]).encode()
         else:
-            yield textfmt.rows(
-                ".2f", b'<rect x="', x - r, b'" y="', y - r,
-                f'" width="{2 * r:.2f}" height="{2 * r:.2f}" fill="{color}"/>'.encode(),
-            )
+            size = f'width="{2 * r:.2f}" height="{2 * r:.2f}" fill="{color}"/>'
+            yield "".join([
+                f'<rect x="{a:.2f}" y="{b:.2f}" {size}'
+                for a, b in zip((x - r).tolist(), (y - r).tolist())
+            ]).encode()
 
 
 def unit_circle_guide() -> str:
@@ -96,25 +91,19 @@ def spiral_figure(path: Path, paths: list[np.ndarray]) -> None:
         f.write((_head("predicted spiral set") + unit_circle_guide()).encode())
         for k, p in enumerate(paths):
             f.write(b"\n")
-            f.writelines(polyline(p, PATH_COLORS[k % len(PATH_COLORS)], 1.0))
+            f.writelines(polyline(p, PATH_COLORS[k % len(PATH_COLORS)]))
         f.write(_TAIL.encode())
 
 
-def overlay_figure(
-    path: Path,
-    level_sets: list[tuple[float, np.ndarray]],
-    predicted: np.ndarray,
-) -> None:
-    """Write the pseudospectrum level points as squares under the predicted
-    cloud to ``path``, GLYPH_CHUNK glyphs at a time, so the document is
-    never held whole as text."""
-    shades = ("#c9dcef", "#9fc2e3", "#6ea3d4")
+def overlay_figure(path: Path, eps: float, level: np.ndarray, predicted: np.ndarray) -> None:
+    """Write the pseudospectrum level points at ``eps`` as squares under
+    the predicted cloud to ``path``, GLYPH_CHUNK glyphs at a time, so the
+    document is never held whole as text."""
     with open(path, "wb") as f:
         f.write((_head("predicted set over pseudospectrum levels")
                  + unit_circle_guide()).encode())
-        for k, (eps, pts) in enumerate(level_sets):
-            f.write(f"\n<!-- level eps={eps:g}: {pts.size} points -->\n".encode())
-            f.writelines(scatter(pts, shades[k % len(shades)], 2.2, "rect"))
+        f.write(f"\n<!-- level eps={eps:g}: {level.size} points -->\n".encode())
+        f.writelines(scatter(level, "#c9dcef", 2.2, "rect"))
         f.write(b"\n")
         f.writelines(scatter(predicted, "#b2421f", 1.2, "circle"))
         f.write(_TAIL.encode())

@@ -1,28 +1,21 @@
-"""Whole-array ``%.12g`` and ``%.2f`` text, byte-identical to ``format``.
+"""Whole-array ``%.12g`` text, byte-identical to ``format``.
 
-``rows(spec, *parts)`` formats float arrays and joins them, row by row, with
-fixed byte strings: ``rows(".12g", re, b",", im, b"\\n")`` is the bytes of
+``rows(re, im)`` is the bytes of
 ``"".join(f"{a:.12g},{b:.12g}\\n" for a, b in zip(re, im))``.
 
 Each value gets a fixed-width ``uint8`` slot whose unused bytes are 0;
 deleting the 0 bytes of the joined slots removes the padding.  The digits come
-from scaling |x| to a float m of integer size, rounding it and looking its
-digits up four at a time:
+from scaling |x| to m = |x| * 10**(11 - X), X the decimal exponent, so that m
+lies in [1e11, 1e12) and rint(m) holds the 12 significant digits, looked up
+four at a time.  Then ``%g``'s rules apply: trailing zeros are dropped,
+exponent notation is used when X < -4 or X >= 12, a rounding up to 1e12 moves
+to the next power of ten, and -0 keeps its sign.
 
-* ``.12g``: m = |x| * 10**(11 - X) lies in [1e11, 1e12), X the decimal
-  exponent, so rint(m) holds the 12 significant digits.  Then ``%g``'s rules
-  apply: trailing zeros are dropped, exponent notation is used when
-  X < -4 or X >= 12, a rounding up to 1e12 moves to the next power of ten,
-  and -0 keeps its sign.
-* ``.2f``: m = |x| * 100, and rint(m) holds the digits with two decimals.
-
-The scaled m carries a rounding error (at most about 4e-4 for ``.12g`` and
-1.2e-7 for ``.2f``), so it rounds like the exact value except near a tie.
-The values the float path cannot decide go to ``format`` itself: those
-with |frac(m) - 1/2| below the tie margin (G_TIE, F_TIE), non-finite
-values, and values outside the scaled range (nonzero |x| outside
-[G_MIN, G_MAX] for ``.12g``, |x| >= F_MAX for ``.2f``).  A slot array is widened when a
-fallback text does not fit.  A ``.12g`` array that is at least half ±0 (the
+The scaled m carries a rounding error of at most about 4e-4, so it rounds like
+the exact value except near a tie.  The values the float path cannot decide go
+to ``format`` itself: those with |frac(m) - 1/2| below G_TIE, non-finite
+values, and nonzero |x| outside [G_MIN, G_MAX].  A slot array is widened when
+a fallback text does not fit.  An array that is at least half ±0 (the
 operator of a constant or dilation map) sends only its nonzero values down
 this path and writes "0" and "-0" into the zero slots directly.
 """
@@ -33,8 +26,6 @@ import numpy as np
 
 G_MIN, G_MAX = 1e-270, 1e270
 G_TIE = 2e-3
-F_MAX = 1e7
-F_TIE = 1e-6
 
 _ZERO, _DOT, _MINUS, _PLUS, _E = (ord(c) for c in "0.-+e")
 
@@ -87,24 +78,7 @@ _G_EXPS = _exps.view(np.uint64).reshape(-1)
 # the first two bytes of the slot of +0 and of -0
 _G_ZEROS = np.frombuffer(b"0\0-0", np.uint16)
 
-# .2f slot: five 4-byte words, [sign][digits 1-4][digits 5-8][digits 9-10,
-# the point, digits 11-12 and three 0 bytes], digits of rint(100 |x|)
-_F_WIDTH = 20
-_F_QUADS = _QUADS.view(np.uint32).reshape(-1)
-_tail = np.zeros((10_000, 8), np.uint8)
-_tail[:, [0, 1, 3, 4]] = _QUADS
-_tail[:, 2] = _DOT
-_F_TAIL = _tail.view(np.uint32)
-_F_SIGN = np.array([[0, 0, 0, 0], [_MINUS, 0, 0, 0]], np.uint8).view(np.uint32).reshape(-1)
-# row k keeps the last k integer digits (at least the units digit)
-_fkeep = np.zeros((11, 20), np.uint8)
-_fkeep[:, :4] = 0xFF
-_fkeep[:, 4:14] = np.where(np.arange(10) >= 10 - np.arange(11)[:, None], 0xFF, 0)
-_fkeep[:, 14:17] = 0xFF
-_F_KEEP = _fkeep.view(np.uint32)
-_F_POWERS = 10.0 ** np.arange(3, 12)
-
-del _spread, _keep, _dots, _head, _exps, _ex, _short, _tail, _fkeep
+del _spread, _keep, _dots, _head, _exps, _ex, _short
 
 
 def _quads(q: np.ndarray) -> np.ndarray:
@@ -119,23 +93,6 @@ def _quads(q: np.ndarray) -> np.ndarray:
     out[:, 0] = hi
     out[:, 1] = mid
     out[:, 2] = rest - mid * 1e4
-    return out
-
-
-def _slots(x: np.ndarray, slow: np.ndarray, spec: str, width: int) -> tuple[np.ndarray, list]:
-    """Uninitialised (n, width) slots, widened with 0 bytes to fit the
-    ``format`` texts of the values in ``slow``, and those texts by index."""
-    texts = [(i, format(float(x[i]), spec).encode()) for i in np.flatnonzero(slow).tolist()]
-    out = np.empty((x.size, max([width] + [-(-len(s) // 8) * 8 for _, s in texts])), np.uint8)
-    out[:, width:] = 0
-    return out, texts
-
-
-def _place(out: np.ndarray, texts: list) -> np.ndarray:
-    """Overwrite the slots of the fallback values with their texts."""
-    for i, s in texts:
-        out[i] = 0
-        out[i, : len(s)] = np.frombuffer(s, np.uint8)
     return out
 
 
@@ -188,56 +145,37 @@ def _g12_digits(x: np.ndarray) -> np.ndarray:
     dot = np.where(nd > p, p, 0)
     head = 5 * np.signbit(x) + small * -e
 
-    out, texts = _slots(x, slow, ".12g", _G_WIDTH)
+    # the fallback texts, and slots widened with 0 bytes to fit them
+    texts = [(i, format(float(x[i]), ".12g").encode()) for i in np.flatnonzero(slow).tolist()]
+    out = np.empty((x.size, max([_G_WIDTH] + [-(-len(s) // 8) * 8 for _, s in texts])), np.uint8)
+    out[:, _G_WIDTH:] = 0
     words = out.view(np.uint64)
     words[:, 0] = np.take(_G_HEAD, head)
     words[:, 1:4] = np.take(_G_QUADS, quads) & np.take(_G_KEEP, keep, axis=0) | np.take(
         _G_DOTS, dot, axis=0
     )
     words[:, 4] = np.take(_G_EXPS, np.where(fixed, 0, e) + _E0)
-    return _place(out, texts)
+    for i, s in texts:
+        out[i] = 0
+        out[i, : len(s)] = np.frombuffer(s, np.uint8)
+    return out
 
 
-def _f2(x: np.ndarray) -> np.ndarray:
-    """(n, width) byte slots of ``format(v, ".2f")``."""
-    a = np.abs(x)
-    fast = a < F_MAX
-    m = np.where(fast, a, 0.0) * 100
-    slow = ~fast | (np.abs(m - np.floor(m) - 0.5) < F_TIE)
-    r = np.rint(m)
-    quads = _quads(r)
-    out, texts = _slots(x, slow, ".2f", _F_WIDTH)
-    words = out.view(np.uint32)
-    words[:, 0] = np.take(_F_SIGN, np.signbit(x).view(np.uint8))
-    words[:, 1:3] = np.take(_F_QUADS, quads[:, :2])
-    words[:, 3:5] = np.take(_F_TAIL, quads[:, 2], axis=0)
-    # integer digits: 1 + the number of powers 10**3..10**11 at or below r
-    words[:, :5] &= np.take(_F_KEEP, 1 + np.searchsorted(_F_POWERS, r, "right"), axis=0)
-    return _place(out, texts)
+def rows(re, im) -> bytes:
+    """Row i of the result is ``format(re[i], ".12g")``, a comma,
+    ``format(im[i], ".12g")`` and a newline.
+
+    ``re`` and ``im`` are flattened, converted to float64 and must have the
+    same size."""
+    re = np.asarray(re, dtype=np.float64).reshape(-1)
+    im = np.asarray(im, dtype=np.float64).reshape(-1)
+    if re.size != im.size:
+        raise ValueError("re and im differ in size")
+    # one call formats both columns; its slots are then split by column
+    slots = _g12(np.concatenate([re, im]))
+    left, right = slots.reshape(2, re.size, slots.shape[1])
+    comma = np.full((re.size, 1), ord(","), np.uint8)
+    newline = np.full((re.size, 1), ord("\n"), np.uint8)
+    return np.hstack([left, comma, right, newline]).tobytes().translate(None, b"\0")
 
 
-_FORMATS = {".12g": _g12, ".2f": _f2}
-
-
-def rows(spec: str, *parts) -> bytes:
-    """Row i of the result is the concatenation, over ``parts``, of each
-    bytes part itself and of ``format(float(part[i]), spec)`` for each
-    array part.
-
-    ``spec`` is ".12g" or ".2f"; array parts are flattened, converted to
-    float64 and must all have the same size."""
-    columns = [np.asarray(p, dtype=np.float64).reshape(-1) for p in parts
-               if not isinstance(p, bytes)]
-    n = columns[0].size
-    if any(c.size != n for c in columns):
-        raise ValueError("array parts differ in size")
-    # one call formats every column; its slots are then split by column
-    slots = _FORMATS[spec](np.concatenate(columns))
-    slots = iter(slots.reshape(len(columns), n, slots.shape[1]))
-    cols = [np.frombuffer(p, np.uint8) if isinstance(p, bytes) else next(slots) for p in parts]
-    buf = np.empty((n, sum(c.shape[-1] for c in cols)), np.uint8)
-    lo = 0
-    for c in cols:
-        buf[:, lo:lo + c.shape[-1]] = c
-        lo += c.shape[-1]
-    return buf.tobytes().translate(None, b"\0")

@@ -134,7 +134,30 @@ def test_dilation_on_three_frequency_nodes_exits_2(tmp_path, capsys):
     path = tmp_path / "dilation_case.json"
     path.write_text(json.dumps(raw))
     assert main(["build", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-    assert "at least 4 frequency nodes" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "at least 4 frequency nodes" in err
+    assert err.startswith("config error:")
+
+
+# a dilation's 4-node rule is checked when the config loads, so every
+# subcommand exits 2 before any work, predict included
+@pytest.mark.parametrize("command, nodes, sizes, flags", [
+    ("predict", 3, [8, 12, 16], []),
+    ("verify", 8, [3, 8, 12], []),
+    ("verify", 8, [8, 12, 16], ["--sizes", "3,8,12"]),
+])
+def test_dilation_below_four_nodes_is_a_config_error(tmp_path, capsys, command, nodes, sizes,
+                                                     flags):
+    raw = json.loads((CONFIG_DIR / "dilation_case.json").read_text())
+    raw["grids"].update(frequency_nodes=nodes, boundary_nodes=160)
+    raw["spectra"] = {"resolution": [32, 32], "sizes": sizes}
+    path = tmp_path / "dilation_case.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "at least 4 frequency nodes" in err
+    assert list(out.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 a package module defines is read by the package, the benchmark or the
 acceptance tests (a name only unit tests read is dead code), every
 defaulted parameter is passed by one of those readers (a setting only unit
-tests set is a constant), and scipy
-loads only where it is needed: ``import qpspec.cli``, ``build`` and
-``predict`` of every map (a dilation included) load no scipy module, and
-only the Lanczos sigma_min kernel loads ``scipy.linalg``."""
+tests set is a constant), every dataclass field and ``self.X`` attribute
+a class assigns is read by one of those readers (state only unit tests
+read is dead), and scipy loads only where it is needed: ``import
+qpspec.cli``, ``build`` and ``predict`` of every map (a dilation included)
+load no scipy module, and only the Lanczos sigma_min kernel loads
+``scipy.linalg``."""
 
 import ast
 import json
@@ -178,6 +180,53 @@ def unset_keywords(root: Path) -> dict[str, list[str]]:
     return unset
 
 
+def assigned_attributes(source: str) -> list[tuple[str, str]]:
+    """(class, attribute) for each dataclass field and each ``self.X``
+    assignment in a method of a module-level class."""
+    out = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        names = []
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if "dataclass" in map(_callee, decorators):
+            names += [s.target.id for s in node.body
+                      if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+        for f in node.body:
+            if isinstance(f, ast.FunctionDef):
+                names += [t.attr for t in ast.walk(f)
+                          if isinstance(t, ast.Attribute) and isinstance(t.ctx, ast.Store)
+                          and isinstance(t.value, ast.Name) and t.value.id == "self"]
+        out += [(node.name, n) for n in dict.fromkeys(names)]
+    return out
+
+
+def attribute_reads(source: str) -> set[str]:
+    """Attribute names a source loads, ``x.a += 1`` included."""
+    tree = ast.parse(source)
+    reads = {n.attr for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and not isinstance(n.ctx, ast.Store)}
+    return reads | {n.target.attr for n in ast.walk(tree)
+                    if isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Attribute)}
+
+
+def unread_attributes(root: Path) -> dict[str, list[str]]:
+    """Per module of src/qpspec under ``root``, its classes' dataclass
+    fields and ``self.X`` assignments that no attribute load in the READERS
+    files and the acceptance tests reads: state only unit tests read."""
+    paths = [p for d in READERS for p in sorted((root / d).rglob("*.py"))]
+    sources = {p: p.read_text() for p in paths + [root / ACCEPTANCE]}
+    reads = set().union(*map(attribute_reads, sources.values()))
+    unread = {}
+    for p, text in sources.items():
+        if p.parent != root / "src" / "qpspec":
+            continue
+        names = [f"{c}.{a}" for c, a in assigned_attributes(text) if a not in reads]
+        if names:
+            unread[p.name] = sorted(names)
+    return unread
+
+
 def test_detector_flags_unused_names():
     src = "import os, sys\nimport scipy.linalg\nfrom math import pi, tau as t\nprint(sys, scipy, t)\n"
     assert unused_imports(src) == ["os", "pi"]
@@ -242,6 +291,29 @@ def test_keyword_detector_counts_only_package_bench_and_acceptance_readers(tmp_p
 
 def test_every_keyword_is_set():
     assert unset_keywords(ROOT) == {}
+
+
+def test_attribute_detector_counts_only_package_bench_and_acceptance_readers(tmp_path):
+    files = {
+        "src/qpspec/mod.py": (
+            "from dataclasses import dataclass\n"
+            "@dataclass\nclass D:\n    read: int\n    unit_only: int\n"
+            "class K:\n    def __init__(self):\n        self.live = 0\n"
+            "        self.counter = 0\n        self.dead = {}\n"
+            "    def tick(self):\n        self.counter += 1\n        return self.live\n"
+        ),
+        "bench/run.py": "from qpspec.mod import D\nprint(D(1, 2).read)\n",
+        "tests/test_acceptance.py": "from qpspec.mod import K\nK().tick()\n",
+        "tests/test_mod.py": "from qpspec.mod import D, K\nprint(D(1, 2).unit_only, K().dead)\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert unread_attributes(tmp_path) == {"mod.py": ["D.unit_only", "K.dead"]}
+
+
+def test_every_attribute_is_read():
+    assert unread_attributes(ROOT) == {}
 
 
 # run in a fresh interpreter, since this test process has loaded everything;

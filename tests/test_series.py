@@ -197,18 +197,6 @@ def test_constant_symbols_collapse_to_exact_multiplier():
     assert np.max(np.abs(op.entries - exact.entries)) < 1e-10
 
 
-def test_series_meta_carries_certificate():
-    qmap = _const_map()
-    plan = plan_for_map(qmap, tol=1e-6)
-    fg = (FrequencyGrid.uniform(8.0, 12),) * 2
-    op = build_series(qmap, plan, fg)
-    assert op.meta["remainder_bound"] == plan.remainder
-    assert op.meta["alpha"] == plan.alpha
-    # increments eventually decay roughly like delta^n
-    norms = op.meta["term_norms"]
-    assert norms[-1] < norms[2]
-
-
 @pytest.mark.parametrize("n", [8, 12])
 @pytest.mark.parametrize("p1", [1.0, 2.0])
 @pytest.mark.parametrize(
@@ -269,7 +257,7 @@ def test_dense_series_and_products_carry_no_factors():
 
 def test_series_refuses_uncontracted_plan():
     with pytest.raises(SeriesError):
-        SeriesPlan(1.0, 1.2, 3, 3, default_norm_estimates(0.5, 1.0, 1.0))
+        SeriesPlan(1.0, 1.2, 3, 3, default_norm_estimates(0.5, 1.0))
 
 
 @pytest.mark.parametrize(
@@ -288,7 +276,7 @@ def test_growth_guard_fires_on_bogus_certificate(psi1, psi2):
     qbad = QuasiParabolicMap(1.0, 1.0, make_symbol(*psi1), make_symbol(*psi2))
     # alpha = 1 puts the tau cloud of psi2 far outside the contraction disc
     # even though the (forged) certificate claims delta = 0.9
-    plan_bad = SeriesPlan(1.0, 0.9, 12, 12, default_norm_estimates(0.9, 19.0, 19.0))
+    plan_bad = SeriesPlan(1.0, 0.9, 12, 12, default_norm_estimates(0.9, 19.0))
     with pytest.raises(SeriesError):
         build_series(qbad, plan_bad, (FrequencyGrid.uniform(8.0, 16),) * 2)
 
@@ -348,14 +336,23 @@ def _dense_series_reference(qmap, plan, fgrids):
 
 @pytest.mark.parametrize("n", [8, 12])
 @pytest.mark.parametrize("p1", [1.0, 2.0])
-def test_two_variable_series_matches_dense_recursion(p1, n):
+def test_two_variable_series_matches_dense_recursion(p1, n, monkeypatch):
     qmap = QuasiParabolicMap(p1, 1.0, TWOVAR_MAP.psi1, TWOVAR_MAP.psi2)
     plan = plan_for_map(qmap)
     fg = (FrequencyGrid.uniform(8.0, n),) * 2
+    # the term norms are the ones build_series growth-checks, first axis first
+    checked = []
+    check = qpspec.series._growth_check
+
+    def spy(norms):
+        checked.append(norms)
+        check(norms)
+
+    monkeypatch.setattr(qpspec.series, "_growth_check", spy)
     op = build_series(qmap, plan, fg)
     ref, norms = _dense_series_reference(qmap, plan, fg)
     assert np.max(np.abs(op.entries - ref)) <= 1e-13 * np.max(np.abs(ref))
-    assert np.allclose(op.meta["term_norms"], norms, rtol=1e-12, atol=0)
+    assert np.allclose(checked[0], norms, rtol=1e-12, atol=0)
 
 
 def test_two_variable_series_keeps_toeplitz_as_kronecker_terms(monkeypatch):

@@ -12,17 +12,19 @@ from hypothesis import given, settings, strategies as st
 from qpspec import cli, svg, textfmt
 from qpspec.cli import CONFIG_DIR, main
 
-SPECS = (".12g", ".2f")
+SPECS = (".12g",)
 
 
-def _reference(values, spec):
-    return "".join(format(float(v), spec) + "\n" for v in values).encode()
+def _reference(re, im, spec):
+    return "".join(
+        format(float(a), spec) + "," + format(float(b), spec) + "\n" for a, b in zip(re, im)
+    ).encode()
 
 
 def _assert_formats(values, spec):
     x = np.asarray(values, dtype=np.float64)
-    got = textfmt.rows(spec, x, b"\n").split(b"\n")
-    want = _reference(x, spec).split(b"\n")
+    got = textfmt.rows(x, x[::-1]).split(b"\n")
+    want = _reference(x, x[::-1], spec).split(b"\n")
     assert got == want, [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w][:5]
 
 
@@ -49,7 +51,8 @@ def test_edge_values_match_format(spec):
 
 # a .12g chunk with at least half its values ±0 formats only the others
 # through the digit pipeline; 32 of 64 is the threshold, 33 takes every value
-# through it.  Random lists of up to 64 values almost never reach this rule.
+# through it (rows formats both columns, 64 of 128, in one call).  Random
+# lists of up to 64 values almost never reach this rule.
 @pytest.mark.parametrize("others", [0, 1, 7, 32, 33])
 def test_mostly_zero_chunks_match_format(others):
     rng = np.random.default_rng(others)
@@ -95,11 +98,10 @@ def test_any_float_matches_format(spec, values):
 def test_rows_joins_columns_and_literals():
     re = np.array([1.5, -0.0, 1e-7])
     im = np.array([0.0, 2.0, float("nan")])
-    assert textfmt.rows(".12g", re, b",", im, b"\n") == b"1.5,0\n-0,2\n1e-07,nan\n"
-    assert textfmt.rows(".12g", np.empty(0), b"\n") == b""
-    assert textfmt.rows(".2f", b"<", np.array([1e300]), b">") == f"<{1e300:.2f}>".encode()
+    assert textfmt.rows(re, im) == b"1.5,0\n-0,2\n1e-07,nan\n"
+    assert textfmt.rows(np.empty(0), np.empty(0)) == b""
     with pytest.raises(ValueError):
-        textfmt.rows(".12g", np.zeros(3), b",", np.zeros(5))
+        textfmt.rows(np.zeros(3), np.zeros(5))
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +168,8 @@ def _overlay_figure_reference(path, level_sets, predicted,
 def _use_reference_writers(monkeypatch):
     monkeypatch.setattr(cli, "_write_csv", _write_csv_reference)
     monkeypatch.setattr(svg, "spiral_figure", _spiral_figure_reference)
-    monkeypatch.setattr(svg, "overlay_figure", _overlay_figure_reference)
+    monkeypatch.setattr(svg, "overlay_figure", lambda path, eps, level, predicted:
+                        _overlay_figure_reference(path, [(eps, level)], predicted))
 
 
 def test_csv_writer_matches_per_value_writer(tmp_path):
@@ -194,10 +197,10 @@ def test_figures_match_per_value_writers(tmp_path):
     svg.spiral_figure(tmp_path / "new.svg", paths)
     _spiral_figure_reference(tmp_path / "ref.svg", paths)
     assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
-    levels = [(0.01, paths[0]), (0.02, paths[1])]
-    svg.overlay_figure(tmp_path / "new.svg", levels, paths[2])
-    _overlay_figure_reference(tmp_path / "ref.svg", levels, paths[2])
-    assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
+    for eps, level in [(0.01, paths[0]), (0.02, paths[1])]:
+        svg.overlay_figure(tmp_path / "new.svg", eps, level, paths[2])
+        _overlay_figure_reference(tmp_path / "ref.svg", [(eps, level)], paths[2])
+        assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
 
 
 CATALOG = ("constants_basic", "cay_quarter", "dilation_case", "separable_mix")
@@ -230,3 +233,25 @@ def test_outputs_match_per_value_writers(tmp_path, monkeypatch, name):
                            for p in (tmp_path / "new").rglob("*") if p.suffix in (".csv", ".svg"))
     for f in files:
         assert (tmp_path / "new" / f).read_bytes() == (tmp_path / "ref" / f).read_bytes(), f
+
+
+def test_multi_pair_predict_matches_per_value_writers(tmp_path, monkeypatch):
+    # every catalog symbol has one cluster point; this psi1 converges so
+    # slowly (shell means -0.149+2i, 0.057+2i, 0.243+2i against the limit
+    # 0.5+2i) that its cluster set keeps two, so the spiral has two paths
+    raw = json.loads((CONFIG_DIR / "cay_quarter.json").read_text())
+    raw["symbols"]["psi1"] = {"expr": "2*i + 0.5*cay(z1/5000)",
+                              "im_lower_bound": 1.5, "sup_bound": 2.5}
+    config = tmp_path / "two_pairs.json"
+    config.write_text(json.dumps(raw))
+    new, ref = tmp_path / "new", tmp_path / "ref"
+    assert main(["predict", "--config", str(config), "--out", str(new)]) == 0
+    with monkeypatch.context() as m:
+        _use_reference_writers(m)
+        assert main(["predict", "--config", str(config), "--out", str(ref)]) == 0
+    report = json.loads((new / "predict_report.json").read_text())
+    assert report["cluster_sizes"] == [2, 1]
+    assert report["params"]["pairs"] == 2
+    assert (new / "spiral.svg").read_bytes().count(b"<polyline") == 2
+    for f in ("cluster1.csv", "cluster2.csv", "spiral.csv", "spiral.svg"):
+        assert (new / f).read_bytes() == (ref / f).read_bytes(), f
