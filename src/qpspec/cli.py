@@ -27,7 +27,7 @@ import numpy as np
 from . import svg as svgmod
 from . import textfmt
 from .grids import BoundaryGrid, DomainError, FrequencyGrid, GridError
-from .operators import MIN_DILATION_NODES
+from .operators import MIN_DILATION_NODES, symbol_limit_at_infinity
 from .series import (
     QuasiParabolicMap,
     SeriesError,
@@ -317,7 +317,14 @@ def _predict(cfg: RunConfig, s1, s2):
 
 def cmd_predict(cfg: RunConfig, out: Path) -> int:
     digest = cfg.digest()
-    c1, c2, pred = _predict(cfg, *cfg.symbols())
+    s1, s2 = cfg.symbols()
+    # the check build, spectrum and verify meet in toeplitz_halfplane: each
+    # factor of each term has one limit at infinity (SymbolError otherwise)
+    for term in s1.expr.terms + s2.expr.terms:
+        for f in (term.f1, term.f2):
+            if f is not None:
+                symbol_limit_at_infinity(f)
+    c1, c2, pred = _predict(cfg, s1, s2)
     _write_csv(out / "cluster1.csv", digest, [c1.points])
     _write_csv(out / "cluster2.csv", digest, [c2.points])
     # sweep order (t1 outer, t2 inner) so the first row is t=0 -> 1

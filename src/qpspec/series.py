@@ -62,8 +62,13 @@ HARDY_TEST_COUNT = 12
 # boundary values per group of direct images in the cross-check: all twelve
 # at 256^2 nodes, one at a time at 768^2
 DIRECT_IMAGE_ELEMENTS = 1 << 20
-# output rows per pair of Cauchy kernels in direct_composition_apply
-DIRECT_CHUNK = 8192
+# output rows per pair of Cauchy kernels in direct_composition_apply: two
+# 512 x 256 complex kernels are 2 MB each
+DIRECT_CHUNK = 512
+# elements of the identity slice that one column block of the dense
+# two-variable series starts from: 48 columns at n = 24, 32 at n = 32, and
+# never fewer than 16
+SERIES_BLOCK_ELEMENTS = 1 << 15
 
 
 class SeriesError(ValueError):
@@ -289,42 +294,75 @@ def build_series(qmap: QuasiParabolicMap, plan: SeriesPlan, fgrids: tuple) -> Op
     Both sums come from ``_power_sum``.  For a per-axis map
     (``qmap.per_axis``) the double series is the tensor product of two
     one-variable series, one per axis, and the result stores only the two
-    factors.  Otherwise it is summed on the tensor grid through the
-    factorization sum_{n,m} T1^n T2^m D1n D2m = sum_n T1^n (sum_m T2^m D2m)
-    D1n: the inner sum from the identity, then the outer sum from the inner
-    one.  T1 and T2 are kept as their Kronecker terms (``separable_terms``)
-    and applied from the left (``kron_apply``), so an order costs a few
-    products with n x n factors and no n^2 x n^2 matrix product.  Every sum
-    is growth-checked, and the dilation is applied last.
+    factors.  Otherwise it is summed on the tensor grid by
+    ``_dense_series``.  Every sum is growth-checked, and the dilation is
+    applied last.
     """
     if plan.delta >= 1.0:
         raise SeriesError("refusing to sum a series with delta >= 1")
     g1, g2 = fgrids
     tau1 = _tau_expr(qmap.psi1, plan.alpha, qmap.p1, qmap.p2)
     tau2 = _tau_expr(qmap.psi2, plan.alpha, qmap.p1, qmap.p2)
-    if qmap.per_axis:
-        T1 = toeplitz_halfplane(tau1.as_one_variable(), g1).entries
-        T2 = toeplitz_halfplane(tau2.as_one_variable(), g2).entries
-        S1, norms1 = _power_sum(lambda P: P @ T1, g1.nodes, plan.n1, plan.alpha,
-                                np.eye(g1.size, dtype=complex))
-        S2, norms2 = _power_sum(lambda P: P @ T2, g2.nodes, plan.n2, plan.alpha,
-                                np.eye(g2.size, dtype=complex))
-        op = OperatorMatrix(None, fgrids, fgrids, (S1, S2))
-    else:
-        sizes = (g1.size, g2.size)
-        terms1 = separable_terms(tau1, fgrids)
-        terms2 = separable_terms(tau2, fgrids)
-        t1, t2 = tensor_nodes(fgrids)
-        inner, norms2 = _power_sum(lambda Q: kron_apply(terms2, Q, sizes), t2, plan.n2,
-                                   plan.alpha, np.eye(t2.size, dtype=complex))
-        S, norms1 = _power_sum(lambda Q: kron_apply(terms1, Q, sizes), t1, plan.n1,
-                               plan.alpha, inner)
-        op = OperatorMatrix(S, fgrids, fgrids)
+    if not qmap.per_axis:
+        return OperatorMatrix(_dense_series(qmap, plan, fgrids, tau1, tau2), fgrids, fgrids)
+    T1 = toeplitz_halfplane(tau1.as_one_variable(), g1).entries
+    T2 = toeplitz_halfplane(tau2.as_one_variable(), g2).entries
+    S1, norms1 = _power_sum(lambda P: P @ T1, g1.nodes, plan.n1, plan.alpha,
+                            np.eye(g1.size, dtype=complex))
+    S2, norms2 = _power_sum(lambda P: P @ T2, g2.nodes, plan.n2, plan.alpha,
+                            np.eye(g2.size, dtype=complex))
     _growth_check(norms1)
     _growth_check(norms2)
+    op = OperatorMatrix(None, fgrids, fgrids, (S1, S2))
     if qmap.p1 != 1.0 or qmap.p2 != 1.0:
         op = dilation(qmap.p1, qmap.p2, fgrids) @ op
     return op
+
+
+def _dense_series(qmap: QuasiParabolicMap, plan: SeriesPlan, fgrids: tuple,
+                  tau1: SepExpr, tau2: SepExpr) -> np.ndarray:
+    """The double series of a map that is not per-axis, summed on the
+    tensor grid through the factorization
+    sum_{n,m} T1^n T2^m D1n D2m = sum_n T1^n (sum_m T2^m D2m) D1n: the
+    inner sum from the identity, then the outer sum from the inner one.
+
+    T1 and T2 are kept as their Kronecker terms (``separable_terms``) and
+    applied from the left (``kron_apply``), so an order costs a few
+    products with n x n factors and no n^2 x n^2 matrix product.  Column k
+    of the sum depends only on column k of the identity and on the
+    multipliers at the k-th node, so the sums run on one block of columns
+    at a time (about SERIES_BLOCK_ELEMENTS / n^2 of them), each block
+    dilated before it is stored.  The growth checks see each order's norm
+    over all blocks.
+    """
+    g1, g2 = fgrids
+    sizes = (g1.size, g2.size)
+    terms1 = separable_terms(tau1, fgrids)
+    terms2 = separable_terms(tau2, fgrids)
+    t1, t2 = tensor_nodes(fgrids)
+    dilated = qmap.p1 != 1.0 or qmap.p2 != 1.0
+    V = dilation(qmap.p1, qmap.p2, fgrids).factors if dilated else None
+    size = t1.size
+    S = np.empty((size, size), dtype=complex)
+    sq1 = np.zeros(plan.n1 + 1)
+    sq2 = np.zeros(plan.n2 + 1)
+    # a multiple of 16 columns: OpenBLAS then sums each column as it does in
+    # one block (at n = 24, blocks of 227 columns differ from it by 3e-20)
+    width = max(16, SERIES_BLOCK_ELEMENTS // size // 16 * 16)
+    for lo in range(0, size, width):
+        cols = slice(lo, lo + width)
+        inner, norms2 = _power_sum(lambda Q: kron_apply(terms2, Q, sizes), t2[cols],
+                                   plan.n2, plan.alpha,
+                                   np.eye(size, min(width, size - lo), -lo, dtype=complex))
+        block, norms1 = _power_sum(lambda Q: kron_apply(terms1, Q, sizes), t1[cols],
+                                   plan.n1, plan.alpha, inner)
+        del inner
+        S[:, cols] = block if V is None else kron_apply([(1.0, *V)], block, sizes)
+        sq1 += np.square(norms1)
+        sq2 += np.square(norms2)
+    _growth_check(np.sqrt(sq1))
+    _growth_check(np.sqrt(sq2))
+    return S
 
 
 def _power_sum(

@@ -281,6 +281,46 @@ def test_growth_guard_fires_on_bogus_certificate(psi1, psi2):
         build_series(qbad, plan_bad, (FrequencyGrid.uniform(8.0, 16),) * 2)
 
 
+@pytest.mark.parametrize("p1", [1.0, 2.0])
+def test_blocked_dense_series_matches_one_block(p1, monkeypatch):
+    # n = 12: N = 144 columns in blocks of 32, the last one 16 wide
+    qmap = QuasiParabolicMap(p1, 1.0, TWOVAR_MAP.psi1, TWOVAR_MAP.psi2)
+    plan = plan_for_map(qmap)
+    fg = (FrequencyGrid.uniform(8.0, 12),) * 2
+    monkeypatch.setattr(qpspec.series, "SERIES_BLOCK_ELEMENTS", 144 * 144)
+    one = build_series(qmap, plan, fg).entries
+    monkeypatch.setattr(qpspec.series, "SERIES_BLOCK_ELEMENTS", 144 * 32)
+    assert np.array_equal(build_series(qmap, plan, fg).entries, one)
+
+
+def test_growth_guard_fires_across_column_blocks(monkeypatch):
+    # test_growth_guard_fires_on_bogus_certificate[two_variable] summed in
+    # 8 blocks of 32 columns: the guard sees each order's norm over all blocks
+    monkeypatch.setattr(qpspec.series, "SERIES_BLOCK_ELEMENTS", 256 * 32)
+    psi1 = make_symbol("i + 0.25*cay(z1) + 0*cay(z2)", 0.7, 1.3, "continuous-on-closure")
+    psi2 = make_symbol("20*i + 0*cay(z1)", 19.0, 21.0, "continuous-on-closure")
+    qbad = QuasiParabolicMap(1.0, 1.0, psi1, psi2)
+    plan_bad = SeriesPlan(1.0, 0.9, 12, 12, default_norm_estimates(0.9, 19.0))
+    with pytest.raises(SeriesError):
+        build_series(qbad, plan_bad, (FrequencyGrid.uniform(8.0, 16),) * 2)
+
+
+def test_dense_series_holds_one_full_matrix():
+    # at n = 24 one N x N complex matrix is 5.3 MB; the dense sum holds the
+    # result and the temporaries of one column block
+    n = 24
+    plan = plan_for_map(TWOVAR_MAP)
+    fg = (FrequencyGrid.uniform(8.0, n),) * 2
+    tracemalloc.start()
+    try:
+        op = build_series(TWOVAR_MAP, plan, fg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op.shape == (n * n, n * n)
+    assert peak < 2 * n**4 * 16
+
+
 def test_dilation_path_matches_closed_form():
     # p1 = 2, psi = (i, i): acting on the transforms of 1/(x+i) (x) 1/(x+2i)
     # the image is 1/(2x+2i) (x) 1/(x+3i), i.e. profiles e^{-t}/2 and e^{-3t}
@@ -546,6 +586,23 @@ def test_cross_check_memory_stays_below_three_images():
         tracemalloc.stop()
     assert np.isfinite(resid)
     assert peak < 3 * 768**2 * 16
+
+
+def test_two_variable_cross_check_memory():
+    # the benchmark's two-variable map at 256 boundary nodes: the twelve
+    # direct images (12.6 MB) and one chunk of Cauchy kernels (2 x 2.1 MB),
+    # where one 8192-row kernel alone is 33.6 MB
+    fg = (FrequencyGrid.uniform(10.0, 16),) * 2
+    op = build_series(TWOVAR_MAP, plan_for_map(TWOVAR_MAP), fg)
+    bg = (BoundaryGrid.uniform(60.0, 256),) * 2
+    tracemalloc.start()
+    try:
+        resid = series_direct_residual(op, TWOVAR_MAP, bg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(resid)
+    assert peak < 24e6
 
 
 def test_series_and_direct_constructions_agree():

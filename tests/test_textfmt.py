@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpspec import cli, svg, textfmt
-from qpspec.cli import CONFIG_DIR, main
+from qpspec.cli import CONFIG_DIR, RunConfig, main
+from qpspec.symbols import cluster_set
 
 SPECS = (".12g",)
 
@@ -235,15 +236,30 @@ def test_outputs_match_per_value_writers(tmp_path, monkeypatch, name):
         assert (tmp_path / "new" / f).read_bytes() == (tmp_path / "ref" / f).read_bytes(), f
 
 
-def test_multi_pair_predict_matches_per_value_writers(tmp_path, monkeypatch):
-    # every catalog symbol has one cluster point; this psi1 converges so
-    # slowly (shell means -0.149+2i, 0.057+2i, 0.243+2i against the limit
-    # 0.5+2i) that its cluster set keeps two, so the spiral has two paths
+def _slow_symbol_config(tmp_path):
+    # cay_quarter's config with a psi1 whose values at +/- 1e8 disagree
     raw = json.loads((CONFIG_DIR / "cay_quarter.json").read_text())
     raw["symbols"]["psi1"] = {"expr": "2*i + 0.5*cay(z1/5000)",
                               "im_lower_bound": 1.5, "sup_bound": 2.5}
     config = tmp_path / "two_pairs.json"
     config.write_text(json.dumps(raw))
+    return config
+
+
+def test_multi_pair_predict_matches_per_value_writers(tmp_path, monkeypatch):
+    # every catalog symbol has one cluster point; this psi1 converges so
+    # slowly (shell means -0.149+2i, 0.057+2i, 0.243+2i against the limit
+    # 0.5+2i) that its cluster set keeps two, so the spiral has two paths.
+    # predict rejects that symbol (its values at +/- 1e8 disagree), so the
+    # two-point set stands in for the first-axis cluster set of cay_quarter
+    bad = RunConfig.load(_slow_symbol_config(tmp_path)).symbols()[0]
+    two = cluster_set(bad, 0)
+
+    def two_on_first_axis(sym, seed=0):
+        return two if sym.expr.single_variable() == 1 else cluster_set(sym, seed)
+
+    monkeypatch.setattr(cli, "cluster_set", two_on_first_axis)
+    config = CONFIG_DIR / "cay_quarter.json"
     new, ref = tmp_path / "new", tmp_path / "ref"
     assert main(["predict", "--config", str(config), "--out", str(new)]) == 0
     with monkeypatch.context() as m:
@@ -255,3 +271,13 @@ def test_multi_pair_predict_matches_per_value_writers(tmp_path, monkeypatch):
     assert (new / "spiral.svg").read_bytes().count(b"<polyline") == 2
     for f in ("cluster1.csv", "cluster2.csv", "spiral.csv", "spiral.svg"):
         assert (new / f).read_bytes() == (ref / f).read_bytes(), f
+
+
+def test_predict_rejects_symbol_with_two_limits_at_infinity(tmp_path, capsys):
+    # the same config error, and exit 2, as build gives for that symbol
+    config = _slow_symbol_config(tmp_path)
+    for command in ("predict", "build"):
+        assert main([command, "--config", str(config), "--out", str(tmp_path / command)]) == 2
+        assert "config error: symbol has different limits at +/- infinity" in (
+            capsys.readouterr().err)
+    assert not (tmp_path / "predict" / "spiral.csv").exists()
