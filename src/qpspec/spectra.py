@@ -102,32 +102,84 @@ LANCZOS_RTOL = 1e-13
 LANCZOS_MAX_STEPS = 100
 # Lanczos runs in flight: a finished run hands its lane to the next point,
 # so a call over any number of points holds only a few (LANCZOS_BATCH x N)
-# arrays and no lane idles
+# arrays plus the lanes' block inverses (KRON_BLOCK N complex numbers per
+# lane, ``_block_inverses``) and no lane idles
 LANCZOS_BATCH = 128
 # Ritz problems up to this many rows use the batched dense eigvalsh
 RITZ_DENSE_MAX = 32
+# width w of the diagonal blocks of each row system whose inverses a lane
+# keeps (``_block_inverses``): w N complex numbers per lane.  On a 2-core VM
+# with one BLAS thread, one B^*-then-B solve pair at n = 64 took 103 / 96 /
+# 114 ms with 128 lanes and 21 / 18 / 11 ms with 9 lanes for w = 4 / 8 / 16
+# (209 and 32 ms one entry at a time), and verify_small passes took a
+# median 1.29 / 0.74 / 0.91 s; w = 16 also doubles the cache, to 128 MiB
+# at n = 64
+KRON_BLOCK = 8
 
 
-def _kron_solve(lam: np.ndarray, U1: np.ndarray, U2: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve lam X - U1 X U2^T = B for upper-triangular U1, U2.
+def _block_inverses(lam, U1, U2, out=None, lanes=slice(None)):
+    """Inverses of the diagonal blocks of the row systems lam I - U1[i,i] U2
+    of (lam I - U1 (x) U2), for upper-triangular U1, U2 and each point of lam.
 
-    B has shape (n1, n2, c): one right-hand side per lambda-point along the
-    last axis.  In the row-major flattening this is (lam I - U1 (x) U2) x = b,
-    solved by Bartels-Stewart back-substitution, row by row of X, in
-    O(n1 n2 (n1 + n2)) per point instead of O((n1 n2)^2).
+    The blocks are w x w with w = min(KRON_BLOCK, n2); a last block narrower
+    than w is padded with the identity.  Written, one row i at a time, to
+    ``out[i, :, lanes]`` of an (n1, ceil(n2 / w), lanes, w, w) array, which
+    is allocated when ``out`` is None; returns it.
     """
-    n1, n2, c = B.shape
-    X = np.empty_like(B)
-    Y = np.empty((n1, n2 * c), dtype=complex)  # row k holds U2 @ X[k]
-    d2 = np.diag(U2)[:, None]
-    for i in range(n1 - 1, -1, -1):
-        r = B[i] + (U1[i, i + 1 :] @ Y[i + 1 :]).reshape(n2, c)
-        inv = 1.0 / (lam - U1[i, i] * d2)
-        tU2 = U1[i, i] * U2
+    n1, n2 = U1.shape[0], U2.shape[0]
+    w = min(KRON_BLOCK, n2)
+    nb = -(-n2 // w)
+    diag = np.zeros((nb, w, w), dtype=complex)
+    for J in range(nb):
+        lo, hi = J * w, min(J * w + w, n2)
+        diag[J, : hi - lo, : hi - lo] = U2[lo:hi, lo:hi]
+    pad = np.arange(n2 - (nb - 1) * w, w)
+    if out is None:
+        out = np.empty((n1, nb, lam.size, w, w), dtype=complex)
+    shift = lam[:, None, None] * np.eye(w)
+    for i in range(n1):
+        D = shift - U1[i, i] * diag[:, None]
+        D[-1, :, pad, pad] = 1.0
+        out[i][:, lanes] = np.linalg.inv(D)
+    return out
+
+
+def _kron_solve(U1, U2, inv, X, adjoint=False):
+    """Solve (lam I - U1 (x) U2) x = b for upper-triangular U1, U2, or
+    (lam I - U1 (x) U2)^* x = b when ``adjoint``, in place.
+
+    X has shape (n1, n2, c) and holds b on entry, one right-hand side per
+    lambda-point along the last axis, in the row-major flattening; it holds
+    x on return.  ``inv`` holds each point's block inverses
+    (``_block_inverses``, at least c lanes).  With L1, L2 = U1, U2 (or
+    their adjoints), row i of X solves (lam I - L1[i,i] L2) x_i = b_i +
+    L2 sum_k L1[i,k] x_k over the rows already solved: a back-substitution
+    from the last row, or with the adjoints a forward substitution.  Within
+    a row each block of w = min(KRON_BLOCK, n2) entries takes one GEMM over
+    all lanes with the blocks already solved and one batched product with
+    its inverse (the inverse's adjoint in the forward sweep), so a solve
+    takes n1 ceil(n2 / w) steps instead of n1 n2.
+    """
+    n1, n2, c = X.shape
+    w = inv.shape[-1]
+    L1 = U1.conj().T if adjoint else U1
+    L2 = U2.conj().T if adjoint else U2
+    blocks = range(0, n2, w) if adjoint else range((n2 - 1) // w * w, -1, -w)
+    for i in range(n1) if adjoint else range(n1 - 1, -1, -1):
+        done = slice(0, i) if adjoint else slice(i + 1, n1)
+        r = X[i] + L2 @ (L1[i, done] @ X[done].reshape(-1, n2 * c)).reshape(n2, c)
+        tL2 = L1[i, i] * L2
         x = X[i]
-        for j in range(n2 - 1, -1, -1):
-            x[j] = (r[j] + tU2[j, j + 1 :] @ x[j + 1 :]) * inv[j]
-        Y[i] = (U2 @ x).reshape(-1)
+        for lo in blocks:
+            hi = min(lo + w, n2)
+            solved = slice(0, lo) if adjoint else slice(hi, n2)
+            rhs = r[lo:hi] + tL2[lo:hi, solved] @ x[solved]
+            D = inv[i, lo // w, :c, : hi - lo, : hi - lo]
+            if adjoint:
+                # D^* y = conj(y^* D)^T
+                x[lo:hi] = (rhs.T.conj()[:, None, :] @ D)[:, 0, :].T.conj()
+            else:
+                x[lo:hi] = (D @ rhs.T[:, :, None])[:, :, 0].T
     return X
 
 
@@ -157,19 +209,19 @@ def _top_ritz(a: np.ndarray, b: np.ndarray, m: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _sigma_min_lanczos(lam, T1, T2, R1, R2, starts):
+def _sigma_min_lanczos(lam, T1, T2, starts):
     """sigma_min(lam I - T1 (x) T2) at a flat array of lambda-points, by
     Lanczos on (B^* B)^-1 with B = lam I - T1 (x) T2, batched over the
     points.
 
-    T1, T2 are upper triangular (complex Schur forms); R1, R2 are their
-    index-reversed adjoints, which are upper triangular again, so the solve
-    with B^* is the same back-substitution on the reversed vector.  Each
-    point runs once per start vector in ``starts``; two starts are the
-    symmetric and antisymmetric halves of a Kronecker square (T1 == T2),
-    whose runs are kept in their half.  Returns, per point, the value, the
-    largest Lanczos step count, and whether a run stopped at the step cap
-    without meeting the tolerance.
+    T1, T2 are upper triangular (complex Schur forms).  A lane computes its
+    point's block inverses (``_block_inverses``) when it takes the point and
+    keeps them until the run finishes; both solves, with B^* and with B,
+    use them (``_kron_solve``).  Each point runs once per start vector in
+    ``starts``; two starts are the symmetric and antisymmetric halves of a
+    Kronecker square (T1 == T2), whose runs are kept in their half.
+    Returns, per point, the value, the largest Lanczos step count, and
+    whether a run stopped at the step cap without meeting the tolerance.
     """
     halves = len(starts)
     sig = np.zeros((lam.size, halves))
@@ -181,7 +233,9 @@ def _sigma_min_lanczos(lam, T1, T2, R1, R2, starts):
     width = min(LANCZOS_BATCH, len(queue))
     task = np.array(queue[:width], dtype=int).reshape(-1, 2)
     nxt = width
-    v = np.asarray(starts)[task[:, 1]].transpose(1, 2, 0).copy()
+    starts = np.asarray(starts)
+    v = starts[task[:, 1]].transpose(1, 2, 0).copy()
+    inv = _block_inverses(lam[task[:, 0]], T1, T2)
     v_prev = np.zeros_like(v)
     a = np.zeros((LANCZOS_MAX_STEPS, width))
     b = np.zeros((LANCZOS_MAX_STEPS, width))
@@ -192,9 +246,7 @@ def _sigma_min_lanczos(lam, T1, T2, R1, R2, starts):
     sign = signs[task[:, 1]]
     lane = np.arange(width)
     while task.shape[0]:
-        lam_t = lam[task[:, 0]]
-        u = _kron_solve(lam_t.conj(), R1, R2, v[::-1, ::-1])[::-1, ::-1]
-        w = _kron_solve(lam_t, T1, T2, u)
+        w = _kron_solve(T1, T2, inv, _kron_solve(T1, T2, inv, v.copy(), adjoint=True))
         if halves == 2:
             w += sign * w.transpose(1, 0, 2)
             w *= 0.5
@@ -223,21 +275,27 @@ def _sigma_min_lanczos(lam, T1, T2, R1, R2, starts):
         steps[p, h] = m[done]
         capped[p, h] = ~met[done]
         # hand finished lanes to queued runs, then drop the ones left idle
-        for k in np.flatnonzero(done):
-            if nxt < len(queue):
-                task[k] = queue[nxt]
-                nxt += 1
-                v[:, :, k] = starts[task[k, 1]]
-                v_prev[:, :, k] = 0.0
-                beta[k] = theta[k] = m[k] = 0
-                sign[k] = signs[task[k, 1]]
-                done[k] = False
+        refill = np.flatnonzero(done)[: len(queue) - nxt]
+        if refill.size:
+            task[refill] = queue[nxt : nxt + refill.size]
+            nxt += refill.size
+            v[:, :, refill] = starts[task[refill, 1]].transpose(1, 2, 0)
+            v_prev[:, :, refill] = 0.0
+            beta[refill] = theta[refill] = m[refill] = 0
+            sign[refill] = signs[task[refill, 1]]
+            done[refill] = False
+            _block_inverses(lam[task[refill, 0]], T1, T2, out=inv, lanes=refill)
         if np.any(done):
-            keep = ~done
+            keep = np.flatnonzero(~done)
             task, sign, beta, theta, m = task[keep], sign[keep], beta[keep], theta[keep], m[keep]
             v, v_prev = v[:, :, keep], v_prev[:, :, keep]
             a, b = a[:, keep], b[:, keep]
-            lane = np.arange(task.shape[0])
+            lane = np.arange(keep.size)
+            # compacted in place, one row at a time, so that no second
+            # cache-sized array is ever held
+            for row in inv:
+                row[:, : keep.size] = row[:, keep]
+            inv = inv[:, :, : keep.size]
     sig = sig.min(axis=1)
     return sig, steps.max(axis=1), capped.any(axis=1)
 
@@ -276,8 +334,6 @@ def _sigma_min_kernel(A: OperatorMatrix) -> Callable:
 
     T1 = scipy.linalg.schur(W1, output="complex")[0]
     T2 = scipy.linalg.schur(W2, output="complex")[0]
-    R1 = T1.conj().T[::-1, ::-1]
-    R2 = T2.conj().T[::-1, ::-1]
     rng = np.random.default_rng(0)
     start = rng.standard_normal(T1.shape[:1] + T2.shape[:1]) + 0j
     # a Kronecker square commutes with the exchange of its two axes;
@@ -290,7 +346,7 @@ def _sigma_min_kernel(A: OperatorMatrix) -> Callable:
     starts = [s / np.linalg.norm(s) for s in starts]
 
     def run(points):
-        return _sigma_min_lanczos(points, T1, T2, R1, R2, starts)
+        return _sigma_min_lanczos(points, T1, T2, starts)
 
     return run
 

@@ -10,6 +10,8 @@ from qpspec.grids import DomainError, FrequencyGrid
 from qpspec.operators import OperatorMatrix, op_norm, weighted_factors, weighted_matrix
 from qpspec.series import QuasiParabolicMap, build_series, plan_for_map
 from qpspec.spectra import (
+    KRON_BLOCK,
+    LANCZOS_BATCH,
     LANCZOS_MAX_STEPS,
     RITZ_DENSE_MAX,
     PseudospectrumMap,
@@ -22,7 +24,10 @@ from qpspec.spectra import (
     predicted_set,
     pseudospectrum,
     pseudospectrum_mask,
+    _block_inverses,
     _coarsest_stride,
+    _kron_solve,
+    _sigma_min_lanczos,
 )
 from qpspec.symbols import PointCloud, make_symbol
 
@@ -236,6 +241,58 @@ def test_pseudospectrum_long_runs_match_svd():
     op = _catalog_series("separable_mix", 12)
     pmap = _assert_matches_svd(op, (-1.1, 1.1, -1.1, 1.1), (32, 32), 0.05)
     assert pmap.stats["lanczos_max_steps"] > RITZ_DENSE_MAX
+
+
+def _random_triangular(rng, n):
+    """Upper triangular with unit-modulus diagonal and small off-diagonal
+    entries, so that its shifted Kronecker systems are well conditioned."""
+    U = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1) / n
+    return U + np.diag(np.exp(2j * np.pi * rng.random(n)))
+
+
+@pytest.mark.parametrize("lanes", [1, 5])
+@pytest.mark.parametrize("n1, n2", [(1, 6), (6, 1), (5, 7), (12, 12), (17, 9)])
+def test_kron_solve_matches_dense_solve(n1, n2, lanes):
+    # widths 7 and 9 are not multiples of KRON_BLOCK, and (6, 1) is the
+    # one-axis factor (M, [[1]])
+    rng = np.random.default_rng(n1 * 100 + n2 * 10 + lanes)
+    U1, U2 = _random_triangular(rng, n1), _random_triangular(rng, n2)
+    lam = 1.5 * np.exp(2j * np.pi * rng.random(lanes))
+    B = rng.standard_normal((n1, n2, lanes)) + 1j * rng.standard_normal((n1, n2, lanes))
+    inv = _block_inverses(lam, U1, U2)
+    K = np.kron(U1, U2)
+    for adjoint in (False, True):
+        X = _kron_solve(U1, U2, inv, B.copy(), adjoint=adjoint)
+        for k in range(lanes):
+            M = lam[k] * np.eye(n1 * n2) - K
+            ref = np.linalg.solve(M.conj().T if adjoint else M, B[:, :, k].reshape(-1))
+            x = X[:, :, k].reshape(-1)
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_lanczos_holds_one_cache_of_block_inverses():
+    # twice LANCZOS_BATCH points, so finished lanes are refilled and then
+    # compacted; the cache holds n ceil(n / w) w x w inverses per lane, and
+    # the state arrays (the Lanczos vectors, the solve's copy, temporaries)
+    # are a few n^2-by-LANCZOS_BATCH arrays.  A second cache, or a
+    # compaction that copies the cache, adds about 8 of those
+    n = 24
+    rng = np.random.default_rng(5)
+    T1, T2 = _random_triangular(rng, n), _random_triangular(rng, n)
+    lam = rng.uniform(-1.1, 1.1, 2 * LANCZOS_BATCH) + 1j * rng.uniform(-1.1, 1.1, 2 * LANCZOS_BATCH)
+    start = rng.standard_normal((n, n)) + 0j
+    start /= np.linalg.norm(start)
+    w = min(KRON_BLOCK, n)
+    cache = n * -(-n // w) * LANCZOS_BATCH * w * w * 16
+    state = n * n * LANCZOS_BATCH * 16
+    tracemalloc.start()
+    try:
+        sig, steps, capped = _sigma_min_lanczos(lam, T1, T2, [start])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cache + 8 * state
+    assert np.all(sig > 0) and not np.any(capped)
 
 
 def test_pseudospectrum_resolution_guard():
