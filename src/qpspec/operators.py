@@ -150,9 +150,10 @@ def weighted_factors(A: OperatorMatrix) -> tuple:
     """Per-axis weighted factors (W1, W2) with weighted_matrix(A) equal to
     kron(W1, W2): the grid weights are tensor products, so a factored
     operator's factors are weighed one axis at a time.  An unfactored
-    operator is the pair (M, [[1]])."""
+    operator is the pair ([[1]], M), so that a Kronecker solve with it takes
+    blocks of rows of M (``spectra._kron_solve``), not one row at a time."""
     if A.factors is None:
-        return weighted_matrix(A), np.ones((1, 1), dtype=complex)
+        return np.ones((1, 1), dtype=complex), weighted_matrix(A)
     return tuple(
         weigh(F, gd, gc) for F, gd, gc in zip(A.factors, A.domain_grid, A.codomain_grid)
     )

@@ -59,12 +59,15 @@ TRUNCATION_CAP = 60
 
 # rational Hardy test vectors behind the series-vs-Cauchy cross-check
 HARDY_TEST_COUNT = 12
-# boundary values per group of direct images in the cross-check: all twelve
-# at 256^2 nodes, one at a time at 768^2
-DIRECT_IMAGE_ELEMENTS = 1 << 20
-# output rows per pair of Cauchy kernels in direct_composition_apply: two
-# 512 x 256 complex kernels are 2 MB each
+# boundary points per pair of Cauchy kernels in direct_composition_apply,
+# and per block of the streamed cross-check (``_boundary_blocks``): a
+# 512 x 256 complex kernel is 2 MB, a 512 x 768 one 6.3 MB
 DIRECT_CHUNK = 512
+# boundary points per block of the cross-check's Im > 0 pass over the whole
+# grid, which holds phi's values for one block at a time (2.8 MB with their
+# temporaries); on a 2-core VM the pass took 2.2 ms at 256^2 nodes and
+# 22 ms at 768^2, against 18 ms and 204 ms in blocks of DIRECT_CHUNK
+DIRECT_CHECK_POINTS = 1 << 15
 # elements of the identity slice that one column block of the dense
 # two-variable series starts from: 48 columns at n = 24, 32 at n = 32, and
 # never fewer than 16
@@ -408,16 +411,20 @@ def exact_constant_multiplier(a1: complex, a2: complex, fgrids: tuple) -> Operat
 # direct Cauchy-integral construction
 
 
-def _boundary_phi_values(qmap: QuasiParabolicMap, bgrids: tuple, per_axis: bool = False):
-    """phi_1^*, phi_2^* on the tensor boundary grid, flattened row-major;
-    the Cauchy construction needs both strictly inside the half-plane.
+def _boundary_phi_values(qmap: QuasiParabolicMap, bgrids: tuple, per_axis: bool = False,
+                         block: Optional[tuple] = None):
+    """phi_1^*, phi_2^* on the tensor boundary grid, flattened row-major: at
+    every point, or at those of ``block``, an (x1 rows, x2 columns) pair of
+    slices.  The Cauchy construction needs both strictly inside the
+    half-plane (``_require_upper_images``).
 
     With ``per_axis`` (phi_1 ignores x2 and phi_2 ignores x1) only the first
     column of phi_1 and the first row of phi_2 are evaluated, which hold
     every value either takes on the grid."""
     g1, g2 = bgrids
-    x1 = g1.nodes[:, None] + 1j * BOUNDARY_HEIGHT
-    x2 = g2.nodes[None, :] + 1j * BOUNDARY_HEIGHT
+    rows, cols = block or (slice(None), slice(None))
+    x1 = g1.nodes[rows, None] + 1j * BOUNDARY_HEIGHT
+    x2 = g2.nodes[None, cols] + 1j * BOUNDARY_HEIGHT
     phi1, phi2 = qmap.boundary_components()
 
     def values(phi, a, b):
@@ -425,16 +432,30 @@ def _boundary_phi_values(qmap: QuasiParabolicMap, bgrids: tuple, per_axis: bool 
         return np.broadcast_to(np.asarray(phi(a, b), dtype=complex), shape).reshape(-1)
 
     if per_axis:
-        v1, v2 = values(phi1, x1, x2[:, :1]), values(phi2, x1[:1], x2)
-    else:
-        v1, v2 = values(phi1, x1, x2), values(phi2, x1, x2)
-    worst = min(float(np.min(v1.imag)), float(np.min(v2.imag)))
+        return values(phi1, x1, x2[:, :1]), values(phi2, x1[:1], x2)
+    return values(phi1, x1, x2), values(phi2, x1, x2)
+
+
+def _require_upper_images(values) -> None:
+    """Raise DomainError, naming the lowest Im, unless every boundary image in
+    ``values`` (an iterable of arrays) lies strictly in the upper half-plane."""
+    worst = min(float(np.min(v.imag)) for v in values)
     if worst <= 0.0:
         raise DomainError(
             f"boundary image dips to Im = {worst:.3g}; Cauchy construction "
             "requires strictly positive imaginary part"
         )
-    return v1, v2
+
+
+def _boundary_blocks(bgrids: tuple, points: int):
+    """Row-major tiling of the tensor boundary grid by (x1 rows, x2 columns)
+    pairs of slices of at most ``points`` points: runs of whole x1-rows, or
+    pieces of one x1-row when a row alone holds more."""
+    n1, n2 = bgrids[0].size, bgrids[1].size
+    rows, width = max(1, points // n2), min(n2, points)
+    for r in range(0, n1, rows):
+        for c in range(0, n2, width):
+            yield slice(r, r + rows), slice(c, c + width)
 
 
 def _cauchy_kernel(g: BoundaryGrid, v: np.ndarray) -> np.ndarray:
@@ -450,20 +471,26 @@ def _column_kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def direct_composition_apply(
-    qmap: QuasiParabolicMap, bgrids: tuple, f1: np.ndarray, f2: np.ndarray
+    qmap: QuasiParabolicMap, bgrids: tuple, f1: np.ndarray, f2: np.ndarray,
+    block: Optional[tuple] = None,
 ) -> np.ndarray:
     """Apply the double Cauchy quadrature to the rank-one vectors
     kron(f1[:, k], f2[:, k]) without materializing the full matrix.
 
     ``f1`` (N1 x K) and ``f2`` (N2 x K) stack the factors on each boundary
-    axis; the result stacks the K images as an (N1 N2) x K array.  At the
-    boundary point a the image is (C1[a] f1)(C2[a] f2), with C_j[a] the
-    Cauchy kernel row at phi_j(a).  Output rows go in chunks of
-    DIRECT_CHUNK, whose two kernels are applied to all K columns at once."""
+    axis; the result stacks the K images at the boundary points asked for,
+    all of them or those of ``block`` (an (x1 rows, x2 columns) pair of
+    slices), flattened row-major.  At the boundary point a the image is
+    (C1[a] f1)(C2[a] f2), with C_j[a] the Cauchy kernel row at phi_j(a).
+    phi is evaluated at those points only, and a DomainError is raised
+    before any kernel is built when one of its values has Im <= 0.  Output
+    rows go in chunks of DIRECT_CHUNK, whose two kernels are applied to all
+    K columns at once."""
     g1, g2 = bgrids
     f1 = np.asarray(f1, dtype=complex)
     f2 = np.asarray(f2, dtype=complex)
-    v1, v2 = _boundary_phi_values(qmap, bgrids)
+    v1, v2 = _boundary_phi_values(qmap, bgrids, block=block)
+    _require_upper_images((v1, v2))
     out = np.empty((v1.size, f1.shape[1]), dtype=complex)
     for lo in range(0, v1.size, DIRECT_CHUNK):
         hi = min(lo + DIRECT_CHUNK, v1.size)
@@ -505,10 +532,12 @@ def series_direct_residual(
 
     Each u = kron(f1, f2) is rank one, so F u = kron(F1 f1, F2 f2).  For a
     per-axis map C u is rank one too, kron(C1 f1, C2 f2), so F(C u) =
-    kron(F1 C1 f1, F2 C2 f2) needs no image.  Otherwise the direct images
-    C u are taken in groups of at most DIRECT_IMAGE_ELEMENTS boundary
-    values, and each is moved to the frequency side before the next group
-    is formed.
+    kron(F1 C1 f1, F2 C2 f2) needs no image.  Otherwise the images are
+    streamed: after the whole grid has been checked, one pass over blocks
+    of at most DIRECT_CHUNK points (``_boundary_blocks``) asks
+    ``direct_composition_apply`` for each block's images, applies F2 to
+    them along x2 at once and adds the result to the block's x1-rows of an
+    N1 x n2 x K array; F1 comes last.
     """
     fg1, fg2 = series_op.domain_grid
     bg1, bg2 = bgrids
@@ -516,24 +545,21 @@ def series_direct_residual(
     F2 = bochner_matrix(bg2, fg2)
     U1, U2 = hardy_test_family(bgrids, seed)
     fu = _column_kron(F1 @ U1, F2 @ U2)
-
-    def transform(cu):
-        """kron(F1, F2) applied to each column of cu."""
-        half = (F1 @ cu.reshape(bg1.size, -1)).reshape(fg1.size, bg2.size, -1)
-        return (F2 @ half).reshape(fu.shape[0], -1)
-
     if qmap.per_axis:
         # each N_j x N_j kernel is freed before the next is built
         v1, v2 = _boundary_phi_values(qmap, bgrids, per_axis=True)
+        _require_upper_images((v1, v2))
         fcu = _column_kron(F1 @ (_cauchy_kernel(bg1, v1) @ U1),
                            F2 @ (_cauchy_kernel(bg2, v2) @ U2))
     else:
-        fcu = np.empty_like(fu)
-        group = max(1, DIRECT_IMAGE_ELEMENTS // (bg1.size * bg2.size))
-        for lo in range(0, HARDY_TEST_COUNT, group):
-            cols = slice(lo, lo + group)
-            fcu[:, cols] = transform(
-                direct_composition_apply(qmap, bgrids, U1[:, cols], U2[:, cols]))
+        _require_upper_images(v for block in _boundary_blocks(bgrids, DIRECT_CHECK_POINTS)
+                              for v in _boundary_phi_values(qmap, bgrids, block=block))
+        half = np.zeros((bg1.size, fg2.size, U1.shape[1]), dtype=complex)
+        for rows, cols in _boundary_blocks(bgrids, DIRECT_CHUNK):
+            images = direct_composition_apply(qmap, bgrids, U1, U2, (rows, cols))
+            F2b = F2[:, cols]
+            half[rows] += F2b @ images.reshape(-1, F2b.shape[1], U1.shape[1])
+        fcu = (F1 @ half.reshape(bg1.size, -1)).reshape(fu.shape)
     resid = np.concatenate([blk @ fu for blk in series_op.row_blocks()]) - fcu
     wf = grid_weights(series_op.domain_grid)[:, None]
     err = np.sqrt(np.sum(wf * np.abs(resid) ** 2, axis=0)) / np.sqrt(

@@ -38,7 +38,7 @@ from qpspec.series import (
     _boundary_phi_values,
     _cauchy_kernel,
 )
-from qpspec.symbols import AnalyticSymbol, SepExpr, make_symbol
+from qpspec.symbols import AnalyticSymbol, SepExpr, make_symbol, parse_symbol_expression
 
 CONST_I = make_symbol("i", 0.9, 1.1, "constant")
 CONST_2I = make_symbol("2*i", 1.9, 2.1, "constant")
@@ -588,13 +588,11 @@ def test_cross_check_memory_stays_below_three_images():
     assert peak < 3 * 768**2 * 16
 
 
-def test_two_variable_cross_check_memory():
-    # the benchmark's two-variable map at 256 boundary nodes: the twelve
-    # direct images (12.6 MB) and one chunk of Cauchy kernels (2 x 2.1 MB),
-    # where one 8192-row kernel alone is 33.6 MB
+def _two_variable_cross_check_peak(nodes):
+    """tracemalloc peak of the two-variable map's cross-check at n = 16."""
     fg = (FrequencyGrid.uniform(10.0, 16),) * 2
     op = build_series(TWOVAR_MAP, plan_for_map(TWOVAR_MAP), fg)
-    bg = (BoundaryGrid.uniform(60.0, 256),) * 2
+    bg = (BoundaryGrid.uniform(60.0, nodes),) * 2
     tracemalloc.start()
     try:
         resid = series_direct_residual(op, TWOVAR_MAP, bg)
@@ -602,7 +600,75 @@ def test_two_variable_cross_check_memory():
     finally:
         tracemalloc.stop()
     assert np.isfinite(resid)
-    assert peak < 24e6
+    return peak
+
+
+def test_two_variable_cross_check_memory():
+    # the benchmark's two-variable map at 256 boundary nodes: the images are
+    # streamed one block of at most DIRECT_CHUNK points at a time, so the
+    # peak is one 512 x 256 complex Cauchy kernel (2.1 MB) and the
+    # 256 x 16 x 12 frequency-side sum (0.8 MB); the twelve images alone
+    # are 12.6 MB
+    assert _two_variable_cross_check_peak(256) < 6e6
+
+
+def test_two_variable_cross_check_memory_at_768_nodes():
+    # one 512 x 768 kernel (6.3 MB) and a 768 x 16 x 12 sum (2.4 MB), where
+    # one 768^2 image is 9.4 MB and phi's values on the grid twice that
+    assert _two_variable_cross_check_peak(768) < 14e6
+
+
+@pytest.mark.parametrize("count", [1, HARDY_TEST_COUNT])
+@pytest.mark.parametrize("n1, n2, chunk", [(30, 34, 97), (12, 40, 16)])
+def test_two_variable_cross_check_builds_two_kernels_per_chunk(n1, n2, chunk, count,
+                                                                monkeypatch):
+    # one pass over the boundary grid: each chunk's two Cauchy kernels are
+    # built once for all test vectors.  Chunks of 97 points hold two whole
+    # x1-rows of 34; chunks of 16 are pieces of one x1-row of 40 (16, 16, 8)
+    monkeypatch.setattr(qpspec.series, "DIRECT_CHUNK", chunk)
+    monkeypatch.setattr(qpspec.series, "HARDY_TEST_COUNT", count)
+    fg = (FrequencyGrid.uniform(8.0, 10),) * 2
+    op = build_series(TWOVAR_MAP, plan_for_map(TWOVAR_MAP, tol=1e-6), fg)
+    bg = (BoundaryGrid.uniform(12.0, n1), BoundaryGrid.uniform(12.0, n2))
+    built = []
+    kernel = qpspec.series._cauchy_kernel
+
+    def counted(g, v):
+        assert v.size <= chunk
+        built.append(v.size)
+        return kernel(g, v)
+
+    monkeypatch.setattr(qpspec.series, "_cauchy_kernel", counted)
+    assert np.isfinite(series_direct_residual(op, TWOVAR_MAP, bg))
+    if n2 <= chunk:
+        chunks = math.ceil(n1 / (chunk // n2))
+    else:
+        chunks = n1 * math.ceil(n2 / chunk)
+    assert len(built) == 2 * chunks
+    assert sum(built) == 2 * n1 * n2
+
+
+def test_two_variable_cross_check_rejects_lower_halfplane_image_first(monkeypatch):
+    # Im phi_1 = 0.5 + Im(0.8 cay(z1) cay(z2)) dips below 0 on part of the
+    # grid only: the error comes before any kernel is built and names the
+    # lowest value over the whole grid, not over one of the 12 blocks that
+    # the check takes
+    monkeypatch.setattr(qpspec.series, "DIRECT_CHECK_POINTS", 50)
+    dips = AnalyticSymbol(parse_symbol_expression("0.5*i + 0.8*cay(z1)*cay(z2)"), 0.5)
+    qmap = QuasiParabolicMap(1.0, 1.0, dips, CONST_I)
+    assert not qmap.per_axis
+    fg = (FrequencyGrid.uniform(8.0, 8),) * 2
+    op = build_series(_const_map(), plan_for_map(_const_map(), tol=1e-6), fg)
+    bg = (BoundaryGrid.uniform(12.0, 24), BoundaryGrid.uniform(12.0, 20))
+    worst = float(np.min(_boundary_phi_values(qmap, bg)[0].imag))
+    assert worst < 0.0
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built a Cauchy kernel before the domain check")
+
+    monkeypatch.setattr(qpspec.series, "_cauchy_kernel", forbidden)
+    with pytest.raises(DomainError, match=f"Im = {worst:.3g};"):
+        series_direct_residual(op, qmap, bg)
 
 
 def test_series_and_direct_constructions_agree():

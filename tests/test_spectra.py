@@ -253,8 +253,8 @@ def _random_triangular(rng, n):
 @pytest.mark.parametrize("lanes", [1, 5])
 @pytest.mark.parametrize("n1, n2", [(1, 6), (6, 1), (5, 7), (12, 12), (17, 9)])
 def test_kron_solve_matches_dense_solve(n1, n2, lanes):
-    # widths 7 and 9 are not multiples of KRON_BLOCK, and (6, 1) is the
-    # one-axis factor (M, [[1]])
+    # widths 7 and 9 are not multiples of KRON_BLOCK; (1, 6) is an
+    # unfactored operator ([[1]], M), and (6, 1) the same matrix as (M, [[1]])
     rng = np.random.default_rng(n1 * 100 + n2 * 10 + lanes)
     U1, U2 = _random_triangular(rng, n1), _random_triangular(rng, n2)
     lam = 1.5 * np.exp(2j * np.pi * rng.random(lanes))
@@ -268,6 +268,30 @@ def test_kron_solve_matches_dense_solve(n1, n2, lanes):
             ref = np.linalg.solve(M.conj().T if adjoint else M, B[:, :, k].reshape(-1))
             x = X[:, :, k].reshape(-1)
             assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_unfactored_operator_is_solved_in_row_blocks():
+    # an unfactored operator is the pair ([[1]], M): each Kronecker solve
+    # takes ceil(N / KRON_BLOCK) block steps, and sigma_min agrees with the
+    # dense SVD and with the one-row-at-a-time order (M, [[1]])
+    rng = np.random.default_rng(7)
+    n = 20
+    A = _op(rng.standard_normal((n, n)) / 6.0 + 1j * rng.standard_normal((n, n)) / 6.0, _grid(n))
+    W1, W2 = weighted_factors(A)
+    assert W1.shape == (1, 1) and W2.shape == (n, n)
+    lam = rng.uniform(-1.1, 1.1, 40) + 1j * rng.uniform(-1.1, 1.1, 40)
+    T = scipy.linalg.schur(W2, output="complex")[0]
+    one = np.ones((1, 1), dtype=complex)
+    assert _block_inverses(lam[:1], one, T).shape[:2] == (1, -(-n // KRON_BLOCK))
+    start = rng.standard_normal(n) + 0j
+    start /= np.linalg.norm(start)
+    blocked = _sigma_min_lanczos(lam, one, T, [start.reshape(1, n)])[0]
+    by_rows = _sigma_min_lanczos(lam, T, one, [start.reshape(n, 1)])[0]
+    M = weighted_matrix(A)
+    ref = np.array([scipy.linalg.svdvals(z * np.eye(n) - M)[-1] for z in lam])
+    assert np.max(np.abs(blocked - ref) / ref) <= 1e-12
+    assert np.max(np.abs(blocked - by_rows) / by_rows) <= 1e-12
+    assert np.max(np.abs(qpspec.spectra._sigma_min_kernel(A)(lam)[0] - ref) / ref) <= 1e-12
 
 
 def test_lanczos_holds_one_cache_of_block_inverses():
