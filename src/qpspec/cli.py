@@ -1,6 +1,6 @@
 """Batch front door: config ingestion, pipeline orchestration, reports.
 
-Subcommands: predict (cluster sets + spiral sweep + SVG), build (series
+Subcommands: predict (cluster points + spiral sweep + SVG), build (series
 operator + plan certificate + cross-check), spectrum (pseudospectrum map and
 level sets), verify (full containment pipeline with PASS/FAIL verdict), demo
 (run the bundled catalog configs).  Every CSV and JSON file carries the
@@ -27,7 +27,7 @@ import numpy as np
 from . import svg as svgmod
 from . import textfmt
 from .grids import BoundaryGrid, DomainError, FrequencyGrid, GridError
-from .operators import MIN_DILATION_NODES, symbol_limit_at_infinity
+from .operators import MIN_DILATION_NODES
 from .series import (
     QuasiParabolicMap,
     SeriesError,
@@ -310,33 +310,26 @@ def _js(o):
 
 
 def _predict(cfg: RunConfig, s1, s2):
-    c1 = cluster_set(s1, cfg.seed)
-    c2 = cluster_set(s2, cfg.seed)
-    return c1, c2, predicted_set(c1, c2, t_samples=cfg.t_samples, seed=cfg.seed)
+    # cluster_set raises the SymbolError that build, spectrum and verify
+    # meet in toeplitz_halfplane when a factor has no limit at infinity
+    c1 = cluster_set(s1)
+    c2 = cluster_set(s2)
+    return c1, c2, predicted_set(c1.points[0], c2.points[0], t_samples=cfg.t_samples)
 
 
 def cmd_predict(cfg: RunConfig, out: Path) -> int:
     digest = cfg.digest()
-    s1, s2 = cfg.symbols()
-    # the check build, spectrum and verify meet in toeplitz_halfplane: each
-    # factor of each term has one limit at infinity (SymbolError otherwise)
-    for term in s1.expr.terms + s2.expr.terms:
-        for f in (term.f1, term.f2):
-            if f is not None:
-                symbol_limit_at_infinity(f)
-    c1, c2, pred = _predict(cfg, s1, s2)
+    c1, c2, pred = _predict(cfg, *cfg.symbols())
     _write_csv(out / "cluster1.csv", digest, [c1.points])
     _write_csv(out / "cluster2.csv", digest, [c2.points])
     # sweep order (t1 outer, t2 inner) so the first row is t=0 -> 1
-    _write_csv(out / "spiral.csv", digest, pred.images)
-    svgmod.spiral_figure(out / "spiral.svg", pred.images)
+    _write_csv(out / "spiral.csv", digest, [pred.image])
+    svgmod.spiral_figure(out / "spiral.svg", pred.image)
     _write_json(
         out / "predict_report.json",
         {
             "name": cfg.name,
             "seed": cfg.seed,
-            "cluster_sizes": [len(c1), len(c2)],
-            "cluster_diagnostics": [c1.diagnostics, c2.diagnostics],
             "predicted_points": len(pred.points),
             "t_max": pred.params["t_max"],
             "params": pred.params,

@@ -24,7 +24,7 @@ from .grids import (
     grid_size,
     grid_weights,
 )
-from .symbols import SepExpr, SymbolError
+from .symbols import SepExpr, SymbolError, symbol_limit_at_infinity
 
 # largest stretch p or 1/p that a dilation may apply to the frequency grid
 MAX_STRETCH = 16.0
@@ -35,8 +35,6 @@ _TOEPLITZ_NODES = 16384
 # frequency differences per block of the quadrature's phase matrix, which
 # bounds it to _TOEPLITZ_BLOCK x _TOEPLITZ_NODES entries
 _TOEPLITZ_BLOCK = 16
-_INFINITY_PROBE = 1e8
-_INFINITY_RTOL = 1e-6
 # the not-a-knot spline of a dilation needs this many frequency nodes
 MIN_DILATION_NODES = 4
 
@@ -192,19 +190,6 @@ def embed_one_variable(A: OperatorMatrix, axis: int, other_grid: GridLike) -> Op
 
 # ---------------------------------------------------------------------------
 # Toeplitz operators
-
-
-def symbol_limit_at_infinity(fn: Callable) -> complex:
-    """Value of a boundary symbol at the point at infinity: the mean of its
-    values at +/- _INFINITY_PROBE, which must agree to _INFINITY_RTOL."""
-    up = complex(np.asarray(fn(np.array([_INFINITY_PROBE + 1j * BOUNDARY_HEIGHT]))).reshape(-1)[0])
-    dn = complex(np.asarray(fn(np.array([-_INFINITY_PROBE + 1j * BOUNDARY_HEIGHT]))).reshape(-1)[0])
-    if abs(up - dn) > _INFINITY_RTOL * (1.0 + abs(up)):
-        raise SymbolError(
-            f"symbol has different limits at +/- infinity ({up:.6g} vs {dn:.6g}); "
-            "not constant-plus-decaying"
-        )
-    return (up + dn) / 2.0
 
 
 def toeplitz_halfplane(symbol: Callable, fgrid: FrequencyGrid) -> OperatorMatrix:

@@ -4,17 +4,16 @@ Eigenvalues and epsilon-pseudospectra of discretized operators (computed on
 the weighted similarity so the matrix represents the operator on the
 quadrature-weighted space), a multi-size pseudospectrum intersection used as
 a computable stand-in for the essential spectrum, and the predicted set
-{exp(i(z1 t1 + z2 t2))} u {0} swept over cluster points.  The essential
-spectrum itself is not finitely computable; the surrogate is this artifact's
-operational definition and every verdict reports the sizes and epsilon that
-produced it.
+{exp(i(z1 t1 + z2 t2))} u {0} swept at the cluster points z1, z2 of the
+two symbols.  The essential spectrum itself is not finitely computable; the
+surrogate is this artifact's operational definition and every verdict
+reports the sizes and epsilon that produced it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -33,9 +32,8 @@ class SpectralSet:
 
     points: PointCloud
     params: dict = field(default_factory=dict)
-    # predicted set only: the sweep image of each cluster pair, row-major
-    # over (t1, t2), in pair order
-    images: list = field(default_factory=list, repr=False)
+    # predicted set only: the sweep image, row-major over (t1, t2)
+    image: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.points.points)):
@@ -168,12 +166,11 @@ def _kron_solve(U1, U2, inv, X, adjoint=False):
     for i in range(n1) if adjoint else range(n1 - 1, -1, -1):
         done = slice(0, i) if adjoint else slice(i + 1, n1)
         r = X[i] + L2 @ (L1[i, done] @ X[done].reshape(-1, n2 * c)).reshape(n2, c)
-        tL2 = L1[i, i] * L2
         x = X[i]
         for lo in blocks:
             hi = min(lo + w, n2)
             solved = slice(0, lo) if adjoint else slice(hi, n2)
-            rhs = r[lo:hi] + tL2[lo:hi, solved] @ x[solved]
+            rhs = r[lo:hi] + L1[i, i] * (L2[lo:hi, solved] @ x[solved])
             D = inv[i, lo // w, :c, : hi - lo, : hi - lo]
             if adjoint:
                 # D^* y = conj(y^* D)^T
@@ -492,63 +489,31 @@ def essential_spectrum_surrogate(
     return SpectralSet(PointCloud(pts), params)
 
 
-# cluster pairs swept at most by predicted_set
-MAX_PAIRS = 64
-
-
-def predicted_set(
-    cluster1: PointCloud,
-    cluster2: PointCloud,
-    t_samples: int = 64,
-    seed: int = 0,
-) -> SpectralSet:
-    """{exp(i(z1 t1 + z2 t2))} over cluster pairs and a [0,T]^2 grid of
-    t_samples^2 points, u {0}.
+def predicted_set(z1: complex, z2: complex, t_samples: int = 64) -> SpectralSet:
+    """{exp(i(z1 t1 + z2 t2))} over a [0,T]^2 grid of t_samples^2 points,
+    u {0}, for the cluster points z1 of psi1 and z2 of psi2.
 
     T = 8 / min Im, so the sweep reaches magnitudes below 3e-4 and the
-    adjoined 0 is an honest closure proxy for t -> infinity.  Cluster pairs
-    beyond MAX_PAIRS are subsampled deterministically.  The per-pair sweep
-    images are kept in ``images``.
+    adjoined 0 is an honest closure proxy for t -> infinity.  The sweep
+    image, row-major over (t1, t2), is kept in ``image``.
     """
-    z1 = cluster1.points
-    z2 = cluster2.points
-    if z1.size == 0 or z2.size == 0:
-        raise UsageError("predicted set needs nonempty clusters")
-    if np.any(z1.imag <= 0) or np.any(z2.imag <= 0):
+    if z1.imag <= 0 or z2.imag <= 0:
         raise DomainError("cluster points must have positive imaginary part")
-    T = 8.0 / min(float(np.min(z1.imag)), float(np.min(z2.imag)))
+    T = 8.0 / min(z1.imag, z2.imag)
     t = np.linspace(0.0, T, t_samples)
-    rng = np.random.default_rng(seed)
-    if z1.size * z2.size > MAX_PAIRS:
-        k = max(1, int(math.sqrt(MAX_PAIRS)))
-        z1 = rng.choice(z1, size=min(k, z1.size), replace=False)
-        z2 = rng.choice(z2, size=min(k, z2.size), replace=False)
-    t1 = t[:, None]
-    t2 = t[None, :]
-    images = []
+    img = np.exp(1j * (z1 * t[:, None] + z2 * t[None, :]))
     spacing = 0.0
-    for a in z1:
-        for b in z2:
-            img = np.exp(1j * (a * t1 + b * t2))
-            if t.size > 1:
-                spacing = max(
-                    spacing,
-                    float(np.max(np.abs(np.diff(img, axis=0)))),
-                    float(np.max(np.abs(np.diff(img, axis=1)))),
-                )
-            images.append(img.reshape(-1))
-    cloud = PointCloud(np.concatenate([np.array([0.0 + 0.0j]), *images]))
+    if t.size > 1:
+        spacing = max(
+            float(np.max(np.abs(np.diff(img, axis=0)))),
+            float(np.max(np.abs(np.diff(img, axis=1)))),
+        )
+    image = img.reshape(-1)
+    cloud = PointCloud(np.concatenate([np.array([0.0 + 0.0j]), image]))
     if np.max(np.abs(cloud.points)) > 1.0 + 1e-12:
         raise DomainError("predicted points escaped the closed unit disc")
     return SpectralSet(
-        cloud,
-        {
-            "t_max": T,
-            "t_samples": t.size,
-            "pairs": int(z1.size * z2.size),
-            "image_spacing": spacing,
-        },
-        images,
+        cloud, {"t_max": T, "t_samples": t.size, "image_spacing": spacing}, image
     )
 
 

@@ -15,8 +15,6 @@ import numpy as np
 VIEW = 480
 PAD = 1.25  # complex plane half-width mapped onto the viewport
 
-PATH_COLORS = ("#1f6fb2", "#b2421f", "#3a8f3a", "#7a3ab2", "#b28f1f")
-
 # points formatted per write of a figure
 GLYPH_CHUNK = 8192
 
@@ -83,15 +81,13 @@ def _head(title: str) -> str:
 _TAIL = "\n</svg>\n"
 
 
-def spiral_figure(path: Path, paths: list[np.ndarray]) -> None:
-    """Write the unit-circle guide plus one polyline path per cluster pair
-    to ``path``, GLYPH_CHUNK points at a time, so the document is never
-    held whole as text."""
+def spiral_figure(path: Path, sweep: np.ndarray) -> None:
+    """Write the unit-circle guide plus the polyline of the spiral sweep to
+    ``path``, GLYPH_CHUNK points at a time, so the document is never held
+    whole as text."""
     with open(path, "wb") as f:
-        f.write((_head("predicted spiral set") + unit_circle_guide()).encode())
-        for k, p in enumerate(paths):
-            f.write(b"\n")
-            f.writelines(polyline(p, PATH_COLORS[k % len(PATH_COLORS)]))
+        f.write((_head("predicted spiral set") + unit_circle_guide() + "\n").encode())
+        f.writelines(polyline(sweep, "#1f6fb2"))
         f.write(_TAIL.encode())
 
 

@@ -7,16 +7,16 @@ numeric constants and the builtin ``cay(z) = (z - i)/(z + i)``; parsing
 produces, wherever possible, a sum-of-products decomposition
 ``sum_j f_j(z1) g_j(z2)`` which the Toeplitz machinery later relies on.
 
-Also provides the boundary estimators feeding the spectral predictor:
-cluster sets at infinity, the local essential range at infinity, and
-sampled closures of the symbol's image.
+Also provides the boundary data feeding the spectral predictor: the cluster
+point at infinity, exact from the factors' limits, the empirical local
+essential range at infinity, and sampled closures of the symbol's image.
 """
 
 from __future__ import annotations
 
 import ast
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -351,10 +351,9 @@ def eval_boundary(sym: AnalyticSymbol, grids: tuple) -> np.ndarray:
 
 @dataclass
 class PointCloud:
-    """Finite, deduplicated cloud of complex points with diagnostics."""
+    """Finite, deduplicated cloud of complex points."""
 
     points: np.ndarray
-    diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=complex).reshape(-1)
@@ -393,47 +392,40 @@ def dedup_points(pts: np.ndarray, resolution: float = DEDUP_RESOLUTION) -> np.nd
 
 
 # ---------------------------------------------------------------------------
-# cluster sets and essential range
+# the point at infinity and the essential range
+
+# a factor's limit at infinity is read at +/- _INFINITY_PROBE, where its two
+# values must agree to _INFINITY_RTOL
+_INFINITY_PROBE = 1e8
+_INFINITY_RTOL = 1e-6
 
 
-# moduli of the cluster-set shells, and the quasi-random points on each
-CLUSTER_SHELLS = tuple(2.0**k for k in range(3, 14))
-CLUSTER_SAMPLES = 512
-
-
-def cluster_set(sym: AnalyticSymbol, seed: int = 0) -> PointCloud:
-    """Approximate the cluster set of psi at (inf, inf) on H^2 from shells
-    of growing modulus in the half-plane (CLUSTER_SHELLS, CLUSTER_SAMPLES
-    points each).  The three outermost shells are merged by dedup_points at
-    twice their largest spread, so each distinct cluster point appears once
-    and a symbol with a limit at infinity gives one point; only a larger set
-    can reach predicted_set's MAX_PAIRS cap."""
-    m = CLUSTER_SAMPLES
-    draw = halton(len(CLUSTER_SHELLS) * m, seed)
-    per_shell = []
-    all_pts = []
-    for k, shell in enumerate(CLUSTER_SHELLS):
-        u = draw[k * m : (k + 1) * m]
-        r1 = shell * (1.0 + u[:, 0])
-        r2 = shell * (1.0 + u[:, 2])
-        a1 = np.pi * (0.02 + 0.96 * u[:, 1])
-        a2 = np.pi * (0.02 + 0.96 * u[:, 3])
-        z1 = r1 * np.exp(1j * a1)
-        z2 = r2 * np.exp(1j * a2)
-        vals = sym(z1, z2)
-        per_shell.append(
-            {
-                "shell": float(shell),
-                "mean": complex(np.mean(vals)),
-                "spread": float(np.max(np.abs(vals - np.mean(vals)))),
-            }
+def symbol_limit_at_infinity(fn: Callable) -> complex:
+    """Value of a boundary symbol at the point at infinity: the mean of its
+    values at +/- _INFINITY_PROBE, which must agree to _INFINITY_RTOL."""
+    up = complex(np.asarray(fn(np.array([_INFINITY_PROBE + 1j * BOUNDARY_HEIGHT]))).reshape(-1)[0])
+    dn = complex(np.asarray(fn(np.array([-_INFINITY_PROBE + 1j * BOUNDARY_HEIGHT]))).reshape(-1)[0])
+    if abs(up - dn) > _INFINITY_RTOL * (1.0 + abs(up)):
+        raise SymbolError(
+            f"symbol has different limits at +/- infinity ({up:.6g} vs {dn:.6g}); "
+            "not constant-plus-decaying"
         )
-        all_pts.append(vals)
-    # inner shells are convergence diagnostics only: cluster points are
-    # limits along the approach to infinity, so keep the outermost shells
-    resolution = 2.0 * max(s["spread"] for s in per_shell[-3:])
-    pts = dedup_points(np.concatenate(all_pts[-3:]), resolution)
-    return PointCloud(pts, {"shells": per_shell})
+    return (up + dn) / 2.0
+
+
+def cluster_set(sym: AnalyticSymbol) -> PointCloud:
+    """The cluster set of psi at (inf, inf) on H^2: the one point sum over
+    terms of coeff x the product of the factors' limits at infinity
+    (``symbol_limit_at_infinity``, which raises SymbolError for a factor
+    without one)."""
+    limit = 0j
+    for t in sym.expr.terms:
+        value = t.coeff
+        for f in (t.f1, t.f2):
+            if f is not None:
+                value *= symbol_limit_at_infinity(f)
+        limit += value
+    return PointCloud(np.array([limit]))
 
 
 def essential_range_at_infinity(
@@ -459,10 +451,8 @@ def essential_range_at_infinity(
     mask_outer = (np.abs(g1.nodes)[:, None] > cutoffs[-1]) & (
         np.abs(g2.nodes)[None, :] > cutoffs[-1]
     )
-    diagnostics = {}
     if not np.any(mask_outer & (w2d > 0)):
-        diagnostics["empty_tail"] = True
-        return PointCloud(np.array([]), diagnostics)
+        return PointCloud(np.array([]))
     candidates = dedup_points(field[mask_outer], resolution=ball_radius / 4.0)
     survivors = []
     for z in candidates:
@@ -475,7 +465,7 @@ def essential_range_at_infinity(
                 break
         if ok:
             survivors.append(z)
-    return PointCloud(np.asarray(survivors), diagnostics)
+    return PointCloud(np.asarray(survivors))
 
 
 def closure_image(sym: AnalyticSymbol, seed: int = 0) -> PointCloud:

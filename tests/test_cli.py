@@ -175,11 +175,13 @@ def test_predict_outputs(tmp_path):
     first = [float(v) for v in lines[2].split(",")]
     assert first == pytest.approx([1.0, 0.0])  # t = 0 comes first
     svg = (out / "spiral.svg").read_text()
-    assert svg.count("<polyline") >= 1
+    assert svg.count("<polyline") == 1  # one spiral: one pair of cluster points
     assert "unit-circle-guide" in svg
     report = json.loads((out / "predict_report.json").read_text())
-    assert report["cluster_sizes"] == [1, 1]
     assert report["config_sha256"] == lines[0].split()[-1]
+    # each cluster file holds the one exact limit at infinity
+    assert _csv_points(out / "cluster1.csv").tolist() == [1j]
+    assert _csv_points(out / "cluster2.csv").tolist() == [2j]
 
 
 def _csv_points(path):
@@ -195,15 +197,15 @@ def test_spiral_csv_is_the_predicted_set(tmp_path):
     out = tmp_path / "out"
     assert main(["predict", "--config", str(path), "--out", str(out)]) == 0
     spiral = _csv_points(out / "spiral.csv")
-    # each symbol has a limit at infinity: one cluster point, one sweep
-    report = json.loads((out / "predict_report.json").read_text())
-    assert report["cluster_sizes"] == [1, 1]
-    assert report["params"]["pairs"] == 1
-    assert spiral.size == 8**2
+    # each symbol has a limit at infinity: one exact cluster point, one sweep
+    z1 = _csv_points(out / "cluster1.csv")
+    z2 = _csv_points(out / "cluster2.csv")
+    assert z1.tolist() == [0.25 + 1j] and z2.tolist() == [-0.5 + 2j]
     s1, s2 = RunConfig.load(path).symbols()
-    pred = predicted_set(cluster_set(s1, seed=0),
-                         cluster_set(s2, seed=0), t_samples=8, seed=0)
-    pts = pred.points.points
+    assert abs(cluster_set(s1).points - (0.25 + 1j)).max() < 1e-12
+    assert abs(cluster_set(s2).points - (-0.5 + 2j)).max() < 1e-12
+    assert spiral.size == 8**2
+    pts = predicted_set(z1[0], z2[0], t_samples=8).points.points
 
     def dist(a, b):
         tree = cKDTree(np.column_stack([b.real, b.imag]))

@@ -499,8 +499,7 @@ def test_surrogate_reports_points_evaluated_per_size():
 
 def test_predicted_set_pure_decay_cluster():
     # min Im = 1, so T = 8 and the t-grid is linspace(0, 8, 65)
-    c = PointCloud(np.array([1.0j]))
-    out = predicted_set(c, c, t_samples=65)
+    out = predicted_set(1.0j, 1.0j, t_samples=65)
     pts = out.points.points
     # t1 = t2 = 1 lands exactly on e^{-2}
     assert np.min(np.abs(pts - np.exp(-2.0))) < 1e-12
@@ -510,36 +509,28 @@ def test_predicted_set_pure_decay_cluster():
 
 def test_predicted_set_spiral_hits_negative_axis():
     # T = 8 and t = (0, 8): at t1 = 8, t2 = 0 the image is exp(i pi - 8)
-    c = PointCloud(np.array([np.pi / 8.0 + 1.0j]))
-    out = predicted_set(c, c, t_samples=2)
+    z = np.pi / 8.0 + 1.0j
+    out = predicted_set(z, z, t_samples=2)
     pts = out.points.points
     assert np.min(np.abs(pts - (-np.exp(-8.0)))) < 1e-12
 
 
 def test_predicted_set_lives_in_closed_unit_disc():
-    c1 = PointCloud(np.array([0.5 + 0.7j, 1.0j]))
-    c2 = PointCloud(np.array([2.0j, 1.0 + 2.0j]))
-    out = predicted_set(c1, c2, t_samples=48)
+    out = predicted_set(0.5 + 0.7j, 1.0 + 2.0j, t_samples=48)
     pts = out.points.points
     assert np.max(np.abs(pts)) <= 1.0 + 1e-12
     assert out.params["image_spacing"] > 0.0
     assert out.params["t_max"] == pytest.approx(8.0 / 0.7)
+    # the sweep image is kept row-major over (t1, t2), t = 0 first
+    assert out.image.shape == (48 * 48,)
+    assert out.image[0] == 1.0
 
 
 def test_predicted_set_rejects_bad_clusters():
-    good = PointCloud(np.array([1.0j]))
     with pytest.raises(DomainError):
-        predicted_set(good, PointCloud(np.array([1.0 - 0.1j])))
-    with pytest.raises(UsageError):
-        predicted_set(good, PointCloud(np.empty(0, dtype=complex)))
-
-
-def test_predicted_set_subsamples_large_pair_counts(monkeypatch):
-    monkeypatch.setattr(qpspec.spectra, "MAX_PAIRS", 16)
-    rng = np.random.default_rng(0)
-    big = PointCloud(rng.uniform(0, 1, 20) + 1j * rng.uniform(1, 2, 20))
-    out = predicted_set(big, big, t_samples=16)
-    assert out.params["pairs"] <= 16
+        predicted_set(1.0j, 1.0 - 0.1j)
+    with pytest.raises(DomainError):
+        predicted_set(1.0, 1.0j)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpspec import cli, svg, textfmt
-from qpspec.cli import CONFIG_DIR, RunConfig, main
-from qpspec.symbols import cluster_set
+from qpspec.cli import CONFIG_DIR, main
 
 SPECS = (".12g",)
 
@@ -145,11 +144,8 @@ def _scatter_reference(points, color, r, shape):
             )
 
 
-def _spiral_figure_reference(path, paths, title="predicted spiral set"):
-    els = [svg.unit_circle_guide()] + [
-        _polyline_reference(p, svg.PATH_COLORS[k % len(svg.PATH_COLORS)], 1.0)
-        for k, p in enumerate(paths)
-    ]
+def _spiral_figure_reference(path, sweep, title="predicted spiral set"):
+    els = [svg.unit_circle_guide(), _polyline_reference(sweep, "#1f6fb2", 1.0)]
     Path(path).write_text(svg._head(title) + "\n".join(els) + svg._TAIL)
 
 
@@ -195,9 +191,10 @@ def test_figures_match_per_value_writers(tmp_path):
     # the coordinates themselves are bit-identical, not only their text
     x, y = svg._xy(paths[0])
     assert list(zip(x.tolist(), y.tolist())) == [_xy_reference(z) for z in paths[0].tolist()]
-    svg.spiral_figure(tmp_path / "new.svg", paths)
-    _spiral_figure_reference(tmp_path / "ref.svg", paths)
-    assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
+    for sweep in paths:
+        svg.spiral_figure(tmp_path / "new.svg", sweep)
+        _spiral_figure_reference(tmp_path / "ref.svg", sweep)
+        assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
     for eps, level in [(0.01, paths[0]), (0.02, paths[1])]:
         svg.overlay_figure(tmp_path / "new.svg", eps, level, paths[2])
         _overlay_figure_reference(tmp_path / "ref.svg", [(eps, level)], paths[2])
@@ -241,36 +238,9 @@ def _slow_symbol_config(tmp_path):
     raw = json.loads((CONFIG_DIR / "cay_quarter.json").read_text())
     raw["symbols"]["psi1"] = {"expr": "2*i + 0.5*cay(z1/5000)",
                               "im_lower_bound": 1.5, "sup_bound": 2.5}
-    config = tmp_path / "two_pairs.json"
+    config = tmp_path / "slow_symbol.json"
     config.write_text(json.dumps(raw))
     return config
-
-
-def test_multi_pair_predict_matches_per_value_writers(tmp_path, monkeypatch):
-    # every catalog symbol has one cluster point; this psi1 converges so
-    # slowly (shell means -0.149+2i, 0.057+2i, 0.243+2i against the limit
-    # 0.5+2i) that its cluster set keeps two, so the spiral has two paths.
-    # predict rejects that symbol (its values at +/- 1e8 disagree), so the
-    # two-point set stands in for the first-axis cluster set of cay_quarter
-    bad = RunConfig.load(_slow_symbol_config(tmp_path)).symbols()[0]
-    two = cluster_set(bad, 0)
-
-    def two_on_first_axis(sym, seed=0):
-        return two if sym.expr.single_variable() == 1 else cluster_set(sym, seed)
-
-    monkeypatch.setattr(cli, "cluster_set", two_on_first_axis)
-    config = CONFIG_DIR / "cay_quarter.json"
-    new, ref = tmp_path / "new", tmp_path / "ref"
-    assert main(["predict", "--config", str(config), "--out", str(new)]) == 0
-    with monkeypatch.context() as m:
-        _use_reference_writers(m)
-        assert main(["predict", "--config", str(config), "--out", str(ref)]) == 0
-    report = json.loads((new / "predict_report.json").read_text())
-    assert report["cluster_sizes"] == [2, 1]
-    assert report["params"]["pairs"] == 2
-    assert (new / "spiral.svg").read_bytes().count(b"<polyline") == 2
-    for f in ("cluster1.csv", "cluster2.csv", "spiral.csv", "spiral.svg"):
-        assert (new / f).read_bytes() == (ref / f).read_bytes(), f
 
 
 def test_predict_rejects_symbol_with_two_limits_at_infinity(tmp_path, capsys):
