@@ -47,10 +47,7 @@ class OperatorMatrix:
     F_k acting on axis k (pass ``entries=None``), and stands for the matrix
     kron(F1, F2).  ``row_blocks()`` reads the matrix of either form a block
     of rows at a time; a factored operator's full matrix is formed only
-    when ``entries`` is read.  ``shape`` comes from the grids.  ``A @ B`` of
-    two factored operators is factored, (A1 B1, A2 B2); a factored A
-    applies its factors to a dense B (``kron_apply``); any other product is
-    the dense product of the entries.
+    when ``entries`` is read.  ``shape`` comes from the grids.
     """
 
     def __init__(self, entries, domain_grid: GridLike, codomain_grid: GridLike,
@@ -77,8 +74,8 @@ class OperatorMatrix:
     @property
     def entries(self) -> np.ndarray:
         """The full matrix.  A factored operator forms kron(F1, F2) anew on
-        every read: a conversion for tests and for a product with a dense
-        operator.  Norm and eigenvalues read ``weighted_factors`` instead."""
+        every read: a conversion for tests.  Norm and eigenvalues read
+        ``weighted_factors`` instead."""
         if self.factors is None:
             return self._matrix
         return np.asarray(np.kron(*self.factors), dtype=complex)
@@ -101,17 +98,6 @@ class OperatorMatrix:
         for lo in range(0, self.shape[0], height):
             yield self._matrix[lo:lo + height]
 
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if self.factors is not None and other.factors is not None:
-            factors = tuple(A @ B for A, B in zip(self.factors, other.factors))
-            return OperatorMatrix(None, other.domain_grid, self.codomain_grid, factors)
-        if self.factors is not None:
-            F1, F2 = self.factors
-            entries = kron_apply([(1.0, F1, F2)], other.entries, (F1.shape[1], F2.shape[1]))
-        else:
-            entries = self.entries @ other.entries
-        return OperatorMatrix(entries, other.domain_grid, self.codomain_grid)
-
 
 def _checked(M: np.ndarray, shape: tuple) -> np.ndarray:
     if M.ndim != 2:
@@ -124,11 +110,6 @@ def _checked(M: np.ndarray, shape: tuple) -> np.ndarray:
 def is_diagonal(M: np.ndarray) -> bool:
     """True when M is square with no nonzero entry off its diagonal."""
     return M.shape[0] == M.shape[1] and not np.any(M - np.diag(np.diag(M)))
-
-
-def identity_like(grid: GridLike) -> OperatorMatrix:
-    n = grid_size(grid)
-    return OperatorMatrix(np.eye(n, dtype=complex), grid, grid)
 
 
 def weigh(M: np.ndarray, domain_grid: GridLike, codomain_grid: GridLike) -> np.ndarray:
@@ -180,7 +161,7 @@ def embed_one_variable(A: OperatorMatrix, axis: int, other_grid: GridLike) -> Op
     """Lift a one-variable operator to the tensor space: A (x) I or I (x) A."""
     if isinstance(A.domain_grid, tuple):
         raise GridError("embed_one_variable expects a one-variable operator")
-    eye = identity_like(other_grid)
+    eye = OperatorMatrix(np.eye(grid_size(other_grid), dtype=complex), other_grid, other_grid)
     if axis == 1:
         return kron(A, eye)
     if axis == 2:

@@ -298,16 +298,19 @@ def build_series(qmap: QuasiParabolicMap, plan: SeriesPlan, fgrids: tuple) -> Op
     (``qmap.per_axis``) the double series is the tensor product of two
     one-variable series, one per axis, and the result stores only the two
     factors.  Otherwise it is summed on the tensor grid by
-    ``_dense_series``.  Every sum is growth-checked, and the dilation is
-    applied last.
+    ``_dense_series``.  Every sum is growth-checked, and the dilation's
+    factors (V1, V2), formed once, are applied last to either branch.
     """
     if plan.delta >= 1.0:
         raise SeriesError("refusing to sum a series with delta >= 1")
     g1, g2 = fgrids
     tau1 = _tau_expr(qmap.psi1, plan.alpha, qmap.p1, qmap.p2)
     tau2 = _tau_expr(qmap.psi2, plan.alpha, qmap.p1, qmap.p2)
+    V = None
+    if qmap.p1 != 1.0 or qmap.p2 != 1.0:
+        V = dilation(qmap.p1, qmap.p2, fgrids).factors
     if not qmap.per_axis:
-        return OperatorMatrix(_dense_series(qmap, plan, fgrids, tau1, tau2), fgrids, fgrids)
+        return OperatorMatrix(_dense_series(plan, fgrids, tau1, tau2, V), fgrids, fgrids)
     T1 = toeplitz_halfplane(tau1.as_one_variable(), g1).entries
     T2 = toeplitz_halfplane(tau2.as_one_variable(), g2).entries
     S1, norms1 = _power_sum(lambda P: P @ T1, g1.nodes, plan.n1, plan.alpha,
@@ -316,14 +319,13 @@ def build_series(qmap: QuasiParabolicMap, plan: SeriesPlan, fgrids: tuple) -> Op
                             np.eye(g2.size, dtype=complex))
     _growth_check(norms1)
     _growth_check(norms2)
-    op = OperatorMatrix(None, fgrids, fgrids, (S1, S2))
-    if qmap.p1 != 1.0 or qmap.p2 != 1.0:
-        op = dilation(qmap.p1, qmap.p2, fgrids) @ op
-    return op
+    if V is not None:
+        S1, S2 = V[0] @ S1, V[1] @ S2
+    return OperatorMatrix(None, fgrids, fgrids, (S1, S2))
 
 
-def _dense_series(qmap: QuasiParabolicMap, plan: SeriesPlan, fgrids: tuple,
-                  tau1: SepExpr, tau2: SepExpr) -> np.ndarray:
+def _dense_series(plan: SeriesPlan, fgrids: tuple, tau1: SepExpr, tau2: SepExpr,
+                  V: Optional[tuple]) -> np.ndarray:
     """The double series of a map that is not per-axis, summed on the
     tensor grid through the factorization
     sum_{n,m} T1^n T2^m D1n D2m = sum_n T1^n (sum_m T2^m D2m) D1n: the
@@ -335,16 +337,14 @@ def _dense_series(qmap: QuasiParabolicMap, plan: SeriesPlan, fgrids: tuple,
     of the sum depends only on column k of the identity and on the
     multipliers at the k-th node, so the sums run on one block of columns
     at a time (about SERIES_BLOCK_ELEMENTS / n^2 of them), each block
-    dilated before it is stored.  The growth checks see each order's norm
-    over all blocks.
+    dilated by the factors V (None for no dilation) before it is stored.
+    The growth checks see each order's norm over all blocks.
     """
     g1, g2 = fgrids
     sizes = (g1.size, g2.size)
     terms1 = separable_terms(tau1, fgrids)
     terms2 = separable_terms(tau2, fgrids)
     t1, t2 = tensor_nodes(fgrids)
-    dilated = qmap.p1 != 1.0 or qmap.p2 != 1.0
-    V = dilation(qmap.p1, qmap.p2, fgrids).factors if dilated else None
     size = t1.size
     S = np.empty((size, size), dtype=complex)
     sq1 = np.zeros(plan.n1 + 1)

@@ -142,26 +142,25 @@ def _block_inverses(lam, U1, U2, out=None, lanes=slice(None)):
     return out
 
 
-def _kron_solve(U1, U2, inv, X, adjoint=False):
-    """Solve (lam I - U1 (x) U2) x = b for upper-triangular U1, U2, or
-    (lam I - U1 (x) U2)^* x = b when ``adjoint``, in place.
+def _kron_solve(L1, L2, inv, X, adjoint=False):
+    """Solve B x = b in place for B = lam I - U1 (x) U2, given the
+    upper-triangular factors L1, L2 = U1, U2; with ``adjoint``, solve
+    B^* x = b, given their adjoints L1, L2 = U1^*, U2^*.
 
     X has shape (n1, n2, c) and holds b on entry, one right-hand side per
     lambda-point along the last axis, in the row-major flattening; it holds
     x on return.  ``inv`` holds each point's block inverses
-    (``_block_inverses``, at least c lanes).  With L1, L2 = U1, U2 (or
-    their adjoints), row i of X solves (lam I - L1[i,i] L2) x_i = b_i +
-    L2 sum_k L1[i,k] x_k over the rows already solved: a back-substitution
-    from the last row, or with the adjoints a forward substitution.  Within
-    a row each block of w = min(KRON_BLOCK, n2) entries takes one GEMM over
-    all lanes with the blocks already solved and one batched product with
-    its inverse (the inverse's adjoint in the forward sweep), so a solve
-    takes n1 ceil(n2 / w) steps instead of n1 n2.
+    (``_block_inverses`` of U1, U2, at least c lanes).  Row i of X solves
+    (lam I - L1[i,i] L2) x_i = b_i + L2 sum_k L1[i,k] x_k over the rows
+    already solved: a back-substitution from the last row, or with the
+    adjoints a forward substitution.  Within a row each block of
+    w = min(KRON_BLOCK, n2) entries takes one GEMM over all lanes with the
+    blocks already solved and one batched product with its inverse (the
+    inverse's adjoint in the forward sweep), so a solve takes
+    n1 ceil(n2 / w) steps instead of n1 n2.
     """
     n1, n2, c = X.shape
     w = inv.shape[-1]
-    L1 = U1.conj().T if adjoint else U1
-    L2 = U2.conj().T if adjoint else U2
     blocks = range(0, n2, w) if adjoint else range((n2 - 1) // w * w, -1, -w)
     for i in range(n1) if adjoint else range(n1 - 1, -1, -1):
         done = slice(0, i) if adjoint else slice(i + 1, n1)
@@ -214,7 +213,8 @@ def _sigma_min_lanczos(lam, T1, T2, starts):
     T1, T2 are upper triangular (complex Schur forms).  A lane computes its
     point's block inverses (``_block_inverses``) when it takes the point and
     keeps them until the run finishes; both solves, with B^* and with B,
-    use them (``_kron_solve``).  Each point runs once per start vector in
+    use them (``_kron_solve``), and the solve with B^* sweeps the factors'
+    adjoints, formed once per call.  Each point runs once per start vector in
     ``starts``; two starts are the symmetric and antisymmetric halves of a
     Kronecker square (T1 == T2), whose runs are kept in their half.
     Returns, per point, the value, the largest Lanczos step count, and
@@ -242,8 +242,9 @@ def _sigma_min_lanczos(lam, T1, T2, starts):
     signs = np.array([1.0, -1.0])
     sign = signs[task[:, 1]]
     lane = np.arange(width)
+    H1, H2 = T1.conj().T, T2.conj().T
     while task.shape[0]:
-        w = _kron_solve(T1, T2, inv, _kron_solve(T1, T2, inv, v.copy(), adjoint=True))
+        w = _kron_solve(T1, T2, inv, _kron_solve(H1, H2, inv, v.copy(), adjoint=True))
         if halves == 2:
             w += sign * w.transpose(1, 0, 2)
             w *= 0.5

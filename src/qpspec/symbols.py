@@ -115,17 +115,6 @@ class SepExpr:
             return lambda z: self(z, np.zeros_like(np.asarray(z)))
         return lambda z: self(np.zeros_like(np.asarray(z)), z)
 
-    def try_invert(self) -> Optional["SepExpr"]:
-        """Reciprocal, available when the expression lives on one axis."""
-        axis = self.single_variable()
-        if axis is None:
-            return None
-        g = self.as_one_variable()
-        inv = lambda z: 1.0 / g(z)
-        if axis == 0:
-            return SepExpr.constant(1.0 / complex(self(0.0, 0.0)))
-        return SepExpr([SepTerm(f1=inv) if axis == 1 else SepTerm(f2=inv)])
-
     def compose_one_variable(self, outer: Callable) -> Optional["SepExpr"]:
         """outer(self) when self depends on at most one axis."""
         axis = self.single_variable()
@@ -235,7 +224,7 @@ def _build(node: ast.AST) -> SepExpr:
         if isinstance(node.op, ast.Mult):
             return left * right
         if isinstance(node.op, ast.Div):
-            inv = right.try_invert()
+            inv = right.compose_one_variable(lambda w: 1.0 / w)
             if inv is None:
                 raise SymbolError("division by a genuinely two-variable expression")
             return left * inv

@@ -248,6 +248,21 @@ def test_per_axis_series_forms_no_dense_matrix(name):
     assert np.array_equal(op.entries, np.kron(*op.factors))
 
 
+def test_dilated_series_factors_are_dilation_times_undilated_factors():
+    # p1 = 2 multiplies each factor S_k of the same map's series at p1 = 1
+    # by the dilation's factor V_k, the identity V_2 included, bit for bit
+    cfg = RunConfig.load(CONFIG_DIR / "dilation_case.json")
+    qmap = cfg.qmap()
+    plan = plan_for_map(qmap, tol=cfg.plan_tol)
+    fg = cfg.fgrids(12)
+    undilated = QuasiParabolicMap(1.0, qmap.p2, qmap.psi1, qmap.psi2)
+    S = build_series(undilated, plan, fg).factors
+    V = dilation(qmap.p1, qmap.p2, fg).factors
+    assert qmap.p1 == 2.0 and np.array_equal(V[1], np.eye(12))
+    for F, Vk, Sk in zip(build_series(qmap, plan, fg).factors, V, S):
+        assert np.array_equal(F, Vk @ Sk)
+
+
 def test_dense_series_and_products_carry_no_factors():
     psi = make_symbol("i + 0.25*cay(z1) + 0*cay(z2)", 0.7, 1.3, "continuous-on-closure")
     qmap = QuasiParabolicMap(1.0, 1.0, psi, CONST_2I)

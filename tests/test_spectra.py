@@ -262,12 +262,33 @@ def test_kron_solve_matches_dense_solve(n1, n2, lanes):
     inv = _block_inverses(lam, U1, U2)
     K = np.kron(U1, U2)
     for adjoint in (False, True):
-        X = _kron_solve(U1, U2, inv, B.copy(), adjoint=adjoint)
+        L1, L2 = (U1.conj().T, U2.conj().T) if adjoint else (U1, U2)
+        X = _kron_solve(L1, L2, inv, B.copy(), adjoint=adjoint)
         for k in range(lanes):
             M = lam[k] * np.eye(n1 * n2) - K
             ref = np.linalg.solve(M.conj().T if adjoint else M, B[:, :, k].reshape(-1))
             x = X[:, :, k].reshape(-1)
             assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_adjoint_kron_solve_copies_no_factor():
+    # the adjoint sweep takes the factors' adjoints as given: one solve of
+    # an unfactored operator ([[1]], M) at N = 576 holds far less than the
+    # 5.3 MB of one N x N complex array
+    rng = np.random.default_rng(3)
+    n, lanes = 576, 4
+    U1, U2 = np.ones((1, 1), dtype=complex), _random_triangular(rng, n)
+    lam = 1.5 * np.exp(2j * np.pi * rng.random(lanes))
+    inv = _block_inverses(lam, U1, U2)
+    H1, H2 = U1.conj().T, U2.conj().T
+    B = rng.standard_normal((1, n, lanes)) + 1j * rng.standard_normal((1, n, lanes))
+    tracemalloc.start()
+    try:
+        _kron_solve(H1, H2, inv, B, adjoint=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 16
 
 
 def test_unfactored_operator_is_solved_in_row_blocks():

@@ -49,6 +49,21 @@ def test_parse_power():
     assert abs(e(z, 0.0) - c * c) < 1e-14
 
 
+def test_parse_division_by_one_axis_expression_is_bit_exact():
+    # a one-axis denominator g becomes the factor 1.0 / g(z) on its axis, a
+    # constant one the coefficient 1.0 / c
+    rng = np.random.default_rng(4)
+    z1 = rng.uniform(-3, 3, 50) + 1j * rng.uniform(0.1, 3, 50)
+    z2 = rng.uniform(-3, 3, 50) + 1j * rng.uniform(0.1, 3, 50)
+    cases = {
+        "i + 1/(z1 + 2*i)": 1j + 1.0 / (z1 + 2j),
+        "3/(z2 + i)": 3 * (1.0 / (z2 + 1j)),
+        "z2/4": z2 / 4,
+    }
+    for text, ref in cases.items():
+        assert np.array_equal(parse_symbol_expression(text)(z1, z2), ref), text
+
+
 @given(st.floats(-5, 5), st.floats(0.1, 5), st.floats(-5, 5), st.floats(0.1, 5))
 @settings(max_examples=100)
 def test_parse_matches_direct_evaluation(x1, y1, x2, y2):
