@@ -173,26 +173,35 @@ def embed_one_variable(A: OperatorMatrix, axis: int, other_grid: GridLike) -> Op
 # Toeplitz operators
 
 
-def toeplitz_halfplane(symbol: Callable, fgrid: FrequencyGrid) -> OperatorMatrix:
+def toeplitz_halfplane(symbol, fgrid: FrequencyGrid):
     """One-variable Wiener-Hopf finite section in the frequency picture.
 
     ``symbol`` is a callable of the complex boundary variable; it must be
     constant-plus-decaying along R.  entries[j][k] = hhat(t_j - t_k) * v_k +
     c * delta_jk with hhat(s) = (2 pi)^-1 int h(x) exp(-i s x) dx, by the
     trapezoid rule on a fixed uniform boundary grid.
+
+    ``symbol`` may also be a tuple of such callables: one quadrature pass
+    then applies each block of its phase matrix to every symbol's h w, one
+    GEMV per symbol, and returns a tuple of operators, one per symbol, each
+    bit-identical to the operator of its own call.
     """
+    symbols = symbol if isinstance(symbol, tuple) else (symbol,)
     rule = BoundaryGrid.uniform(_TOEPLITZ_EXTENT, _TOEPLITZ_NODES)
-    c = symbol_limit_at_infinity(symbol)
     x = rule.nodes + 1j * BOUNDARY_HEIGHT
-    h = np.asarray(symbol(x), dtype=complex) - c
-    tail = max(abs(h[0]), abs(h[-1]))
-    if tail > 1e-2 * (1.0 + abs(c)):
-        raise SymbolError("symbol does not decay to its limit within the rule extent")
+    consts, hws = [], []
+    for f in symbols:
+        c = symbol_limit_at_infinity(f)
+        h = np.asarray(f(x), dtype=complex) - c
+        tail = max(abs(h[0]), abs(h[-1]))
+        if tail > 1e-2 * (1.0 + abs(c)):
+            raise SymbolError("symbol does not decay to its limit within the rule extent")
+        consts.append(c)
+        hws.append(h * rule.weights)
     t = fgrid.nodes
     diffs = np.subtract.outer(t, t)
     svals, inv = np.unique(np.round(diffs, 12), return_inverse=True)
-    hw = h * rule.weights
-    hhat = np.empty(svals.size, dtype=complex)
+    hhat = np.empty((len(symbols), svals.size), dtype=complex)
     # t_j - t_k = -(t_k - t_j) exactly and rounding is odd, so svals[-1 - i]
     # = -svals[i] and the row of exp(-i s x) for -s is the conjugate of the
     # row for s: each block takes the exponential of up to half its rows,
@@ -206,21 +215,26 @@ def toeplitz_halfplane(symbol: Callable, fgrid: FrequencyGrid) -> OperatorMatrix
         np.multiply(-1j, np.outer(s, rule.nodes), out=phase[:k])
         np.exp(phase[:k], out=phase[:k])
         np.conjugate(phase[:k], out=phase[k:])
-        vals = phase @ hw
-        # the mirror of index i is 2 mid - i; s = 0 is its own mirror
-        hhat[2 * mid - lo - k + 1:2 * mid - lo + 1] = vals[k:][::-1]
-        hhat[lo:lo + k] = vals[:k]
+        for hw, row in zip(hws, hhat):
+            vals = phase @ hw
+            # the mirror of index i is 2 mid - i; s = 0 is its own mirror
+            row[2 * mid - lo - k + 1:2 * mid - lo + 1] = vals[k:][::-1]
+            row[lo:lo + k] = vals[:k]
     if svals.size % _TOEPLITZ_BLOCK == 1:
         # hhat stays bit-identical to the plain quadrature, which takes all
         # of svals _TOEPLITZ_BLOCK rows at a time in order (the tests compare
         # the two); there the largest s is alone in its block, and numpy
         # multiplies a one-row block as a dot product, which rounds
         # differently from a multi-row GEMV
-        hhat[-1] = phase[k - 1] @ hw
+        for hw, row in zip(hws, hhat):
+            row[-1] = phase[k - 1] @ hw
     hhat /= 2.0 * np.pi
-    entries = hhat[inv].reshape(t.size, t.size) * fgrid.weights[None, :]
-    entries += c * np.eye(t.size)
-    return OperatorMatrix(entries, fgrid, fgrid)
+    ops = []
+    for c, row in zip(consts, hhat):
+        entries = row[inv].reshape(t.size, t.size) * fgrid.weights[None, :]
+        entries += c * np.eye(t.size)
+        ops.append(OperatorMatrix(entries, fgrid, fgrid))
+    return tuple(ops) if isinstance(symbol, tuple) else ops[0]
 
 
 def separable_terms(expr: SepExpr, fgrids: tuple) -> list:

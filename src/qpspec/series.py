@@ -297,9 +297,11 @@ def build_series(qmap: QuasiParabolicMap, plan: SeriesPlan, fgrids: tuple) -> Op
     Both sums come from ``_power_sum``.  For a per-axis map
     (``qmap.per_axis``) the double series is the tensor product of two
     one-variable series, one per axis, and the result stores only the two
-    factors.  Otherwise it is summed on the tensor grid by
-    ``_dense_series``.  Every sum is growth-checked, and the dilation's
-    factors (V1, V2), formed once, are applied last to either branch.
+    factors; two axes on one grid take their Toeplitz matrices from one
+    quadrature pass (``toeplitz_halfplane``).  Otherwise it is summed on
+    the tensor grid by ``_dense_series``.  Every sum is growth-checked, and
+    the dilation's factors (V1, V2), formed once, are applied last to
+    either branch.
     """
     if plan.delta >= 1.0:
         raise SeriesError("refusing to sum a series with delta >= 1")
@@ -311,8 +313,11 @@ def build_series(qmap: QuasiParabolicMap, plan: SeriesPlan, fgrids: tuple) -> Op
         V = dilation(qmap.p1, qmap.p2, fgrids).factors
     if not qmap.per_axis:
         return OperatorMatrix(_dense_series(plan, fgrids, tau1, tau2, V), fgrids, fgrids)
-    T1 = toeplitz_halfplane(tau1.as_one_variable(), g1).entries
-    T2 = toeplitz_halfplane(tau2.as_one_variable(), g2).entries
+    f1, f2 = tau1.as_one_variable(), tau2.as_one_variable()
+    if g1 is g2:
+        T1, T2 = (T.entries for T in toeplitz_halfplane((f1, f2), g1))
+    else:
+        T1, T2 = toeplitz_halfplane(f1, g1).entries, toeplitz_halfplane(f2, g2).entries
     S1, norms1 = _power_sum(lambda P: P @ T1, g1.nodes, plan.n1, plan.alpha,
                             np.eye(g1.size, dtype=complex))
     S2, norms2 = _power_sum(lambda P: P @ T2, g2.nodes, plan.n2, plan.alpha,

@@ -100,13 +100,13 @@ LANCZOS_RTOL = 1e-13
 LANCZOS_MAX_STEPS = 100
 # Lanczos runs in flight: a finished run hands its lane to the next point,
 # so a call over any number of points holds only a few (LANCZOS_BATCH x N)
-# arrays plus the lanes' block inverses (KRON_BLOCK N complex numbers per
-# lane, ``_block_inverses``) and no lane idles
+# arrays plus the lanes' block inverses (w N complex numbers per lane, w from
+# ``_block_width``, ``_block_inverses``) and no lane idles
 LANCZOS_BATCH = 128
 # Ritz problems up to this many rows use the batched dense eigvalsh
 RITZ_DENSE_MAX = 32
-# width w of the diagonal blocks of each row system whose inverses a lane
-# keeps (``_block_inverses``): w N complex numbers per lane.  On a 2-core VM
+# width of the diagonal blocks of each long row system whose inverses a lane
+# keeps (``_block_width``): w N complex numbers per lane.  On a 2-core VM
 # with one BLAS thread, one B^*-then-B solve pair at n = 64 took 103 / 96 /
 # 114 ms with 128 lanes and 21 / 18 / 11 ms with 9 lanes for w = 4 / 8 / 16
 # (209 and 32 ms one entry at a time), and verify_small passes took a
@@ -115,30 +115,57 @@ RITZ_DENSE_MAX = 32
 KRON_BLOCK = 8
 
 
+def _block_width(n2: int) -> int:
+    """Width w of the diagonal blocks of a row system of n2 entries: a row
+    of at most 2 KRON_BLOCK entries is one block (w = n2), so that a solve
+    takes one block step per row; a longer row takes blocks of KRON_BLOCK."""
+    return n2 if n2 <= 2 * KRON_BLOCK else KRON_BLOCK
+
+
 def _block_inverses(lam, U1, U2, out=None, lanes=slice(None)):
     """Inverses of the diagonal blocks of the row systems lam I - U1[i,i] U2
     of (lam I - U1 (x) U2), for upper-triangular U1, U2 and each point of lam.
 
-    The blocks are w x w with w = min(KRON_BLOCK, n2); a last block narrower
-    than w is padded with the identity.  Written, one row i at a time, to
-    ``out[i, :, lanes]`` of an (n1, ceil(n2 / w), lanes, w, w) array, which
-    is allocated when ``out`` is None; returns it.
+    The blocks are w x w (``_block_width``); a last block narrower than w is
+    padded with the identity.  Each block D = diag(d) - U1[i,i] N, N the
+    strictly upper part of its block of U2, is upper triangular, and row j
+    of its inverse X is (e_j + U1[i,i] N[j] X) / d_j, which needs only the
+    rows below it: one back-substitution, w - 1 batched products over every
+    block and lane of a chunk of rows.  The chunks are worked in a
+    lanes-last scratch no larger than one n1 x n2 x lanes array and written
+    to ``out[rows][:, :, lanes]`` of an (n1, ceil(n2 / w), lanes, w, w)
+    array, which is allocated when ``out`` is None; returns it.
     """
-    n1, n2 = U1.shape[0], U2.shape[0]
-    w = min(KRON_BLOCK, n2)
+    n1, n2, c = U1.shape[0], U2.shape[0], lam.size
+    w = _block_width(n2)
     nb = -(-n2 // w)
-    diag = np.zeros((nb, w, w), dtype=complex)
+    blocks = np.zeros((nb, w, w), dtype=complex)
     for J in range(nb):
         lo, hi = J * w, min(J * w + w, n2)
-        diag[J, : hi - lo, : hi - lo] = U2[lo:hi, lo:hi]
-    pad = np.arange(n2 - (nb - 1) * w, w)
+        blocks[J, : hi - lo, : hi - lo] = U2[lo:hi, lo:hi]
+    diag = np.diagonal(blocks, axis1=1, axis2=2)[None, :, :, None]
+    N = np.triu(blocks, 1)
+    pad = slice(n2 - (nb - 1) * w, w)
     if out is None:
-        out = np.empty((n1, nb, lam.size, w, w), dtype=complex)
-    shift = lam[:, None, None] * np.eye(w)
-    for i in range(n1):
-        D = shift - U1[i, i] * diag[:, None]
-        D[-1, :, pad, pad] = 1.0
-        out[i][:, lanes] = np.linalg.inv(D)
+        out = np.empty((n1, nb, c, w, w), dtype=complex)
+    # rows per chunk, so that the scratch S holds at most n1 n2 c numbers
+    rows = max(1, n1 * n2 // (nb * w * w))
+    S = np.zeros((rows, nb, w, w, c), dtype=complex)
+    k = np.arange(w)
+    for lo in range(0, n1, rows):
+        u = np.diag(U1)[lo : lo + rows, None, None, None]
+        r = u.shape[0]
+        X = S[:r]
+        d = lam - u * diag
+        d[:, -1, pad] = 1.0
+        X[:, :, k, k] = d = 1.0 / d
+        ud = u * d
+        for j in range(w - 2, -1, -1):
+            m = w - 1 - j
+            below = X[:, :, j + 1 :, j + 1 :].reshape(r, nb, m, m * c)
+            acc = np.matmul(N[:, j : j + 1, j + 1 :], below).reshape(r, nb, m, c)
+            np.multiply(acc, ud[:, :, j, None], out=X[:, :, j, j + 1 :])
+        out[lo : lo + r][:, :, lanes] = X.transpose(0, 1, 4, 2, 3)
     return out
 
 
@@ -153,29 +180,35 @@ def _kron_solve(L1, L2, inv, X, adjoint=False):
     (``_block_inverses`` of U1, U2, at least c lanes).  Row i of X solves
     (lam I - L1[i,i] L2) x_i = b_i + L2 sum_k L1[i,k] x_k over the rows
     already solved: a back-substitution from the last row, or with the
-    adjoints a forward substitution.  Within a row each block of
-    w = min(KRON_BLOCK, n2) entries takes one GEMM over all lanes with the
-    blocks already solved and one batched product with its inverse (the
-    inverse's adjoint in the forward sweep), so a solve takes
-    n1 ceil(n2 / w) steps instead of n1 n2.
+    adjoints a forward substitution.  Within a row each block of w entries
+    (``_block_width``) takes one GEMM over all lanes with the blocks already
+    solved and one batched product with its inverse (the inverse's adjoint
+    in the forward sweep), so a solve takes n1 ceil(n2 / w) steps instead of
+    n1 n2.  The blocks, their inverses' views and the views of L2 that
+    couple them to the blocks already solved are planned once per call.
     """
     n1, n2, c = X.shape
     w = inv.shape[-1]
-    blocks = range(0, n2, w) if adjoint else range((n2 - 1) // w * w, -1, -w)
+    plan = []
+    for lo in range(0, n2, w) if adjoint else range((n2 - 1) // w * w, -1, -w):
+        hi = min(lo + w, n2)
+        solved = slice(0, lo) if adjoint else slice(hi, n2)
+        couple = L2[lo:hi, solved] if solved.start < solved.stop else None
+        plan.append((slice(lo, hi), solved, couple, inv[:, lo // w, :c, : hi - lo, : hi - lo]))
     for i in range(n1) if adjoint else range(n1 - 1, -1, -1):
         done = slice(0, i) if adjoint else slice(i + 1, n1)
-        r = X[i] + L2 @ (L1[i, done] @ X[done].reshape(-1, n2 * c)).reshape(n2, c)
         x = X[i]
-        for lo in blocks:
-            hi = min(lo + w, n2)
-            solved = slice(0, lo) if adjoint else slice(hi, n2)
-            rhs = r[lo:hi] + L1[i, i] * (L2[lo:hi, solved] @ x[solved])
-            D = inv[i, lo // w, :c, : hi - lo, : hi - lo]
+        if done.start < done.stop:
+            x += L2 @ (L1[i, done] @ X[done].reshape(-1, n2 * c)).reshape(n2, c)
+        for block, solved, couple, D in plan:
+            rhs = x[block]
+            if couple is not None:
+                rhs = rhs + L1[i, i] * (couple @ x[solved])
             if adjoint:
                 # D^* y = conj(y^* D)^T
-                x[lo:hi] = (rhs.T.conj()[:, None, :] @ D)[:, 0, :].T.conj()
+                x[block] = (rhs.T.conj()[:, None, :] @ D[i])[:, 0, :].T.conj()
             else:
-                x[lo:hi] = (D @ rhs.T[:, :, None])[:, :, 0].T
+                x[block] = (D[i] @ rhs.T[:, :, None])[:, :, 0].T
     return X
 
 

@@ -112,6 +112,18 @@ def test_toeplitz_halfplane_conjugate_rows_are_bit_identical(n, text):
     assert got.tobytes() == _full_quadrature(symbol, fg).tobytes()
 
 
+# n = 9 gives 17 differences, one more than a multiple of 16
+@pytest.mark.parametrize("n", [8, 9, 32])
+def test_toeplitz_halfplane_one_pass_for_several_symbols_is_bit_identical(n):
+    fg = FrequencyGrid.uniform(10.0, n)
+    texts = ("i + 0.25*cay(z1)", "2*i - 0.5*cay(z1)", "i + 0.25*cay(z1)")
+    symbols = tuple(parse_symbol_expression(t).as_one_variable() for t in texts)
+    together = toeplitz_halfplane(symbols, fg)
+    assert len(together) == len(symbols)
+    for symbol, T in zip(symbols, together):
+        assert T.entries.tobytes() == toeplitz_halfplane(symbol, fg).entries.tobytes()
+
+
 def test_toeplitz_separable_expression():
     expr = parse_symbol_expression("i + 0.25*cay(z1)")
     T = toeplitz_separable(expr, (FG, FG))

@@ -248,6 +248,30 @@ def test_per_axis_series_forms_no_dense_matrix(name):
     assert np.array_equal(op.entries, np.kron(*op.factors))
 
 
+def test_per_axis_series_takes_one_toeplitz_pass_per_shared_grid(monkeypatch):
+    # the CLI's two axes are one grid object: both Toeplitz matrices come
+    # from one quadrature pass, bit-identical to one pass per axis on two
+    # equal grid objects
+    cfg = RunConfig.load(CONFIG_DIR / "separable_mix.json")
+    qmap = cfg.qmap()
+    plan = plan_for_map(qmap, tol=cfg.plan_tol)
+    calls = []
+
+    def counted(symbol, fgrid):
+        calls.append(symbol)
+        return toeplitz_halfplane(symbol, fgrid)
+
+    monkeypatch.setattr(qpspec.series, "toeplitz_halfplane", counted)
+    shared = cfg.fgrids(12)
+    one = build_series(qmap, plan, shared)
+    assert len(calls) == 1 and len(calls[0]) == 2
+    apart = (shared[0], FrequencyGrid.uniform(cfg.frequency_extent, 12))
+    two = build_series(qmap, plan, apart)
+    assert len(calls) == 3
+    for F, G in zip(one.factors, two.factors):
+        assert F.tobytes() == G.tobytes()
+
+
 def test_dilated_series_factors_are_dilation_times_undilated_factors():
     # p1 = 2 multiplies each factor S_k of the same map's series at p1 = 1
     # by the dilation's factor V_k, the identity V_2 included, bit for bit

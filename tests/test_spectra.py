@@ -250,11 +250,79 @@ def _random_triangular(rng, n):
     return U + np.diag(np.exp(2j * np.pi * rng.random(n)))
 
 
+def _assert_block_inverses(inv, lam, U1, U2):
+    """Every block of ``inv`` against np.linalg.inv of its padded block of
+    lam I - U1[i,i] U2, to 1e-13 relative."""
+    n2, w = U2.shape[0], inv.shape[-1]
+    assert inv.shape[:3] == (U1.shape[0], -(-n2 // w), lam.size)
+    for i in range(U1.shape[0]):
+        for J in range(inv.shape[1]):
+            lo, hi = J * w, min(J * w + w, n2)
+            for k, z in enumerate(lam):
+                D = np.eye(w, dtype=complex)
+                D[: hi - lo, : hi - lo] = z * np.eye(hi - lo) - U1[i, i] * U2[lo:hi, lo:hi]
+                ref = np.linalg.inv(D)
+                assert np.linalg.norm(inv[i, J, k] - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize(
+    "n1, n2", [(3, 6), (2, 12), (2, 16), (2, 17), (3, 24), (2, 33), (1, 12), (1, 33)]
+)
+def test_block_inverses_match_dense_inverses(n1, n2):
+    # a row of at most 2 KRON_BLOCK entries is one block; longer rows take
+    # blocks of KRON_BLOCK, the last one padded with the identity at 17 and
+    # 33; n1 = 1 is an unfactored operator ([[1]], M)
+    rng = np.random.default_rng(n1 * 100 + n2)
+    U1 = np.ones((1, 1), dtype=complex) if n1 == 1 else _random_triangular(rng, n1)
+    U2 = _random_triangular(rng, n2)
+    lam = 1.5 * np.exp(2j * np.pi * rng.random(5))
+    inv = _block_inverses(lam, U1, U2)
+    assert inv.shape[-1] == (n2 if n2 <= 2 * KRON_BLOCK else KRON_BLOCK)
+    _assert_block_inverses(inv, lam, U1, U2)
+
+
+@pytest.mark.parametrize("n2", [12, 20])
+def test_block_inverses_refill_only_the_chosen_lanes(n2):
+    rng = np.random.default_rng(n2)
+    U1, U2 = _random_triangular(rng, 4), _random_triangular(rng, n2)
+    inv = _block_inverses(1.5 * np.exp(2j * np.pi * rng.random(6)), U1, U2)
+    before = inv.copy()
+    lanes = np.array([4, 1])
+    lam = 1.5 * np.exp(2j * np.pi * rng.random(2))
+    assert _block_inverses(lam, U1, U2, out=inv, lanes=lanes) is inv
+    kept = [0, 2, 3, 5]
+    assert np.array_equal(inv[:, :, kept], before[:, :, kept])
+    _assert_block_inverses(inv[:, :, lanes], lam, U1, U2)
+
+
+def test_block_inverses_hold_no_second_cache():
+    # the inverses are written into the cache, chunk by chunk of rows, from
+    # a scratch no larger than one n^2-by-lanes state array
+    n, lanes = 24, LANCZOS_BATCH
+    rng = np.random.default_rng(2)
+    T1, T2 = _random_triangular(rng, n), _random_triangular(rng, n)
+    lam = 1.5 * np.exp(2j * np.pi * rng.random(lanes))
+    cache = n * -(-n // KRON_BLOCK) * lanes * KRON_BLOCK**2 * 16
+    state = n * n * lanes * 16
+    tracemalloc.start()
+    try:
+        inv = _block_inverses(lam, T1, T2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inv.nbytes == cache
+    assert peak < cache + 2 * state
+
+
 @pytest.mark.parametrize("lanes", [1, 5])
-@pytest.mark.parametrize("n1, n2", [(1, 6), (6, 1), (5, 7), (12, 12), (17, 9)])
+@pytest.mark.parametrize(
+    "n1, n2", [(1, 6), (6, 1), (5, 7), (12, 12), (17, 9), (5, 20), (3, 33), (1, 20)]
+)
 def test_kron_solve_matches_dense_solve(n1, n2, lanes):
-    # widths 7 and 9 are not multiples of KRON_BLOCK; (1, 6) is an
-    # unfactored operator ([[1]], M), and (6, 1) the same matrix as (M, [[1]])
+    # rows of 7, 9 and 12 entries are one block each; rows of 20 and 33
+    # entries take blocks of KRON_BLOCK, the last one narrower; (1, 6) and
+    # (1, 20) are unfactored operators ([[1]], M), and (6, 1) the same
+    # matrix as (M, [[1]])
     rng = np.random.default_rng(n1 * 100 + n2 * 10 + lanes)
     U1, U2 = _random_triangular(rng, n1), _random_triangular(rng, n2)
     lam = 1.5 * np.exp(2j * np.pi * rng.random(lanes))
