@@ -1,15 +1,17 @@
 """Discretized Hardy spaces of the upper half-plane and its square.
 
 Quadrature grids for the boundary line and the frequency half-line, the
-Cayley transform behind the symbol language's ``cay``, reproducing kernels,
-and the frequency (Paley-Wiener) transform matrix.
+Cayley transform behind the symbol language's ``cay``, and the frequency
+(Paley-Wiener) transform matrix.
 
 Conventions fixed here and used everywhere else:
 
 * boundary pairing is the plain Lebesgue one, ``<f,g> = int f conj(g) dx``;
 * the reproducing kernel of the half-plane is
   ``k_w(z) = 1 / (2*pi*1j * (conj(w) - z))`` so that ``<f, k_w> = f(w)``
-  holds exactly (two-variable kernels are products of one-variable factors);
+  holds exactly (two-variable kernels are products of one-variable
+  factors); its quadrature form, the pairing with k_w on a boundary grid,
+  is ``series._cauchy_kernel``, one row per point w;
 * the frequency transform is the unitary ``(Ff)(t) = (2*pi)**-0.5 *
   int f(x) exp(-i x t) dx``, which sends the Hardy class onto functions
   supported on ``t >= 0``;
@@ -156,72 +158,6 @@ def tensor_nodes(grids: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Node pairs (t1, t2) of a two-axis grid, flattened row-major."""
     g1, g2 = grids
     return np.repeat(g1.nodes, g2.size), np.tile(g2.nodes, g1.size)
-
-
-@dataclass
-class HardyVector:
-    """Sampled element of a discretized Hardy space: boundary values on a
-    BoundaryGrid or frequency values on a FrequencyGrid.  For tensor grids
-    the values are stored flattened row-major (index = k1 * M2 + k2).
-    """
-
-    values: np.ndarray
-    grid: GridLike
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.size != grid_size(self.grid):
-            raise GridError("value length does not match grid size")
-
-
-def inner_product(f: HardyVector, g: HardyVector) -> complex:
-    """Pairing <f, g>, conjugate-linear in the second slot, with the
-    quadrature weights of the common grid."""
-    if not _same_grid(f.grid, g.grid):
-        raise GridError("inner_product requires matching grids")
-    w = grid_weights(f.grid)
-    return complex(np.sum(w * f.values * np.conj(g.values)))
-
-
-def _same_grid(a: GridLike, b: GridLike) -> bool:
-    if isinstance(a, tuple) != isinstance(b, tuple):
-        return False
-    if isinstance(a, tuple):
-        return len(a) == len(b) and all(_same_grid(x, y) for x, y in zip(a, b))
-    if type(a) is not type(b):
-        return False
-    return a.nodes.size == b.nodes.size and np.array_equal(a.nodes, b.nodes)
-
-
-def reproducing_kernel(w, grid: GridLike) -> HardyVector:
-    """Boundary samples of k_w; one- or two-variable per the grid argument.
-
-    k_w(z) = prod_j 1 / (2*pi*1j * (conj(w_j) - z_j)); then <f, k_w> = f(w)
-    for Hardy vectors resolved by the grid.
-    """
-    ws = np.atleast_1d(np.asarray(w, dtype=complex))
-    grids = grid if isinstance(grid, tuple) else (grid,)
-    if ws.size != len(grids):
-        raise GridError("kernel point and grid dimension mismatch")
-    if np.any(ws.imag <= 0):
-        raise DomainError("reproducing kernel requires Im(w) > 0")
-    factors = [
-        1.0 / (2.0j * np.pi * (np.conj(wj) - g.nodes)) for wj, g in zip(ws, grids)
-    ]
-    vals = factors[0]
-    for fac in factors[1:]:
-        vals = np.kron(vals, fac)
-    return HardyVector(vals, grid)
-
-
-def kernel_value(w, z) -> complex:
-    """Pointwise k_w(z) for one or two variables."""
-    ws = np.atleast_1d(np.asarray(w, dtype=complex))
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    out = 1.0 + 0.0j
-    for wj, zj in zip(ws, zs):
-        out *= 1.0 / (2.0j * np.pi * (np.conj(wj) - zj))
-    return complex(out)
 
 
 def bochner_matrix(bgrid: BoundaryGrid, fgrid: FrequencyGrid) -> np.ndarray:

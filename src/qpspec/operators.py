@@ -157,18 +157,6 @@ def kron(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
     )
 
 
-def embed_one_variable(A: OperatorMatrix, axis: int, other_grid: GridLike) -> OperatorMatrix:
-    """Lift a one-variable operator to the tensor space: A (x) I or I (x) A."""
-    if isinstance(A.domain_grid, tuple):
-        raise GridError("embed_one_variable expects a one-variable operator")
-    eye = OperatorMatrix(np.eye(grid_size(other_grid), dtype=complex), other_grid, other_grid)
-    if axis == 1:
-        return kron(A, eye)
-    if axis == 2:
-        return kron(eye, A)
-    raise GridError("axis must be 1 or 2")
-
-
 # ---------------------------------------------------------------------------
 # Toeplitz operators
 

@@ -8,8 +8,8 @@ produces, wherever possible, a sum-of-products decomposition
 ``sum_j f_j(z1) g_j(z2)`` which the Toeplitz machinery later relies on.
 
 Also provides the boundary data feeding the spectral predictor: the cluster
-point at infinity, exact from the factors' limits, the empirical local
-essential range at infinity, and sampled closures of the symbol's image.
+point at infinity, exact from the factors' limits, and sampled closures of
+the symbol's image.
 """
 
 from __future__ import annotations
@@ -323,17 +323,6 @@ def make_symbol(
     return AnalyticSymbol(expr, im_lower_bound)
 
 
-def eval_boundary(sym: AnalyticSymbol, grids: tuple) -> np.ndarray:
-    """Symbol values on the tensor boundary grid at height BOUNDARY_HEIGHT."""
-    g1, g2 = grids
-    z1 = g1.nodes[:, None] + 1j * BOUNDARY_HEIGHT
-    z2 = g2.nodes[None, :] + 1j * BOUNDARY_HEIGHT
-    vals = sym(z1, z2).reshape(-1)
-    if np.min(vals.imag) < sym.im_lower_bound - 1e-6:
-        raise SymbolError("boundary values violate the certified Im bound")
-    return vals
-
-
 # ---------------------------------------------------------------------------
 # point clouds
 
@@ -352,13 +341,13 @@ class PointCloud:
         return self.points.size
 
 
-def dedup_points(pts: np.ndarray, resolution: float = DEDUP_RESOLUTION) -> np.ndarray:
-    """Deduplicate to the given resolution; sorted by (re, im).
+def dedup_points(pts: np.ndarray) -> np.ndarray:
+    """Deduplicate to DEDUP_RESOLUTION; sorted by (re, im).
 
-    In sorted order a point is kept when it lies more than ``resolution``
+    In sorted order a point is kept when it lies more than DEDUP_RESOLUTION
     from the last kept point.  A point more than 2 resolutions from its
     predecessor is always kept, since the predecessor is either kept or
-    within ``resolution`` of the last kept point; so only the points near
+    within DEDUP_RESOLUTION of the last kept point; so only the points near
     their predecessor go through the sequential test.
     """
     if pts.size == 0:
@@ -367,12 +356,12 @@ def dedup_points(pts: np.ndarray, resolution: float = DEDUP_RESOLUTION) -> np.nd
     pts = pts[order]
     keep = np.ones(pts.size, dtype=bool)
     # the margin over 2 absorbs the rounding of the computed distances
-    near = np.flatnonzero(~(np.abs(np.diff(pts)) > 2.001 * resolution)) + 1
+    near = np.flatnonzero(~(np.abs(np.diff(pts)) > 2.001 * DEDUP_RESOLUTION)) + 1
     last, prev = None, -1
     for i, p, q in zip(near.tolist(), pts[near].tolist(), pts[near - 1].tolist()):
         if i - 1 != prev:  # the predecessor is not near its own, so it was kept
             last = q
-        if abs(p - last) > resolution:
+        if abs(p - last) > DEDUP_RESOLUTION:
             last = p
         else:
             keep[i] = False
@@ -381,7 +370,7 @@ def dedup_points(pts: np.ndarray, resolution: float = DEDUP_RESOLUTION) -> np.nd
 
 
 # ---------------------------------------------------------------------------
-# the point at infinity and the essential range
+# the point at infinity
 
 # a factor's limit at infinity is read at +/- _INFINITY_PROBE, where its two
 # values must agree to _INFINITY_RTOL
@@ -415,46 +404,6 @@ def cluster_set(sym: AnalyticSymbol) -> PointCloud:
                 value *= symbol_limit_at_infinity(f)
         limit += value
     return PointCloud(np.array([limit]))
-
-
-def essential_range_at_infinity(
-    boundary_field: np.ndarray,
-    grids: tuple,
-    cutoffs: Sequence[float],
-    ball_radius: float,
-) -> PointCloud:
-    """Empirical local essential range of a boundary field at (inf, inf).
-
-    A value z survives when, for every cutoff n in the list, the ball
-    B(z, ball_radius) is hit by the field restricted to the joint tail
-    {|x1| > n and |x2| > n} with positive empirical measure.
-    """
-    g1, g2 = grids
-    cutoffs = sorted(float(c) for c in cutoffs)
-    if not cutoffs:
-        raise SymbolError("need at least one cutoff")
-    if cutoffs[-1] >= min(g1.extent, g2.extent):
-        raise SymbolError("grid extent must exceed the largest cutoff")
-    field = np.asarray(boundary_field, dtype=complex).reshape(g1.size, g2.size)
-    w2d = np.outer(g1.weights, g2.weights)
-    mask_outer = (np.abs(g1.nodes)[:, None] > cutoffs[-1]) & (
-        np.abs(g2.nodes)[None, :] > cutoffs[-1]
-    )
-    if not np.any(mask_outer & (w2d > 0)):
-        return PointCloud(np.array([]))
-    candidates = dedup_points(field[mask_outer], resolution=ball_radius / 4.0)
-    survivors = []
-    for z in candidates:
-        ok = True
-        for n in cutoffs:
-            mask = (np.abs(g1.nodes)[:, None] > n) & (np.abs(g2.nodes)[None, :] > n)
-            hits = np.abs(field[mask] - z) <= ball_radius
-            if not np.any(hits) or float(np.sum(w2d[mask][hits])) <= 0.0:
-                ok = False
-                break
-        if ok:
-            survivors.append(z)
-    return PointCloud(np.asarray(survivors))
 
 
 def closure_image(sym: AnalyticSymbol, seed: int = 0) -> PointCloud:

@@ -10,7 +10,6 @@ from qpspec.operators import (
     OperatorMatrix,
     dilation,
     dilation_1d,
-    embed_one_variable,
     fourier_multiplier,
     kron,
     kron_apply,
@@ -278,8 +277,9 @@ def test_embeddings_commute_exactly():
     g = FrequencyGrid.uniform(5.0, 10)
     A = _random_op(rng, g)
     B = _random_op(rng, g)
-    EA = embed_one_variable(A, 1, g)
-    EB = embed_one_variable(B, 2, g)
+    eye = OperatorMatrix(np.eye(g.size, dtype=complex), g, g)
+    EA = kron(A, eye)
+    EB = kron(eye, B)
     assert np.array_equal(EA.entries @ EB.entries, EB.entries @ EA.entries)
 
 

@@ -463,6 +463,18 @@ def test_two_variable_series_keeps_toeplitz_as_kronecker_terms(monkeypatch):
 # direct Cauchy construction
 
 
+def test_reproducing_identity_rational_function():
+    # the Cauchy quadrature row at v is the pairing with the reproducing
+    # kernel k_v; on the tensor grid the two-variable row is the kron of the
+    # axis rows, and it reproduces a rational Hardy function at w
+    w = (0.3 + 1.2j, -0.7 + 0.8j)
+    g1, g2 = (BoundaryGrid.rational(1200, 8.0),) * 2
+    row = np.kron(_cauchy_kernel(g1, np.array([w[0]])), _cauchy_kernel(g2, np.array([w[1]])))
+    vals = np.kron(1.0 / (g1.nodes + 1j), 1.0 / (g2.nodes + 1j))
+    target = 1.0 / ((w[0] + 1j) * (w[1] + 1j))
+    assert abs((row @ vals)[0] - target) < 1e-6
+
+
 def direct_composition(qmap, bgrids: tuple) -> OperatorMatrix:
     """Dense boundary-representation matrix of the Cauchy-integral
     composition operator; meant for desk-scale grids."""

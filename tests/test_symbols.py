@@ -3,14 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import qmc
 
-from qpspec.grids import BoundaryGrid
 from qpspec.symbols import (
     SymbolError,
     closure_image,
     cluster_set,
     dedup_points,
-    essential_range_at_infinity,
-    eval_boundary,
     halton,
     make_symbol,
     parse_symbol_expression,
@@ -88,13 +85,6 @@ def test_make_symbol_rejects_violated_sup_bound():
         make_symbol("5*i", 4.0, 1.0, "constant")
 
 
-def test_eval_boundary_shape_and_im():
-    g = BoundaryGrid.uniform(50.0, 128)
-    field = eval_boundary(const_i(), (g, g))
-    assert field.shape == (128 * 128,)
-    assert np.all(field.imag >= 1.0 - 1e-6)
-
-
 # ---------------------------------------------------------------------------
 # dedup
 
@@ -121,7 +111,7 @@ def test_dedup_keeps_against_the_last_kept_point():
     # 0.9e-9i is dropped against 0; the third point lies 1.49e-9 from it
     # but only 0.71e-9 from 0, the last kept point, so it is dropped too
     pts = np.array([0.0, 0.9e-9j, 0.5e-9 - 0.5e-9j])
-    out = dedup_points(pts, 1e-9)
+    out = dedup_points(pts)
     assert np.array_equal(out, _dedup_reference(pts, 1e-9))
     assert np.array_equal(out, np.array([0.0 + 0.0j]))
 
@@ -137,7 +127,7 @@ def test_dedup_matches_sequential_rule_on_near_duplicate_chains(seed):
     chains = base[:, None] + np.cumsum(steps, axis=1)
     pts = np.concatenate([base, chains.reshape(-1), base[:50], rng.choice(chains.reshape(-1), 300)])
     rng.shuffle(pts)
-    out = dedup_points(pts, res)
+    out = dedup_points(pts)
     assert out.dtype == pts.dtype
     assert np.array_equal(out, _dedup_reference(pts, res))
 
@@ -203,48 +193,6 @@ def test_cluster_product_symbol():
     c = cluster_set(sym)
     assert np.max(np.abs(c.points - (-0.2 + 2j))) < 1e-12
     assert len(c) == 1
-
-
-# ---------------------------------------------------------------------------
-# essential range at infinity
-
-
-def test_essential_range_constant():
-    g = BoundaryGrid.rational(800, 50.0)
-    field = eval_boundary(const_i(), (g, g))
-    r = essential_range_at_infinity(field, (g, g), [100.0, 200.0], 0.05)
-    assert len(r) == 1
-    assert abs(r.points[0] - 1j) < 0.05
-
-
-def test_essential_range_matches_cluster_set():
-    sym = make_symbol("i + 0.5*cay(z1)", 0.45, 1.6, "continuous-on-closure")
-    g = BoundaryGrid.rational(2000, 50.0)
-    field = eval_boundary(sym, (g, g))
-    r = essential_range_at_infinity(field, (g, g), [200.0, 500.0, 1000.0], 0.02)
-    c = cluster_set(sym)
-    a, b = c.points, r.points
-    h = max(
-        np.max(np.min(np.abs(a[:, None] - b[None, :]), axis=1)),
-        np.max(np.min(np.abs(b[:, None] - a[None, :]), axis=1)),
-    )
-    assert h <= 2 * 0.02
-
-
-def test_essential_range_empty_tail_diagnostic():
-    # declared extent exceeds the outermost node: the tail holds no mass
-    base = BoundaryGrid.uniform(50.0, 64)
-    g = BoundaryGrid(base.nodes, base.weights, 60.0)
-    field = eval_boundary(const_i(), (g, g))
-    r = essential_range_at_infinity(field, (g, g), [55.0], 0.05)
-    assert len(r) == 0
-
-
-def test_essential_range_cutoff_beyond_extent_rejected():
-    g = BoundaryGrid.uniform(50.0, 64)
-    field = eval_boundary(const_i(), (g, g))
-    with pytest.raises(SymbolError):
-        essential_range_at_infinity(field, (g, g), [100.0], 0.05)
 
 
 # ---------------------------------------------------------------------------
