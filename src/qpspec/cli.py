@@ -43,7 +43,7 @@ from .spectra import (
     predicted_set,
     pseudospectrum,
 )
-from .symbols import SymbolError, cluster_set, make_symbol
+from .symbols import SymbolError, cluster_set, make_symbol, spot_check_samples
 
 CONFIG_DIR = Path(__file__).parent / "configs"
 
@@ -53,7 +53,7 @@ EXIT_CONFIG = 2
 EXIT_CERT = 3
 
 # values formatted per write of a CSV output
-CSV_CHUNK = 8192
+CSV_CHUNK = 4096
 
 
 class ConfigError(ValueError):
@@ -163,13 +163,16 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def symbols(self):
+        """psi1 and psi2, both checked on one spot-check draw."""
+        samples = spot_check_samples(self.seed)
+
         def mk(d):
             return make_symbol(
                 d["expr"],
                 d["im_lower_bound"],
                 d["sup_bound"],
                 d.get("class", "continuous-on-closure"),
-                seed=self.seed,
+                samples=samples,
             )
 
         return mk(self.psi1), mk(self.psi2)

@@ -33,8 +33,9 @@ MAX_STRETCH = 16.0
 _TOEPLITZ_EXTENT = 800.0
 _TOEPLITZ_NODES = 16384
 # frequency differences per block of the quadrature's phase matrix, which
-# bounds it to _TOEPLITZ_BLOCK x _TOEPLITZ_NODES entries
-_TOEPLITZ_BLOCK = 16
+# bounds it to _TOEPLITZ_BLOCK x _TOEPLITZ_NODES entries (1 MiB); blocks of
+# 2 would be two-row products, which round unlike the plain quadrature's
+_TOEPLITZ_BLOCK = 4
 # the not-a-knot spline of a dilation needs this many frequency nodes
 MIN_DILATION_NODES = 4
 

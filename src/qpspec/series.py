@@ -60,8 +60,9 @@ TRUNCATION_CAP = 60
 # rational Hardy test vectors behind the series-vs-Cauchy cross-check
 HARDY_TEST_COUNT = 12
 # boundary points per pair of Cauchy kernels in direct_composition_apply,
-# and per block of the streamed cross-check (``_boundary_blocks``): a
-# 512 x 256 complex kernel is 2 MB, a 512 x 768 one 6.3 MB
+# per block of the streamed cross-check (``_boundary_blocks``) and per block
+# of kernel rows of the per-axis one (``_kernel_apply``): a 512 x 256
+# complex kernel is 2 MB, a 512 x 768 one 6.3 MB
 DIRECT_CHUNK = 512
 # boundary points per block of the cross-check's Im > 0 pass over the whole
 # grid, which holds phi's values for one block at a time (2.8 MB with their
@@ -470,6 +471,15 @@ def _cauchy_kernel(g: BoundaryGrid, v: np.ndarray) -> np.ndarray:
     return np.divide(g.weights[None, :] / (2.0j * np.pi), K, out=K)
 
 
+def _kernel_apply(g: BoundaryGrid, v: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """``_cauchy_kernel(g, v) @ U``, building DIRECT_CHUNK kernel rows at a
+    time."""
+    out = np.empty((v.size, U.shape[1]), dtype=complex)
+    for lo in range(0, v.size, DIRECT_CHUNK):
+        out[lo:lo + DIRECT_CHUNK] = _cauchy_kernel(g, v[lo:lo + DIRECT_CHUNK]) @ U
+    return out
+
+
 def _column_kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Column k is kron(A[:, k], B[:, k])."""
     return (A[:, None, :] * B[None, :, :]).reshape(A.shape[0] * B.shape[0], A.shape[1])
@@ -535,9 +545,11 @@ def series_direct_residual(
     kernel applied to the non-decaying inverse transforms of raw frequency
     basis vectors would be dominated by truncation artifacts.
 
-    Each u = kron(f1, f2) is rank one, so F u = kron(F1 f1, F2 f2).  For a
-    per-axis map C u is rank one too, kron(C1 f1, C2 f2), so F(C u) =
-    kron(F1 C1 f1, F2 C2 f2) needs no image.  Otherwise the images are
+    Each u = kron(f1, f2) is rank one, so F u = kron(F1 f1, F2 f2), and a
+    factored series operator kron(S1, S2) sends it to kron(S1 F1 f1,
+    S2 F2 f2).  For a per-axis map C u is rank one too, kron(C1 f1, C2 f2),
+    so F(C u) = kron(F1 C1 f1, F2 C2 f2) needs no image, and each kernel
+    C_j is applied DIRECT_CHUNK rows at a time.  Otherwise the images are
     streamed: after the whole grid has been checked, one pass over blocks
     of at most DIRECT_CHUNK points (``_boundary_blocks``) asks
     ``direct_composition_apply`` for each block's images, applies F2 to
@@ -549,13 +561,12 @@ def series_direct_residual(
     F1 = bochner_matrix(bg1, fg1)
     F2 = bochner_matrix(bg2, fg2)
     U1, U2 = hardy_test_family(bgrids, seed)
-    fu = _column_kron(F1 @ U1, F2 @ U2)
+    G1, G2 = F1 @ U1, F2 @ U2
+    fu = _column_kron(G1, G2)
     if qmap.per_axis:
-        # each N_j x N_j kernel is freed before the next is built
         v1, v2 = _boundary_phi_values(qmap, bgrids, per_axis=True)
         _require_upper_images((v1, v2))
-        fcu = _column_kron(F1 @ (_cauchy_kernel(bg1, v1) @ U1),
-                           F2 @ (_cauchy_kernel(bg2, v2) @ U2))
+        fcu = _column_kron(F1 @ _kernel_apply(bg1, v1, U1), F2 @ _kernel_apply(bg2, v2, U2))
     else:
         _require_upper_images(v for block in _boundary_blocks(bgrids, DIRECT_CHECK_POINTS)
                               for v in _boundary_phi_values(qmap, bgrids, block=block))
@@ -565,7 +576,12 @@ def series_direct_residual(
             F2b = F2[:, cols]
             half[rows] += F2b @ images.reshape(-1, F2b.shape[1], U1.shape[1])
         fcu = (F1 @ half.reshape(bg1.size, -1)).reshape(fu.shape)
-    resid = np.concatenate([blk @ fu for blk in series_op.row_blocks()]) - fcu
+    if series_op.factors is None:
+        resid = series_op.entries @ fu - fcu
+    else:
+        # kron(S1, S2) kron(g1, g2) = kron(S1 g1, S2 g2)
+        S1, S2 = series_op.factors
+        resid = _column_kron(S1 @ G1, S2 @ G2) - fcu
     wf = grid_weights(series_op.domain_grid)[:, None]
     err = np.sqrt(np.sum(wf * np.abs(resid) ** 2, axis=0)) / np.sqrt(
         np.sum(wf * np.abs(fu) ** 2, axis=0))

@@ -103,8 +103,6 @@ LANCZOS_MAX_STEPS = 100
 # arrays plus the lanes' block inverses (w N complex numbers per lane, w from
 # ``_block_width``, ``_block_inverses``) and no lane idles
 LANCZOS_BATCH = 128
-# Ritz problems up to this many rows use the batched dense eigvalsh
-RITZ_DENSE_MAX = 32
 # width of the diagonal blocks of each long row system whose inverses a lane
 # keeps (``_block_width``): w N complex numbers per lane.  On a 2-core VM
 # with one BLAS thread, one B^*-then-B solve pair at n = 64 took 103 / 96 /
@@ -113,6 +111,8 @@ RITZ_DENSE_MAX = 32
 # median 1.29 / 0.74 / 0.91 s; w = 16 also doubles the cache, to 128 MiB
 # at n = 64
 KRON_BLOCK = 8
+# least scratch that ``_block_inverses`` works a chunk of rows in
+INVERSE_SCRATCH_BYTES = 1 << 20
 
 
 def _block_width(n2: int) -> int:
@@ -132,7 +132,8 @@ def _block_inverses(lam, U1, U2, out=None, lanes=slice(None)):
     of its inverse X is (e_j + U1[i,i] N[j] X) / d_j, which needs only the
     rows below it: one back-substitution, w - 1 batched products over every
     block and lane of a chunk of rows.  The chunks are worked in a
-    lanes-last scratch no larger than one n1 x n2 x lanes array and written
+    lanes-last scratch no larger than one n1 x n2 x lanes array or than
+    INVERSE_SCRATCH_BYTES, whichever is larger, and written
     to ``out[rows][:, :, lanes]`` of an (n1, ceil(n2 / w), lanes, w, w)
     array, which is allocated when ``out`` is None; returns it.
     """
@@ -148,8 +149,11 @@ def _block_inverses(lam, U1, U2, out=None, lanes=slice(None)):
     pad = slice(n2 - (nb - 1) * w, w)
     if out is None:
         out = np.empty((n1, nb, c, w, w), dtype=complex)
-    # rows per chunk, so that the scratch S holds at most n1 n2 c numbers
-    rows = max(1, n1 * n2 // (nb * w * w))
+    # rows per chunk: as many as fit in n1 n2 c numbers, and at least as
+    # many as fit in INVERSE_SCRATCH_BYTES, so that short rows (one block
+    # each) are not taken one at a time
+    row_bytes = nb * w * w * c * 16
+    rows = min(n1, max(1, n1 * n2 // (nb * w * w), INVERSE_SCRATCH_BYTES // row_bytes))
     S = np.zeros((rows, nb, w, w, c), dtype=complex)
     k = np.arange(w)
     for lo in range(0, n1, rows):
@@ -212,29 +216,40 @@ def _kron_solve(L1, L2, inv, X, adjoint=False):
     return X
 
 
-def _top_ritz(a: np.ndarray, b: np.ndarray, m: np.ndarray) -> np.ndarray:
+def _top_ritz(a: np.ndarray, b: np.ndarray, m: np.ndarray, prev: np.ndarray) -> np.ndarray:
     """Largest eigenvalue of the leading m[k] x m[k] symmetric tridiagonal
-    block with diagonal a[:, k] and off-diagonal b[:, k], for each lane k.
+    block T_k with diagonal a[:, k] and off-diagonal b[:, k], for each lane k,
+    given prev[k], the top eigenvalue of its leading (m[k] - 1)-row block (0
+    for a fresh lane).
 
-    Lanes of equal size share one batched dense eigvalsh call, whose cost
-    grows as size^3; above RITZ_DENSE_MAX rows LAPACK's bisection (stebz)
-    on each lane is cheaper.
+    By Cauchy interlacing T_k - prev[k] I has exactly one eigenvalue above
+    0, so every lane's shifted block is stacked, with a zero off-diagonal
+    between lanes, into one call of LAPACK's bisection (stebz) on (0, inf];
+    ``iblock`` and ``isplit`` name the lane of each eigenvalue found, and a
+    lane's value is prev[k] plus the largest of its eigenvalues, or prev[k]
+    when none was found.  A lane with a non-finite entry gets NaN.
     """
-    theta = np.empty(m.size)
-    for size in np.unique(m):
-        lanes = np.flatnonzero(m == size)
-        if size > RITZ_DENSE_MAX:
-            from scipy.linalg.lapack import dstebz
+    from scipy.linalg.lapack import dstebz
 
-            for k in lanes:
-                found = dstebz(a[:size, k], b[: size - 1, k], 2, 0.0, 0.0, size, size, 0.0, "E")
-                theta[k] = found[1][0]
-            continue
-        T = np.zeros((lanes.size, size, size))
-        i = np.arange(size)
-        T[:, i, i] = a[:size, lanes].T
-        T[:, i[1:], i[:-1]] = b[: size - 1, lanes].T
-        theta[lanes] = np.linalg.eigvalsh(T)[:, -1]
+    top = int(m.max())
+    rows = np.arange(top)
+    # lane-major (lanes x rows) diagonals, shifted, and off-diagonals, each
+    # lane's closed by a 0
+    d = a[:top].T - prev[:, None]
+    e = np.where(rows < m[:, None] - 1, b[:top].T, 0.0)
+    inside = rows < m[:, None]
+    finite = np.all(np.isfinite(d) | ~inside, axis=1) & np.all(np.isfinite(e), axis=1)
+    theta = np.full(m.size, np.nan)
+    if not finite.any():
+        return theta
+    inside &= finite[:, None]
+    d, e = d[inside], e[inside]
+    # the wrapper takes n - 1 off-diagonal entries, but at least one
+    found, w, iblock, isplit, _ = dstebz(d, e[: max(1, d.size - 1)], 1, 0.0, np.inf, 0, 0,
+                                         0.0, "B")
+    lane = np.searchsorted(np.cumsum(np.where(finite, m, 0)), isplit[iblock[:found] - 1])
+    theta[finite] = prev[finite]
+    np.maximum.at(theta, lane, prev[lane] + w[:found])
     return theta
 
 
@@ -288,7 +303,7 @@ def _sigma_min_lanczos(lam, T1, T2, starts):
         w -= alpha * v
         w -= beta * v_prev
         m += 1
-        new = _top_ritz(a, b, m)
+        new = _top_ritz(a, b, m, theta)
         beta = np.sqrt(
             np.einsum("ijc,ijc->c", w.real, w.real) + np.einsum("ijc,ijc->c", w.imag, w.imag)
         )

@@ -292,20 +292,27 @@ def halfplane_samples(count: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray
     return x1 + 1j * y1, x2 + 1j * y2
 
 
+def spot_check_samples(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The points of H^2 at which ``make_symbol`` checks a symbol's bounds."""
+    return halfplane_samples(_SPOT_CHECK_SAMPLES, seed=seed)
+
+
 def make_symbol(
     expression: str,
     im_lower_bound: float,
     sup_bound: float,
     continuity_class: str,
-    seed: int = 0,
+    samples: tuple | None = None,
 ) -> AnalyticSymbol:
-    """Parse and admissibility-check a symbol specification."""
+    """Parse and admissibility-check a symbol specification at the points
+    ``samples``, a draw of ``spot_check_samples`` (seed 0 when None), which
+    symbols checked together share."""
     if im_lower_bound <= 0:
         raise SymbolError("im_lower_bound must be positive")
     if continuity_class not in CONTINUITY_CLASSES:
         raise SymbolError(f"continuity_class must be one of {CONTINUITY_CLASSES}")
     expr = parse_symbol_expression(expression)
-    z1, z2 = halfplane_samples(_SPOT_CHECK_SAMPLES, seed=seed)
+    z1, z2 = spot_check_samples(0) if samples is None else samples
     vals = expr(z1, z2)
     bad = np.argmin(vals.imag)
     if vals.imag[bad] < im_lower_bound - 1e-12:

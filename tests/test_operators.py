@@ -84,6 +84,21 @@ def test_toeplitz_halfplane_quadrature_memory_is_bounded():
     assert T.shape == (128, 128)
 
 
+def test_toeplitz_halfplane_two_symbols_peak_below_4_mb():
+    # one pass for two symbols at n = 32 holds a 1 MiB phase block, the
+    # symbols' weighted values and their evaluation's temporaries
+    fg = FrequencyGrid.uniform(10.0, 32)
+    texts = ("i + 0.25*cay(z1)", "2*i - 0.5*cay(z1)")
+    symbols = tuple(parse_symbol_expression(t).as_one_variable() for t in texts)
+    tracemalloc.start()
+    try:
+        toeplitz_halfplane(symbols, fg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
 def _full_quadrature(symbol, fgrid):
     """toeplitz_halfplane with the exponential taken for every frequency
     difference, in blocks of 16 rows in order."""

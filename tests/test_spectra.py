@@ -13,7 +13,6 @@ from qpspec.spectra import (
     KRON_BLOCK,
     LANCZOS_BATCH,
     LANCZOS_MAX_STEPS,
-    RITZ_DENSE_MAX,
     PseudospectrumMap,
     SpectralSet,
     UsageError,
@@ -28,6 +27,7 @@ from qpspec.spectra import (
     _coarsest_stride,
     _kron_solve,
     _sigma_min_lanczos,
+    _top_ritz,
 )
 from qpspec.symbols import PointCloud, make_symbol
 
@@ -237,10 +237,46 @@ def test_pseudospectrum_factored_matches_svd(name, eps, side):
 
 
 def test_pseudospectrum_long_runs_match_svd():
-    # runs longer than RITZ_DENSE_MAX steps take the per-lane Ritz path
+    # runs of more than 32 Lanczos steps, so that lanes of many sizes share
+    # each stacked Ritz call
     op = _catalog_series("separable_mix", 12)
     pmap = _assert_matches_svd(op, (-1.1, 1.1, -1.1, 1.1), (32, 32), 0.05)
-    assert pmap.stats["lanczos_max_steps"] > RITZ_DENSE_MAX
+    assert pmap.stats["lanczos_max_steps"] > 32
+
+
+def _tridiagonal_top(a, b):
+    return np.linalg.eigvalsh(np.diag(a) + np.diag(b, 1) + np.diag(b, -1))[-1]
+
+
+def test_top_ritz_matches_eigvalsh():
+    # Lanczos-like tridiagonals (positive entries, one scale per lane) of
+    # sizes 1 to 100 in one call; each lane passes the top value of its
+    # block without the last row, 0 for the fresh lane of size 1
+    rng = np.random.default_rng(7)
+    m = np.array([1, 2, 3, 5, 17, 32, 33, 64, 99, 100, 100, 50, 20, 40])
+    scale = 10.0 ** rng.integers(-3, 7, m.size)
+    a = rng.uniform(0.5, 2.0, (LANCZOS_MAX_STEPS, m.size)) * scale
+    b = rng.uniform(0.05, 1.0, (LANCZOS_MAX_STEPS, m.size)) * scale
+    b[20, 11] = 0.0  # a zero off-diagonal inside a lane
+    # a lane whose top value does not move: its last row is decoupled and
+    # its diagonal entry lies below the top of the rows before it
+    b[18, 12] = 0.0
+    a[19, 12] = 0.25 * scale[12]
+    a[m[13]:, 13] = np.inf  # entries past a lane's rows are never read
+    prev = np.array([0.0 if k == 1 else _tridiagonal_top(a[: k - 1, j], b[: k - 2, j])
+                     for j, k in enumerate(m)])
+    ref = np.array([_tridiagonal_top(a[:k, j], b[: k - 1, j]) for j, k in enumerate(m)])
+    assert abs(ref[12] - prev[12]) <= 1e-14 * ref[12]
+    got = _top_ritz(a, b, m, prev)
+    assert np.max(np.abs(got - ref) / ref) < 1e-14
+    # one fresh lane alone is a 1 x 1 problem
+    assert _top_ritz(a[:, :1], b[:, :1], m[:1], prev[:1]) == a[0, 0]
+    # a lane with a non-finite entry reads NaN and leaves the others alone
+    a[3, 9] = np.nan
+    got = _top_ritz(a, b, m, prev)
+    assert np.isnan(got[9])
+    others = np.arange(m.size) != 9
+    assert np.max(np.abs(got[others] - ref[others]) / ref[others]) < 1e-14
 
 
 def _random_triangular(rng, n):

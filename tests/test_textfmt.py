@@ -3,6 +3,7 @@ the per-value f-string writers it replaced."""
 
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +181,23 @@ def test_csv_writer_matches_per_value_writer(tmp_path):
     ]
     cli._write_csv(tmp_path / "new.csv", "abc", blocks, (3, n))
     _write_csv_reference(tmp_path / "ref.csv", "abc", blocks, (3, n))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("count", [1 << 18, 1 << 20])
+def test_csv_writer_peak_does_not_grow_with_the_count(tmp_path, count):
+    # CSV_CHUNK values are formatted per write, so the text of the whole
+    # output is never held
+    rng = np.random.default_rng(count)
+    z = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    tracemalloc.start()
+    try:
+        cli._write_csv(tmp_path / "new.csv", "abc", [z], (1, count))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
+    _write_csv_reference(tmp_path / "ref.csv", "abc", [z], (1, count))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
