@@ -100,10 +100,17 @@ class RunConfig:
     @classmethod
     def from_dict(cls, raw: dict, default_name: str = "run") -> "RunConfig":
         try:
+            _known_keys(raw, None, ("name", "symbols", "p1", "p2", "grids", "plan",
+                                    "spectra", "t_samples", "seed"))
             sym = raw["symbols"]
             grids = raw.get("grids", {})
             plan = raw.get("plan", {})
             spectra = raw.get("spectra", {})
+            _known_keys(sym, "symbols", ("psi1", "psi2"))
+            _known_keys(grids, "grids", ("frequency_extent", "frequency_nodes",
+                                         "boundary_extent", "boundary_nodes"))
+            _known_keys(plan, "plan", ("tol", "alpha", "n1", "n2", "remainder_tol"))
+            _known_keys(spectra, "spectra", ("region", "resolution", "eps", "sizes"))
             p1 = _positive(raw.get("p1", 1.0), "p1")
             p2 = _positive(raw.get("p2", 1.0), "p2")
             dilated = p1 != 1.0 or p2 != 1.0
@@ -195,6 +202,17 @@ class RunConfig:
 # which from_dict reports as a config error; none truncates or rounds.
 
 
+def _known_keys(section: dict, label: str | None, known: tuple) -> None:
+    """Reject the first key of a config section (None: the top level) that
+    the config does not read, so that a misspelled setting is an error and
+    not a default."""
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        where = "at the top level" if label is None else f"in {label}"
+        raise ValueError(f"unknown key {unknown[0]!r} {where}; "
+                         f"the known keys are {', '.join(known)}")
+
+
 def _number(v, label: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
         raise ValueError(f"{label} must be a finite number, got {v!r}")
@@ -230,8 +248,9 @@ def _region(values) -> tuple:
 
 
 def _symbol(entry: dict, label: str) -> dict:
-    """A symbol entry with both bounds checked as numbers; make_symbol
-    checks them against the expression."""
+    """A symbol entry with no unknown key and both bounds checked as
+    numbers; make_symbol checks them against the expression."""
+    _known_keys(entry, label, ("expr", "im_lower_bound", "sup_bound", "class"))
     return {
         **entry,
         "im_lower_bound": _number(entry["im_lower_bound"], f"{label}.im_lower_bound"),

@@ -1,12 +1,14 @@
 """Matrix-backed operators on the discretized Hardy spaces.
 
 Half-plane Toeplitz operators, diagonal Fourier multipliers, dilations,
-Kronecker products, and the weight-adjusted operator norm.  Toeplitz
-operators live in the frequency representation, where they are Wiener-Hopf
-matrices ``hhat(t_j - t_k) * weight_k + c * delta_jk`` for the symbol split
-``phi = c + h`` with ``c`` the value at infinity; two-variable symbols are
-handled through their separable sum-of-products decomposition as Kronecker
-sums.
+and the weight-adjusted operator norm.  The one-axis builders return plain
+n x n matrices; an ``OperatorMatrix`` is a whole operator on one grid,
+stored as its matrix or, per-axis on a two-axis grid, as its two Kronecker
+factors.  Toeplitz operators live in the frequency representation, where
+they are Wiener-Hopf matrices ``hhat(t_j - t_k) * weight_k + c * delta_jk``
+for the symbol split ``phi = c + h`` with ``c`` the value at infinity;
+two-variable symbols are handled through their separable sum-of-products
+decomposition as Kronecker sums.
 """
 
 from __future__ import annotations
@@ -41,35 +43,30 @@ MIN_DILATION_NODES = 4
 
 
 class OperatorMatrix:
-    """Operator between discretized Hardy spaces, in one of two stored forms.
+    """Operator on a discretized Hardy space, in one of two stored forms.
 
-    A dense operator keeps its matrix.  A per-axis operator on two-axis
-    tensor grids keeps only its Kronecker factors ``factors = (F1, F2)``,
+    A dense operator keeps its matrix.  A per-axis operator on a two-axis
+    tensor grid keeps only its Kronecker factors ``factors = (F1, F2)``,
     F_k acting on axis k (pass ``entries=None``), and stands for the matrix
     kron(F1, F2).  ``row_blocks()`` reads the matrix of either form a block
     of rows at a time; a factored operator's full matrix is formed only
-    when ``entries`` is read.  ``shape`` comes from the grids.
+    when ``entries`` is read.  ``shape`` comes from the grid.
     """
 
-    def __init__(self, entries, domain_grid: GridLike, codomain_grid: GridLike,
-                 factors: Optional[tuple] = None):
-        self.domain_grid = domain_grid
-        self.codomain_grid = codomain_grid
-        self.shape = (grid_size(codomain_grid), grid_size(domain_grid))
+    def __init__(self, entries, grid: GridLike, factors: Optional[tuple] = None):
+        self.grid = grid
+        self.shape = (grid_size(grid),) * 2
         if (entries is None) == (factors is None):
             raise GridError("an operator is given by its entries or by its factors")
         if factors is None:
             self._matrix = _checked(np.asarray(entries, dtype=complex), self.shape)
             self.factors = None
             return
-        if len(factors) != 2 or not all(
-            isinstance(g, tuple) and len(g) == 2 for g in (domain_grid, codomain_grid)
-        ):
-            raise GridError("Kronecker factors need two-axis grids")
+        if len(factors) != 2 or not (isinstance(grid, tuple) and len(grid) == 2):
+            raise GridError("Kronecker factors need a two-axis grid")
         self._matrix = None
         self.factors = tuple(
-            _checked(np.asarray(F), (grid_size(gc), grid_size(gd)))
-            for F, gd, gc in zip(factors, domain_grid, codomain_grid)
+            _checked(np.asarray(F), (g.size,) * 2) for F, g in zip(factors, grid)
         )
 
     @property
@@ -86,16 +83,15 @@ class OperatorMatrix:
 
         A factored operator yields kron(F1[i], F2) for each row i of F1,
         which equals that block of kron(F1, F2) exactly.  A dense operator
-        yields row slices of the same height, the codomain's second-axis
-        size (the whole matrix on a one-axis grid).
+        yields row slices of the same height, the grid's second-axis size
+        (the whole matrix on a one-axis grid).
         """
         if self.factors is not None:
             F1, F2 = self.factors
             for i in range(F1.shape[0]):
                 yield np.asarray(np.kron(F1[i:i + 1], F2), dtype=complex)
             return
-        g = self.codomain_grid
-        height = grid_size(g[1]) if isinstance(g, tuple) else self.shape[0]
+        height = grid_size(self.grid[1]) if isinstance(self.grid, tuple) else self.shape[0]
         for lo in range(0, self.shape[0], height):
             yield self._matrix[lo:lo + height]
 
@@ -104,7 +100,7 @@ def _checked(M: np.ndarray, shape: tuple) -> np.ndarray:
     if M.ndim != 2:
         raise GridError("operator entries must be a matrix")
     if M.shape != shape:
-        raise GridError(f"entry shape {M.shape} does not match grids {shape}")
+        raise GridError(f"entry shape {M.shape} does not match the grid's {shape}")
     return M
 
 
@@ -113,30 +109,24 @@ def is_diagonal(M: np.ndarray) -> bool:
     return M.shape[0] == M.shape[1] and not np.any(M - np.diag(np.diag(M)))
 
 
-def weigh(M: np.ndarray, domain_grid: GridLike, codomain_grid: GridLike) -> np.ndarray:
-    """The similarity W_c^(1/2) M W_d^(-1/2), which represents the matrix M
-    on the quadrature-weighted L^2 spaces of its grids."""
-    wd = grid_weights(domain_grid)
-    wc = grid_weights(codomain_grid)
-    return (np.sqrt(wc)[:, None] * M) / np.sqrt(wd)[None, :]
-
-
-def weighted_matrix(A: OperatorMatrix) -> np.ndarray:
-    """The weighted similarity (``weigh``) of A's entries."""
-    return weigh(A.entries, A.domain_grid, A.codomain_grid)
+def weigh(M: np.ndarray, grid: GridLike) -> np.ndarray:
+    """The similarity W^(1/2) M W^(-1/2), W the grid's quadrature weights,
+    which represents the matrix M on the quadrature-weighted L^2 space of
+    its grid."""
+    w = np.sqrt(grid_weights(grid))
+    return (w[:, None] * M) / w[None, :]
 
 
 def weighted_factors(A: OperatorMatrix) -> tuple:
-    """Per-axis weighted factors (W1, W2) with weighted_matrix(A) equal to
-    kron(W1, W2): the grid weights are tensor products, so a factored
-    operator's factors are weighed one axis at a time.  An unfactored
-    operator is the pair ([[1]], M), so that a Kronecker solve with it takes
-    blocks of rows of M (``spectra._kron_solve``), not one row at a time."""
+    """Per-axis weighted factors (W1, W2) with kron(W1, W2) the weighted
+    similarity (``weigh``) of A's matrix: the grid weights are tensor
+    products, so a factored operator's factors are weighed one axis at a
+    time.  An unfactored operator is the pair ([[1]], weigh(M)), so that a
+    Kronecker solve with it takes blocks of rows of M
+    (``spectra._kron_solve``), not one row at a time."""
     if A.factors is None:
-        return np.ones((1, 1), dtype=complex), weighted_matrix(A)
-    return tuple(
-        weigh(F, gd, gc) for F, gd, gc in zip(A.factors, A.domain_grid, A.codomain_grid)
-    )
+        return np.ones((1, 1), dtype=complex), weigh(A.entries, A.grid)
+    return tuple(weigh(F, g) for F, g in zip(A.factors, A.grid))
 
 
 def op_norm(A: OperatorMatrix) -> float:
@@ -147,17 +137,6 @@ def op_norm(A: OperatorMatrix) -> float:
     return float(np.linalg.norm(W1, 2) * np.linalg.norm(W2, 2))
 
 
-def kron(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
-    """Kronecker (tensor) product A (x) B with the row-major flattening
-    convention, kept as its two factors."""
-    return OperatorMatrix(
-        None,
-        (A.domain_grid, B.domain_grid),
-        (A.codomain_grid, B.codomain_grid),
-        (A.entries, B.entries),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Toeplitz operators
 
@@ -166,14 +145,15 @@ def toeplitz_halfplane(symbol, fgrid: FrequencyGrid):
     """One-variable Wiener-Hopf finite section in the frequency picture.
 
     ``symbol`` is a callable of the complex boundary variable; it must be
-    constant-plus-decaying along R.  entries[j][k] = hhat(t_j - t_k) * v_k +
+    constant-plus-decaying along R.  T[j][k] = hhat(t_j - t_k) * v_k +
     c * delta_jk with hhat(s) = (2 pi)^-1 int h(x) exp(-i s x) dx, by the
     trapezoid rule on a fixed uniform boundary grid.
 
-    ``symbol`` may also be a tuple of such callables: one quadrature pass
-    then applies each block of its phase matrix to every symbol's h w, one
-    GEMV per symbol, and returns a tuple of operators, one per symbol, each
-    bit-identical to the operator of its own call.
+    Returns the n x n matrix.  ``symbol`` may also be a tuple of such
+    callables: one quadrature pass then applies each block of its phase
+    matrix to every symbol's h w, one GEMV per symbol, and returns a tuple
+    of matrices, one per symbol, each bit-identical to the matrix of its
+    own call.
     """
     symbols = symbol if isinstance(symbol, tuple) else (symbol,)
     rule = BoundaryGrid.uniform(_TOEPLITZ_EXTENT, _TOEPLITZ_NODES)
@@ -218,12 +198,12 @@ def toeplitz_halfplane(symbol, fgrid: FrequencyGrid):
         for hw, row in zip(hws, hhat):
             row[-1] = phase[k - 1] @ hw
     hhat /= 2.0 * np.pi
-    ops = []
+    mats = []
     for c, row in zip(consts, hhat):
-        entries = row[inv].reshape(t.size, t.size) * fgrid.weights[None, :]
-        entries += c * np.eye(t.size)
-        ops.append(OperatorMatrix(entries, fgrid, fgrid))
-    return tuple(ops) if isinstance(symbol, tuple) else ops[0]
+        T = row[inv].reshape(t.size, t.size) * fgrid.weights[None, :]
+        T += c * np.eye(t.size)
+        mats.append(T)
+    return tuple(mats) if isinstance(symbol, tuple) else mats[0]
 
 
 def separable_terms(expr: SepExpr, fgrids: tuple) -> list:
@@ -242,8 +222,8 @@ def separable_terms(expr: SepExpr, fgrids: tuple) -> list:
     for t in expr.terms:
         if t.f1 is None and t.f2 is None:
             continue
-        A = None if t.f1 is None else toeplitz_halfplane(t.f1, g1).entries
-        B = None if t.f2 is None else toeplitz_halfplane(t.f2, g2).entries
+        A = None if t.f1 is None else toeplitz_halfplane(t.f1, g1)
+        B = None if t.f2 is None else toeplitz_halfplane(t.f2, g2)
         terms.append((t.coeff, A, B))
     return terms
 
@@ -286,20 +266,21 @@ def toeplitz_separable(expr: SepExpr, fgrids: tuple) -> OperatorMatrix:
     for c, A, B in separable_terms(expr, fgrids):
         total += c * np.kron(np.eye(g1.size) if A is None else A,
                              np.eye(g2.size) if B is None else B)
-    return OperatorMatrix(total, fgrids, fgrids)
+    return OperatorMatrix(total, fgrids)
 
 
 # ---------------------------------------------------------------------------
 # Fourier multipliers and dilations
 
 
-def fourier_multiplier(fn: Callable, grid: FrequencyGrid) -> OperatorMatrix:
-    """Diagonal multiplier diag(theta(t_k)) on a one-axis frequency grid; a
-    two-axis multiplier is the ``kron`` of two of these."""
+def fourier_multiplier(fn: Callable, grid: FrequencyGrid) -> np.ndarray:
+    """Diagonal multiplier matrix diag(theta(t_k)) on a one-axis frequency
+    grid; a two-axis multiplier is the factored ``OperatorMatrix`` of two
+    of these."""
     diag = np.asarray(fn(grid.nodes), dtype=complex)
     if not np.all(np.isfinite(diag)):
         raise SymbolError("multiplier function is unbounded on the grid")
-    return OperatorMatrix(np.diag(diag), grid, grid)
+    return np.diag(diag)
 
 
 def _not_a_knot_splines(x: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -392,10 +373,9 @@ def dilation_1d(p: float, fgrid: FrequencyGrid) -> np.ndarray:
     return V / p
 
 
-def dilation(p1: float, p2: float, fgrids: tuple) -> OperatorMatrix:
+def dilation(p1: float, p2: float, fgrids: tuple) -> tuple:
     """Tensor dilation V_{p1} (x) V_{p2} in the frequency representation,
-    kept as its two factors (``dilation_1d`` is the one-axis matrix)."""
-    factors = tuple(
+    as its two factors (V1, V2) (``dilation_1d`` is the one-axis matrix)."""
+    return tuple(
         np.eye(g.size) if p == 1.0 else dilation_1d(p, g) for p, g in zip((p1, p2), fgrids)
     )
-    return OperatorMatrix(None, fgrids, fgrids, factors)

@@ -36,7 +36,6 @@ from .operators import (
     OperatorMatrix,
     dilation,
     fourier_multiplier,
-    kron,
     kron_apply,
     separable_terms,
     toeplitz_halfplane,
@@ -311,14 +310,14 @@ def build_series(qmap: QuasiParabolicMap, plan: SeriesPlan, fgrids: tuple) -> Op
     tau2 = _tau_expr(qmap.psi2, plan.alpha, qmap.p1, qmap.p2)
     V = None
     if qmap.p1 != 1.0 or qmap.p2 != 1.0:
-        V = dilation(qmap.p1, qmap.p2, fgrids).factors
+        V = dilation(qmap.p1, qmap.p2, fgrids)
     if not qmap.per_axis:
-        return OperatorMatrix(_dense_series(plan, fgrids, tau1, tau2, V), fgrids, fgrids)
+        return OperatorMatrix(_dense_series(plan, fgrids, tau1, tau2, V), fgrids)
     f1, f2 = tau1.as_one_variable(), tau2.as_one_variable()
     if g1 is g2:
-        T1, T2 = (T.entries for T in toeplitz_halfplane((f1, f2), g1))
+        T1, T2 = toeplitz_halfplane((f1, f2), g1)
     else:
-        T1, T2 = toeplitz_halfplane(f1, g1).entries, toeplitz_halfplane(f2, g2).entries
+        T1, T2 = toeplitz_halfplane(f1, g1), toeplitz_halfplane(f2, g2)
     S1, norms1 = _power_sum(lambda P: P @ T1, g1.nodes, plan.n1, plan.alpha,
                             np.eye(g1.size, dtype=complex))
     S2, norms2 = _power_sum(lambda P: P @ T2, g2.nodes, plan.n2, plan.alpha,
@@ -327,7 +326,7 @@ def build_series(qmap: QuasiParabolicMap, plan: SeriesPlan, fgrids: tuple) -> Op
     _growth_check(norms2)
     if V is not None:
         S1, S2 = V[0] @ S1, V[1] @ S2
-    return OperatorMatrix(None, fgrids, fgrids, (S1, S2))
+    return OperatorMatrix(None, fgrids, (S1, S2))
 
 
 def _dense_series(plan: SeriesPlan, fgrids: tuple, tau1: SepExpr, tau2: SepExpr,
@@ -407,10 +406,9 @@ def exact_constant_multiplier(a1: complex, a2: complex, fgrids: tuple) -> Operat
     """Closed-form collapse of the series for constant symbols, kept as its
     two factors: kron(diag(exp(i a1 t1)), diag(exp(i a2 t2)))."""
     g1, g2 = fgrids
-    return kron(
-        fourier_multiplier(lambda t: np.exp(1j * a1 * t), g1),
-        fourier_multiplier(lambda t: np.exp(1j * a2 * t), g2),
-    )
+    D1 = fourier_multiplier(lambda t: np.exp(1j * a1 * t), g1)
+    D2 = fourier_multiplier(lambda t: np.exp(1j * a2 * t), g2)
+    return OperatorMatrix(None, fgrids, (D1, D2))
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +554,7 @@ def series_direct_residual(
     them along x2 at once and adds the result to the block's x1-rows of an
     N1 x n2 x K array; F1 comes last.
     """
-    fg1, fg2 = series_op.domain_grid
+    fg1, fg2 = series_op.grid
     bg1, bg2 = bgrids
     F1 = bochner_matrix(bg1, fg1)
     F2 = bochner_matrix(bg2, fg2)
@@ -582,7 +580,7 @@ def series_direct_residual(
         # kron(S1, S2) kron(g1, g2) = kron(S1 g1, S2 g2)
         S1, S2 = series_op.factors
         resid = _column_kron(S1 @ G1, S2 @ G2) - fcu
-    wf = grid_weights(series_op.domain_grid)[:, None]
+    wf = grid_weights(series_op.grid)[:, None]
     err = np.sqrt(np.sum(wf * np.abs(resid) ** 2, axis=0)) / np.sqrt(
         np.sum(wf * np.abs(fu) ** 2, axis=0))
     return float(np.max(err))

@@ -85,8 +85,6 @@ def eigenvalues(A: OperatorMatrix) -> SpectralSet:
     """Dense eigenvalue set of the weighted similarity kron(W1, W2) of A
     (``weighted_factors``): every product of an eigenvalue of W1 with one
     of W2."""
-    if A.shape[0] != A.shape[1]:
-        raise UsageError("eigenvalues need a square matrix")
     d1, d2 = (
         np.diag(W) if is_diagonal(W) else np.linalg.eigvals(W) for W in weighted_factors(A)
     )

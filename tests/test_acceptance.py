@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from qpspec.grids import BOUNDARY_HEIGHT, BoundaryGrid, FrequencyGrid
-from qpspec.operators import OperatorMatrix, kron, op_norm
+from qpspec.operators import OperatorMatrix, op_norm
 from qpspec.series import (
     QuasiParabolicMap,
     SeriesPlan,
@@ -81,7 +81,7 @@ def test_criterion_2_certified_geometric_remainder():
         p = SeriesPlan(plan0.alpha, plan0.delta, n, n, plan0.norm_estimates)
         ops[n] = build_series(qmap, p, fg)
     diffs = [
-        op_norm(OperatorMatrix(ops[n + 1].entries - ops[n].entries, fg, fg))
+        op_norm(OperatorMatrix(ops[n + 1].entries - ops[n].entries, fg))
         for n in range(3, 16)
     ]
     worst_ratio = max(b / a for a, b in zip(diffs, diffs[1:]))
@@ -92,7 +92,7 @@ def test_criterion_2_certified_geometric_remainder():
     for n in range(1, 21):
         p = SeriesPlan(cplan0.alpha, cplan0.delta, n, n, cplan0.norm_estimates)
         op = build_series(cq, p, fg)
-        err = op_norm(OperatorMatrix(op.entries - exact.entries, fg, fg))
+        err = op_norm(OperatorMatrix(op.entries - exact.entries, fg))
         bound_ok = bound_ok and err <= remainder_bound(p)
     ok = worst_ratio <= plan0.delta + 0.05 and bound_ok
     _verdict(
@@ -137,7 +137,7 @@ def test_criterion_4_spiral_containment_one_variable():
     dists = []
     for n in (64, 128, 256):
         g = FrequencyGrid.uniform(10.0, n)
-        op = OperatorMatrix(np.diag(np.exp(-g.nodes)).astype(complex), g, g)
+        op = OperatorMatrix(np.diag(np.exp(-g.nodes)).astype(complex), g)
         dists.append(directed_hausdorff(pred, eigenvalues(op)))
     ok = all(d <= 2.0 * spacing for d in dists)
     _verdict(
@@ -236,31 +236,31 @@ def test_criterion_8_tensor_identities():
     rng = np.random.default_rng(29)
     g1 = FrequencyGrid.uniform(4.0, 7)
     g2 = FrequencyGrid.uniform(4.0, 6)
+    grids = (g1, g2)
 
     def rand(g):
         n = g.size
-        return OperatorMatrix(
-            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), g, g
-        )
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    def kron(A, B):
+        # the factored operator A (x) B
+        return OperatorMatrix(None, grids, (A, B))
 
     norm_err = 0.0
     mixed_err = 0.0
     for _ in range(100):
         A, B = rand(g1), rand(g2)
         C, D = rand(g1), rand(g2)
-        K = kron(A, B)
-        norm_err = max(norm_err, abs(op_norm(K) - op_norm(A) * op_norm(B)))
+        norms = op_norm(OperatorMatrix(A, g1)) * op_norm(OperatorMatrix(B, g2))
+        norm_err = max(norm_err, abs(op_norm(kron(A, B)) - norms))
         lhs = kron(A, B).entries @ kron(C, D).entries
-        rhs = kron(
-            OperatorMatrix(A.entries @ C.entries, g1, g1),
-            OperatorMatrix(B.entries @ D.entries, g2, g2),
-        ).entries
+        rhs = kron(A @ C, B @ D).entries
         scale = np.max(np.abs(rhs))
         mixed_err = max(mixed_err, float(np.max(np.abs(lhs - rhs))) / scale)
     A, B = rand(g1), rand(g2)
     # the axis embeddings A (x) I and I (x) B
-    E1 = kron(A, OperatorMatrix(np.eye(g2.size, dtype=complex), g2, g2)).entries
-    E2 = kron(OperatorMatrix(np.eye(g1.size, dtype=complex), g1, g1), B).entries
+    E1 = kron(A, np.eye(g2.size, dtype=complex)).entries
+    E2 = kron(np.eye(g1.size, dtype=complex), B).entries
     # plain summation (no BLAS 3M complex-multiply rewriting): the only
     # nonzero term per entry is the same scalar product in both orders
     P = np.einsum("ik,kj->ij", E1, E2, optimize=False)

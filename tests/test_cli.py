@@ -117,6 +117,14 @@ def test_config_validation_rejects_nonpositive():
     ("symbols", "psi1", {"expr": "i", "im_lower_bound": float("nan"), "sup_bound": 1.1}),
     ("symbols", "psi1", {"expr": "i", "im_lower_bound": 0.9, "sup_bound": "abc"}),
     ("symbols", "psi1", {"expr": "i", "im_lower_bound": 0.9}),
+    # misspelled keys, which used to be ignored in favour of the defaults
+    ("grids", "frequency_node", 16),
+    ("plan", "toll", 1e-8),
+    (None, "spectrum", {"sizes": [12, 16, 20]}),
+    ("symbols", "psi1", {"expr": "i", "im_lower_bound": 0.9, "sup_bound": 1.1,
+                         "sup_bnd": 1.1}),
+    # a section that is not an object, which used to end in a traceback
+    (None, "grids", None),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, section, key, value):
     cfg = _config(tmp_path)
@@ -126,6 +134,27 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, section, key, value):
     rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["build", "predict"])
+@pytest.mark.parametrize("path, where", [
+    (("grids", "frequency_node"), "'frequency_node' in grids"),
+    (("spectrum",), "'spectrum' at the top level"),
+    (("symbols", "psi2", "sup_bnd"), "'sup_bnd' in symbols.psi2"),
+])
+def test_unknown_config_key_is_named_and_exits_2(tmp_path, capsys, command, path, where):
+    cfg = _config(tmp_path)
+    raw = json.loads(cfg.read_text())
+    section = raw
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = 1
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"unknown key {where}" in err
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_dilation_on_three_frequency_nodes_exits_2(tmp_path, capsys):

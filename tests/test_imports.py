@@ -331,12 +331,13 @@ for name, command in (("cay_quarter", "build"), ("cay_quarter", "predict"),
     assert qpspec.cli.main([command, "--config", config, "--out", out]) == 0
 stages["build_predict"] = loaded()
 from qpspec.grids import FrequencyGrid
-from qpspec.operators import dilation_1d, toeplitz_halfplane
+from qpspec.operators import OperatorMatrix, dilation_1d, toeplitz_halfplane
 from qpspec.spectra import pseudospectrum_mask
 fg = FrequencyGrid.uniform(10.0, 4)
 dilation_1d(2.0, fg)
 stages["dilation"] = loaded()
-pseudospectrum_mask(toeplitz_halfplane(lambda x: 1.0 / (x + 1j), fg), (-1, 1, -1, 1), (32, 32), 0.1)
+T = OperatorMatrix(toeplitz_halfplane(lambda x: 1.0 / (x + 1j), fg), fg)
+pseudospectrum_mask(T, (-1, 1, -1, 1), (32, 32), 0.1)
 stages["mask"] = loaded()
 print(json.dumps(stages))
 """

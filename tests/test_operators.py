@@ -11,7 +11,6 @@ from qpspec.operators import (
     dilation,
     dilation_1d,
     fourier_multiplier,
-    kron,
     kron_apply,
     op_norm,
     separable_terms,
@@ -23,11 +22,8 @@ from qpspec.symbols import SymbolError, parse_symbol_expression
 FG = FrequencyGrid.uniform(10.0, 48)
 
 
-def _random_op(rng, grid):
-    n = grid.size
-    return OperatorMatrix(
-        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), grid, grid
-    )
+def _random_matrix(rng, n):
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +32,7 @@ def _random_op(rng, grid):
 
 def test_toeplitz_halfplane_constant_is_diagonal():
     T = toeplitz_halfplane(lambda x: np.full_like(np.asarray(x, complex), 3j), FG)
-    assert np.max(np.abs(T.entries - 3j * np.eye(FG.size))) < 1e-12
+    assert np.max(np.abs(T - 3j * np.eye(FG.size))) < 1e-12
 
 
 def test_toeplitz_halfplane_cauchy_symbol():
@@ -45,8 +41,8 @@ def test_toeplitz_halfplane_cauchy_symbol():
     # (convolution with a kernel supported at nonnegative lag)
     T = toeplitz_halfplane(lambda x: 1.0 / (np.asarray(x) + 1j), FG)
     n = FG.size
-    upper = np.triu(T.entries, 1)
-    lower = np.tril(T.entries, -1)
+    upper = np.triu(T, 1)
+    lower = np.tril(T, -1)
     assert np.max(np.abs(upper)) < 5e-3 * np.max(np.abs(lower))
 
 
@@ -61,7 +57,7 @@ def test_toeplitz_halfplane_multiplication_action():
     T = toeplitz_halfplane(phi, fg)
     B = bochner_matrix(bg, fg)
     f = 1.0 / (bg.nodes + 1.5j) ** 2
-    lhs = T.entries @ (B @ f)
+    lhs = T @ (B @ f)
     rhs = B @ (phi(bg.nodes) * f)  # phi f is already Hardy here
     w = fg.weights
     err = np.sqrt(np.sum(w * np.abs(lhs - rhs) ** 2) / np.sum(w * np.abs(rhs) ** 2))
@@ -101,7 +97,7 @@ def test_toeplitz_halfplane_two_symbols_peak_below_4_mb():
 
 def _full_quadrature(symbol, fgrid):
     """toeplitz_halfplane with the exponential taken for every frequency
-    difference, in blocks of 16 rows in order."""
+    difference, in blocks of _TOEPLITZ_BLOCK rows in order."""
     from qpspec import operators
 
     rule = BoundaryGrid.uniform(operators._TOEPLITZ_EXTENT, operators._TOEPLITZ_NODES)
@@ -110,24 +106,27 @@ def _full_quadrature(symbol, fgrid):
     t = fgrid.nodes
     svals, inv = np.unique(np.round(np.subtract.outer(t, t), 12), return_inverse=True)
     hhat = np.empty(svals.size, dtype=complex)
-    for lo in range(0, svals.size, 16):
-        hhat[lo:lo + 16] = np.exp(-1j * np.outer(svals[lo:lo + 16], rule.nodes)) @ hw
+    b = operators._TOEPLITZ_BLOCK
+    for lo in range(0, svals.size, b):
+        hhat[lo:lo + b] = np.exp(-1j * np.outer(svals[lo:lo + b], rule.nodes)) @ hw
     hhat /= 2.0 * np.pi
     return hhat[inv].reshape(t.size, t.size) * fgrid.weights[None, :] + c * np.eye(t.size)
 
 
-# n = 9 and 17 give 2n - 1 differences one more than a multiple of 16
-@pytest.mark.parametrize("n", [2, 8, 9, 16, 17, 32])
+# 2n - 1 differences: one more than a multiple of the block size 4 at
+# n = 3, 5, 7, 9, 11, 13 and 17, three more at the even n
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 8, 9, 11, 13, 16, 17, 32])
 @pytest.mark.parametrize("text", ["i + 0.25*cay(z1)", "2*i - 0.5*cay(z1)"])
 def test_toeplitz_halfplane_conjugate_rows_are_bit_identical(n, text):
     symbol = parse_symbol_expression(text).as_one_variable()
     fg = FrequencyGrid.uniform(10.0, n)
-    got = toeplitz_halfplane(symbol, fg).entries
+    got = toeplitz_halfplane(symbol, fg)
     assert got.tobytes() == _full_quadrature(symbol, fg).tobytes()
 
 
-# n = 9 gives 17 differences, one more than a multiple of 16
-@pytest.mark.parametrize("n", [8, 9, 32])
+# 2n - 1 differences: one more than a multiple of the block size 4 at
+# n = 3, 5, 7, 9, 11 and 13
+@pytest.mark.parametrize("n", [3, 5, 7, 8, 9, 11, 13, 32])
 def test_toeplitz_halfplane_one_pass_for_several_symbols_is_bit_identical(n):
     fg = FrequencyGrid.uniform(10.0, n)
     texts = ("i + 0.25*cay(z1)", "2*i - 0.5*cay(z1)", "i + 0.25*cay(z1)")
@@ -135,7 +134,7 @@ def test_toeplitz_halfplane_one_pass_for_several_symbols_is_bit_identical(n):
     together = toeplitz_halfplane(symbols, fg)
     assert len(together) == len(symbols)
     for symbol, T in zip(symbols, together):
-        assert T.entries.tobytes() == toeplitz_halfplane(symbol, fg).entries.tobytes()
+        assert T.tobytes() == toeplitz_halfplane(symbol, fg).tobytes()
 
 
 def test_toeplitz_separable_expression():
@@ -144,7 +143,7 @@ def test_toeplitz_separable_expression():
     T1 = toeplitz_halfplane(
         lambda x: 1j + 0.25 * (np.asarray(x) - 1j) / (np.asarray(x) + 1j), FG
     )
-    expect = np.kron(T1.entries, np.eye(FG.size))
+    expect = np.kron(T1, np.eye(FG.size))
     assert np.max(np.abs(T.entries - expect)) < 1e-10
 
 
@@ -180,7 +179,7 @@ def test_kron_apply_matches_dense_separable_toeplitz(text):
 
 def test_fourier_multiplier_diagonal():
     D = fourier_multiplier(lambda t: np.exp(-t), FG)
-    assert np.allclose(D.entries, np.diag(np.exp(-FG.nodes)))
+    assert np.allclose(D, np.diag(np.exp(-FG.nodes)))
 
 
 def test_fourier_multiplier_rejects_nonfinite():
@@ -226,8 +225,8 @@ def test_dilation_rejects_fewer_than_four_nodes(n):
 
 
 def test_dilation_identity_for_p_one():
-    V = dilation(1.0, 1.0, (FG, FG))
-    assert np.array_equal(V.entries, np.eye(FG.size**2))
+    V1, V2 = dilation(1.0, 1.0, (FG, FG))
+    assert np.array_equal(V1, np.eye(FG.size)) and np.array_equal(V2, np.eye(FG.size))
 
 
 def test_dilation_rejects_extreme_stretch():
@@ -236,13 +235,24 @@ def test_dilation_rejects_extreme_stretch():
 
 
 # ---------------------------------------------------------------------------
-# kron / embeddings / norms
+# factored operators / embeddings / norms
+
+
+def test_operator_matrix_rejects_non_square_entries():
+    # one grid gives both dimensions, so a rectangular matrix cannot be an
+    # operator (and never reaches eigenvalues or the kernels)
+    g1, g2 = FrequencyGrid.uniform(4.0, 3), FrequencyGrid.uniform(4.0, 4)
+    for grid in (g1, g2):
+        with pytest.raises(GridError):
+            OperatorMatrix(np.zeros((3, 4), dtype=complex), grid)
+    with pytest.raises(GridError):
+        OperatorMatrix(None, (g1, g2), (np.eye(3), np.eye(4)[:3]))
 
 
 def test_kron_of_diagonals_row_major():
     A = fourier_multiplier(lambda t: np.exp(-t), FG)
     B = fourier_multiplier(lambda t: np.exp(-2 * t), FG)
-    K = kron(A, B)
+    K = OperatorMatrix(None, (FG, FG), (A, B))
     t1 = np.repeat(FG.nodes, FG.size)
     t2 = np.tile(FG.nodes, FG.size)
     assert np.max(np.abs(np.diag(K.entries) - np.exp(-t1 - 2 * t2))) < 1e-14
@@ -251,10 +261,8 @@ def test_kron_of_diagonals_row_major():
 def test_row_blocks_have_the_second_axis_height_in_both_forms():
     rng = np.random.default_rng(5)
     g1, g2 = FrequencyGrid.uniform(4.0, 5), FrequencyGrid.uniform(4.0, 6)
-    A = kron(_random_op(rng, g1), _random_op(rng, g2))
-    n = g1.size * g2.size
-    dense = OperatorMatrix(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
-                           (g1, g2), (g1, g2))
+    A = OperatorMatrix(None, (g1, g2), (_random_matrix(rng, 5), _random_matrix(rng, 6)))
+    dense = OperatorMatrix(_random_matrix(rng, 30), (g1, g2))
     assert np.array_equal(A.entries, np.kron(*A.factors))
     for op in (A, dense):
         blocks = list(op.row_blocks())
@@ -263,10 +271,10 @@ def test_row_blocks_have_the_second_axis_height_in_both_forms():
 
 
 def test_op_norm_examples():
-    I = OperatorMatrix(np.eye(FG.size, dtype=complex), FG, FG)
+    I = OperatorMatrix(np.eye(FG.size, dtype=complex), FG)
     assert abs(op_norm(I) - 1.0) < 1e-12
     D = fourier_multiplier(lambda t: np.exp(-t), FG)
-    assert abs(op_norm(D) - 1.0) < 1e-12
+    assert abs(op_norm(OperatorMatrix(D, FG)) - 1.0) < 1e-12
 
 
 def test_op_norm_weighted_consistency():
@@ -276,25 +284,27 @@ def test_op_norm_weighted_consistency():
         g = FrequencyGrid.uniform(10.0, n)
         D = fourier_multiplier(lambda t: np.exp(-t) * (1 + t), g)
         val = np.max(np.exp(-g.nodes) * (1 + g.nodes))
-        assert abs(op_norm(D) - val) < 1e-10
+        assert abs(op_norm(OperatorMatrix(D, g)) - val) < 1e-10
 
 
 def test_kron_norm_multiplicative():
     rng = np.random.default_rng(1)
     g = FrequencyGrid.uniform(5.0, 12)
-    A = _random_op(rng, g)
-    B = _random_op(rng, g)
-    assert abs(op_norm(kron(A, B)) - op_norm(A) * op_norm(B)) < 1e-10
+    A = _random_matrix(rng, g.size)
+    B = _random_matrix(rng, g.size)
+    K = OperatorMatrix(None, (g, g), (A, B))
+    norms = [op_norm(OperatorMatrix(M, g)) for M in (A, B)]
+    assert abs(op_norm(K) - norms[0] * norms[1]) < 1e-10
 
 
 def test_embeddings_commute_exactly():
     rng = np.random.default_rng(2)
     g = FrequencyGrid.uniform(5.0, 10)
-    A = _random_op(rng, g)
-    B = _random_op(rng, g)
-    eye = OperatorMatrix(np.eye(g.size, dtype=complex), g, g)
-    EA = kron(A, eye)
-    EB = kron(eye, B)
+    A = _random_matrix(rng, g.size)
+    B = _random_matrix(rng, g.size)
+    eye = np.eye(g.size, dtype=complex)
+    EA = OperatorMatrix(None, (g, g), (A, eye))
+    EB = OperatorMatrix(None, (g, g), (eye, B))
     assert np.array_equal(EA.entries @ EB.entries, EB.entries @ EA.entries)
 
 
@@ -303,8 +313,9 @@ def test_embeddings_commute_exactly():
 def test_mixed_product_property(seed):
     rng = np.random.default_rng(seed)
     g = FrequencyGrid.uniform(5.0, 8)
-    A, B, C, D = (_random_op(rng, g) for _ in range(4))
-    lhs = kron(A, B).entries @ kron(C, D).entries
-    rhs = np.kron(A.entries @ C.entries, B.entries @ D.entries)
+    A, B, C, D = (_random_matrix(rng, g.size) for _ in range(4))
+    AB, CD = (OperatorMatrix(None, (g, g), f) for f in ((A, B), (C, D)))
+    lhs = AB.entries @ CD.entries
+    rhs = np.kron(A @ C, B @ D)
     scale = np.max(np.abs(lhs)) + 1e-30
     assert np.max(np.abs(lhs - rhs)) / scale < 1e-12

@@ -7,7 +7,7 @@ import scipy.linalg
 import qpspec.spectra
 from qpspec.cli import CONFIG_DIR, RunConfig
 from qpspec.grids import DomainError, FrequencyGrid
-from qpspec.operators import OperatorMatrix, op_norm, weighted_factors, weighted_matrix
+from qpspec.operators import OperatorMatrix, op_norm, weigh, weighted_factors
 from qpspec.series import QuasiParabolicMap, build_series, plan_for_map
 from qpspec.spectra import (
     KRON_BLOCK,
@@ -29,11 +29,11 @@ from qpspec.spectra import (
     _sigma_min_lanczos,
     _top_ritz,
 )
-from qpspec.symbols import PointCloud, make_symbol
+from qpspec.symbols import PointCloud, cluster_set, make_symbol
 
 
 def _op(entries, grid):
-    return OperatorMatrix(np.asarray(entries, dtype=complex), grid, grid)
+    return OperatorMatrix(np.asarray(entries, dtype=complex), grid)
 
 
 def _grid(n):
@@ -67,13 +67,6 @@ def test_eigenvalues_swap_matrix():
     assert np.allclose(np.sort(out.points.points.real), [-1.0, 1.0], atol=1e-12)
 
 
-def test_eigenvalues_rejects_rectangular():
-    g1, g2 = _grid(3), _grid(4)
-    bad = OperatorMatrix(np.zeros((3, 4), dtype=complex), g2, g1)
-    with pytest.raises(UsageError):
-        eigenvalues(bad)
-
-
 def _factored_pair(kind):
     """A factored operator on 9 x 12 nodes and the same operator stored
     densely as np.kron of its factors."""
@@ -85,8 +78,7 @@ def _factored_pair(kind):
     ]
     if kind == "diagonal":
         factors = [np.diag(np.diag(F)) for F in factors]
-    return (OperatorMatrix(None, grids, grids, factors),
-            OperatorMatrix(np.kron(*factors), grids, grids))
+    return OperatorMatrix(None, grids, factors), OperatorMatrix(np.kron(*factors), grids)
 
 
 @pytest.mark.parametrize("kind", ["general", "diagonal"])
@@ -184,7 +176,7 @@ def test_pseudospectrum_is_one_lipschitz():
 
 def _svd_sigma_min(A, pmap):
     """Reference: one dense SVD of lambda I - A per grid point."""
-    M = weighted_matrix(A)
+    M = weigh(A.entries, A.grid)
     eye = np.eye(M.shape[0])
     lam = pmap.grid().reshape(-1)
     vals = [scipy.linalg.svdvals(z * eye - M)[-1] for z in lam]
@@ -412,7 +404,7 @@ def test_unfactored_operator_is_solved_in_row_blocks():
     start /= np.linalg.norm(start)
     blocked = _sigma_min_lanczos(lam, one, T, [start.reshape(1, n)])[0]
     by_rows = _sigma_min_lanczos(lam, T, one, [start.reshape(n, 1)])[0]
-    M = weighted_matrix(A)
+    M = weigh(A.entries, A.grid)
     ref = np.array([scipy.linalg.svdvals(z * np.eye(n) - M)[-1] for z in lam])
     assert np.max(np.abs(blocked - ref) / ref) <= 1e-12
     assert np.max(np.abs(blocked - by_rows) / by_rows) <= 1e-12
@@ -455,6 +447,82 @@ def test_pseudospectrum_map_validation():
         PseudospectrumMap((0.0, 1.0, 0.0, 1.0), (4, 4), -np.ones((4, 4)))
     with pytest.raises(UsageError):
         PseudospectrumMap((0.0, 1.0, 0.0, 1.0), (4, 4), np.ones((4, 5)))
+
+
+# ---------------------------------------------------------------------------
+# what the sections converge to, on one axis factor
+#
+# The frequency grid is [0, T] at every size, so a per-axis factor W_n is a
+# discretization of M_{e^{ict}} + K on L^2(0, T), c the axis's cluster point
+# and K compact: its essential spectrum is the arc P_T = {e^{ict} : t <= T}.
+
+
+def _axis_factor(qmap, extent, n):
+    """The first axis factor S1 of a per-axis map's series on n nodes over
+    [0, extent], as a one-axis operator, and its cluster point c."""
+    g = FrequencyGrid.uniform(extent, n)
+    S1 = build_series(qmap, plan_for_map(qmap), (g, g)).factors[0]
+    return OperatorMatrix(S1, g), complex(cluster_set(qmap.psi1).points[0])
+
+
+def _arc_distance(c, extent, points):
+    """Distance from each point to P_T = {e^{ict} : 0 <= t <= extent}, from a
+    sampling of the arc at steps of 1e-4 in t (its speed |c e^{ict}| is at
+    most |c|, so the error is below 1e-4 |c|)."""
+    arc = np.exp(1j * c * np.linspace(0.0, extent, int(extent * 1e4) + 1))
+    return np.array([np.min(np.abs(p - arc)) for p in points])
+
+
+def _envelope_slope(qmap, extent, t_arc, sizes):
+    """Log-log slope over ``sizes`` of the largest sigma_min(lambda I - W_n)
+    over the points e^{ict} of P at the parameters ``t_arc``."""
+    envelope = []
+    for n in sizes:
+        A, c = _axis_factor(qmap, extent, n)
+        vals = qpspec.spectra._sigma_min_kernel(A)(np.exp(1j * c * t_arc))[0]
+        envelope.append(vals.max())
+    return np.polyfit(np.log(sizes), np.log(envelope), 1)[0]
+
+
+def test_axis_factor_minus_its_multiplier_has_converged_singular_values():
+    # W_n - diag(e^{ict_j}) discretizes the compact K: its five largest
+    # singular values (0.129, 0.075, 0.052, 0.039, 0.031) agree at
+    # n = 128, 256 and 512 to well within 2 %
+    qmap = RunConfig.load(CONFIG_DIR / "cay_quarter.json").qmap()
+    top = []
+    for n in (128, 256, 512):
+        A, c = _axis_factor(qmap, 10.0, n)
+        K = weigh(A.entries, A.grid) - np.diag(np.exp(1j * c * A.grid.nodes))
+        top.append(scipy.linalg.svdvals(K)[:5])
+    top = np.array(top)
+    assert np.max(top.max(axis=0) / top.min(axis=0)) <= 1.02
+    assert top[-1, 0] > 0.1
+
+
+def test_arc_beyond_the_grid_extent_does_not_resolve():
+    # a negative control for the arc witness: psi = 0.25i + 0.1 cay(z) on
+    # both axes has c = 0.1 + 0.25i, and its P arc over t in [5, 7] lies
+    # beyond T = 4, where sigma_min plateaus (slope about 0, at 0.194); on
+    # the grid of extent T = 10 the same arc resolves (slope about -1.9)
+    psi1, psi2 = (make_symbol(f"0.25*i + 0.1*cay({z})", 0.15, 0.35, "continuous-on-closure")
+                  for z in ("z1", "z2"))
+    qmap = QuasiParabolicMap(1.0, 1.0, psi1, psi2)
+    t_arc = np.linspace(5.0, 7.0, 64)
+    sizes = (64, 128, 256)
+    assert _envelope_slope(qmap, 4.0, t_arc, sizes) >= -0.25
+    assert _envelope_slope(qmap, 10.0, t_arc, sizes) <= -0.5
+
+
+def test_sigma_min_off_the_arc_is_the_distance_to_the_arc():
+    # on cay_quarter's mirror arc -conj(e^{ict}), t in [0.25, 3], at n = 256
+    # sigma_min(lambda I - W_n) is dist(lambda, P_T) to within 2 % (ratios
+    # 0.993 to 0.9996), although most of these runs stop at the step cap
+    qmap = RunConfig.load(CONFIG_DIR / "cay_quarter.json").qmap()
+    A, c = _axis_factor(qmap, 10.0, 256)
+    mirror = -np.conj(np.exp(1j * c * np.linspace(0.25, 3.0, 200)))
+    vals = qpspec.spectra._sigma_min_kernel(A)(mirror)[0]
+    ratio = vals / _arc_distance(c, 10.0, mirror)
+    assert np.all(np.abs(ratio - 1.0) <= 0.02)
 
 
 # ---------------------------------------------------------------------------
