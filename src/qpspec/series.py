@@ -58,15 +58,14 @@ TRUNCATION_CAP = 60
 
 # rational Hardy test vectors behind the series-vs-Cauchy cross-check
 HARDY_TEST_COUNT = 12
-# boundary points per pair of Cauchy kernels in direct_composition_apply,
-# per block of the streamed cross-check (``_boundary_blocks``) and per block
-# of kernel rows of the per-axis one (``_kernel_apply``): a 512 x 256
-# complex kernel is 2 MB, a 512 x 768 one 6.3 MB
-DIRECT_CHUNK = 512
+# largest block of a complex Cauchy kernel (``_kernel_rows``): 256 rows at
+# 256 boundary nodes (one whole x1-row of the tensor grid), 85 rows at 768;
+# the same bound as the Toeplitz quadrature's phase block
+KERNEL_BYTES = 1 << 20
 # boundary points per block of the cross-check's Im > 0 pass over the whole
 # grid, which holds phi's values for one block at a time (2.8 MB with their
 # temporaries); on a 2-core VM the pass took 2.2 ms at 256^2 nodes and
-# 22 ms at 768^2, against 18 ms and 204 ms in blocks of DIRECT_CHUNK
+# 22 ms at 768^2, against 18 ms and 204 ms in blocks of 512 points
 DIRECT_CHECK_POINTS = 1 << 15
 # elements of the identity slice that one column block of the dense
 # two-variable series starts from: 48 columns at n = 24, 32 at n = 32, and
@@ -469,12 +468,19 @@ def _cauchy_kernel(g: BoundaryGrid, v: np.ndarray) -> np.ndarray:
     return np.divide(g.weights[None, :] / (2.0j * np.pi), K, out=K)
 
 
+def _kernel_rows(*grids: BoundaryGrid) -> int:
+    """Kernel rows per block: as many as keep the Cauchy kernel on the
+    largest of ``grids`` within KERNEL_BYTES, and at least one."""
+    return max(1, KERNEL_BYTES // (16 * max(g.size for g in grids)))
+
+
 def _kernel_apply(g: BoundaryGrid, v: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """``_cauchy_kernel(g, v) @ U``, building DIRECT_CHUNK kernel rows at a
-    time."""
+    """``_cauchy_kernel(g, v) @ U``, building ``_kernel_rows(g)`` kernel rows
+    at a time."""
     out = np.empty((v.size, U.shape[1]), dtype=complex)
-    for lo in range(0, v.size, DIRECT_CHUNK):
-        out[lo:lo + DIRECT_CHUNK] = _cauchy_kernel(g, v[lo:lo + DIRECT_CHUNK]) @ U
+    rows = _kernel_rows(g)
+    for lo in range(0, v.size, rows):
+        out[lo:lo + rows] = _cauchy_kernel(g, v[lo:lo + rows]) @ U
     return out
 
 
@@ -497,16 +503,17 @@ def direct_composition_apply(
     (C1[a] f1)(C2[a] f2), with C_j[a] the Cauchy kernel row at phi_j(a).
     phi is evaluated at those points only, and a DomainError is raised
     before any kernel is built when one of its values has Im <= 0.  Output
-    rows go in chunks of DIRECT_CHUNK, whose two kernels are applied to all
-    K columns at once."""
+    rows go in chunks of ``_kernel_rows(g1, g2)``, whose two kernels are
+    applied to all K columns at once."""
     g1, g2 = bgrids
     f1 = np.asarray(f1, dtype=complex)
     f2 = np.asarray(f2, dtype=complex)
     v1, v2 = _boundary_phi_values(qmap, bgrids, block=block)
     _require_upper_images((v1, v2))
     out = np.empty((v1.size, f1.shape[1]), dtype=complex)
-    for lo in range(0, v1.size, DIRECT_CHUNK):
-        hi = min(lo + DIRECT_CHUNK, v1.size)
+    rows = _kernel_rows(g1, g2)
+    for lo in range(0, v1.size, rows):
+        hi = min(lo + rows, v1.size)
         np.multiply(_cauchy_kernel(g1, v1[lo:hi]) @ f1, _cauchy_kernel(g2, v2[lo:hi]) @ f2,
                     out=out[lo:hi])
     return out
@@ -547,12 +554,12 @@ def series_direct_residual(
     factored series operator kron(S1, S2) sends it to kron(S1 F1 f1,
     S2 F2 f2).  For a per-axis map C u is rank one too, kron(C1 f1, C2 f2),
     so F(C u) = kron(F1 C1 f1, F2 C2 f2) needs no image, and each kernel
-    C_j is applied DIRECT_CHUNK rows at a time.  Otherwise the images are
-    streamed: after the whole grid has been checked, one pass over blocks
-    of at most DIRECT_CHUNK points (``_boundary_blocks``) asks
-    ``direct_composition_apply`` for each block's images, applies F2 to
-    them along x2 at once and adds the result to the block's x1-rows of an
-    N1 x n2 x K array; F1 comes last.
+    C_j is applied ``_kernel_rows(bg_j)`` rows at a time.  Otherwise the
+    images are streamed: after the whole grid has been checked, one pass
+    over blocks of at most ``_kernel_rows(bg1, bg2)`` points
+    (``_boundary_blocks``) asks ``direct_composition_apply`` for each
+    block's images, applies F2 to them along x2 at once and adds the result
+    to the block's x1-rows of an N1 x n2 x K array; F1 comes last.
     """
     fg1, fg2 = series_op.grid
     bg1, bg2 = bgrids
@@ -569,7 +576,7 @@ def series_direct_residual(
         _require_upper_images(v for block in _boundary_blocks(bgrids, DIRECT_CHECK_POINTS)
                               for v in _boundary_phi_values(qmap, bgrids, block=block))
         half = np.zeros((bg1.size, fg2.size, U1.shape[1]), dtype=complex)
-        for rows, cols in _boundary_blocks(bgrids, DIRECT_CHUNK):
+        for rows, cols in _boundary_blocks(bgrids, _kernel_rows(bg1, bg2)):
             images = direct_composition_apply(qmap, bgrids, U1, U2, (rows, cols))
             F2b = F2[:, cols]
             half[rows] += F2b @ images.reshape(-1, F2b.shape[1], U1.shape[1])

@@ -3,21 +3,23 @@
 ``rows(re, im)`` is the bytes of
 ``"".join(f"{a:.12g},{b:.12g}\\n" for a, b in zip(re, im))``.
 
-Each value gets a fixed-width ``uint8`` slot whose unused bytes are 0;
-deleting the 0 bytes of the joined slots removes the padding.  The digits come
-from scaling |x| to m = |x| * 10**(11 - X), X the decimal exponent, so that m
-lies in [1e11, 1e12) and rint(m) holds the 12 significant digits, looked up
-four at a time.  Then ``%g``'s rules apply: trailing zeros are dropped,
-exponent notation is used when X < -4 or X >= 12, a rounding up to 1e12 moves
-to the next power of ten, and -0 keeps its sign.
+Each value gets a fixed-width ``uint8`` slot whose unused bytes are 0, and a
+line is the slots of its two values, the last byte of the first holding the
+comma and that of the second the newline; deleting the 0 bytes of the joined
+lines removes the padding.  The digits come from scaling |x| to
+m = |x| * 10**(11 - X), X the decimal exponent, so that m lies in
+[1e11, 1e12) and rint(m) holds the 12 significant digits, looked up four at
+a time.  Then ``%g``'s rules apply: trailing zeros are dropped, exponent
+notation is used when X < -4 or X >= 12, a rounding up to 1e12 moves to the
+next power of ten, and -0 keeps its sign.
 
 The scaled m carries a rounding error of at most about 4e-4, so it rounds like
 the exact value except near a tie.  The values the float path cannot decide go
 to ``format`` itself: those with |frac(m) - 1/2| below G_TIE, non-finite
-values, and nonzero |x| outside [G_MIN, G_MAX].  A slot array is widened when
-a fallback text does not fit.  An array that is at least half ±0 (the
-operator of a constant or dilation map) sends only its nonzero values down
-this path and writes "0" and "-0" into the zero slots directly.
+values, and nonzero |x| outside [G_MIN, G_MAX]; the longest such text has 19
+bytes.  When at least half the lines are zero lines (both values ±0, as in
+most of the operator of a constant or dilation map), each of them is one
+8-byte word of ``_ZERO_LINES`` and only the other lines are formatted.
 """
 
 from __future__ import annotations
@@ -75,8 +77,9 @@ _exps[_short, 2:4] = _QUADS[np.abs(_ex[_short]), 2:]
 _exps[_short, 4] = 0
 _exps[_E0] = 0
 _G_EXPS = _exps.view(np.uint64).reshape(-1)
-# the first two bytes of the slot of +0 and of -0
-_G_ZEROS = np.frombuffer(b"0\0-0", np.uint16)
+# row 2 * signbit(re) + signbit(im) is the zero line of that sign pair
+_ZERO_LINES = np.frombuffer(b"0,0\n\0\0\0\0" b"0,-0\n\0\0\0" b"-0,0\n\0\0\0" b"-0,-0\n\0\0",
+                            np.uint64)
 
 del _spread, _keep, _dots, _head, _exps, _ex, _short
 
@@ -96,25 +99,9 @@ def _quads(q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _g12(x: np.ndarray) -> np.ndarray:
-    """(n, width) byte slots of ``format(v, ".12g")``.
-
-    When at least half the values are zeros, only the others go through the
-    digit pipeline and the zero slots get "0" or "-0" directly; with few
-    zeros the gather and scatter would cost more than they save."""
-    zero = x == 0
-    if 2 * np.count_nonzero(zero) < x.size:
-        return _g12_digits(x)
-    rest = _g12_digits(x[~zero])
-    out = np.zeros((x.size, rest.shape[1]), np.uint8)
-    out.view(np.uint16)[:, 0] = np.take(_G_ZEROS, np.signbit(x).view(np.uint8))
-    out[~zero] = rest
-    return out
-
-
 def _g12_digits(x: np.ndarray) -> np.ndarray:
-    """(n, width) byte slots of ``format(v, ".12g")``, every value through
-    the digit pipeline."""
+    """(n, _G_WIDTH) byte slots of ``format(v, ".12g")``; the last byte of
+    every slot is 0."""
     a = np.abs(x)
     zero = a == 0
     fast = (a >= G_MIN) & (a <= G_MAX)
@@ -145,20 +132,26 @@ def _g12_digits(x: np.ndarray) -> np.ndarray:
     dot = np.where(nd > p, p, 0)
     head = 5 * np.signbit(x) + small * -e
 
-    # the fallback texts, and slots widened with 0 bytes to fit them
-    texts = [(i, format(float(x[i]), ".12g").encode()) for i in np.flatnonzero(slow).tolist()]
-    out = np.empty((x.size, max([_G_WIDTH] + [-(-len(s) // 8) * 8 for _, s in texts])), np.uint8)
-    out[:, _G_WIDTH:] = 0
+    out = np.empty((x.size, _G_WIDTH), np.uint8)
     words = out.view(np.uint64)
     words[:, 0] = np.take(_G_HEAD, head)
     words[:, 1:4] = np.take(_G_QUADS, quads) & np.take(_G_KEEP, keep, axis=0) | np.take(
         _G_DOTS, dot, axis=0
     )
     words[:, 4] = np.take(_G_EXPS, np.where(fixed, 0, e) + _E0)
-    for i, s in texts:
-        out[i] = 0
-        out[i, : len(s)] = np.frombuffer(s, np.uint8)
+    # the fallback texts, 0-padded to the slot width
+    texts = np.array([format(v, ".12g") for v in x[slow].tolist()], dtype=f"S{_G_WIDTH}")
+    out[slow] = texts.view(np.uint8).reshape(-1, _G_WIDTH)
     return out
+
+
+def _lines(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """(n, 2 _G_WIDTH) bytes: the slots of re[i] and im[i] with the comma and
+    the newline in their last bytes."""
+    lines = _g12_digits(np.stack([re, im], axis=1).reshape(-1)).reshape(re.size, 2 * _G_WIDTH)
+    lines[:, _G_WIDTH - 1] = ord(",")
+    lines[:, -1] = ord("\n")
+    return lines
 
 
 def rows(re, im) -> bytes:
@@ -166,16 +159,22 @@ def rows(re, im) -> bytes:
     ``format(im[i], ".12g")`` and a newline.
 
     ``re`` and ``im`` are flattened, converted to float64 and must have the
-    same size."""
+    same size.  When at least half the rows are zero lines, those are taken
+    from ``_ZERO_LINES`` and the others spliced in between them."""
     re = np.asarray(re, dtype=np.float64).reshape(-1)
     im = np.asarray(im, dtype=np.float64).reshape(-1)
     if re.size != im.size:
         raise ValueError("re and im differ in size")
-    # one call formats both columns; its slots are then split by column
-    slots = _g12(np.concatenate([re, im]))
-    left, right = slots.reshape(2, re.size, slots.shape[1])
-    comma = np.full((re.size, 1), ord(","), np.uint8)
-    newline = np.full((re.size, 1), ord("\n"), np.uint8)
-    return np.hstack([left, comma, right, newline]).tobytes().translate(None, b"\0")
-
-
+    other = (re != 0) | (im != 0)
+    at = np.flatnonzero(other)
+    if 2 * at.size > re.size:
+        return _lines(re, im).tobytes().translate(None, b"\0")
+    # a zero line is one word and any other line ``width`` words
+    width = 2 * _G_WIDTH // 8
+    words = np.empty(re.size + (width - 1) * at.size, np.uint64)
+    spans = (at + (width - 1) * np.arange(at.size))[:, None] + np.arange(width)
+    zero_words = np.ones(words.size, bool)
+    zero_words[spans] = False
+    words[zero_words] = np.take(_ZERO_LINES, 2 * np.signbit(re) + np.signbit(im))[~other]
+    words[spans] = _lines(re[at], im[at]).view(np.uint64)
+    return words.tobytes().translate(None, b"\0")

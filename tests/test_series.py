@@ -513,8 +513,8 @@ def test_direct_dense_matches_chunked_apply():
 
 def test_direct_apply_nonseparable_agrees_with_dense(monkeypatch):
     # TWOVAR_MAP's phi1 depends on both variables: the generic chunked path,
-    # in chunks of 97 rows
-    monkeypatch.setattr(qpspec.series, "DIRECT_CHUNK", 97)
+    # in chunks of 97 rows of 40-node kernels
+    monkeypatch.setattr(qpspec.series, "KERNEL_BYTES", 97 * 40 * 16)
     bg = (BoundaryGrid.rational(40, 8.0), BoundaryGrid.rational(40, 8.0))
     g1, g2 = bg
     f1, f2 = 1.0 / (g1.nodes + 1.0j), 1.0 / (g2.nodes + 2.0j)
@@ -549,8 +549,9 @@ TWOVAR_MAP = QuasiParabolicMap(
 @pytest.mark.parametrize("maps", ["per-axis", "nonseparable"])
 def test_direct_apply_batches_rank_one_vectors(maps, monkeypatch):
     # each column k is the image of kron(f1[:, k], f2[:, k]); chunks of 97
-    # rows are not a multiple of the second-axis size
-    monkeypatch.setattr(qpspec.series, "DIRECT_CHUNK", 97)
+    # rows (the kernel bound over the larger axis, of 40 nodes) are not a
+    # multiple of the second-axis size
+    monkeypatch.setattr(qpspec.series, "KERNEL_BYTES", 97 * 40 * 16)
     qmap = CAY_QUARTER_MAP if maps == "per-axis" else TWOVAR_MAP
     bg = (BoundaryGrid.rational(36, 8.0), BoundaryGrid.rational(40, 8.0))
     g1, g2 = bg
@@ -639,6 +640,23 @@ def test_cross_check_memory_stays_below_three_images():
     assert peak < 3 * 768**2 * 16
 
 
+def test_per_axis_cross_check_holds_one_bounded_kernel():
+    # cay_quarter at its shipped sizes (n = 32, 768 boundary nodes): each
+    # axis's kernel is built 85 rows (1 MiB) at a time; in blocks of 512
+    # rows (6.3 MB) the peak was 7.65 MiB
+    fg = (FrequencyGrid.uniform(10.0, 32),) * 2
+    op = build_series(CAY_QUARTER_MAP, plan_for_map(CAY_QUARTER_MAP), fg)
+    bg = (BoundaryGrid.uniform(60.0, 768),) * 2
+    tracemalloc.start()
+    try:
+        resid = series_direct_residual(op, CAY_QUARTER_MAP, bg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(resid)
+    assert peak <= 3 * 2**20
+
+
 def _two_variable_cross_check_peak(nodes):
     """tracemalloc peak of the two-variable map's cross-check at n = 16."""
     fg = (FrequencyGrid.uniform(10.0, 16),) * 2
@@ -656,17 +674,22 @@ def _two_variable_cross_check_peak(nodes):
 
 def test_two_variable_cross_check_memory():
     # the benchmark's two-variable map at 256 boundary nodes: the images are
-    # streamed one block of at most DIRECT_CHUNK points at a time, so the
-    # peak is one 512 x 256 complex Cauchy kernel (2.1 MB) and the
-    # 256 x 16 x 12 frequency-side sum (0.8 MB); the twelve images alone
-    # are 12.6 MB
-    assert _two_variable_cross_check_peak(256) < 6e6
+    # streamed one block of 256 points (one x1-row) at a time, so the peak
+    # is one 256 x 256 complex Cauchy kernel (1 MiB) and the 256 x 16 x 12
+    # frequency-side sum (0.8 MB); the twelve images alone are 12.6 MB.
+    # Blocks of 512 points, each with a 2 MB kernel, peaked at 3.57 MiB
+    peak = _two_variable_cross_check_peak(256)
+    assert peak < 6e6
+    assert peak < 3.57 * 2**20
 
 
 def test_two_variable_cross_check_memory_at_768_nodes():
-    # one 512 x 768 kernel (6.3 MB) and a 768 x 16 x 12 sum (2.4 MB), where
-    # one 768^2 image is 9.4 MB and phi's values on the grid twice that
-    assert _two_variable_cross_check_peak(768) < 14e6
+    # one 85 x 768 kernel (1 MiB) and a 768 x 16 x 12 sum (2.4 MB), where
+    # one 768^2 image is 9.4 MB and phi's values on the grid twice that.
+    # Blocks of 512 points, each with a 6.3 MB kernel, peaked at 9.45 MiB
+    peak = _two_variable_cross_check_peak(768)
+    assert peak < 14e6
+    assert peak < 9.45 * 2**20
 
 
 @pytest.mark.parametrize("count", [1, HARDY_TEST_COUNT])
@@ -674,9 +697,10 @@ def test_two_variable_cross_check_memory_at_768_nodes():
 def test_two_variable_cross_check_builds_two_kernels_per_chunk(n1, n2, chunk, count,
                                                                 monkeypatch):
     # one pass over the boundary grid: each chunk's two Cauchy kernels are
-    # built once for all test vectors.  Chunks of 97 points hold two whole
-    # x1-rows of 34; chunks of 16 are pieces of one x1-row of 40 (16, 16, 8)
-    monkeypatch.setattr(qpspec.series, "DIRECT_CHUNK", chunk)
+    # built once for all test vectors.  The kernel bound is set to ``chunk``
+    # rows of the larger axis: chunks of 97 points hold two whole x1-rows of
+    # 34; chunks of 16 are pieces of one x1-row of 40 (16, 16, 8)
+    monkeypatch.setattr(qpspec.series, "KERNEL_BYTES", chunk * max(n1, n2) * 16)
     monkeypatch.setattr(qpspec.series, "HARDY_TEST_COUNT", count)
     fg = (FrequencyGrid.uniform(8.0, 10),) * 2
     op = build_series(TWOVAR_MAP, plan_for_map(TWOVAR_MAP, tol=1e-6), fg)

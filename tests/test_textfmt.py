@@ -50,10 +50,11 @@ def test_edge_values_match_format(spec):
     _assert_formats([-v for v in EDGES], spec)
 
 
-# a .12g chunk with at least half its values ±0 formats only the others
-# through the digit pipeline; 32 of 64 is the threshold, 33 takes every value
-# through it (rows formats both columns, 64 of 128, in one call).  Random
-# lists of up to 64 values almost never reach this rule.
+# a chunk with at least half its lines zero lines (both values ±0) writes
+# those from a table and formats only the others.  The lines here pair x
+# with x[::-1], so of 64 lines 64, 62 and 50 are zero lines for 0, 1 and 7
+# nonzero values (the table) and 16 for 32 and 33 (every line formatted).
+# Random lists of up to 64 values almost never reach this rule.
 @pytest.mark.parametrize("others", [0, 1, 7, 32, 33])
 def test_mostly_zero_chunks_match_format(others):
     rng = np.random.default_rng(others)
@@ -71,6 +72,102 @@ def test_zero_chunks_match_format():
     x = np.zeros(16384)
     x[::3] = -0.0
     x[::17] = np.linspace(-3.0, 3.0, x[::17].size)
+    _assert_formats(x, ".12g")
+
+
+def _assert_lines(re, im, formatted, tmp_path, monkeypatch):
+    """rows(re, im) and the CSV writer against the per-value references,
+    and the number of lines that went through the digit pipeline."""
+    re, im = np.asarray(re, dtype=np.float64), np.asarray(im, dtype=np.float64)
+    seen = []
+    lines = textfmt._lines
+
+    def counted(a, b):
+        seen.append(a.size)
+        return lines(a, b)
+
+    monkeypatch.setattr(textfmt, "_lines", counted)
+    assert textfmt.rows(re, im) == _reference(re, im, ".12g")
+    assert seen == [formatted]
+    z = np.empty(re.size, complex)
+    z.real, z.imag = re, im
+    cli._write_csv(tmp_path / "new.csv", "abc", [z])
+    _write_csv_reference(tmp_path / "ref.csv", "abc", [z])
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("zero_lines", [32, 31])
+def test_zero_line_threshold(zero_lines, tmp_path, monkeypatch):
+    # 32 of 64 zero lines (exactly half) take the table, 31 do not
+    rng = np.random.default_rng(zero_lines)
+    re, im = rng.standard_normal((2, 64))
+    at = rng.choice(64, zero_lines, replace=False)
+    re[at], im[at] = np.where(rng.random((2, zero_lines)) < 0.5, 0.0, -0.0)
+    _assert_lines(re, im, 32 if zero_lines == 32 else 64, tmp_path, monkeypatch)
+
+
+def test_zero_lines_of_each_sign_pair(tmp_path, monkeypatch):
+    re = [0.0, 0.0, -0.0, -0.0, 0.0, -0.0, 2.5, -0.0]
+    im = [0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0, 1e-5]
+    assert textfmt.rows(re[:4], im[:4]) == b"0,0\n0,-0\n-0,0\n-0,-0\n"
+    _assert_lines(re, im, 2, tmp_path, monkeypatch)
+
+
+def test_all_zero_chunk(tmp_path, monkeypatch):
+    rng = np.random.default_rng(3)
+    re, im = np.where(rng.random((2, 4099)) < 0.5, 0.0, -0.0)
+    _assert_lines(re, im, 0, tmp_path, monkeypatch)
+
+
+def test_zero_lines_next_to_fallback_values(tmp_path, monkeypatch):
+    # ties of .12g, non-finite and out-of-range values go to format; zero
+    # lines sit between them and at both ends of the chunk
+    tie = float("1234567890125e-7")
+    special = [(float("nan"), 0.0), (float("inf"), float("-inf")), (tie, 1e300),
+               (-0.0, float("nan")), (-tie, -0.0), (1e300, -1e-300)]
+    re, im = [-0.0, 0.0], [0.0, -0.0]
+    for a, b in special:
+        re += [a, 0.0, -0.0]
+        im += [b, -0.0, 0.0]
+    re += [0.0, -0.0]
+    im += [0.0, 0.0]
+    _assert_lines(re, im, len(special), tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("count, formatted", [(4, 2), (5, 5)])
+def test_lines_with_one_zero_part_are_formatted(count, formatted, tmp_path, monkeypatch):
+    # (0, 1), (1, 0) and (-0, -2) are not zero lines: with two zero lines,
+    # 4 lines take the table and 5 do not
+    re = [0.0, -0.0, 0.0, 1.0, -0.0][:count]
+    im = [-0.0, 0.0, 1.0, 0.0, -2.0][:count]
+    _assert_lines(re, im, formatted, tmp_path, monkeypatch)
+
+
+def test_zero_lines_at_csv_chunk_ends(tmp_path):
+    # a sparse block spanning three CSV chunks, zero lines at every chunk's
+    # first and last line
+    n = 2 * cli.CSV_CHUNK + 3
+    z = np.zeros(n, complex)
+    z[1::97] = np.linspace(-3.0, 3.0, z[1::97].size) * (1 - 2j)
+    z[-2] = complex(float("nan"), 1e300)
+    for at in (0, cli.CSV_CHUNK - 1, cli.CSV_CHUNK, 2 * cli.CSV_CHUNK - 1, n - 1):
+        assert z[at] == 0
+    z[cli.CSV_CHUNK] = complex(-0.0, -0.0)
+    cli._write_csv(tmp_path / "new.csv", "abc", [z], (1, n))
+    _write_csv_reference(tmp_path / "ref.csv", "abc", [z], (1, n))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_longest_fallback_texts_fit_a_slot():
+    # the longest .12g texts have 19 bytes; a slot has _G_WIDTH = 40, and
+    # its last byte stays 0 for the comma or newline of a line
+    x = np.array([-1.23456789012e-308, -5e-324, -1.7976931348623157e308,
+                  -2.2250738585072014e-308, float("-inf"), float("nan")])
+    texts = [format(v, ".12g") for v in x.tolist()]
+    assert max(len(t) for t in texts) == 19
+    slots = textfmt._g12_digits(x)
+    assert slots.shape == (x.size, textfmt._G_WIDTH) and not slots[:, -1].any()
+    assert [bytes(row).rstrip(b"\0").decode() for row in slots] == texts
     _assert_formats(x, ".12g")
 
 
