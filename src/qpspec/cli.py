@@ -248,9 +248,11 @@ def _region(values) -> tuple:
 
 
 def _symbol(entry: dict, label: str) -> dict:
-    """A symbol entry with no unknown key and both bounds checked as
-    numbers; make_symbol checks them against the expression."""
+    """A symbol entry with no unknown key, a string expr and both bounds
+    checked as numbers; make_symbol checks them against the expression."""
     _known_keys(entry, label, ("expr", "im_lower_bound", "sup_bound", "class"))
+    if not isinstance(entry["expr"], str):
+        raise ValueError(f"{label}.expr must be a string, got {entry['expr']!r}")
     return {
         **entry,
         "im_lower_bound": _number(entry["im_lower_bound"], f"{label}.im_lower_bound"),

@@ -31,6 +31,12 @@ SQRT2PI = np.sqrt(2.0 * np.pi)
 # height used when sampling analytic functions "on" the boundary
 BOUNDARY_HEIGHT = 1e-8
 
+# largest block of streamed tensor-product work (kernels, column blocks,
+# block inverses, distances): a freed block of this size sets glibc's mmap
+# and trim thresholds, and cli.CSV_CHUNK keeps a chunk's temporaries below
+# them (README, "Sizes measured")
+BLOCK_BYTES = 1 << 20
+
 
 class GridError(ValueError):
     """Invalid grid construction or grid/vector mismatch."""

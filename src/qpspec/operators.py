@@ -35,8 +35,8 @@ MAX_STRETCH = 16.0
 _TOEPLITZ_EXTENT = 800.0
 _TOEPLITZ_NODES = 16384
 # frequency differences per block of the quadrature's phase matrix, which
-# bounds it to _TOEPLITZ_BLOCK x _TOEPLITZ_NODES entries (1 MiB); blocks of
-# 2 would be two-row products, which round unlike the plain quadrature's
+# bounds it to _TOEPLITZ_BLOCK x _TOEPLITZ_NODES entries (grids.BLOCK_BYTES);
+# blocks of 2 would be two-row products, rounding unlike the plain quadrature
 _TOEPLITZ_BLOCK = 4
 # the not-a-knot spline of a dilation needs this many frequency nodes
 MIN_DILATION_NODES = 4

@@ -25,6 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .grids import (
+    BLOCK_BYTES,
     BOUNDARY_HEIGHT,
     BoundaryGrid,
     DomainError,
@@ -58,19 +59,6 @@ TRUNCATION_CAP = 60
 
 # rational Hardy test vectors behind the series-vs-Cauchy cross-check
 HARDY_TEST_COUNT = 12
-# largest block of a complex Cauchy kernel (``_kernel_rows``): 256 rows at
-# 256 boundary nodes (one whole x1-row of the tensor grid), 85 rows at 768;
-# the same bound as the Toeplitz quadrature's phase block
-KERNEL_BYTES = 1 << 20
-# boundary points per block of the cross-check's Im > 0 pass over the whole
-# grid, which holds phi's values for one block at a time (2.8 MB with their
-# temporaries); on a 2-core VM the pass took 2.2 ms at 256^2 nodes and
-# 22 ms at 768^2, against 18 ms and 204 ms in blocks of 512 points
-DIRECT_CHECK_POINTS = 1 << 15
-# elements of the identity slice that one column block of the dense
-# two-variable series starts from: 48 columns at n = 24, 32 at n = 32, and
-# never fewer than 16
-SERIES_BLOCK_ELEMENTS = 1 << 15
 
 
 class SeriesError(ValueError):
@@ -340,8 +328,9 @@ def _dense_series(plan: SeriesPlan, fgrids: tuple, tau1: SepExpr, tau2: SepExpr,
     products with n x n factors and no n^2 x n^2 matrix product.  Column k
     of the sum depends only on column k of the identity and on the
     multipliers at the k-th node, so the sums run on one block of columns
-    at a time (about SERIES_BLOCK_ELEMENTS / n^2 of them), each block
-    dilated by the factors V (None for no dilation) before it is stored.
+    at a time, whose running sum and power hold BLOCK_BYTES (32 columns at
+    n = 32), each block dilated by the factors V (None for no dilation)
+    before it is stored.
     The growth checks see each order's norm over all blocks.
     """
     g1, g2 = fgrids
@@ -355,7 +344,7 @@ def _dense_series(plan: SeriesPlan, fgrids: tuple, tau1: SepExpr, tau2: SepExpr,
     sq2 = np.zeros(plan.n2 + 1)
     # a multiple of 16 columns: OpenBLAS then sums each column as it does in
     # one block (at n = 24, blocks of 227 columns differ from it by 3e-20)
-    width = max(16, SERIES_BLOCK_ELEMENTS // size // 16 * 16)
+    width = max(16, BLOCK_BYTES // 32 // size // 16 * 16)
     for lo in range(0, size, width):
         cols = slice(lo, lo + width)
         inner, norms2 = _power_sum(lambda Q: kron_apply(terms2, Q, sizes), t2[cols],
@@ -470,8 +459,9 @@ def _cauchy_kernel(g: BoundaryGrid, v: np.ndarray) -> np.ndarray:
 
 def _kernel_rows(*grids: BoundaryGrid) -> int:
     """Kernel rows per block: as many as keep the Cauchy kernel on the
-    largest of ``grids`` within KERNEL_BYTES, and at least one."""
-    return max(1, KERNEL_BYTES // (16 * max(g.size for g in grids)))
+    largest of ``grids`` within BLOCK_BYTES, and at least one (256 rows at
+    256 boundary nodes, one whole x1-row of the tensor grid; 85 at 768)."""
+    return max(1, BLOCK_BYTES // (16 * max(g.size for g in grids)))
 
 
 def _kernel_apply(g: BoundaryGrid, v: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -573,7 +563,9 @@ def series_direct_residual(
         _require_upper_images((v1, v2))
         fcu = _column_kron(F1 @ _kernel_apply(bg1, v1, U1), F2 @ _kernel_apply(bg2, v2, U2))
     else:
-        _require_upper_images(v for block in _boundary_blocks(bgrids, DIRECT_CHECK_POINTS)
+        # phi1 and phi2 for BLOCK_BYTES // 32 points at a time: 22 ms at 768^2
+        # nodes on a 2-core VM, against 204 ms in blocks of 512 points
+        _require_upper_images(v for block in _boundary_blocks(bgrids, BLOCK_BYTES // 32)
                               for v in _boundary_phi_values(qmap, bgrids, block=block))
         half = np.zeros((bg1.size, fg2.size, U1.shape[1]), dtype=complex)
         for rows, cols in _boundary_blocks(bgrids, _kernel_rows(bg1, bg2)):

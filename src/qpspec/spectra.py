@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .grids import DomainError
+from .grids import BLOCK_BYTES, DomainError
 from .operators import OperatorMatrix, is_diagonal, weighted_factors
 from .symbols import PointCloud
 
@@ -85,9 +85,7 @@ def eigenvalues(A: OperatorMatrix) -> SpectralSet:
     """Dense eigenvalue set of the weighted similarity kron(W1, W2) of A
     (``weighted_factors``): every product of an eigenvalue of W1 with one
     of W2."""
-    d1, d2 = (
-        np.diag(W) if is_diagonal(W) else np.linalg.eigvals(W) for W in weighted_factors(A)
-    )
+    d1, d2 = (np.linalg.eigvals(W) for W in weighted_factors(A))
     vals = np.outer(d1, d2).reshape(-1)
     return SpectralSet(PointCloud(vals), {"dim": vals.size})
 
@@ -109,8 +107,6 @@ LANCZOS_BATCH = 128
 # median 1.29 / 0.74 / 0.91 s; w = 16 also doubles the cache, to 128 MiB
 # at n = 64
 KRON_BLOCK = 8
-# least scratch that ``_block_inverses`` works a chunk of rows in
-INVERSE_SCRATCH_BYTES = 1 << 20
 
 
 def _block_width(n2: int) -> int:
@@ -131,7 +127,7 @@ def _block_inverses(lam, U1, U2, out=None, lanes=slice(None)):
     rows below it: one back-substitution, w - 1 batched products over every
     block and lane of a chunk of rows.  The chunks are worked in a
     lanes-last scratch no larger than one n1 x n2 x lanes array or than
-    INVERSE_SCRATCH_BYTES, whichever is larger, and written
+    BLOCK_BYTES, whichever is larger, and written
     to ``out[rows][:, :, lanes]`` of an (n1, ceil(n2 / w), lanes, w, w)
     array, which is allocated when ``out`` is None; returns it.
     """
@@ -148,10 +144,10 @@ def _block_inverses(lam, U1, U2, out=None, lanes=slice(None)):
     if out is None:
         out = np.empty((n1, nb, c, w, w), dtype=complex)
     # rows per chunk: as many as fit in n1 n2 c numbers, and at least as
-    # many as fit in INVERSE_SCRATCH_BYTES, so that short rows (one block
-    # each) are not taken one at a time
+    # many as fit in BLOCK_BYTES, so that short rows (one block each) are
+    # not taken one at a time
     row_bytes = nb * w * w * c * 16
-    rows = min(n1, max(1, n1 * n2 // (nb * w * w), INVERSE_SCRATCH_BYTES // row_bytes))
+    rows = min(n1, max(1, n1 * n2 // (nb * w * w), BLOCK_BYTES // row_bytes))
     S = np.zeros((rows, nb, w, w, c), dtype=complex)
     k = np.arange(w)
     for lo in range(0, n1, rows):
@@ -564,15 +560,11 @@ def predicted_set(z1: complex, z2: complex, t_samples: int = 64) -> SpectralSet:
     )
 
 
-# complex differences held at once by _nearest_distances (16 bytes each)
-DISTANCE_BLOCK = 1 << 16
-
-
 def _nearest_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distance from each point of a to the nearest point of b, taking a in
-    blocks of rows so that no block holds more than DISTANCE_BLOCK
-    differences, or one row when |b| alone exceeds it."""
-    rows = max(1, DISTANCE_BLOCK // b.size)
+    blocks of rows so that no block of complex differences holds more than
+    BLOCK_BYTES, or one row when |b| alone exceeds it."""
+    rows = max(1, BLOCK_BYTES // (16 * b.size))
     return np.concatenate([
         np.min(np.abs(a[lo : lo + rows, None] - b[None, :]), axis=1)
         for lo in range(0, a.size, rows)

@@ -314,6 +314,10 @@ def make_symbol(
     expr = parse_symbol_expression(expression)
     z1, z2 = spot_check_samples(0) if samples is None else samples
     vals = expr(z1, z2)
+    # NaN passes both bound checks below, as every comparison with it is False
+    bad = np.argmin(np.isfinite(vals))
+    if not np.isfinite(vals[bad]):
+        raise SymbolError(f"{expression!r} is not finite at z = ({z1[bad]:.6g}, {z2[bad]:.6g})")
     bad = np.argmin(vals.imag)
     if vals.imag[bad] < im_lower_bound - 1e-12:
         raise SymbolError(

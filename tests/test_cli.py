@@ -62,6 +62,21 @@ def test_invalid_symbol_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["build", "predict", "verify"])
+def test_non_finite_symbol_exits_2(tmp_path, capsys, command):
+    # NaN passes both bound checks (Im psi >= 0.9, |psi| <= 1.1): build used to
+    # write a nan operator.csv certified with tol_met true, predict a nan
+    # cluster point, and verify ended in a traceback with exit 1
+    cfg = _config(tmp_path)
+    raw = json.loads(cfg.read_text())
+    raw["symbols"]["psi1"]["expr"] = "i + 1/(z1-z1)"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (out / "operator.csv").exists()
+
+
 def test_bad_sizes_flag_exits_2(tmp_path):
     cfg = _config(tmp_path)
     rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o"),
@@ -125,6 +140,9 @@ def test_config_validation_rejects_nonpositive():
                          "sup_bnd": 1.1}),
     # a section that is not an object, which used to end in a traceback
     (None, "grids", None),
+    # an expression that is not a string, which used to end in a traceback too
+    ("symbols", "psi1", {"expr": 5, "im_lower_bound": 0.9, "sup_bound": 1.1}),
+    ("symbols", "psi1", {"expr": ["i"], "im_lower_bound": 0.9, "sup_bound": 1.1}),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, section, key, value):
     cfg = _config(tmp_path)

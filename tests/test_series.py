@@ -9,8 +9,10 @@ from scipy.special import eval_laguerre
 
 import qpspec.operators
 import qpspec.series
+import qpspec.spectra
 from qpspec.cli import CONFIG_DIR, RunConfig
 from qpspec.grids import (
+    BLOCK_BYTES,
     BoundaryGrid,
     DomainError,
     FrequencyGrid,
@@ -326,16 +328,16 @@ def test_blocked_dense_series_matches_one_block(p1, monkeypatch):
     qmap = QuasiParabolicMap(p1, 1.0, TWOVAR_MAP.psi1, TWOVAR_MAP.psi2)
     plan = plan_for_map(qmap)
     fg = (FrequencyGrid.uniform(8.0, 12),) * 2
-    monkeypatch.setattr(qpspec.series, "SERIES_BLOCK_ELEMENTS", 144 * 144)
+    monkeypatch.setattr(qpspec.series, "BLOCK_BYTES", 32 * 144 * 144)
     one = build_series(qmap, plan, fg).entries
-    monkeypatch.setattr(qpspec.series, "SERIES_BLOCK_ELEMENTS", 144 * 32)
+    monkeypatch.setattr(qpspec.series, "BLOCK_BYTES", 32 * 144 * 32)
     assert np.array_equal(build_series(qmap, plan, fg).entries, one)
 
 
 def test_growth_guard_fires_across_column_blocks(monkeypatch):
     # test_growth_guard_fires_on_bogus_certificate[two_variable] summed in
     # 8 blocks of 32 columns: the guard sees each order's norm over all blocks
-    monkeypatch.setattr(qpspec.series, "SERIES_BLOCK_ELEMENTS", 256 * 32)
+    monkeypatch.setattr(qpspec.series, "BLOCK_BYTES", 32 * 256 * 32)
     psi1 = make_symbol("i + 0.25*cay(z1) + 0*cay(z2)", 0.7, 1.3, "continuous-on-closure")
     psi2 = make_symbol("20*i + 0*cay(z1)", 19.0, 21.0, "continuous-on-closure")
     qbad = QuasiParabolicMap(1.0, 1.0, psi1, psi2)
@@ -514,7 +516,7 @@ def test_direct_dense_matches_chunked_apply():
 def test_direct_apply_nonseparable_agrees_with_dense(monkeypatch):
     # TWOVAR_MAP's phi1 depends on both variables: the generic chunked path,
     # in chunks of 97 rows of 40-node kernels
-    monkeypatch.setattr(qpspec.series, "KERNEL_BYTES", 97 * 40 * 16)
+    monkeypatch.setattr(qpspec.series, "BLOCK_BYTES", 97 * 40 * 16)
     bg = (BoundaryGrid.rational(40, 8.0), BoundaryGrid.rational(40, 8.0))
     g1, g2 = bg
     f1, f2 = 1.0 / (g1.nodes + 1.0j), 1.0 / (g2.nodes + 2.0j)
@@ -551,7 +553,7 @@ def test_direct_apply_batches_rank_one_vectors(maps, monkeypatch):
     # each column k is the image of kron(f1[:, k], f2[:, k]); chunks of 97
     # rows (the kernel bound over the larger axis, of 40 nodes) are not a
     # multiple of the second-axis size
-    monkeypatch.setattr(qpspec.series, "KERNEL_BYTES", 97 * 40 * 16)
+    monkeypatch.setattr(qpspec.series, "BLOCK_BYTES", 97 * 40 * 16)
     qmap = CAY_QUARTER_MAP if maps == "per-axis" else TWOVAR_MAP
     bg = (BoundaryGrid.rational(36, 8.0), BoundaryGrid.rational(40, 8.0))
     g1, g2 = bg
@@ -700,7 +702,7 @@ def test_two_variable_cross_check_builds_two_kernels_per_chunk(n1, n2, chunk, co
     # built once for all test vectors.  The kernel bound is set to ``chunk``
     # rows of the larger axis: chunks of 97 points hold two whole x1-rows of
     # 34; chunks of 16 are pieces of one x1-row of 40 (16, 16, 8)
-    monkeypatch.setattr(qpspec.series, "KERNEL_BYTES", chunk * max(n1, n2) * 16)
+    monkeypatch.setattr(qpspec.series, "BLOCK_BYTES", chunk * max(n1, n2) * 16)
     monkeypatch.setattr(qpspec.series, "HARDY_TEST_COUNT", count)
     fg = (FrequencyGrid.uniform(8.0, 10),) * 2
     op = build_series(TWOVAR_MAP, plan_for_map(TWOVAR_MAP, tol=1e-6), fg)
@@ -728,7 +730,7 @@ def test_two_variable_cross_check_rejects_lower_halfplane_image_first(monkeypatc
     # grid only: the error comes before any kernel is built and names the
     # lowest value over the whole grid, not over one of the 12 blocks that
     # the check takes
-    monkeypatch.setattr(qpspec.series, "DIRECT_CHECK_POINTS", 50)
+    monkeypatch.setattr(qpspec.series, "BLOCK_BYTES", 50 * 32)
     dips = AnalyticSymbol(parse_symbol_expression("0.5*i + 0.8*cay(z1)*cay(z2)"), 0.5)
     qmap = QuasiParabolicMap(1.0, 1.0, dips, CONST_I)
     assert not qmap.per_axis
@@ -744,6 +746,60 @@ def test_two_variable_cross_check_rejects_lower_halfplane_image_first(monkeypatc
     monkeypatch.setattr(qpspec.series, "_cauchy_kernel", forbidden)
     with pytest.raises(DomainError, match=f"Im = {worst:.3g};"):
         series_direct_residual(op, qmap, bg)
+
+
+class _FirstBlock(Exception):
+    pass
+
+
+def test_block_budget_default_sizes(monkeypatch):
+    # every streamed block at its default size, each derived from the one
+    # 1 MiB budget grids.BLOCK_BYTES
+    assert qpspec.series._kernel_rows(BoundaryGrid.uniform(60.0, 768)) == 85
+    assert qpspec.series._kernel_rows(*(BoundaryGrid.uniform(12.0, 256),) * 2) == 256
+    ops = qpspec.operators
+    assert ops._TOEPLITZ_BLOCK * 16 * ops._TOEPLITZ_NODES == BLOCK_BYTES == 1 << 20
+
+    # the two-variable cross-check: the Im > 0 pass, then the kernel blocks
+    points = []
+    blocks = qpspec.series._boundary_blocks
+
+    def recorded(bgrids, n):
+        points.append(n)
+        return blocks(bgrids, n)
+
+    monkeypatch.setattr(qpspec.series, "_boundary_blocks", recorded)
+    fg = (FrequencyGrid.uniform(8.0, 8),) * 2
+    op = build_series(_const_map(), plan_for_map(_const_map(), tol=1e-6), fg)
+    bg = (BoundaryGrid.uniform(12.0, 16),) * 2
+    series_direct_residual(op, TWOVAR_MAP, bg)
+    assert points == [1 << 15, 4096]
+
+    # the first column block of the dense two-variable series
+    widths = []
+
+    def first_block(step, t, n_max, alpha, start):
+        widths.append(start.shape[1])
+        raise _FirstBlock
+
+    monkeypatch.setattr(qpspec.series, "_power_sum", first_block)
+    plan = plan_for_map(TWOVAR_MAP)
+    for n in (32, 24):
+        with pytest.raises(_FirstBlock):
+            build_series(TWOVAR_MAP, plan, (FrequencyGrid.uniform(8.0, n),) * 2)
+    assert widths == [32, 48]
+
+    # the row blocks of _nearest_distances: 2^16 // |b| rows of a
+    rows = []
+
+    class Recorded(np.ndarray):
+        def __getitem__(self, key):
+            rows.append(key[0])
+            return np.asarray(self)[key]
+
+    a = np.zeros(200, dtype=complex).view(Recorded)
+    qpspec.spectra._nearest_distances(a, 1j * np.arange(1000.0))
+    assert rows == [slice(lo, lo + 65) for lo in range(0, 200, 65)]
 
 
 def test_series_and_direct_constructions_agree():

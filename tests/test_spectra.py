@@ -786,7 +786,7 @@ def test_containment_verdict_matches_brute_force_across_blocks():
     a, b = pred.points.points, surr.points.points
     dists = np.min(np.abs(a[:, None] - b[None, :]), axis=1)
     ties = np.flatnonzero(dists == dists.max())
-    rows = qpspec.spectra.DISTANCE_BLOCK // b.size
+    rows = qpspec.spectra.BLOCK_BYTES // (16 * b.size)
     assert a.size > rows
     assert len({k // rows for k in ties}) == 2
     out = containment_verdict(pred, surr)
