@@ -206,7 +206,7 @@ def toeplitz_halfplane(symbol, fgrid: FrequencyGrid):
     return tuple(mats) if isinstance(symbol, tuple) else mats[0]
 
 
-def separable_terms(expr: SepExpr, fgrids: tuple) -> list:
+def separable_terms(expr, fgrids: tuple):
     """Two-variable Toeplitz operator of a separable sum-of-products symbol
     as its Kronecker terms.
 
@@ -215,17 +215,32 @@ def separable_terms(expr: SepExpr, fgrids: tuple) -> list:
     term is (c, A, B) with A the Toeplitz matrix of f on the first grid and
     B that of g on the second, None standing for an identity factor.  The
     constant terms are folded into one leading term (c, None, None).
+
+    ``expr`` may also be a tuple of expressions, which gives a tuple of
+    term lists.  Every factor of every expression on one grid object comes
+    from one pass of ``toeplitz_halfplane`` (one pass in all when both axes
+    are one grid), bit-identical to a pass per factor.
     """
+    exprs = expr if isinstance(expr, tuple) else (expr,)
     g1, g2 = fgrids
-    const = [t.coeff for t in expr.terms if t.f1 is None and t.f2 is None]
-    terms = [(sum(const), None, None)] if const else []
-    for t in expr.terms:
-        if t.f1 is None and t.f2 is None:
-            continue
-        A = None if t.f1 is None else toeplitz_halfplane(t.f1, g1)
-        B = None if t.f2 is None else toeplitz_halfplane(t.f2, g2)
-        terms.append((t.coeff, A, B))
-    return terms
+    factors = {}  # id(grid) -> (grid, {id(f): f})
+    for e in exprs:
+        for t in e.terms:
+            for f, g in ((t.f1, g1), (t.f2, g2)):
+                if f is not None:
+                    factors.setdefault(id(g), (g, {}))[1][id(f)] = f
+    mats = {}
+    for g, fs in factors.values():
+        for key, T in zip(fs, toeplitz_halfplane(tuple(fs.values()), g)):
+            mats[id(g), key] = T
+    out = []
+    for e in exprs:
+        const = [t.coeff for t in e.terms if t.f1 is None and t.f2 is None]
+        terms = [(sum(const), None, None)] if const else []
+        terms += [(t.coeff, mats.get((id(g1), id(t.f1))), mats.get((id(g2), id(t.f2))))
+                  for t in e.terms if t.f1 is not None or t.f2 is not None]
+        out.append(terms)
+    return tuple(out) if isinstance(expr, tuple) else out[0]
 
 
 def kron_apply(terms: list, X: np.ndarray, sizes: tuple) -> np.ndarray:

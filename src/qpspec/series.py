@@ -19,6 +19,8 @@ closure of the symbol image (golden-section over log alpha).
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -59,6 +61,11 @@ TRUNCATION_CAP = 60
 
 # rational Hardy test vectors behind the series-vs-Cauchy cross-check
 HARDY_TEST_COUNT = 12
+
+# columns per slab of a series term's norm, and the granularity of the dense
+# series' column blocks: OpenBLAS rounds a column alike in every block whose
+# width is a multiple of 16
+SLAB = 16
 
 
 class SeriesError(ValueError):
@@ -305,12 +312,12 @@ def build_series(qmap: QuasiParabolicMap, plan: SeriesPlan, fgrids: tuple) -> Op
         T1, T2 = toeplitz_halfplane((f1, f2), g1)
     else:
         T1, T2 = toeplitz_halfplane(f1, g1), toeplitz_halfplane(f2, g2)
-    S1, norms1 = _power_sum(lambda P: P @ T1, g1.nodes, plan.n1, plan.alpha,
-                            np.eye(g1.size, dtype=complex))
-    S2, norms2 = _power_sum(lambda P: P @ T2, g2.nodes, plan.n2, plan.alpha,
-                            np.eye(g2.size, dtype=complex))
-    _growth_check(norms1)
-    _growth_check(norms2)
+    S1, sq1 = _power_sum(lambda P: P @ T1, g1.nodes, plan.n1, plan.alpha,
+                         np.eye(g1.size, dtype=complex))
+    S2, sq2 = _power_sum(lambda P: P @ T2, g2.nodes, plan.n2, plan.alpha,
+                         np.eye(g2.size, dtype=complex))
+    _growth_check(np.sqrt(sq1.sum(axis=1)))
+    _growth_check(np.sqrt(sq2.sum(axis=1)))
     if V is not None:
         S1, S2 = V[0] @ S1, V[1] @ S2
     return OperatorMatrix(None, fgrids, (S1, S2))
@@ -323,60 +330,105 @@ def _dense_series(plan: SeriesPlan, fgrids: tuple, tau1: SepExpr, tau2: SepExpr,
     sum_{n,m} T1^n T2^m D1n D2m = sum_n T1^n (sum_m T2^m D2m) D1n: the
     inner sum from the identity, then the outer sum from the inner one.
 
-    T1 and T2 are kept as their Kronecker terms (``separable_terms``) and
-    applied from the left (``kron_apply``), so an order costs a few
-    products with n x n factors and no n^2 x n^2 matrix product.  Column k
-    of the sum depends only on column k of the identity and on the
-    multipliers at the k-th node, so the sums run on one block of columns
-    at a time, whose running sum and power hold BLOCK_BYTES (32 columns at
-    n = 32), each block dilated by the factors V (None for no dilation)
-    before it is stored.
-    The growth checks see each order's norm over all blocks.
+    T1 and T2 are kept as their Kronecker terms (``separable_terms``, one
+    quadrature pass for both) and applied from the left (``kron_apply``),
+    so an order costs a few products with n x n factors and no n^2 x n^2
+    matrix product.  Column k of the sum depends only on column k of the
+    identity and on the multipliers at the k-th node, so the sums run on
+    one block of columns at a time, whose running sum and power hold
+    BLOCK_BYTES (32 columns at n = 32), each block dilated by the factors
+    V (None for no dilation) before it is stored.  When the matrix spans
+    more than one block and the process may run on two CPUs, a helper
+    thread sums blocks beside the caller, each thread taking the next block
+    in order when it is done with one, and the budget is split between the
+    two threads (16 columns each at n = 32).  The helper calls only
+    ``_power_sum``, ``kron_apply`` and ``vartheta_symbol``.
+    The growth checks see each order's norm over all columns, the same
+    numbers however the columns are blocked.
     """
     g1, g2 = fgrids
     sizes = (g1.size, g2.size)
-    terms1 = separable_terms(tau1, fgrids)
-    terms2 = separable_terms(tau2, fgrids)
+    terms1, terms2 = separable_terms((tau1, tau2), fgrids)
     t1, t2 = tensor_nodes(fgrids)
     size = t1.size
     S = np.empty((size, size), dtype=complex)
-    sq1 = np.zeros(plan.n1 + 1)
-    sq2 = np.zeros(plan.n2 + 1)
-    # a multiple of 16 columns: OpenBLAS then sums each column as it does in
-    # one block (at n = 24, blocks of 227 columns differ from it by 3e-20)
-    width = max(16, BLOCK_BYTES // 32 // size // 16 * 16)
-    for lo in range(0, size, width):
-        cols = slice(lo, lo + width)
-        inner, norms2 = _power_sum(lambda Q: kron_apply(terms2, Q, sizes), t2[cols],
-                                   plan.n2, plan.alpha,
-                                   np.eye(size, min(width, size - lo), -lo, dtype=complex))
-        block, norms1 = _power_sum(lambda Q: kron_apply(terms1, Q, sizes), t1[cols],
-                                   plan.n1, plan.alpha, inner)
-        del inner
-        S[:, cols] = block if V is None else kron_apply([(1.0, *V)], block, sizes)
-        sq1 += np.square(norms1)
-        sq2 += np.square(norms2)
-    _growth_check(np.sqrt(sq1))
-    _growth_check(np.sqrt(sq2))
+    slabs = -(-size // SLAB)
+    sq1 = np.empty((plan.n1 + 1, slabs))
+    sq2 = np.empty((plan.n2 + 1, slabs))
+    # a multiple of SLAB columns (at n = 24, blocks of 227 columns differ
+    # from one block by 3e-20)
+    width = max(SLAB, BLOCK_BYTES // 32 // size // SLAB * SLAB)
+    threads = 2 if width < size and _usable_cpus() > 1 else 1
+    # two threads split the budget; a column's rounding depends on its
+    # block's width mod 16 (and one column is a matrix-vector product), so
+    # the last size % width columns stay one block
+    whole = size - size % width
+    part = max(SLAB, width // threads // SLAB * SLAB)
+    blocks = [slice(lo, min(lo + part, whole)) for lo in range(0, whole, part)]
+    if whole < size:
+        blocks.append(slice(whole, size))
+    pending, lock, errors = iter(blocks), threading.Lock(), []
+
+    def sum_blocks() -> None:
+        try:
+            while not errors:
+                with lock:
+                    cols = next(pending, None)
+                if cols is None:
+                    return
+                on = slice(cols.start // SLAB, -(-cols.stop // SLAB))
+                inner, sq2[:, on] = _power_sum(
+                    lambda Q: kron_apply(terms2, Q, sizes), t2[cols], plan.n2, plan.alpha,
+                    np.eye(size, cols.stop - cols.start, -cols.start, dtype=complex))
+                block, sq1[:, on] = _power_sum(
+                    lambda Q: kron_apply(terms1, Q, sizes), t1[cols], plan.n1, plan.alpha,
+                    inner)
+                del inner
+                S[:, cols] = block if V is None else kron_apply([(1.0, *V)], block, sizes)
+        except BaseException as exc:
+            errors.append(exc)
+
+    helper = None
+    if threads == 2:
+        helper = threading.Thread(target=sum_blocks, name="qpspec-series")
+        helper.start()
+    sum_blocks()
+    if helper is not None:
+        helper.join()
+    if errors:
+        raise errors[0]
+    _growth_check(np.sqrt(sq1.sum(axis=1)))
+    _growth_check(np.sqrt(sq2.sum(axis=1)))
     return S
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _power_sum(
     step: Callable, t: np.ndarray, n_max: int, alpha: float, start: np.ndarray
-) -> tuple[np.ndarray, list[float]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """sum_{n <= n_max} Q_n diag(vartheta_n(t)) with Q_0 = ``start`` and
-    Q_{n+1} = step(Q_n), and the Frobenius norm of each term."""
+    Q_{n+1} = step(Q_n), and the squared Frobenius norm of each term on
+    each slab of SLAB consecutive columns (row n for order n): a slab's
+    value does not depend on the columns beside it."""
     S = np.zeros_like(start)
     Q = start
-    norms = []
+    sq = np.empty((n_max + 1, -(-start.shape[1] // SLAB)))
     for n in range(n_max + 1):
         incr = Q * vartheta_symbol(n, alpha)(t)[None, :]
         S += incr
-        norms.append(float(np.linalg.norm(incr)))
-        del incr
+        for j in range(sq.shape[1]):
+            slab = np.ascontiguousarray(incr[:, j * SLAB:(j + 1) * SLAB])
+            sq[n, j] = np.vdot(slab, slab).real
+        del incr, slab
         if n < n_max:
             Q = step(Q)
-    return S, norms
+    return S, sq
 
 
 def _growth_check(norms: Sequence[float]) -> None:

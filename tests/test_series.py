@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -461,6 +463,111 @@ def test_two_variable_series_keeps_toeplitz_as_kronecker_terms(monkeypatch):
     assert len(calls) == plan.n1 + plan.n2 + 1
 
 
+def _cpus(monkeypatch, count):
+    """Let the series see ``count`` CPUs, whatever the machine has."""
+    monkeypatch.setattr(qpspec.series.os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
+
+
+@pytest.mark.parametrize("n, threads", [(12, 1), (17, 2), (24, 2)])
+@pytest.mark.parametrize("p1", [1.0, 2.0])
+def test_dense_series_does_not_depend_on_cpu_count(n, threads, p1, monkeypatch):
+    # one CPU sums every block on the calling thread, two split the blocks
+    # and the budget with a helper thread (at n = 12 all columns are one
+    # block, so no helper starts; at n = 17 the last 65 columns stay one
+    # block); the matrix and the norms the growth check sees are the same,
+    # with the threads switching every microsecond
+    qmap = QuasiParabolicMap(p1, 1.0, TWOVAR_MAP.psi1, TWOVAR_MAP.psi2)
+    plan = plan_for_map(qmap)
+    fg = (FrequencyGrid.uniform(8.0, n),) * 2
+    checked, callers = [], set()
+    check, power_sum = qpspec.series._growth_check, qpspec.series._power_sum
+
+    def spy(norms):
+        checked[-1].append(norms)
+        check(norms)
+
+    def traced(*args):
+        callers.add(threading.current_thread())
+        return power_sum(*args)
+
+    monkeypatch.setattr(qpspec.series, "_growth_check", spy)
+    monkeypatch.setattr(qpspec.series, "_power_sum", traced)
+    entries = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for count, expected in ((1, 1), (2, threads)):
+            _cpus(monkeypatch, count)
+            checked.append([])
+            callers.clear()
+            entries.append(build_series(qmap, plan, fg).entries)
+            assert len(callers) == expected
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(*entries)
+    assert len(checked[0]) == len(checked[1]) == 2
+    for one, two in zip(*checked):
+        assert np.array_equal(one, two)
+
+
+class _ShareFailed(Exception):
+    pass
+
+
+@pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+@pytest.mark.parametrize("failing", ["helper", "caller"])
+def test_dense_series_reraises_either_threads_error(failing, monkeypatch):
+    # the error of either share reaches the caller after the helper has been
+    # joined, and no thread ends in an unhandled exception
+    _cpus(monkeypatch, 2)
+    unhandled = []
+    monkeypatch.setattr(threading, "excepthook", unhandled.append)
+    power_sum = qpspec.series._power_sum
+
+    def failing_share(*args):
+        if (threading.current_thread() is threading.main_thread()) == (failing == "caller"):
+            raise _ShareFailed
+        return power_sum(*args)
+
+    monkeypatch.setattr(qpspec.series, "_power_sum", failing_share)
+    before = set(threading.enumerate())
+    with pytest.raises(_ShareFailed):
+        build_series(TWOVAR_MAP, plan_for_map(TWOVAR_MAP), (FrequencyGrid.uniform(8.0, 24),) * 2)
+    assert set(threading.enumerate()) == before
+    assert unhandled == []
+
+
+def test_dense_series_takes_one_toeplitz_pass_per_shared_grid(monkeypatch):
+    # the Toeplitz factors of tau1 and tau2 on the CLI's one grid object
+    # come from one quadrature pass (one per grid object on two), each
+    # bit-identical to the factor's own pass
+    calls = []
+
+    def counted(symbol, fgrid):
+        calls.append(symbol)
+        return toeplitz_halfplane(symbol, fgrid)
+
+    monkeypatch.setattr(qpspec.operators, "toeplitz_halfplane", counted)
+    plan = plan_for_map(TWOVAR_MAP)
+    shared = (FrequencyGrid.uniform(8.0, 8),) * 2
+    one = build_series(TWOVAR_MAP, plan, shared).entries
+    assert len(calls) == 1 and len(calls[0]) == 4
+    apart = (shared[0], FrequencyGrid.uniform(8.0, 8))
+    assert np.array_equal(build_series(TWOVAR_MAP, plan, apart).entries, one)
+    assert len(calls) == 3 and len(calls[1]) == len(calls[2]) == 2
+
+    taus = tuple(qpspec.series._tau_expr(psi, plan.alpha, 1.0, 1.0)
+                 for psi in (TWOVAR_MAP.psi1, TWOVAR_MAP.psi2))
+    for expr, terms in zip(taus, qpspec.operators.separable_terms(taus, shared)):
+        products = [t for t in expr.terms if t.f1 is not None or t.f2 is not None]
+        assert len(products) == len(terms) - 1 == 1 and terms[0][1:] == (None, None)
+        for t, (c, A, B) in zip(products, terms[1:]):
+            assert c == t.coeff
+            assert np.array_equal(A, toeplitz_halfplane(t.f1, shared[0]))
+            assert np.array_equal(B, toeplitz_halfplane(t.f2, shared[1]))
+
+
 # ---------------------------------------------------------------------------
 # direct Cauchy construction
 
@@ -779,15 +886,20 @@ def test_block_budget_default_sizes(monkeypatch):
     widths = []
 
     def first_block(step, t, n_max, alpha, start):
-        widths.append(start.shape[1])
+        if threading.current_thread() is threading.main_thread():
+            widths.append(start.shape[1])
         raise _FirstBlock
 
     monkeypatch.setattr(qpspec.series, "_power_sum", first_block)
     plan = plan_for_map(TWOVAR_MAP)
-    for n in (32, 24):
-        with pytest.raises(_FirstBlock):
-            build_series(TWOVAR_MAP, plan, (FrequencyGrid.uniform(8.0, n),) * 2)
-    assert widths == [32, 48]
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        for n in (32, 24):
+            with pytest.raises(_FirstBlock):
+                build_series(TWOVAR_MAP, plan, (FrequencyGrid.uniform(8.0, n),) * 2)
+    # the calling thread's first block: the whole budget on one CPU, half of
+    # it (rounded down to 16 columns) on two
+    assert widths == [32, 48, 16, 16]
 
     # the row blocks of _nearest_distances: 2^16 // |b| rows of a
     rows = []
