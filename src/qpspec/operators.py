@@ -243,30 +243,24 @@ def separable_terms(expr, fgrids: tuple):
     return tuple(out) if isinstance(expr, tuple) else out[0]
 
 
-def kron_apply(terms: list, X: np.ndarray, sizes: tuple) -> np.ndarray:
-    """sum c (A (x) B) X over Kronecker terms (c, A, B), None standing for
+def kron_apply(terms: list, X: np.ndarray) -> np.ndarray:
+    """sum c (A (x) B) x over Kronecker terms (c, A, B), None standing for
     an identity factor, without forming any A (x) B.
 
-    X has sizes[0] * sizes[1] rows, in the row-major order of ``np.kron``.
-    Read each column as a sizes[0] x sizes[1] array Y; a term sends it to
-    c A Y B^T, one matrix product per non-identity factor for all columns
-    at once.
+    X is a stack of m arrays Y of shape n1 x n2, each a vector x of the
+    tensor grid in the row-major order of ``np.kron``; a term sends Y to
+    c A Y B^T, one matrix product per array and non-identity factor, so an
+    array's image does not depend on the arrays stacked with it.
     """
-    n1, n2 = sizes
-    m = X.shape[1]
     out = None
     for c, A, B in terms:
         if A is None and B is None:
             Y = c * X
         else:
-            Y = X.reshape(n1, n2 * m)
-            if A is not None:
-                Y = A @ Y
-            Y = Y.reshape(-1, n2, m)
+            Y = X if A is None else A @ X
             if B is not None:
-                Y = np.matmul(B, Y)
+                Y = Y @ B.T
             Y *= c
-        Y = Y.reshape(-1, m)
         if out is None:
             out = Y
         else:

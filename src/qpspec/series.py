@@ -62,11 +62,6 @@ TRUNCATION_CAP = 60
 # rational Hardy test vectors behind the series-vs-Cauchy cross-check
 HARDY_TEST_COUNT = 12
 
-# columns per slab of a series term's norm, and the granularity of the dense
-# series' column blocks: OpenBLAS rounds a column alike in every block whose
-# width is a multiple of 16
-SLAB = 16
-
 
 class SeriesError(ValueError):
     """Series construction cannot be certified."""
@@ -335,39 +330,31 @@ def _dense_series(plan: SeriesPlan, fgrids: tuple, tau1: SepExpr, tau2: SepExpr,
     so an order costs a few products with n x n factors and no n^2 x n^2
     matrix product.  Column k of the sum depends only on column k of the
     identity and on the multipliers at the k-th node, so the sums run on
-    one block of columns at a time, whose running sum and power hold
-    BLOCK_BYTES (32 columns at n = 32), each block dilated by the factors
-    V (None for no dilation) before it is stored.  When the matrix spans
-    more than one block and the process may run on two CPUs, a helper
-    thread sums blocks beside the caller, each thread taking the next block
-    in order when it is done with one, and the budget is split between the
-    two threads (16 columns each at n = 32).  The helper calls only
-    ``_power_sum``, ``kron_apply`` and ``vartheta_symbol``.
-    The growth checks see each order's norm over all columns, the same
-    numbers however the columns are blocked.
+    one block of columns at a time, held as a stack of n1 x n2 arrays, one
+    per column, whose running sum and power hold BLOCK_BYTES (32 columns at
+    n = 32), each block dilated by the factors V (None for no dilation)
+    before it is stored.  ``kron_apply`` takes one product per array, so a
+    column's value does not depend on the block it is summed in.  When the
+    matrix spans more than one block and the process may run on two CPUs,
+    a helper thread sums blocks beside the caller, each thread taking the
+    next block in order when it is done with one, and the budget is split
+    between the two threads (16 columns each at n = 32).  The helper calls
+    only ``_power_sum``, ``kron_apply`` and ``vartheta_symbol``.  The
+    growth checks see each order's norm over all columns, summed from one
+    value per column.
     """
     g1, g2 = fgrids
-    sizes = (g1.size, g2.size)
     terms1, terms2 = separable_terms((tau1, tau2), fgrids)
     t1, t2 = tensor_nodes(fgrids)
     size = t1.size
     S = np.empty((size, size), dtype=complex)
-    slabs = -(-size // SLAB)
-    sq1 = np.empty((plan.n1 + 1, slabs))
-    sq2 = np.empty((plan.n2 + 1, slabs))
-    # a multiple of SLAB columns (at n = 24, blocks of 227 columns differ
-    # from one block by 3e-20)
-    width = max(SLAB, BLOCK_BYTES // 32 // size // SLAB * SLAB)
+    sq1 = np.empty((plan.n1 + 1, size))
+    sq2 = np.empty((plan.n2 + 1, size))
+    width = max(1, BLOCK_BYTES // 32 // size)
     threads = 2 if width < size and _usable_cpus() > 1 else 1
-    # two threads split the budget; a column's rounding depends on its
-    # block's width mod 16 (and one column is a matrix-vector product), so
-    # the last size % width columns stay one block
-    whole = size - size % width
-    part = max(SLAB, width // threads // SLAB * SLAB)
-    blocks = [slice(lo, min(lo + part, whole)) for lo in range(0, whole, part)]
-    if whole < size:
-        blocks.append(slice(whole, size))
-    pending, lock, errors = iter(blocks), threading.Lock(), []
+    width = max(1, width // threads)
+    pending = (slice(lo, min(lo + width, size)) for lo in range(0, size, width))
+    lock, errors = threading.Lock(), []
 
     def sum_blocks() -> None:
         try:
@@ -376,15 +363,17 @@ def _dense_series(plan: SeriesPlan, fgrids: tuple, tau1: SepExpr, tau2: SepExpr,
                     cols = next(pending, None)
                 if cols is None:
                     return
-                on = slice(cols.start // SLAB, -(-cols.stop // SLAB))
-                inner, sq2[:, on] = _power_sum(
-                    lambda Q: kron_apply(terms2, Q, sizes), t2[cols], plan.n2, plan.alpha,
-                    np.eye(size, cols.stop - cols.start, -cols.start, dtype=complex))
-                block, sq1[:, on] = _power_sum(
-                    lambda Q: kron_apply(terms1, Q, sizes), t1[cols], plan.n1, plan.alpha,
+                m = cols.stop - cols.start
+                inner, sq2[:, cols] = _power_sum(
+                    lambda Q: kron_apply(terms2, Q), t2[cols, None, None], plan.n2, plan.alpha,
+                    np.eye(m, size, cols.start, dtype=complex).reshape(m, g1.size, g2.size))
+                block, sq1[:, cols] = _power_sum(
+                    lambda Q: kron_apply(terms1, Q), t1[cols, None, None], plan.n1, plan.alpha,
                     inner)
                 del inner
-                S[:, cols] = block if V is None else kron_apply([(1.0, *V)], block, sizes)
+                if V is not None:
+                    block = kron_apply([(1.0, *V)], block)
+                S[:, cols] = block.reshape(m, size).T
         except BaseException as exc:
             errors.append(exc)
 
@@ -412,20 +401,20 @@ def _usable_cpus() -> int:
 def _power_sum(
     step: Callable, t: np.ndarray, n_max: int, alpha: float, start: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """sum_{n <= n_max} Q_n diag(vartheta_n(t)) with Q_0 = ``start`` and
-    Q_{n+1} = step(Q_n), and the squared Frobenius norm of each term on
-    each slab of SLAB consecutive columns (row n for order n): a slab's
-    value does not depend on the columns beside it."""
+    """sum_{n <= n_max} Q_n vartheta_n(t) with Q_0 = ``start`` and
+    Q_{n+1} = step(Q_n), ``t`` shaped to broadcast against Q_n, and the
+    squared Frobenius norm of each term along its first axis (row n for
+    order n): one value per row of a matrix or per array of a stack, each
+    a product of that slice with itself alone."""
     S = np.zeros_like(start)
     Q = start
-    sq = np.empty((n_max + 1, -(-start.shape[1] // SLAB)))
+    sq = np.empty((n_max + 1, start.shape[0]))
     for n in range(n_max + 1):
-        incr = Q * vartheta_symbol(n, alpha)(t)[None, :]
+        incr = Q * vartheta_symbol(n, alpha)(t)
         S += incr
-        for j in range(sq.shape[1]):
-            slab = np.ascontiguousarray(incr[:, j * SLAB:(j + 1) * SLAB])
-            sq[n, j] = np.vdot(slab, slab).real
-        del incr, slab
+        v = incr.view(float).reshape(incr.shape[0], 1, -1)
+        sq[n] = np.matmul(v, v.transpose(0, 2, 1)).reshape(-1)
+        del incr, v
         if n < n_max:
             Q = step(Q)
     return S, sq
@@ -456,19 +445,19 @@ def exact_constant_multiplier(a1: complex, a2: complex, fgrids: tuple) -> Operat
 
 
 def _boundary_phi_values(qmap: QuasiParabolicMap, bgrids: tuple, per_axis: bool = False,
-                         block: Optional[tuple] = None):
+                         block: Optional[slice] = None):
     """phi_1^*, phi_2^* on the tensor boundary grid, flattened row-major: at
-    every point, or at those of ``block``, an (x1 rows, x2 columns) pair of
-    slices.  The Cauchy construction needs both strictly inside the
-    half-plane (``_require_upper_images``).
+    every point, or at those of the x1-rows in the slice ``block``.  The
+    Cauchy construction needs both strictly inside the half-plane
+    (``_require_upper_images``).
 
     With ``per_axis`` (phi_1 ignores x2 and phi_2 ignores x1) only the first
     column of phi_1 and the first row of phi_2 are evaluated, which hold
     every value either takes on the grid."""
     g1, g2 = bgrids
-    rows, cols = block or (slice(None), slice(None))
+    rows = slice(None) if block is None else block
     x1 = g1.nodes[rows, None] + 1j * BOUNDARY_HEIGHT
-    x2 = g2.nodes[None, cols] + 1j * BOUNDARY_HEIGHT
+    x2 = g2.nodes[None, :] + 1j * BOUNDARY_HEIGHT
     phi1, phi2 = qmap.boundary_components()
 
     def values(phi, a, b):
@@ -492,14 +481,12 @@ def _require_upper_images(values) -> None:
 
 
 def _boundary_blocks(bgrids: tuple, points: int):
-    """Row-major tiling of the tensor boundary grid by (x1 rows, x2 columns)
-    pairs of slices of at most ``points`` points: runs of whole x1-rows, or
-    pieces of one x1-row when a row alone holds more."""
-    n1, n2 = bgrids[0].size, bgrids[1].size
-    rows, width = max(1, points // n2), min(n2, points)
-    for r in range(0, n1, rows):
-        for c in range(0, n2, width):
-            yield slice(r, r + rows), slice(c, c + width)
+    """Slices of x1-rows that tile the tensor boundary grid in order: runs
+    of whole rows holding at most ``points`` points, or one row when a row
+    alone holds more."""
+    rows = max(1, points // bgrids[1].size)
+    for r in range(0, bgrids[0].size, rows):
+        yield slice(r, r + rows)
 
 
 def _cauchy_kernel(g: BoundaryGrid, v: np.ndarray) -> np.ndarray:
@@ -533,15 +520,15 @@ def _column_kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def direct_composition_apply(
     qmap: QuasiParabolicMap, bgrids: tuple, f1: np.ndarray, f2: np.ndarray,
-    block: Optional[tuple] = None,
+    block: Optional[slice] = None,
 ) -> np.ndarray:
     """Apply the double Cauchy quadrature to the rank-one vectors
     kron(f1[:, k], f2[:, k]) without materializing the full matrix.
 
     ``f1`` (N1 x K) and ``f2`` (N2 x K) stack the factors on each boundary
     axis; the result stacks the K images at the boundary points asked for,
-    all of them or those of ``block`` (an (x1 rows, x2 columns) pair of
-    slices), flattened row-major.  At the boundary point a the image is
+    all of them or those of the x1-rows in the slice ``block``, flattened
+    row-major.  At the boundary point a the image is
     (C1[a] f1)(C2[a] f2), with C_j[a] the Cauchy kernel row at phi_j(a).
     phi is evaluated at those points only, and a DomainError is raised
     before any kernel is built when one of its values has Im <= 0.  Output
@@ -599,9 +586,10 @@ def series_direct_residual(
     C_j is applied ``_kernel_rows(bg_j)`` rows at a time.  Otherwise the
     images are streamed: after the whole grid has been checked, one pass
     over blocks of at most ``_kernel_rows(bg1, bg2)`` points
-    (``_boundary_blocks``) asks ``direct_composition_apply`` for each
-    block's images, applies F2 to them along x2 at once and adds the result
-    to the block's x1-rows of an N1 x n2 x K array; F1 comes last.
+    (``_boundary_blocks``, runs of whole x1-rows, or one row) asks
+    ``direct_composition_apply`` for each block's images and applies F2 to
+    them along x2, which gives the block's x1-rows of an N1 x n2 x K array;
+    F1 comes last.
     """
     fg1, fg2 = series_op.grid
     bg1, bg2 = bgrids
@@ -619,11 +607,10 @@ def series_direct_residual(
         # nodes on a 2-core VM, against 204 ms in blocks of 512 points
         _require_upper_images(v for block in _boundary_blocks(bgrids, BLOCK_BYTES // 32)
                               for v in _boundary_phi_values(qmap, bgrids, block=block))
-        half = np.zeros((bg1.size, fg2.size, U1.shape[1]), dtype=complex)
-        for rows, cols in _boundary_blocks(bgrids, _kernel_rows(bg1, bg2)):
-            images = direct_composition_apply(qmap, bgrids, U1, U2, (rows, cols))
-            F2b = F2[:, cols]
-            half[rows] += F2b @ images.reshape(-1, F2b.shape[1], U1.shape[1])
+        half = np.empty((bg1.size, fg2.size, U1.shape[1]), dtype=complex)
+        for rows in _boundary_blocks(bgrids, _kernel_rows(bg1, bg2)):
+            images = direct_composition_apply(qmap, bgrids, U1, U2, rows)
+            half[rows] = F2 @ images.reshape(-1, bg2.size, U1.shape[1])
         fcu = (F1 @ half.reshape(bg1.size, -1)).reshape(fu.shape)
     if series_op.factors is None:
         resid = series_op.entries @ fu - fcu

@@ -169,8 +169,12 @@ def test_kron_apply_matches_dense_separable_toeplitz(text):
     assert scalars in ([], [0])
     X = np.random.default_rng(3).standard_normal((63, 5 * 2)).view(complex)
     ref = toeplitz_separable(expr, fg).entries @ X
-    diff = kron_apply(terms, X, (7, 9)) - ref
+    stack = X.T.reshape(5, 7, 9)
+    out = kron_apply(terms, stack)
+    diff = out.reshape(5, 63).T - ref
     assert np.max(np.abs(diff)) <= 1e-13 * np.max(np.abs(ref))
+    # each array's image does not depend on the arrays stacked with it
+    assert np.array_equal(kron_apply(terms, stack[:3]), out[:3])
 
 
 # ---------------------------------------------------------------------------

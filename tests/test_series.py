@@ -326,7 +326,7 @@ def test_growth_guard_fires_on_bogus_certificate(psi1, psi2):
 
 @pytest.mark.parametrize("p1", [1.0, 2.0])
 def test_blocked_dense_series_matches_one_block(p1, monkeypatch):
-    # n = 12: N = 144 columns in blocks of 32, the last one 16 wide
+    # n = 12: N = 144 columns in blocks of at most 32 against one block
     qmap = QuasiParabolicMap(p1, 1.0, TWOVAR_MAP.psi1, TWOVAR_MAP.psi2)
     plan = plan_for_map(qmap)
     fg = (FrequencyGrid.uniform(8.0, 12),) * 2
@@ -334,6 +334,39 @@ def test_blocked_dense_series_matches_one_block(p1, monkeypatch):
     one = build_series(qmap, plan, fg).entries
     monkeypatch.setattr(qpspec.series, "BLOCK_BYTES", 32 * 144 * 32)
     assert np.array_equal(build_series(qmap, plan, fg).entries, one)
+
+
+@pytest.mark.parametrize("n", [13, 17])
+@pytest.mark.parametrize("p1", [1.0, 2.0])
+def test_dense_series_does_not_depend_on_its_blocks(n, p1, monkeypatch):
+    # at odd n, N = n^2 columns in the default blocks, in blocks of 1, 7
+    # and 48 columns and in one block, on one CPU and on two (where the
+    # blocks halve); at n = 17 the default blocks are 113 columns wide and
+    # the 48-column blocks leave a one-column last block.  The matrix and
+    # the norms the growth check sees are the same in every split
+    qmap = QuasiParabolicMap(p1, 1.0, TWOVAR_MAP.psi1, TWOVAR_MAP.psi2)
+    plan = plan_for_map(qmap)
+    fg = (FrequencyGrid.uniform(8.0, n),) * 2
+    checked = []
+    check = qpspec.series._growth_check
+
+    def spy(norms):
+        checked[-1].append(norms)
+        check(norms)
+
+    monkeypatch.setattr(qpspec.series, "_growth_check", spy)
+    entries = []
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        for budget in (BLOCK_BYTES, *(32 * n * n * width for width in (1, 7, 48, n * n))):
+            monkeypatch.setattr(qpspec.series, "BLOCK_BYTES", budget)
+            checked.append([])
+            entries.append(build_series(qmap, plan, fg).entries)
+    for other, norms in zip(entries[1:], checked[1:]):
+        assert np.array_equal(other, entries[0])
+        assert len(norms) == 2
+        for one, two in zip(checked[0], norms):
+            assert np.array_equal(one, two)
 
 
 def test_growth_guard_fires_across_column_blocks(monkeypatch):
@@ -474,9 +507,10 @@ def _cpus(monkeypatch, count):
 def test_dense_series_does_not_depend_on_cpu_count(n, threads, p1, monkeypatch):
     # one CPU sums every block on the calling thread, two split the blocks
     # and the budget with a helper thread (at n = 12 all columns are one
-    # block, so no helper starts; at n = 17 the last 65 columns stay one
-    # block); the matrix and the norms the growth check sees are the same,
-    # with the threads switching every microsecond
+    # block, so no helper starts; at n = 17 the 289 columns are blocks of
+    # 113 on one CPU and of 56 on two, the last of 63 and of 9); the matrix
+    # and the norms the growth check sees are the same, with the threads
+    # switching every microsecond
     qmap = QuasiParabolicMap(p1, 1.0, TWOVAR_MAP.psi1, TWOVAR_MAP.psi2)
     plan = plan_for_map(qmap)
     fg = (FrequencyGrid.uniform(8.0, n),) * 2
@@ -807,8 +841,8 @@ def test_two_variable_cross_check_builds_two_kernels_per_chunk(n1, n2, chunk, co
                                                                 monkeypatch):
     # one pass over the boundary grid: each chunk's two Cauchy kernels are
     # built once for all test vectors.  The kernel bound is set to ``chunk``
-    # rows of the larger axis: chunks of 97 points hold two whole x1-rows of
-    # 34; chunks of 16 are pieces of one x1-row of 40 (16, 16, 8)
+    # rows of the larger axis: blocks of two whole x1-rows of 34 (68 points)
+    # are one chunk each; a row of 40 is one block, in chunks of 16, 16, 8
     monkeypatch.setattr(qpspec.series, "BLOCK_BYTES", chunk * max(n1, n2) * 16)
     monkeypatch.setattr(qpspec.series, "HARDY_TEST_COUNT", count)
     fg = (FrequencyGrid.uniform(8.0, 10),) * 2
@@ -887,7 +921,7 @@ def test_block_budget_default_sizes(monkeypatch):
 
     def first_block(step, t, n_max, alpha, start):
         if threading.current_thread() is threading.main_thread():
-            widths.append(start.shape[1])
+            widths.append(len(start))
         raise _FirstBlock
 
     monkeypatch.setattr(qpspec.series, "_power_sum", first_block)
@@ -898,8 +932,8 @@ def test_block_budget_default_sizes(monkeypatch):
             with pytest.raises(_FirstBlock):
                 build_series(TWOVAR_MAP, plan, (FrequencyGrid.uniform(8.0, n),) * 2)
     # the calling thread's first block: the whole budget on one CPU, half of
-    # it (rounded down to 16 columns) on two
-    assert widths == [32, 48, 16, 16]
+    # it on two
+    assert widths == [32, 56, 16, 28]
 
     # the row blocks of _nearest_distances: 2^16 // |b| rows of a
     rows = []
