@@ -11,7 +11,7 @@ Conventions fixed here and used everywhere else:
   ``k_w(z) = 1 / (2*pi*1j * (conj(w) - z))`` so that ``<f, k_w> = f(w)``
   holds exactly (two-variable kernels are products of one-variable
   factors); its quadrature form, the pairing with k_w on a boundary grid,
-  is ``series._cauchy_kernel``, one row per point w;
+  is the row ``weights / (2*pi*1j * (nodes - w))``;
 * the frequency transform is the unitary ``(Ff)(t) = (2*pi)**-0.5 *
   int f(x) exp(-i x t) dx``, which sends the Hardy class onto functions
   supported on ``t >= 0``;
@@ -31,10 +31,10 @@ SQRT2PI = np.sqrt(2.0 * np.pi)
 # height used when sampling analytic functions "on" the boundary
 BOUNDARY_HEIGHT = 1e-8
 
-# largest block of streamed tensor-product work (kernels, column blocks,
-# block inverses, distances): a freed block of this size sets glibc's mmap
-# and trim thresholds, and cli.CSV_CHUNK keeps a chunk's temporaries below
-# them (README, "Sizes measured")
+# largest block of streamed tensor-product work (phase blocks, cross-check
+# images, column blocks, block inverses, distances): a freed block of this
+# size sets glibc's mmap and trim thresholds, and cli.CSV_CHUNK keeps a
+# chunk's temporaries below them (README, "Sizes measured")
 BLOCK_BYTES = 1 << 20
 
 

@@ -10,7 +10,8 @@ part:
   with tau_j = i*alpha - rescaled psi_j and multipliers
   ``th_{j,n}(t) = (-i t_j)^n exp(-alpha t_j) / n!``, with a certified
   geometric remainder; and
-* the direct double Cauchy-integral quadrature, used for cross-validation.
+* the composition itself, u -> u o phi, on rational Hardy test vectors whose
+  images are known in closed form, used for cross-validation.
 
 The shift parameter alpha comes from a minimax fit of i*alpha to the sampled
 closure of the symbol image (golden-section over log alpha).
@@ -29,7 +30,6 @@ import numpy as np
 from .grids import (
     BLOCK_BYTES,
     BOUNDARY_HEIGHT,
-    BoundaryGrid,
     DomainError,
     bochner_matrix,
     grid_weights,
@@ -59,7 +59,7 @@ ALPHA_TOL = 1e-10
 # largest truncation order a plan uses, whatever its tolerance
 TRUNCATION_CAP = 60
 
-# rational Hardy test vectors behind the series-vs-Cauchy cross-check
+# rational Hardy test vectors behind the series-vs-composition cross-check
 HARDY_TEST_COUNT = 12
 
 
@@ -441,15 +441,15 @@ def exact_constant_multiplier(a1: complex, a2: complex, fgrids: tuple) -> Operat
 
 
 # ---------------------------------------------------------------------------
-# direct Cauchy-integral construction
+# closed-form images of the rational test vectors
 
 
 def _boundary_phi_values(qmap: QuasiParabolicMap, bgrids: tuple, per_axis: bool = False,
                          block: Optional[slice] = None):
     """phi_1^*, phi_2^* on the tensor boundary grid, flattened row-major: at
     every point, or at those of the x1-rows in the slice ``block``.  The
-    Cauchy construction needs both strictly inside the half-plane
-    (``_require_upper_images``).
+    images of the test vectors are evaluated there, and need both strictly
+    inside the half-plane (``_require_upper_images``).
 
     With ``per_axis`` (phi_1 ignores x2 and phi_2 ignores x1) only the first
     column of phi_1 and the first row of phi_2 are evaluated, which hold
@@ -475,8 +475,8 @@ def _require_upper_images(values) -> None:
     worst = min(float(np.min(v.imag)) for v in values)
     if worst <= 0.0:
         raise DomainError(
-            f"boundary image dips to Im = {worst:.3g}; Cauchy construction "
-            "requires strictly positive imaginary part"
+            f"boundary image dips to Im = {worst:.3g}; a composition with the "
+            "Hardy space requires strictly positive imaginary part"
         )
 
 
@@ -489,28 +489,12 @@ def _boundary_blocks(bgrids: tuple, points: int):
         yield slice(r, r + rows)
 
 
-def _cauchy_kernel(g: BoundaryGrid, v: np.ndarray) -> np.ndarray:
-    """Row k: the quadrature form of the Cauchy integral at the point v[k],
-    divided in place so that building it holds one kernel-sized array."""
-    K = g.nodes[None, :] - v[:, None]
-    return np.divide(g.weights[None, :] / (2.0j * np.pi), K, out=K)
-
-
-def _kernel_rows(*grids: BoundaryGrid) -> int:
-    """Kernel rows per block: as many as keep the Cauchy kernel on the
-    largest of ``grids`` within BLOCK_BYTES, and at least one (256 rows at
-    256 boundary nodes, one whole x1-row of the tensor grid; 85 at 768)."""
-    return max(1, BLOCK_BYTES // (16 * max(g.size for g in grids)))
-
-
-def _kernel_apply(g: BoundaryGrid, v: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """``_cauchy_kernel(g, v) @ U``, building ``_kernel_rows(g)`` kernel rows
-    at a time."""
-    out = np.empty((v.size, U.shape[1]), dtype=complex)
-    rows = _kernel_rows(g)
-    for lo in range(0, v.size, rows):
-        out[lo:lo + rows] = _cauchy_kernel(g, v[lo:lo + rows]) @ U
-    return out
+def _rational_vectors(z: np.ndarray, poles: np.ndarray) -> np.ndarray:
+    """1 / (z[i] - poles[k])^2 in row i and column k, squared and inverted
+    in place, so that forming it holds one array of that size."""
+    d = z[:, None] - poles[None, :]
+    np.square(d, out=d)
+    return np.divide(1.0, d, out=d)
 
 
 def _column_kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -519,50 +503,39 @@ def _column_kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def direct_composition_apply(
-    qmap: QuasiParabolicMap, bgrids: tuple, f1: np.ndarray, f2: np.ndarray,
+    qmap: QuasiParabolicMap, bgrids: tuple, poles: np.ndarray,
     block: Optional[slice] = None,
 ) -> np.ndarray:
-    """Apply the double Cauchy quadrature to the rank-one vectors
-    kron(f1[:, k], f2[:, k]) without materializing the full matrix.
+    """The images C_phi u_k = f_k(phi_1) g_k(phi_2) of the rational test
+    vectors u_k = kron(f_k, g_k), f_k = 1/(z - poles[0, k])^2 and
+    g_k = 1/(z - poles[1, k])^2, in closed form.
 
-    ``f1`` (N1 x K) and ``f2`` (N2 x K) stack the factors on each boundary
-    axis; the result stacks the K images at the boundary points asked for,
-    all of them or those of the x1-rows in the slice ``block``, flattened
-    row-major.  At the boundary point a the image is
-    (C1[a] f1)(C2[a] f2), with C_j[a] the Cauchy kernel row at phi_j(a).
-    phi is evaluated at those points only, and a DomainError is raised
-    before any kernel is built when one of its values has Im <= 0.  Output
-    rows go in chunks of ``_kernel_rows(g1, g2)``, whose two kernels are
-    applied to all K columns at once."""
-    g1, g2 = bgrids
-    f1 = np.asarray(f1, dtype=complex)
-    f2 = np.asarray(f2, dtype=complex)
+    The result stacks the K images at the boundary points asked for, all
+    of them or those of the x1-rows in the slice ``block``, flattened
+    row-major.  phi is evaluated at those points only, and a DomainError is
+    raised before any image is formed when one of its values has Im <= 0.
+    The product is formed in place: one array of the result's size and one
+    temporary."""
     v1, v2 = _boundary_phi_values(qmap, bgrids, block=block)
     _require_upper_images((v1, v2))
-    out = np.empty((v1.size, f1.shape[1]), dtype=complex)
-    rows = _kernel_rows(g1, g2)
-    for lo in range(0, v1.size, rows):
-        hi = min(lo + rows, v1.size)
-        np.multiply(_cauchy_kernel(g1, v1[lo:hi]) @ f1, _cauchy_kernel(g2, v2[lo:hi]) @ f2,
-                    out=out[lo:hi])
+    out = _rational_vectors(v1, poles[0])
+    out *= _rational_vectors(v2, poles[1])
     return out
 
 
-def hardy_test_family(bgrids: tuple, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """The decaying rational Hardy test vectors on the tensor boundary grid.
+def hardy_test_family(seed: int = 0) -> np.ndarray:
+    """Poles of the decaying rational Hardy test vectors, shape (2, K).
 
-    Every vector is rank one, kron(U1[:, k], U2[:, k]); the two factor
-    stacks U1 (N1 x K) and U2 (N2 x K) are returned."""
+    Vector k is kron(f_k, g_k) with f_k = 1/(x1 - p[0, k])^2 and
+    g_k = 1/(x2 - p[1, k])^2; each pole is s - i c, with c drawn from
+    [0.5, 2] and s from [-3, 3], so it lies in the lower half-plane."""
     rng = np.random.default_rng(seed)
-    g1, g2 = bgrids
-    U1 = np.empty((g1.size, HARDY_TEST_COUNT), dtype=complex)
-    U2 = np.empty((g2.size, HARDY_TEST_COUNT), dtype=complex)
+    poles = np.empty((2, HARDY_TEST_COUNT), dtype=complex)
     for k in range(HARDY_TEST_COUNT):
-        c1, c2 = rng.uniform(0.5, 2.0, size=2)
-        s1, s2 = rng.uniform(-3.0, 3.0, size=2)
-        U1[:, k] = 1.0 / (g1.nodes - s1 + 1j * c1) ** 2
-        U2[:, k] = 1.0 / (g2.nodes - s2 + 1j * c2) ** 2
-    return U1, U2
+        c = rng.uniform(0.5, 2.0, size=2)
+        s = rng.uniform(-3.0, 3.0, size=2)
+        poles[:, k] = s - 1j * c
+    return poles
 
 
 def series_direct_residual(
@@ -571,46 +544,52 @@ def series_direct_residual(
     bgrids: tuple,
     seed: int = 0,
 ) -> float:
-    """Cross-validation metric between the series and direct constructions.
+    """Cross-validation metric between the series and the composition itself.
 
     Max over a family of decaying rational Hardy vectors u of the weighted
-    frequency-space residual || S F u - F (C u) || / || F u ||.  Restricting
-    to decaying vectors keeps the boundary quadrature honest; the Cauchy
-    kernel applied to the non-decaying inverse transforms of raw frequency
-    basis vectors would be dominated by truncation artifacts.
+    frequency-space residual || S F u - F (C u) || / || F u ||.  Each u is
+    sampled on the boundary grid, and its image C u = u o phi is evaluated
+    in closed form at phi of the boundary points
+    (``direct_composition_apply``), so the residual measures the series and
+    the boundary quadrature of F, not an approximation of C.
 
     Each u = kron(f1, f2) is rank one, so F u = kron(F1 f1, F2 f2), and a
     factored series operator kron(S1, S2) sends it to kron(S1 F1 f1,
-    S2 F2 f2).  For a per-axis map C u is rank one too, kron(C1 f1, C2 f2),
-    so F(C u) = kron(F1 C1 f1, F2 C2 f2) needs no image, and each kernel
-    C_j is applied ``_kernel_rows(bg_j)`` rows at a time.  Otherwise the
-    images are streamed: after the whole grid has been checked, one pass
-    over blocks of at most ``_kernel_rows(bg1, bg2)`` points
-    (``_boundary_blocks``, runs of whole x1-rows, or one row) asks
-    ``direct_composition_apply`` for each block's images and applies F2 to
-    them along x2, which gives the block's x1-rows of an N1 x n2 x K array;
-    F1 comes last.
+    S2 F2 f2).  For a per-axis map C u is rank one too,
+    kron(f1(phi_1), f2(phi_2)), so F(C u) = kron(F1 f1(phi_1), F2 f2(phi_2))
+    needs no image.  Otherwise the images are streamed: after the whole
+    grid has been checked, one pass over blocks of at most
+    BLOCK_BYTES // (32 K) points (``_boundary_blocks``, runs of whole
+    x1-rows, or one row) asks ``direct_composition_apply`` for each block's
+    images and applies F2 to them along x2, which gives the block's x1-rows
+    of an N1 x n2 x K array; F1 comes last.
     """
     fg1, fg2 = series_op.grid
     bg1, bg2 = bgrids
     F1 = bochner_matrix(bg1, fg1)
     F2 = bochner_matrix(bg2, fg2)
-    U1, U2 = hardy_test_family(bgrids, seed)
-    G1, G2 = F1 @ U1, F2 @ U2
+    poles = hardy_test_family(seed)
+    G1 = F1 @ _rational_vectors(bg1.nodes, poles[0])
+    G2 = F2 @ _rational_vectors(bg2.nodes, poles[1])
     fu = _column_kron(G1, G2)
     if qmap.per_axis:
         v1, v2 = _boundary_phi_values(qmap, bgrids, per_axis=True)
         _require_upper_images((v1, v2))
-        fcu = _column_kron(F1 @ _kernel_apply(bg1, v1, U1), F2 @ _kernel_apply(bg2, v2, U2))
+        fcu = _column_kron(F1 @ _rational_vectors(v1, poles[0]),
+                           F2 @ _rational_vectors(v2, poles[1]))
     else:
         # phi1 and phi2 for BLOCK_BYTES // 32 points at a time: 22 ms at 768^2
         # nodes on a 2-core VM, against 204 ms in blocks of 512 points
         _require_upper_images(v for block in _boundary_blocks(bgrids, BLOCK_BYTES // 32)
                               for v in _boundary_phi_values(qmap, bgrids, block=block))
-        half = np.empty((bg1.size, fg2.size, U1.shape[1]), dtype=complex)
-        for rows in _boundary_blocks(bgrids, _kernel_rows(bg1, bg2)):
-            images = direct_composition_apply(qmap, bgrids, U1, U2, rows)
-            half[rows] = F2 @ images.reshape(-1, bg2.size, U1.shape[1])
+        # a block's images and their temporary, K values of 16 bytes per
+        # point each, hold BLOCK_BYTES: 10 x1-rows at 256 nodes, 3 at 768
+        count = poles.shape[1]
+        half = np.empty((bg1.size, fg2.size, count), dtype=complex)
+        for rows in _boundary_blocks(bgrids, BLOCK_BYTES // (32 * count)):
+            images = direct_composition_apply(qmap, bgrids, poles, rows)
+            half[rows] = F2 @ images.reshape(-1, bg2.size, count)
+            del images  # before the next block's images are formed
         fcu = (F1 @ half.reshape(bg1.size, -1)).reshape(fu.shape)
     if series_op.factors is None:
         resid = series_op.entries @ fu - fcu

@@ -13,7 +13,6 @@ from qpspec.operators import OperatorMatrix, op_norm
 from qpspec.series import (
     QuasiParabolicMap,
     SeriesPlan,
-    _cauchy_kernel,
     build_series,
     choose_alpha,
     delta_of_alpha,
@@ -192,12 +191,18 @@ def test_criterion_6_series_vs_direct_cross_validation():
     )
 
 
+def _cauchy_row(g, w):
+    """Row k: the quadrature form on g of the Cauchy integral at the point
+    w[k], the pairing with the reproducing kernel k_w (see grids)."""
+    return (g.weights[None, :] / (2.0j * np.pi)) / (g.nodes[None, :] - w[:, None])
+
+
 def test_criterion_7_kernel_and_boundedness():
     # reproducing identity on rational test functions, then the kernel-norm
     # contraction bound of composition with z -> z + psi(z).  The pairing
-    # <f, k_w> is the Cauchy quadrature the cross-check applies
-    # (series._cauchy_kernel), one factor per axis, since both f and k_w are
-    # products of one-variable factors.  The bound is checked in its
+    # <f, k_w> is the Cauchy quadrature row of grids' kernel convention,
+    # one factor per axis, since both f and k_w are products of
+    # one-variable factors.  The bound is checked in its
     # squared-norm form ||k_phi(w)||^2 / ||k_w||^2, which is the kernel-value
     # ratio prod_j Im w_j / Im phi_j(w), since k_w(w) = prod_j 1 / (4 pi Im w_j)
     g1, g2 = (BoundaryGrid.rational(1200, 8.0),) * 2
@@ -206,8 +211,8 @@ def test_criterion_7_kernel_and_boundedness():
     for _ in range(10):
         w = tuple(rng.uniform(-1, 1, 2) + 1j * rng.uniform(0.5, 2.0, 2))
         a, b = rng.uniform(0.5, 2.0, 2)
-        pair1 = _cauchy_kernel(g1, np.array([w[0]])) @ (1.0 / (g1.nodes + 1j * a))
-        pair2 = _cauchy_kernel(g2, np.array([w[1]])) @ (1.0 / (g2.nodes + 1j * b))
+        pair1 = _cauchy_row(g1, np.array([w[0]])) @ (1.0 / (g1.nodes + 1j * a))
+        pair2 = _cauchy_row(g2, np.array([w[1]])) @ (1.0 / (g2.nodes + 1j * b))
         target = 1.0 / ((w[0] + 1j * a) * (w[1] + 1j * b))
         rep_err = max(rep_err, abs(pair1[0] * pair2[0] - target))
     psi = _cay_quarter_map()

@@ -22,7 +22,7 @@ from qpspec.grids import (
     grid_weights,
     tensor_nodes,
 )
-from qpspec.operators import OperatorMatrix, dilation, toeplitz_halfplane
+from qpspec.operators import dilation, toeplitz_halfplane
 from qpspec.series import (
     HARDY_TEST_COUNT,
     QuasiParabolicMap,
@@ -34,13 +34,14 @@ from qpspec.series import (
     delta_of_alpha,
     direct_composition_apply,
     exact_constant_multiplier,
+    hardy_test_family,
     plan_for_map,
     remainder_bound,
     series_direct_residual,
     truncation_order,
     vartheta_symbol,
     _boundary_phi_values,
-    _cauchy_kernel,
+    _rational_vectors,
 )
 from qpspec.symbols import AnalyticSymbol, SepExpr, make_symbol, parse_symbol_expression
 
@@ -603,7 +604,13 @@ def test_dense_series_takes_one_toeplitz_pass_per_shared_grid(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# direct Cauchy construction
+# direct composition: closed-form images of the rational test vectors
+
+
+def _cauchy_row(g, w):
+    """Row k: the quadrature form on g of the Cauchy integral at the point
+    w[k], the pairing with the reproducing kernel k_w (see grids)."""
+    return (g.weights[None, :] / (2.0j * np.pi)) / (g.nodes[None, :] - w[:, None])
 
 
 def test_reproducing_identity_rational_function():
@@ -612,59 +619,23 @@ def test_reproducing_identity_rational_function():
     # axis rows, and it reproduces a rational Hardy function at w
     w = (0.3 + 1.2j, -0.7 + 0.8j)
     g1, g2 = (BoundaryGrid.rational(1200, 8.0),) * 2
-    row = np.kron(_cauchy_kernel(g1, np.array([w[0]])), _cauchy_kernel(g2, np.array([w[1]])))
+    row = np.kron(_cauchy_row(g1, np.array([w[0]])), _cauchy_row(g2, np.array([w[1]])))
     vals = np.kron(1.0 / (g1.nodes + 1j), 1.0 / (g2.nodes + 1j))
     target = 1.0 / ((w[0] + 1j) * (w[1] + 1j))
     assert abs((row @ vals)[0] - target) < 1e-6
 
 
-def direct_composition(qmap, bgrids: tuple) -> OperatorMatrix:
-    """Dense boundary-representation matrix of the Cauchy-integral
-    composition operator; meant for desk-scale grids."""
-    g1, g2 = bgrids
-    v1, v2 = _boundary_phi_values(qmap, bgrids)
-    A, B = _cauchy_kernel(g1, v1), _cauchy_kernel(g2, v2)
-    entries = (A[:, :, None] * B[:, None, :]).reshape(
-        g1.size * g2.size, g1.size * g2.size
-    )
-    return OperatorMatrix(entries, bgrids)
-
-
 def test_direct_apply_translates_hardy_functions():
+    # u = kron(1/(x + 1.5i)^2, 1/(x - 1 + i)^2), translated by (i, 2i)
     qmap = _const_map()
     bg = (BoundaryGrid.rational(400, 8.0), BoundaryGrid.rational(400, 8.0))
     g1, g2 = bg
-    f1 = 1.0 / (g1.nodes + 1.5j) ** 2
-    f2 = 1.0 / (g2.nodes - 1.0 + 1.0j) ** 2
-    cu = direct_composition_apply(qmap, bg, f1[:, None], f2[:, None])[:, 0]
+    poles = np.array([[-1.5j], [1.0 - 1.0j]])
+    cu = direct_composition_apply(qmap, bg, poles)[:, 0]
     truth = np.kron(
         1.0 / (g1.nodes + 2.5j) ** 2, 1.0 / (g2.nodes - 1.0 + 3.0j) ** 2
     )
     assert np.max(np.abs(cu - truth)) / np.max(np.abs(truth)) < 2e-3
-
-
-def test_direct_dense_matches_chunked_apply():
-    qmap = _const_map()
-    bg = (BoundaryGrid.rational(60, 8.0), BoundaryGrid.rational(60, 8.0))
-    g1, g2 = bg
-    f1, f2 = 1.0 / (g1.nodes + 1.0j), 1.0 / (g2.nodes + 2.0j)
-    u = np.kron(f1, f2)
-    dense = direct_composition(qmap, bg).entries @ u
-    fast = direct_composition_apply(qmap, bg, f1[:, None], f2[:, None])[:, 0]
-    assert np.max(np.abs(dense - fast)) < 1e-12
-
-
-def test_direct_apply_nonseparable_agrees_with_dense(monkeypatch):
-    # TWOVAR_MAP's phi1 depends on both variables: the generic chunked path,
-    # in chunks of 97 rows of 40-node kernels
-    monkeypatch.setattr(qpspec.series, "BLOCK_BYTES", 97 * 40 * 16)
-    bg = (BoundaryGrid.rational(40, 8.0), BoundaryGrid.rational(40, 8.0))
-    g1, g2 = bg
-    f1, f2 = 1.0 / (g1.nodes + 1.0j), 1.0 / (g2.nodes + 2.0j)
-    u = np.kron(f1, f2)
-    dense = direct_composition(TWOVAR_MAP, bg).entries @ u
-    fast = direct_composition_apply(TWOVAR_MAP, bg, f1[:, None], f2[:, None])[:, 0]
-    assert np.max(np.abs(dense - fast)) < 1e-12
 
 
 def test_direct_apply_rejects_lower_halfplane_image():
@@ -672,9 +643,8 @@ def test_direct_apply_rejects_lower_halfplane_image():
     below = AnalyticSymbol(SepExpr.constant(-0.5j), 0.5)
     qmap = QuasiParabolicMap(1.0, 1.0, below, CONST_I)
     bg = (BoundaryGrid.rational(30, 6.0), BoundaryGrid.rational(30, 6.0))
-    f = np.zeros((30, 1), dtype=complex)
     with pytest.raises(DomainError):
-        direct_composition_apply(qmap, bg, f, f)
+        direct_composition_apply(qmap, bg, hardy_test_family(0))
 
 
 CAY_QUARTER_MAP = QuasiParabolicMap(
@@ -689,25 +659,38 @@ TWOVAR_MAP = QuasiParabolicMap(
 )
 
 
-@pytest.mark.parametrize("maps", ["per-axis", "nonseparable"])
-def test_direct_apply_batches_rank_one_vectors(maps, monkeypatch):
-    # each column k is the image of kron(f1[:, k], f2[:, k]); chunks of 97
-    # rows (the kernel bound over the larger axis, of 40 nodes) are not a
-    # multiple of the second-axis size
-    monkeypatch.setattr(qpspec.series, "BLOCK_BYTES", 97 * 40 * 16)
-    qmap = CAY_QUARTER_MAP if maps == "per-axis" else TWOVAR_MAP
-    bg = (BoundaryGrid.rational(36, 8.0), BoundaryGrid.rational(40, 8.0))
-    g1, g2 = bg
-    rng = np.random.default_rng(11)
-    s = rng.uniform(-2.0, 2.0, size=(2, 3))
-    f1 = 1.0 / (g1.nodes[:, None] - s[0] + 1.0j) ** 2
-    f2 = 1.0 / (g2.nodes[:, None] - s[1] + 1.5j) ** 2
-    dense = direct_composition(qmap, bg).entries
-    fast = direct_composition_apply(qmap, bg, f1, f2)
-    assert fast.shape == (g1.size * g2.size, 3)
-    for k in range(3):
-        ref = dense @ np.kron(f1[:, k], f2[:, k])
-        assert np.max(np.abs(fast[:, k] - ref)) < 1e-12
+@pytest.mark.parametrize("qmap", [_const_map(), CAY_QUARTER_MAP, TWOVAR_MAP],
+                         ids=["constant", "cay_quarter", "two-variable"])
+def test_closed_form_images_match_cauchy_quadrature(qmap):
+    # the brute-force path: at every point a of a small rational grid the
+    # image of kron(f, g) is the product of the Cauchy quadratures of f and
+    # g at phi_1(a) and phi_2(a), both sampled on a fine rational grid
+    # (about 2e-5 off here; 1e-2 when sampled on the small grid itself,
+    # whose outer nodes lie closer to phi than its spacing)
+    bg = (BoundaryGrid.rational(24, 2.0), BoundaryGrid.rational(28, 2.0))
+    fine = BoundaryGrid.rational(400, 8.0)
+    poles = hardy_test_family(0)
+    images = direct_composition_apply(qmap, bg, poles)
+    v1, v2 = _boundary_phi_values(qmap, bg)
+    ref = (_cauchy_row(fine, v1) @ _rational_vectors(fine.nodes, poles[0])) * (
+        _cauchy_row(fine, v2) @ _rational_vectors(fine.nodes, poles[1]))
+    assert images.shape == (24 * 28, HARDY_TEST_COUNT)
+    assert np.max(np.abs(images - ref)) / np.max(np.abs(ref)) < 2e-3
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_hardy_test_family_boundary_vectors_are_bit_identical(seed):
+    # the poles s - ic give the boundary vectors 1/(x - s + ic)^2 bit for
+    # bit, from the same draws in the same order, so F u does not change
+    rng = np.random.default_rng(seed)
+    poles = hardy_test_family(seed)
+    g = BoundaryGrid.uniform(60.0, 256)
+    for k in range(HARDY_TEST_COUNT):
+        c1, c2 = rng.uniform(0.5, 2.0, size=2)
+        s1, s2 = rng.uniform(-3.0, 3.0, size=2)
+        for j, (c, s) in enumerate(((c1, s1), (c2, s2))):
+            u = 1.0 / (g.nodes - s + 1j * c) ** 2
+            assert _rational_vectors(g.nodes, poles[j])[:, k].tobytes() == u.tobytes()
 
 
 def test_per_axis_boundary_values_are_one_column_and_one_row():
@@ -721,12 +704,13 @@ def test_per_axis_boundary_values_are_one_column_and_one_row():
 
 
 def _residual_per_vector(series_op, qmap, bg, seed=0):
-    """The cross-check one dense test vector at a time, through the dense
-    Cauchy matrix: the reference for the factored, batched computation."""
+    """The cross-check one dense test vector at a time, with its image in
+    closed form on the whole grid: the reference for the factored, batched
+    computation."""
     rng = np.random.default_rng(seed)
     (fg1, fg2), (bg1, bg2) = series_op.grid, bg
     F1, F2 = bochner_matrix(bg1, fg1), bochner_matrix(bg2, fg2)
-    C = direct_composition(qmap, bg).entries
+    v1, v2 = _boundary_phi_values(qmap, bg)
     S = series_op.entries
     wf = grid_weights(series_op.grid)
     worst = 0.0
@@ -734,8 +718,9 @@ def _residual_per_vector(series_op, qmap, bg, seed=0):
         c1, c2 = rng.uniform(0.5, 2.0, size=2)
         s1, s2 = rng.uniform(-3.0, 3.0, size=2)
         u = np.kron(1.0 / (bg1.nodes - s1 + 1j * c1) ** 2, 1.0 / (bg2.nodes - s2 + 1j * c2) ** 2)
+        cu = 1.0 / (v1 - s1 + 1j * c1) ** 2 / (v2 - s2 + 1j * c2) ** 2
         fu = (F1 @ u.reshape(bg1.size, bg2.size) @ F2.T).reshape(-1)
-        fcu = (F1 @ (C @ u).reshape(bg1.size, bg2.size) @ F2.T).reshape(-1)
+        fcu = (F1 @ cu.reshape(bg1.size, bg2.size) @ F2.T).reshape(-1)
         resid = S @ fu - fcu
         err = np.sqrt(np.sum(wf * np.abs(resid) ** 2)) / np.sqrt(np.sum(wf * np.abs(fu) ** 2))
         worst = max(worst, float(err))
@@ -753,7 +738,7 @@ def test_series_direct_residual_matches_per_vector_formula(qmap):
 
 
 def test_per_axis_cross_check_forms_no_image(monkeypatch):
-    # F(C u) = kron(F1 C1 f1, F2 C2 f2) for a per-axis map, so the
+    # F(C u) = kron(F1 f1(phi_1), F2 f2(phi_2)) for a per-axis map, so the
     # cross-check never asks for the images C u
     fg = (FrequencyGrid.uniform(8.0, 10),) * 2
     op = build_series(CAY_QUARTER_MAP, plan_for_map(CAY_QUARTER_MAP, tol=1e-6), fg)
@@ -767,9 +752,42 @@ def test_per_axis_cross_check_forms_no_image(monkeypatch):
     assert abs(series_direct_residual(op, CAY_QUARTER_MAP, bg) - ref) <= 1e-12 * ref
 
 
+def test_two_variable_residual_does_not_depend_on_its_blocks(monkeypatch):
+    # every image is evaluated point by point and F2 takes one product per
+    # x1-row, so blocks of 1 row, 3 rows or the whole 40 x 36 grid give the
+    # same residual, bit for bit
+    fg = (FrequencyGrid.uniform(8.0, 10),) * 2
+    op = build_series(TWOVAR_MAP, plan_for_map(TWOVAR_MAP, tol=1e-6), fg)
+    bg = (BoundaryGrid.uniform(12.0, 40), BoundaryGrid.uniform(12.0, 36))
+    resids = []
+    for rows in (1, 3, 40):
+        monkeypatch.setattr(qpspec.series, "BLOCK_BYTES", 32 * HARDY_TEST_COUNT * 36 * rows)
+        resids.append(series_direct_residual(op, TWOVAR_MAP, bg))
+    assert resids[0] == resids[1] == resids[2]
+
+
+def test_image_pass_visits_every_boundary_point_once(monkeypatch):
+    # blocks of 2 whole x1-rows of 34 points (the budget holds 80 points):
+    # the image requests tile the 30 x 34 grid in order
+    monkeypatch.setattr(qpspec.series, "BLOCK_BYTES", 32 * HARDY_TEST_COUNT * 80)
+    fg = (FrequencyGrid.uniform(8.0, 10),) * 2
+    op = build_series(TWOVAR_MAP, plan_for_map(TWOVAR_MAP, tol=1e-6), fg)
+    bg = (BoundaryGrid.uniform(12.0, 30), BoundaryGrid.uniform(12.0, 34))
+    seen = []
+    apply = qpspec.series.direct_composition_apply
+
+    def recorded(qmap, bgrids, poles, block):
+        seen.extend(range(30)[block])
+        return apply(qmap, bgrids, poles, block)
+
+    monkeypatch.setattr(qpspec.series, "direct_composition_apply", recorded)
+    assert np.isfinite(series_direct_residual(op, TWOVAR_MAP, bg))
+    assert seen == list(range(30))
+
+
 def test_cross_check_memory_stays_below_three_images():
-    # per-axis map at 768 boundary nodes: the kernels and each image are
-    # 768^2 complex values, and no more than one image is held at a time
+    # per-axis map at 768 boundary nodes: one image is 768^2 complex values,
+    # and the cross-check holds none
     fg = (FrequencyGrid.uniform(8.0, 8),) * 2
     op = build_series(CAY_QUARTER_MAP, plan_for_map(CAY_QUARTER_MAP, tol=1e-6), fg)
     bg = (BoundaryGrid.uniform(60.0, 768),) * 2
@@ -785,8 +803,9 @@ def test_cross_check_memory_stays_below_three_images():
 
 def test_per_axis_cross_check_holds_one_bounded_kernel():
     # cay_quarter at its shipped sizes (n = 32, 768 boundary nodes): each
-    # axis's kernel is built 85 rows (1 MiB) at a time; in blocks of 512
-    # rows (6.3 MB) the peak was 7.65 MiB
+    # axis's images are one 768 x 12 array (147 KB), and the peak is
+    # 1.61 MiB; with each axis's Cauchy kernel built 85 rows (1 MiB) at a
+    # time it was 2.64 MiB, and in blocks of 512 rows (6.3 MB) 7.65 MiB
     fg = (FrequencyGrid.uniform(10.0, 32),) * 2
     op = build_series(CAY_QUARTER_MAP, plan_for_map(CAY_QUARTER_MAP), fg)
     bg = (BoundaryGrid.uniform(60.0, 768),) * 2
@@ -817,58 +836,31 @@ def _two_variable_cross_check_peak(nodes):
 
 def test_two_variable_cross_check_memory():
     # the benchmark's two-variable map at 256 boundary nodes: the images are
-    # streamed one block of 256 points (one x1-row) at a time, so the peak
-    # is one 256 x 256 complex Cauchy kernel (1 MiB) and the 256 x 16 x 12
-    # frequency-side sum (0.8 MB); the twelve images alone are 12.6 MB.
-    # Blocks of 512 points, each with a 2 MB kernel, peaked at 3.57 MiB
+    # streamed 10 x1-rows (2560 points) at a time, each block's images and
+    # their temporary 0.49 MB each, beside the 256 x 16 x 12 frequency-side
+    # sum (0.8 MB); the twelve images alone are 12.6 MB. The peak is
+    # 2.82 MiB, against 2.92 MiB with one 256 x 256 Cauchy kernel (1 MiB)
+    # per x1-row; blocks of 512 points, each with a 2 MB kernel, peaked at
+    # 3.57 MiB
     peak = _two_variable_cross_check_peak(256)
     assert peak < 6e6
     assert peak < 3.57 * 2**20
 
 
 def test_two_variable_cross_check_memory_at_768_nodes():
-    # one 85 x 768 kernel (1 MiB) and a 768 x 16 x 12 sum (2.4 MB), where
-    # one 768^2 image is 9.4 MB and phi's values on the grid twice that.
-    # Blocks of 512 points, each with a 6.3 MB kernel, peaked at 9.45 MiB
+    # blocks of 3 x1-rows (2304 points, 0.44 MB of images and as much
+    # temporary) and a 768 x 16 x 12 sum (2.4 MB), where one 768^2 image is
+    # 9.4 MB and phi's values on the grid twice that. The peak is 3.85 MiB;
+    # with 85 x 768 Cauchy kernels (1 MiB) it was 4.51 MiB, and in blocks of
+    # 512 points, each with a 6.3 MB kernel, 9.45 MiB
     peak = _two_variable_cross_check_peak(768)
     assert peak < 14e6
     assert peak < 9.45 * 2**20
 
 
-@pytest.mark.parametrize("count", [1, HARDY_TEST_COUNT])
-@pytest.mark.parametrize("n1, n2, chunk", [(30, 34, 97), (12, 40, 16)])
-def test_two_variable_cross_check_builds_two_kernels_per_chunk(n1, n2, chunk, count,
-                                                                monkeypatch):
-    # one pass over the boundary grid: each chunk's two Cauchy kernels are
-    # built once for all test vectors.  The kernel bound is set to ``chunk``
-    # rows of the larger axis: blocks of two whole x1-rows of 34 (68 points)
-    # are one chunk each; a row of 40 is one block, in chunks of 16, 16, 8
-    monkeypatch.setattr(qpspec.series, "BLOCK_BYTES", chunk * max(n1, n2) * 16)
-    monkeypatch.setattr(qpspec.series, "HARDY_TEST_COUNT", count)
-    fg = (FrequencyGrid.uniform(8.0, 10),) * 2
-    op = build_series(TWOVAR_MAP, plan_for_map(TWOVAR_MAP, tol=1e-6), fg)
-    bg = (BoundaryGrid.uniform(12.0, n1), BoundaryGrid.uniform(12.0, n2))
-    built = []
-    kernel = qpspec.series._cauchy_kernel
-
-    def counted(g, v):
-        assert v.size <= chunk
-        built.append(v.size)
-        return kernel(g, v)
-
-    monkeypatch.setattr(qpspec.series, "_cauchy_kernel", counted)
-    assert np.isfinite(series_direct_residual(op, TWOVAR_MAP, bg))
-    if n2 <= chunk:
-        chunks = math.ceil(n1 / (chunk // n2))
-    else:
-        chunks = n1 * math.ceil(n2 / chunk)
-    assert len(built) == 2 * chunks
-    assert sum(built) == 2 * n1 * n2
-
-
 def test_two_variable_cross_check_rejects_lower_halfplane_image_first(monkeypatch):
     # Im phi_1 = 0.5 + Im(0.8 cay(z1) cay(z2)) dips below 0 on part of the
-    # grid only: the error comes before any kernel is built and names the
+    # grid only: the error comes before any image is formed and names the
     # lowest value over the whole grid, not over one of the 12 blocks that
     # the check takes
     monkeypatch.setattr(qpspec.series, "BLOCK_BYTES", 50 * 32)
@@ -882,9 +874,9 @@ def test_two_variable_cross_check_rejects_lower_halfplane_image_first(monkeypatc
     assert worst < 0.0
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("built a Cauchy kernel before the domain check")
+        raise AssertionError("formed an image before the domain check")
 
-    monkeypatch.setattr(qpspec.series, "_cauchy_kernel", forbidden)
+    monkeypatch.setattr(qpspec.series, "direct_composition_apply", forbidden)
     with pytest.raises(DomainError, match=f"Im = {worst:.3g};"):
         series_direct_residual(op, qmap, bg)
 
@@ -896,12 +888,10 @@ class _FirstBlock(Exception):
 def test_block_budget_default_sizes(monkeypatch):
     # every streamed block at its default size, each derived from the one
     # 1 MiB budget grids.BLOCK_BYTES
-    assert qpspec.series._kernel_rows(BoundaryGrid.uniform(60.0, 768)) == 85
-    assert qpspec.series._kernel_rows(*(BoundaryGrid.uniform(12.0, 256),) * 2) == 256
     ops = qpspec.operators
     assert ops._TOEPLITZ_BLOCK * 16 * ops._TOEPLITZ_NODES == BLOCK_BYTES == 1 << 20
 
-    # the two-variable cross-check: the Im > 0 pass, then the kernel blocks
+    # the two-variable cross-check: the Im > 0 pass, then the image blocks
     points = []
     blocks = qpspec.series._boundary_blocks
 
@@ -914,7 +904,7 @@ def test_block_budget_default_sizes(monkeypatch):
     op = build_series(_const_map(), plan_for_map(_const_map(), tol=1e-6), fg)
     bg = (BoundaryGrid.uniform(12.0, 16),) * 2
     series_direct_residual(op, TWOVAR_MAP, bg)
-    assert points == [1 << 15, 4096]
+    assert points == [1 << 15, 2730]
 
     # the first column block of the dense two-variable series
     widths = []
