@@ -394,9 +394,10 @@ def cmd_build(cfg: RunConfig, cross: bool, out: Path) -> int:
             "p2": cfg.p2,
             "dilation_applied": cfg.p1 != 1.0 or cfg.p2 != 1.0,
             "frequency_nodes": cfg.frequency_nodes,
-            # a capped truncation order shows here; exit 3 is kept for
-            # plan.remainder_tol
-            "tol_met": plan.remainder <= cfg.plan_tol,
+            "compression_tail": op.compression_tail,
+            # a capped truncation order or a recompression tail shows here;
+            # exit 3 is kept for plan.remainder_tol
+            "tol_met": plan.remainder + op.compression_tail <= cfg.plan_tol,
         }
     )
     if cross:

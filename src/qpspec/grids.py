@@ -32,7 +32,7 @@ SQRT2PI = np.sqrt(2.0 * np.pi)
 BOUNDARY_HEIGHT = 1e-8
 
 # largest block of streamed tensor-product work (phase blocks, cross-check
-# images, column blocks, block inverses, distances): a freed block of this
+# images, block inverses, distances): a freed block of this
 # size sets glibc's mmap and trim thresholds, and cli.CSV_CHUNK keeps a
 # chunk's temporaries below them (README, "Sizes measured")
 BLOCK_BYTES = 1 << 20
@@ -158,12 +158,6 @@ def grid_weights(grid: GridLike) -> np.ndarray:
             w = np.kron(w, grid_weights(g))
         return w
     return np.asarray(grid.weights, dtype=float)
-
-
-def tensor_nodes(grids: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Node pairs (t1, t2) of a two-axis grid, flattened row-major."""
-    g1, g2 = grids
-    return np.repeat(g1.nodes, g2.size), np.tile(g2.nodes, g1.size)
 
 
 def bochner_matrix(bgrid: BoundaryGrid, fgrid: FrequencyGrid) -> np.ndarray:

@@ -3,17 +3,18 @@
 Half-plane Toeplitz operators, diagonal Fourier multipliers, dilations,
 and the weight-adjusted operator norm.  The one-axis builders return plain
 n x n matrices; an ``OperatorMatrix`` is a whole operator on one grid,
-stored as its matrix or, per-axis on a two-axis grid, as its two Kronecker
-factors.  Toeplitz operators live in the frequency representation, where
-they are Wiener-Hopf matrices ``hhat(t_j - t_k) * weight_k + c * delta_jk``
-for the symbol split ``phi = c + h`` with ``c`` the value at infinity;
-two-variable symbols are handled through their separable sum-of-products
-decomposition as Kronecker sums.
+stored as its matrix or, on a two-axis grid, as a short sum of Kronecker
+pairs sum_k kron(A_k, B_k), one pair for a per-axis operator.  Toeplitz
+operators live in the frequency representation, where they are
+Wiener-Hopf matrices ``hhat(t_j - t_k) * weight_k + c * delta_jk`` for the
+symbol split ``phi = c + h`` with ``c`` the value at infinity; two-variable
+symbols are handled through their separable sum-of-products decomposition
+as Kronecker sums.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -43,57 +44,66 @@ MIN_DILATION_NODES = 4
 
 
 class OperatorMatrix:
-    """Operator on a discretized Hardy space, in one of two stored forms.
-
-    A dense operator keeps its matrix.  A per-axis operator on a two-axis
-    tensor grid keeps only its Kronecker factors ``factors = (F1, F2)``,
-    F_k acting on axis k (pass ``entries=None``), and stands for the matrix
-    kron(F1, F2).  ``row_blocks()`` reads the matrix of either form a block
-    of rows at a time; a factored operator's full matrix is formed only
-    when ``entries`` is read.  ``shape`` comes from the grid.
+    """Operator on a discretized Hardy space: its matrix, or on a two-axis
+    grid the Kronecker pairs ``terms = ((A1, B1), ...)`` (pass
+    ``entries=None``), standing for sum_k kron(A_k, B_k), one pair for a
+    per-axis operator.  ``row_blocks()`` reads either form a block of rows
+    at a time.  ``compression_tail`` bounds the weighted 2-norm distance to
+    the operator the terms approximate (0.0 when nothing was cut).
+    ``shape`` comes from the grid.
     """
 
-    def __init__(self, entries, grid: GridLike, factors: Optional[tuple] = None):
+    def __init__(self, entries, grid: GridLike, terms: Optional[Sequence] = None,
+                 compression_tail: float = 0.0):
         self.grid = grid
         self.shape = (grid_size(grid),) * 2
-        if (entries is None) == (factors is None):
-            raise GridError("an operator is given by its entries or by its factors")
-        if factors is None:
+        self.compression_tail = compression_tail
+        if (entries is None) == (terms is None):
+            raise GridError("an operator is given by its entries or by its Kronecker terms")
+        if terms is None:
             self._matrix = _checked(np.asarray(entries, dtype=complex), self.shape)
-            self.factors = None
+            self.terms = None
             return
-        if len(factors) != 2 or not (isinstance(grid, tuple) and len(grid) == 2):
-            raise GridError("Kronecker factors need a two-axis grid")
+        if not (isinstance(grid, tuple) and len(grid) == 2 and terms
+                and all(len(pair) == 2 for pair in terms)):
+            raise GridError("Kronecker terms are one or more pairs (A, B) on a two-axis grid")
         self._matrix = None
-        self.factors = tuple(
-            _checked(np.asarray(F), (g.size,) * 2) for F, g in zip(factors, grid)
-        )
+        self.terms = tuple(tuple(_checked(np.asarray(F), (g.size,) * 2) for F, g in zip(pair, grid))
+                           for pair in terms)
 
     @property
     def entries(self) -> np.ndarray:
-        """The full matrix.  A factored operator forms kron(F1, F2) anew on
-        every read: a conversion for tests.  Norm and eigenvalues read
-        ``weighted_factors`` instead."""
-        if self.factors is None:
+        """The full matrix, formed anew from the row blocks of Kronecker
+        terms on every read (one pair's norm and eigenvalues never read it)."""
+        if self.terms is None:
             return self._matrix
-        return np.asarray(np.kron(*self.factors), dtype=complex)
+        out = np.empty(self.shape, dtype=complex)
+        height = self.grid[1].size
+        for i, block in enumerate(self.row_blocks()):
+            out[i * height:(i + 1) * height] = block
+        return out
 
     def row_blocks(self):
-        """Yield the rows of the matrix in consecutive blocks.
-
-        A factored operator yields kron(F1[i], F2) for each row i of F1,
-        which equals that block of kron(F1, F2) exactly.  A dense operator
-        yields row slices of the same height, the grid's second-axis size
-        (the whole matrix on a one-axis grid).
-        """
-        if self.factors is not None:
-            F1, F2 = self.factors
+        """Yield the rows of the matrix in consecutive blocks: the whole
+        matrix if given, else for each row i of the first axis the n2 rows
+        sum_k kron(A_k[i], B_k), for one pair np.kron itself (exactly that
+        block of kron(A, B)), for several one GEMM over the pairs."""
+        if self.terms is None:
+            yield self._matrix
+            return
+        if len(self.terms) == 1:
+            # a one-term GEMM rounds some products unlike np.kron, which
+            # would move the bytes of every per-axis operator.csv
+            F1, F2 = self.terms[0]
             for i in range(F1.shape[0]):
                 yield np.asarray(np.kron(F1[i:i + 1], F2), dtype=complex)
             return
-        height = grid_size(self.grid[1]) if isinstance(self.grid, tuple) else self.shape[0]
-        for lo in range(0, self.shape[0], height):
-            yield self._matrix[lo:lo + height]
+        A = np.stack([A for A, _ in self.terms])
+        B = np.stack([B for _, B in self.terms]).reshape(len(self.terms), -1)
+        n1, n2 = (g.size for g in self.grid)
+        for i in range(n1):
+            # entry (j1, j2, l2) of the product is sum_k A_k[i, j1] B_k[j2, l2]
+            yield (A[:, i].T @ B).reshape(n1, n2, n2).transpose(1, 0, 2).reshape(n2, n1 * n2)
 
 
 def _checked(M: np.ndarray, shape: tuple) -> np.ndarray:
@@ -120,13 +130,13 @@ def weigh(M: np.ndarray, grid: GridLike) -> np.ndarray:
 def weighted_factors(A: OperatorMatrix) -> tuple:
     """Per-axis weighted factors (W1, W2) with kron(W1, W2) the weighted
     similarity (``weigh``) of A's matrix: the grid weights are tensor
-    products, so a factored operator's factors are weighed one axis at a
-    time.  An unfactored operator is the pair ([[1]], weigh(M)), so that a
+    products, so the factors of a one-pair operator are weighed one axis at
+    a time.  Any other operator is the pair ([[1]], weigh(M)), so that a
     Kronecker solve with it takes blocks of rows of M
     (``spectra._kron_solve``), not one row at a time."""
-    if A.factors is None:
+    if A.terms is None or len(A.terms) > 1:
         return np.ones((1, 1), dtype=complex), weigh(A.entries, A.grid)
-    return tuple(weigh(F, g) for F, g in zip(A.factors, A.grid))
+    return tuple(weigh(F, g) for F, g in zip(A.terms[0], A.grid))
 
 
 def op_norm(A: OperatorMatrix) -> float:
@@ -243,31 +253,6 @@ def separable_terms(expr, fgrids: tuple):
     return tuple(out) if isinstance(expr, tuple) else out[0]
 
 
-def kron_apply(terms: list, X: np.ndarray) -> np.ndarray:
-    """sum c (A (x) B) x over Kronecker terms (c, A, B), None standing for
-    an identity factor, without forming any A (x) B.
-
-    X is a stack of m arrays Y of shape n1 x n2, each a vector x of the
-    tensor grid in the row-major order of ``np.kron``; a term sends Y to
-    c A Y B^T, one matrix product per array and non-identity factor, so an
-    array's image does not depend on the arrays stacked with it.
-    """
-    out = None
-    for c, A, B in terms:
-        if A is None and B is None:
-            Y = c * X
-        else:
-            Y = X if A is None else A @ X
-            if B is not None:
-                Y = Y @ B.T
-            Y *= c
-        if out is None:
-            out = Y
-        else:
-            out += Y
-    return out
-
-
 def toeplitz_separable(expr: SepExpr, fgrids: tuple) -> OperatorMatrix:
     """The dense matrix sum c A (x) B of the terms of ``separable_terms``."""
     g1, g2 = fgrids
@@ -284,7 +269,7 @@ def toeplitz_separable(expr: SepExpr, fgrids: tuple) -> OperatorMatrix:
 
 def fourier_multiplier(fn: Callable, grid: FrequencyGrid) -> np.ndarray:
     """Diagonal multiplier matrix diag(theta(t_k)) on a one-axis frequency
-    grid; a two-axis multiplier is the factored ``OperatorMatrix`` of two
+    grid; a two-axis multiplier is the one-pair ``OperatorMatrix`` of two
     of these."""
     diag = np.asarray(fn(grid.nodes), dtype=complex)
     if not np.all(np.isfinite(diag)):

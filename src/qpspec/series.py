@@ -9,7 +9,10 @@ part:
   ``C_phi = V_{p1,p2} * sum_{n,m} T_{tau1^n} T_{tau2^m} D_{th1,n} D_{th2,m}``
   with tau_j = i*alpha - rescaled psi_j and multipliers
   ``th_{j,n}(t) = (-i t_j)^n exp(-alpha t_j) / n!``, with a certified
-  geometric remainder; and
+  geometric remainder, stored as a short sum of Kronecker pairs
+  sum_k kron(A_k, B_k): one pair for a per-axis map, and for any other map
+  about 50 pairs kept by recompression, with a certified bound of what the
+  recompressions cut; and
 * the composition itself, u -> u o phi, on rational Hardy test vectors whose
   images are known in closed form, used for cross-validation.
 
@@ -20,8 +23,6 @@ closure of the symbol image (golden-section over log alpha).
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -33,15 +34,14 @@ from .grids import (
     DomainError,
     bochner_matrix,
     grid_weights,
-    tensor_nodes,
 )
 from .operators import (
     OperatorMatrix,
     dilation,
     fourier_multiplier,
-    kron_apply,
     separable_terms,
     toeplitz_halfplane,
+    weigh,
 )
 from .symbols import AnalyticSymbol, PointCloud, SepExpr, closure_image
 
@@ -61,6 +61,10 @@ TRUNCATION_CAP = 60
 
 # rational Hardy test vectors behind the series-vs-composition cross-check
 HARDY_TEST_COUNT = 12
+
+# a two-variable series keeps the Kronecker pairs whose singular values are
+# above this fraction of the largest (``_recompress``)
+KRON_CUT = 1e-14
 
 
 class SeriesError(ValueError):
@@ -281,16 +285,14 @@ def _tau_expr(psi: AnalyticSymbol, alpha: float, p1: float, p2: float) -> SepExp
 
 
 def build_series(qmap: QuasiParabolicMap, plan: SeriesPlan, fgrids: tuple) -> OperatorMatrix:
-    """Truncated operator series for C_phi in the frequency representation.
+    """Truncated operator series for C_phi in the frequency representation,
+    as Kronecker pairs sum_k kron(A_k, B_k).
 
-    Both sums come from ``_power_sum``.  For a per-axis map
-    (``qmap.per_axis``) the double series is the tensor product of two
-    one-variable series, one per axis, and the result stores only the two
-    factors; two axes on one grid take their Toeplitz matrices from one
-    quadrature pass (``toeplitz_halfplane``).  Otherwise it is summed on
-    the tensor grid by ``_dense_series``.  Every sum is growth-checked, and
-    the dilation's factors (V1, V2), formed once, are applied last to
-    either branch.
+    For a per-axis map (``qmap.per_axis``) it is the one pair of two
+    one-variable series (``_power_sum``), whose Toeplitz matrices come from
+    one quadrature pass when both axes are one grid; otherwise it is summed
+    on recompressed pair lists (``_kron_series``).  Every sum is
+    growth-checked, and the dilation's factors (V1, V2) multiply last.
     """
     if plan.delta >= 1.0:
         raise SeriesError("refusing to sum a series with delta >= 1")
@@ -301,123 +303,113 @@ def build_series(qmap: QuasiParabolicMap, plan: SeriesPlan, fgrids: tuple) -> Op
     if qmap.p1 != 1.0 or qmap.p2 != 1.0:
         V = dilation(qmap.p1, qmap.p2, fgrids)
     if not qmap.per_axis:
-        return OperatorMatrix(_dense_series(plan, fgrids, tau1, tau2, V), fgrids)
+        return _kron_series(plan, fgrids, tau1, tau2, V)
     f1, f2 = tau1.as_one_variable(), tau2.as_one_variable()
     if g1 is g2:
         T1, T2 = toeplitz_halfplane((f1, f2), g1)
     else:
         T1, T2 = toeplitz_halfplane(f1, g1), toeplitz_halfplane(f2, g2)
-    S1, sq1 = _power_sum(lambda P: P @ T1, g1.nodes, plan.n1, plan.alpha,
-                         np.eye(g1.size, dtype=complex))
-    S2, sq2 = _power_sum(lambda P: P @ T2, g2.nodes, plan.n2, plan.alpha,
-                         np.eye(g2.size, dtype=complex))
-    _growth_check(np.sqrt(sq1.sum(axis=1)))
-    _growth_check(np.sqrt(sq2.sum(axis=1)))
+    S1, norms1 = _power_sum(T1, g1.nodes, plan.n1, plan.alpha)
+    S2, norms2 = _power_sum(T2, g2.nodes, plan.n2, plan.alpha)
+    _growth_check(norms1)
+    _growth_check(norms2)
     if V is not None:
         S1, S2 = V[0] @ S1, V[1] @ S2
-    return OperatorMatrix(None, fgrids, (S1, S2))
+    return OperatorMatrix(None, fgrids, [(S1, S2)])
 
 
-def _dense_series(plan: SeriesPlan, fgrids: tuple, tau1: SepExpr, tau2: SepExpr,
-                  V: Optional[tuple]) -> np.ndarray:
-    """The double series of a map that is not per-axis, summed on the
-    tensor grid through the factorization
-    sum_{n,m} T1^n T2^m D1n D2m = sum_n T1^n (sum_m T2^m D2m) D1n: the
-    inner sum from the identity, then the outer sum from the inner one.
-
-    T1 and T2 are kept as their Kronecker terms (``separable_terms``, one
-    quadrature pass for both) and applied from the left (``kron_apply``),
-    so an order costs a few products with n x n factors and no n^2 x n^2
-    matrix product.  Column k of the sum depends only on column k of the
-    identity and on the multipliers at the k-th node, so the sums run on
-    one block of columns at a time, held as a stack of n1 x n2 arrays, one
-    per column, whose running sum and power hold BLOCK_BYTES (32 columns at
-    n = 32), each block dilated by the factors V (None for no dilation)
-    before it is stored.  ``kron_apply`` takes one product per array, so a
-    column's value does not depend on the block it is summed in.  When the
-    matrix spans more than one block and the process may run on two CPUs,
-    a helper thread sums blocks beside the caller, each thread taking the
-    next block in order when it is done with one, and the budget is split
-    between the two threads (16 columns each at n = 32).  The helper calls
-    only ``_power_sum``, ``kron_apply`` and ``vartheta_symbol``.  The
-    growth checks see each order's norm over all columns, summed from one
-    value per column.
-    """
+def _kron_series(plan: SeriesPlan, fgrids: tuple, tau1: SepExpr, tau2: SepExpr,
+                 V: Optional[tuple]) -> OperatorMatrix:
+    """The series of a map that is not per-axis as sum_n T1^n (sum_m T2^m
+    D2m) D1n on pair lists (X, Y) of stacked factors, standing for
+    sum_k kron(X[k], Y[k]): the inner sum from the identity pair, the outer
+    one from it.  T1 and T2 stay the Kronecker terms of their symbols
+    (``separable_terms``), and the dilation (None for none) multiplies each
+    pair last.  The tail bounds the weighted 2-norm distance from the exact
+    truncated sum (README, "The recompression tail")."""
     g1, g2 = fgrids
-    terms1, terms2 = separable_terms((tau1, tau2), fgrids)
-    t1, t2 = tensor_nodes(fgrids)
-    size = t1.size
-    S = np.empty((size, size), dtype=complex)
-    sq1 = np.empty((plan.n1 + 1, size))
-    sq2 = np.empty((plan.n2 + 1, size))
-    width = max(1, BLOCK_BYTES // 32 // size)
-    threads = 2 if width < size and _usable_cpus() > 1 else 1
-    width = max(1, width // threads)
-    pending = (slice(lo, min(lo + width, size)) for lo in range(0, size, width))
-    lock, errors = threading.Lock(), []
-
-    def sum_blocks() -> None:
-        try:
-            while not errors:
-                with lock:
-                    cols = next(pending, None)
-                if cols is None:
-                    return
-                m = cols.stop - cols.start
-                inner, sq2[:, cols] = _power_sum(
-                    lambda Q: kron_apply(terms2, Q), t2[cols, None, None], plan.n2, plan.alpha,
-                    np.eye(m, size, cols.start, dtype=complex).reshape(m, g1.size, g2.size))
-                block, sq1[:, cols] = _power_sum(
-                    lambda Q: kron_apply(terms1, Q), t1[cols, None, None], plan.n1, plan.alpha,
-                    inner)
-                del inner
-                if V is not None:
-                    block = kron_apply([(1.0, *V)], block)
-                S[:, cols] = block.reshape(m, size).T
-        except BaseException as exc:
-            errors.append(exc)
-
-    helper = None
-    if threads == 2:
-        helper = threading.Thread(target=sum_blocks, name="qpspec-series")
-        helper.start()
-    sum_blocks()
-    if helper is not None:
-        helper.join()
-    if errors:
-        raise errors[0]
-    _growth_check(np.sqrt(sq1.sum(axis=1)))
-    _growth_check(np.sqrt(sq2.sum(axis=1)))
-    return S
+    T1, T2 = separable_terms((tau1, tau2), fgrids)
+    identity = tuple(np.eye(g.size, dtype=complex)[None] for g in fgrids)
+    inner, tail, norms2 = _kron_power_sum(T2, identity, 0.0, 1, g2.nodes, plan.n2,
+                                          plan.alpha, fgrids)
+    pairs, tail, norms1 = _kron_power_sum(T1, inner, tail, 0, g1.nodes, plan.n1,
+                                          plan.alpha, fgrids)
+    _growth_check(norms1)
+    _growth_check(norms2)
+    if V is not None:
+        pairs = tuple(Vk @ F for Vk, F in zip(V, pairs))
+        tail *= math.prod(np.linalg.norm(weigh(Vk, g), 2) for Vk, g in zip(V, fgrids))
+    return OperatorMatrix(None, fgrids, list(zip(*pairs)), compression_tail=float(tail))
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _power_sum(
-    step: Callable, t: np.ndarray, n_max: int, alpha: float, start: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """sum_{n <= n_max} Q_n vartheta_n(t) with Q_0 = ``start`` and
-    Q_{n+1} = step(Q_n), ``t`` shaped to broadcast against Q_n, and the
-    squared Frobenius norm of each term along its first axis (row n for
-    order n): one value per row of a matrix or per array of a stack, each
-    a product of that slice with itself alone."""
-    S = np.zeros_like(start)
-    Q = start
-    sq = np.empty((n_max + 1, start.shape[0]))
+def _kron_power_sum(terms: list, start: tuple, error: float, axis: int, t: np.ndarray,
+                    n_max: int, alpha: float, fgrids: tuple) -> tuple[tuple, float, list]:
+    """sum_{n <= n_max} T^n P D_n, T = sum c kron(A, B) over ``terms``, P
+    the pair list ``start`` within weighted 2-norm ``error`` of the exact
+    one, D_n = vartheta_n at the nodes ``t``, scaling the columns of the
+    factors of axis ``axis``; each power and partial sum is recompressed.
+    The tail grows by sup|vartheta_n| e + cut per partial sum, where a
+    power's error e grows as |T| e + cut, |T| <= sum |c| |A|_2 |B|_2
+    weighted.  The Frobenius norm of each term comes from Gram matrices."""
+    bound = sum(abs(c) * math.prod(1.0 if F is None else np.linalg.norm(weigh(F, g), 2)
+                                   for F, g in zip((A, B), fgrids))
+                for c, A, B in terms)
+    P, S, tail, norms = start, None, 0.0, []
     for n in range(n_max + 1):
-        incr = Q * vartheta_symbol(n, alpha)(t)
-        S += incr
-        v = incr.view(float).reshape(incr.shape[0], 1, -1)
-        sq[n] = np.matmul(v, v.transpose(0, 2, 1)).reshape(-1)
-        del incr, v
+        theta = vartheta_symbol(n, alpha)(t)
+        incr = tuple(F * theta if k == axis else F for k, F in enumerate(P))
+        grams = [np.conj(G) @ G.T for G in (F.reshape(len(F), -1) for F in incr)]
+        norms.append(math.sqrt(max(float(np.sum(grams[0] * grams[1]).real), 0.0)))
+        tail += float(np.max(np.abs(theta))) * error
+        if S is None:
+            S = incr
+        else:
+            S, cut = _recompress(tuple(np.concatenate(F) for F in zip(S, incr)), fgrids)
+            tail += cut
         if n < n_max:
-            Q = step(Q)
-    return S, sq
+            P, cut = _recompress(_kron_times(terms, P), fgrids)
+            error = bound * error + cut
+    return S, tail, norms
+
+
+def _kron_times(terms: list, pairs: tuple) -> tuple:
+    """T P as a pair list: (c A X, B Y) for each term (c, A, B) of T, None
+    standing for an identity factor, and each pair (X, Y) of P."""
+    X, Y = pairs
+    return (np.concatenate([c * (X if A is None else A @ X) for c, A, _ in terms]),
+            np.concatenate([Y if B is None else B @ Y for _, _, B in terms]))
+
+
+def _recompress(pairs: tuple, fgrids: tuple) -> tuple[tuple, float]:
+    """The pairs of the singular values above KRON_CUT of the largest, and
+    the sum of those cut, which bounds the weighted 2-norm of the cut.  On
+    the weighted factors (``weigh``, per axis), sum_k kron(A_k, B_k)
+    rearranges to sum_k vec(A_k) vec(B_k)^T (Van Loan and Pitsianis): one
+    QR of each stacked factor matrix, then the SVD of Ra Rb^T."""
+    r = len(pairs[0])
+    (Qa, Ra), (Qb, Rb) = (np.linalg.qr(weigh(F, g).reshape(r, -1).T)
+                          for F, g in zip(pairs, fgrids))
+    U, s, Vh = np.linalg.svd(Ra @ Rb.T)
+    k = max(1, int(np.count_nonzero(s > KRON_CUT * s[0])))
+    roots = (np.sqrt(g.weights) for g in fgrids)
+    # the kept weighted factors, unweighed: M = weigh(M) w_j / w_i
+    return tuple((Q @ C).T.reshape(k, w.size, w.size) * (w[None, :] / w[:, None])
+                 for Q, C, w in zip((Qa, Qb), (U[:, :k] * s[:k], Vh[:k].T), roots)
+                 ), float(np.sum(s[k:]))
+
+
+def _power_sum(T: np.ndarray, t: np.ndarray, n_max: int, alpha: float) -> tuple:
+    """sum_{n <= n_max} T^n diag(vartheta_n(t)), the powers multiplied on
+    the right, and the Frobenius norm of each term."""
+    S = np.zeros_like(T)
+    P, norms = np.eye(T.shape[0], dtype=complex), []
+    for n in range(n_max + 1):
+        incr = P * vartheta_symbol(n, alpha)(t)
+        S += incr
+        norms.append(float(np.linalg.norm(incr)))
+        if n < n_max:
+            P = P @ T
+    return S, norms
 
 
 def _growth_check(norms: Sequence[float]) -> None:
@@ -433,11 +425,11 @@ def _growth_check(norms: Sequence[float]) -> None:
 
 def exact_constant_multiplier(a1: complex, a2: complex, fgrids: tuple) -> OperatorMatrix:
     """Closed-form collapse of the series for constant symbols, kept as its
-    two factors: kron(diag(exp(i a1 t1)), diag(exp(i a2 t2)))."""
+    one pair: kron(diag(exp(i a1 t1)), diag(exp(i a2 t2)))."""
     g1, g2 = fgrids
     D1 = fourier_multiplier(lambda t: np.exp(1j * a1 * t), g1)
     D2 = fourier_multiplier(lambda t: np.exp(1j * a2 * t), g2)
-    return OperatorMatrix(None, fgrids, (D1, D2))
+    return OperatorMatrix(None, fgrids, [(D1, D2)])
 
 
 # ---------------------------------------------------------------------------
@@ -553,9 +545,9 @@ def series_direct_residual(
     (``direct_composition_apply``), so the residual measures the series and
     the boundary quadrature of F, not an approximation of C.
 
-    Each u = kron(f1, f2) is rank one, so F u = kron(F1 f1, F2 f2), and a
-    factored series operator kron(S1, S2) sends it to kron(S1 F1 f1,
-    S2 F2 f2).  For a per-axis map C u is rank one too,
+    Each u = kron(f1, f2) is rank one, so F u = kron(F1 f1, F2 f2), and the
+    series operator sum_k kron(A_k, B_k) sends it to
+    sum_k kron(A_k F1 f1, B_k F2 f2).  For a per-axis map C u is rank one too,
     kron(f1(phi_1), f2(phi_2)), so F(C u) = kron(F1 f1(phi_1), F2 f2(phi_2))
     needs no image.  Otherwise the images are streamed: after the whole
     grid has been checked, one pass over blocks of at most
@@ -591,12 +583,8 @@ def series_direct_residual(
             half[rows] = F2 @ images.reshape(-1, bg2.size, count)
             del images  # before the next block's images are formed
         fcu = (F1 @ half.reshape(bg1.size, -1)).reshape(fu.shape)
-    if series_op.factors is None:
-        resid = series_op.entries @ fu - fcu
-    else:
-        # kron(S1, S2) kron(g1, g2) = kron(S1 g1, S2 g2)
-        S1, S2 = series_op.factors
-        resid = _column_kron(S1 @ G1, S2 @ G2) - fcu
+    # kron(A, B) kron(g1, g2) = kron(A g1, B g2), summed over the pairs
+    resid = sum((_column_kron(A @ G1, B @ G2) for A, B in series_op.terms), -fcu)
     wf = grid_weights(series_op.grid)[:, None]
     err = np.sqrt(np.sum(wf * np.abs(resid) ** 2, axis=0)) / np.sqrt(
         np.sum(wf * np.abs(fu) ** 2, axis=0))

@@ -249,7 +249,7 @@ def test_criterion_8_tensor_identities():
 
     def kron(A, B):
         # the factored operator A (x) B
-        return OperatorMatrix(None, grids, (A, B))
+        return OperatorMatrix(None, grids, [(A, B)])
 
     norm_err = 0.0
     mixed_err = 0.0

@@ -277,6 +277,7 @@ def test_build_outputs_and_certificate(tmp_path):
     assert cert["remainder_bound"] > 0.0
     assert cert["series_direct_residual"] < 0.05
     assert cert["constant_closed_form_residual"] < 1e-10
+    assert cert["compression_tail"] == 0.0
     assert cert["tol_met"] is True
     header = (out / "operator.csv").read_text().splitlines()[0]
     assert header.startswith("# config ")
@@ -340,12 +341,12 @@ def _small_catalog_config(tmp_path, name):
      ("dilation_case", "build", 0), ("dilation_case", "verify", 1)],
 )
 def test_build_and_verify_never_form_factored_entries(tmp_path, monkeypatch, name, command, code):
-    # every reader of a per-axis operator goes through row_blocks() or the
-    # factors; the n^2 x n^2 entries are a conversion for tests only
+    # every reader of a per-axis operator goes through row_blocks() or its
+    # Kronecker pair; the n^2 x n^2 entries are a conversion for tests only
     dense = OperatorMatrix.entries.fget
 
     def entries(op):
-        if op.factors is not None:
+        if op.terms is not None:
             raise AssertionError("formed the entries of a factored operator")
         return dense(op)
 
@@ -399,6 +400,25 @@ def test_truncation_cap_reports_tol_not_met(tmp_path):
     assert cert["n1"] == cert["n2"] == 60
     assert cert["remainder_bound"] > 1e-8
     assert cert["tol_met"] is False
+
+
+TWOVAR_SYMBOLS = {
+    "psi1": {"expr": "i + 0.1*cay(z1)*cay(z2)", "im_lower_bound": 0.85, "sup_bound": 1.15},
+    "psi2": {"expr": "2*i - 0.2*cay(z1)*cay(z2)", "im_lower_bound": 1.75, "sup_bound": 2.25},
+}
+
+
+@pytest.mark.parametrize("tol, met", [(1e-8, True), (1e-14, False)])
+def test_two_variable_certificate_counts_the_compression_tail(tmp_path, tol, met):
+    # a two-variable series is stored as recompressed Kronecker pairs, within
+    # compression_tail (about 1e-13 here) of the truncated sum: at orders
+    # 60 the remainder is far below either tol, so the tail decides tol_met
+    cfg = _config(tmp_path, symbols=TWOVAR_SYMBOLS, plan={"tol": tol, "n1": 60, "n2": 60})
+    out = tmp_path / "out"
+    assert main(["build", "--config", str(cfg), "--out", str(out), "--no-crosscheck"]) == 0
+    cert = json.loads((out / "plan_certificate.json").read_text())
+    assert cert["remainder_bound"] < 1e-14 < cert["compression_tail"] < 1e-8
+    assert cert["tol_met"] is met
 
 
 def test_uncertifiable_plan_exits_3_for_every_subcommand(tmp_path, capsys):

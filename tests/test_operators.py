@@ -11,7 +11,6 @@ from qpspec.operators import (
     dilation,
     dilation_1d,
     fourier_multiplier,
-    kron_apply,
     op_norm,
     separable_terms,
     toeplitz_halfplane,
@@ -147,36 +146,6 @@ def test_toeplitz_separable_expression():
     assert np.max(np.abs(T.entries - expect)) < 1e-10
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "i + 0.1*cay(z1)*cay(z2)",
-        "2*i - 0.2*cay(z1)*cay(z2)",
-        "i + 0.25*cay(z1) + 0*cay(z2)",
-        "2*i - 0.5",
-        "0.5*cay(z2)",
-    ],
-    ids=["twovar_psi1", "twovar_psi2", "zero_z2_term", "constant_only", "f2_only"],
-)
-def test_kron_apply_matches_dense_separable_toeplitz(text):
-    # unequal axis sizes and a column count that is neither, so a swapped
-    # axis or a transposed factor cannot pass
-    fg = (FrequencyGrid.uniform(8.0, 7), FrequencyGrid.uniform(8.0, 9))
-    expr = parse_symbol_expression(text)
-    terms = separable_terms(expr, fg)
-    # the constants are folded into one leading (c, None, None) term
-    scalars = [i for i, (c, A, B) in enumerate(terms) if A is None and B is None]
-    assert scalars in ([], [0])
-    X = np.random.default_rng(3).standard_normal((63, 5 * 2)).view(complex)
-    ref = toeplitz_separable(expr, fg).entries @ X
-    stack = X.T.reshape(5, 7, 9)
-    out = kron_apply(terms, stack)
-    diff = out.reshape(5, 63).T - ref
-    assert np.max(np.abs(diff)) <= 1e-13 * np.max(np.abs(ref))
-    # each array's image does not depend on the arrays stacked with it
-    assert np.array_equal(kron_apply(terms, stack[:3]), out[:3])
-
-
 # ---------------------------------------------------------------------------
 # multipliers, dilations
 
@@ -250,28 +219,35 @@ def test_operator_matrix_rejects_non_square_entries():
         with pytest.raises(GridError):
             OperatorMatrix(np.zeros((3, 4), dtype=complex), grid)
     with pytest.raises(GridError):
-        OperatorMatrix(None, (g1, g2), (np.eye(3), np.eye(4)[:3]))
+        OperatorMatrix(None, (g1, g2), [(np.eye(3), np.eye(4)[:3])])
 
 
 def test_kron_of_diagonals_row_major():
     A = fourier_multiplier(lambda t: np.exp(-t), FG)
     B = fourier_multiplier(lambda t: np.exp(-2 * t), FG)
-    K = OperatorMatrix(None, (FG, FG), (A, B))
+    K = OperatorMatrix(None, (FG, FG), [(A, B)])
     t1 = np.repeat(FG.nodes, FG.size)
     t2 = np.tile(FG.nodes, FG.size)
     assert np.max(np.abs(np.diag(K.entries) - np.exp(-t1 - 2 * t2))) < 1e-14
 
 
 def test_row_blocks_have_the_second_axis_height_in_both_forms():
+    # one Kronecker pair and a sum of three: each block holds the n2 rows of
+    # one first-axis row; a matrix given whole is one block
     rng = np.random.default_rng(5)
     g1, g2 = FrequencyGrid.uniform(4.0, 5), FrequencyGrid.uniform(4.0, 6)
-    A = OperatorMatrix(None, (g1, g2), (_random_matrix(rng, 5), _random_matrix(rng, 6)))
-    dense = OperatorMatrix(_random_matrix(rng, 30), (g1, g2))
-    assert np.array_equal(A.entries, np.kron(*A.factors))
-    for op in (A, dense):
+    pairs = [(_random_matrix(rng, 5), _random_matrix(rng, 6)) for _ in range(3)]
+    one = OperatorMatrix(None, (g1, g2), pairs[:1])
+    three = OperatorMatrix(None, (g1, g2), pairs)
+    assert np.array_equal(one.entries, np.kron(*pairs[0]))
+    ref = sum(np.kron(A, B) for A, B in pairs)
+    assert np.max(np.abs(three.entries - ref)) <= 1e-13 * np.max(np.abs(ref))
+    for op in (one, three):
         blocks = list(op.row_blocks())
         assert [b.shape for b in blocks] == [(g2.size, op.shape[1])] * g1.size
         assert np.array_equal(np.concatenate(blocks), op.entries)
+    dense = OperatorMatrix(ref, (g1, g2))
+    assert [b.tobytes() for b in dense.row_blocks()] == [dense.entries.tobytes()]
 
 
 def test_op_norm_examples():
@@ -296,7 +272,7 @@ def test_kron_norm_multiplicative():
     g = FrequencyGrid.uniform(5.0, 12)
     A = _random_matrix(rng, g.size)
     B = _random_matrix(rng, g.size)
-    K = OperatorMatrix(None, (g, g), (A, B))
+    K = OperatorMatrix(None, (g, g), [(A, B)])
     norms = [op_norm(OperatorMatrix(M, g)) for M in (A, B)]
     assert abs(op_norm(K) - norms[0] * norms[1]) < 1e-10
 
@@ -307,8 +283,8 @@ def test_embeddings_commute_exactly():
     A = _random_matrix(rng, g.size)
     B = _random_matrix(rng, g.size)
     eye = np.eye(g.size, dtype=complex)
-    EA = OperatorMatrix(None, (g, g), (A, eye))
-    EB = OperatorMatrix(None, (g, g), (eye, B))
+    EA = OperatorMatrix(None, (g, g), [(A, eye)])
+    EB = OperatorMatrix(None, (g, g), [(eye, B)])
     assert np.array_equal(EA.entries @ EB.entries, EB.entries @ EA.entries)
 
 
@@ -318,7 +294,7 @@ def test_mixed_product_property(seed):
     rng = np.random.default_rng(seed)
     g = FrequencyGrid.uniform(5.0, 8)
     A, B, C, D = (_random_matrix(rng, g.size) for _ in range(4))
-    AB, CD = (OperatorMatrix(None, (g, g), f) for f in ((A, B), (C, D)))
+    AB, CD = (OperatorMatrix(None, (g, g), [f]) for f in ((A, B), (C, D)))
     lhs = AB.entries @ CD.entries
     rhs = np.kron(A @ C, B @ D)
     scale = np.max(np.abs(lhs)) + 1e-30

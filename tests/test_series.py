@@ -1,6 +1,5 @@
 import json
 import math
-import sys
 import threading
 import tracemalloc
 
@@ -20,9 +19,8 @@ from qpspec.grids import (
     FrequencyGrid,
     bochner_matrix,
     grid_weights,
-    tensor_nodes,
 )
-from qpspec.operators import dilation, toeplitz_halfplane
+from qpspec.operators import dilation, toeplitz_halfplane, weigh
 from qpspec.series import (
     HARDY_TEST_COUNT,
     QuasiParabolicMap,
@@ -209,7 +207,7 @@ def test_constant_symbols_collapse_to_exact_multiplier():
     [("i + 0.25*cay(z1) + 0*cay(z2)", "i + 0.25*cay(z1)"), ("i + 0*cay(z2)", "i")],
 )
 def test_dense_series_matches_per_axis_series(two_var, per_axis, p1, n):
-    # a zero term in z2 sends psi1 through the dense two-variable summation
+    # a zero term in z2 sends psi1 through the two-variable summation
     # without changing the operator the per-axis summation builds
     psi_dense = make_symbol(two_var, 0.7, 1.3, "continuous-on-closure")
     psi_axis = make_symbol(per_axis, 0.7, 1.3, "continuous-on-closure")
@@ -230,7 +228,8 @@ def test_per_axis_series_keeps_kron_factors(name):
     cfg = RunConfig.load(CONFIG_DIR / f"{name}.json")
     qmap = cfg.qmap()
     op = build_series(qmap, plan_for_map(qmap, tol=cfg.plan_tol), cfg.fgrids())
-    assert np.max(np.abs(np.kron(*op.factors) - op.entries)) <= 1e-12
+    assert len(op.terms) == 1 and op.compression_tail == 0.0
+    assert np.max(np.abs(np.kron(*op.terms[0]) - op.entries)) <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["cay_quarter", "dilation_case"])
@@ -250,7 +249,7 @@ def test_per_axis_series_forms_no_dense_matrix(name):
         tracemalloc.stop()
     assert peak < 0.5 * n**4 * 16
     assert op.shape == (n * n, n * n)
-    assert np.array_equal(op.entries, np.kron(*op.factors))
+    assert np.array_equal(op.entries, np.kron(*op.terms[0]))
 
 
 def test_per_axis_series_takes_one_toeplitz_pass_per_shared_grid(monkeypatch):
@@ -273,7 +272,7 @@ def test_per_axis_series_takes_one_toeplitz_pass_per_shared_grid(monkeypatch):
     apart = (shared[0], FrequencyGrid.uniform(cfg.frequency_extent, 12))
     two = build_series(qmap, plan, apart)
     assert len(calls) == 3
-    for F, G in zip(one.factors, two.factors):
+    for F, G in zip(one.terms[0], two.terms[0]):
         assert F.tobytes() == G.tobytes()
 
 
@@ -285,18 +284,11 @@ def test_dilated_series_factors_are_dilation_times_undilated_factors():
     plan = plan_for_map(qmap, tol=cfg.plan_tol)
     fg = cfg.fgrids(12)
     undilated = QuasiParabolicMap(1.0, qmap.p2, qmap.psi1, qmap.psi2)
-    S = build_series(undilated, plan, fg).factors
+    S = build_series(undilated, plan, fg).terms[0]
     V = dilation(qmap.p1, qmap.p2, fg)
     assert qmap.p1 == 2.0 and np.array_equal(V[1], np.eye(12))
-    for F, Vk, Sk in zip(build_series(qmap, plan, fg).factors, V, S):
+    for F, Vk, Sk in zip(build_series(qmap, plan, fg).terms[0], V, S):
         assert np.array_equal(F, Vk @ Sk)
-
-
-def test_dense_series_and_products_carry_no_factors():
-    psi = make_symbol("i + 0.25*cay(z1) + 0*cay(z2)", 0.7, 1.3, "continuous-on-closure")
-    qmap = QuasiParabolicMap(1.0, 1.0, psi, CONST_2I)
-    fg = (FrequencyGrid.uniform(8.0, 8),) * 2
-    assert build_series(qmap, plan_for_map(qmap), fg).factors is None
 
 
 def test_series_refuses_uncontracted_plan():
@@ -308,7 +300,7 @@ def test_series_refuses_uncontracted_plan():
     "psi1, psi2",
     [
         (("20*i", 19.0, 21.0, "constant"), ("20*i", 19.0, 21.0, "constant")),
-        # summed densely; only the inner (second-axis) sum grows
+        # summed on Kronecker pairs; only the inner (second-axis) sum grows
         (
             ("i + 0.25*cay(z1) + 0*cay(z2)", 0.7, 1.3, "continuous-on-closure"),
             ("20*i + 0*cay(z1)", 19.0, 21.0, "continuous-on-closure"),
@@ -325,67 +317,11 @@ def test_growth_guard_fires_on_bogus_certificate(psi1, psi2):
         build_series(qbad, plan_bad, (FrequencyGrid.uniform(8.0, 16),) * 2)
 
 
-@pytest.mark.parametrize("p1", [1.0, 2.0])
-def test_blocked_dense_series_matches_one_block(p1, monkeypatch):
-    # n = 12: N = 144 columns in blocks of at most 32 against one block
-    qmap = QuasiParabolicMap(p1, 1.0, TWOVAR_MAP.psi1, TWOVAR_MAP.psi2)
-    plan = plan_for_map(qmap)
-    fg = (FrequencyGrid.uniform(8.0, 12),) * 2
-    monkeypatch.setattr(qpspec.series, "BLOCK_BYTES", 32 * 144 * 144)
-    one = build_series(qmap, plan, fg).entries
-    monkeypatch.setattr(qpspec.series, "BLOCK_BYTES", 32 * 144 * 32)
-    assert np.array_equal(build_series(qmap, plan, fg).entries, one)
-
-
-@pytest.mark.parametrize("n", [13, 17])
-@pytest.mark.parametrize("p1", [1.0, 2.0])
-def test_dense_series_does_not_depend_on_its_blocks(n, p1, monkeypatch):
-    # at odd n, N = n^2 columns in the default blocks, in blocks of 1, 7
-    # and 48 columns and in one block, on one CPU and on two (where the
-    # blocks halve); at n = 17 the default blocks are 113 columns wide and
-    # the 48-column blocks leave a one-column last block.  The matrix and
-    # the norms the growth check sees are the same in every split
-    qmap = QuasiParabolicMap(p1, 1.0, TWOVAR_MAP.psi1, TWOVAR_MAP.psi2)
-    plan = plan_for_map(qmap)
-    fg = (FrequencyGrid.uniform(8.0, n),) * 2
-    checked = []
-    check = qpspec.series._growth_check
-
-    def spy(norms):
-        checked[-1].append(norms)
-        check(norms)
-
-    monkeypatch.setattr(qpspec.series, "_growth_check", spy)
-    entries = []
-    for cpus in (1, 2):
-        _cpus(monkeypatch, cpus)
-        for budget in (BLOCK_BYTES, *(32 * n * n * width for width in (1, 7, 48, n * n))):
-            monkeypatch.setattr(qpspec.series, "BLOCK_BYTES", budget)
-            checked.append([])
-            entries.append(build_series(qmap, plan, fg).entries)
-    for other, norms in zip(entries[1:], checked[1:]):
-        assert np.array_equal(other, entries[0])
-        assert len(norms) == 2
-        for one, two in zip(checked[0], norms):
-            assert np.array_equal(one, two)
-
-
-def test_growth_guard_fires_across_column_blocks(monkeypatch):
-    # test_growth_guard_fires_on_bogus_certificate[two_variable] summed in
-    # 8 blocks of 32 columns: the guard sees each order's norm over all blocks
-    monkeypatch.setattr(qpspec.series, "BLOCK_BYTES", 32 * 256 * 32)
-    psi1 = make_symbol("i + 0.25*cay(z1) + 0*cay(z2)", 0.7, 1.3, "continuous-on-closure")
-    psi2 = make_symbol("20*i + 0*cay(z1)", 19.0, 21.0, "continuous-on-closure")
-    qbad = QuasiParabolicMap(1.0, 1.0, psi1, psi2)
-    plan_bad = SeriesPlan(1.0, 0.9, 12, 12, default_norm_estimates(0.9, 19.0))
-    with pytest.raises(SeriesError):
-        build_series(qbad, plan_bad, (FrequencyGrid.uniform(8.0, 16),) * 2)
-
-
-def test_dense_series_holds_one_full_matrix():
-    # at n = 24 one N x N complex matrix is 5.3 MB; the dense sum holds the
-    # result and the temporaries of one column block
-    n = 24
+def test_two_variable_series_forms_no_dense_matrix():
+    # at n = 48 one N x N complex matrix is 85 MB; the two-variable series
+    # holds about 50 Kronecker pairs of n x n factors and the temporaries of
+    # one recompression
+    n = 48
     plan = plan_for_map(TWOVAR_MAP)
     fg = (FrequencyGrid.uniform(8.0, n),) * 2
     tracemalloc.start()
@@ -395,7 +331,23 @@ def test_dense_series_holds_one_full_matrix():
     finally:
         tracemalloc.stop()
     assert op.shape == (n * n, n * n)
-    assert peak < 2 * n**4 * 16
+    assert peak < 0.5 * n**4 * 16
+
+
+def test_two_variable_series_starts_no_thread(monkeypatch):
+    # the sums run on the calling thread alone
+    before = threading.active_count()
+    counts = []
+    times = qpspec.series._kron_times
+
+    def counted(*args):
+        counts.append(threading.active_count())
+        return times(*args)
+
+    monkeypatch.setattr(qpspec.series, "_kron_times", counted)
+    build_series(TWOVAR_MAP, plan_for_map(TWOVAR_MAP), (FrequencyGrid.uniform(8.0, 17),) * 2)
+    assert counts and set(counts) == {before}
+    assert threading.active_count() == before
 
 
 def test_dilation_path_matches_closed_form():
@@ -445,7 +397,7 @@ def _dense_series_reference(qmap, plan, fgrids):
         dense_toeplitz(SepExpr.constant(1j * plan.alpha) - psi.expr.rescaled(qmap.p1, qmap.p2))
         for psi in (qmap.psi1, qmap.psi2)
     )
-    t1, t2 = tensor_nodes(fgrids)
+    t1, t2 = np.repeat(g1.nodes, g2.size), np.tile(g2.nodes, g1.size)
     inner, _ = power_sum(T2, t2, plan.n2)
     S, norms = power_sum(T1, t1, plan.n1, inner)
     return np.kron(*dilation(qmap.p1, qmap.p2, fgrids)) @ S, norms
@@ -472,105 +424,60 @@ def test_two_variable_series_matches_dense_recursion(p1, n, monkeypatch):
     assert np.allclose(checked[0], norms, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("p1", [1.0, 2.0])
+def test_compression_tail_bounds_the_distance_to_the_dense_sum(p1, n):
+    # compression_tail bounds the weighted 2-norm distance between the
+    # stored pairs and the exact truncated sum, up to the rounding of the
+    # dense reference itself
+    qmap = QuasiParabolicMap(p1, 1.0, TWOVAR_MAP.psi1, TWOVAR_MAP.psi2)
+    plan = plan_for_map(qmap)
+    fg = (FrequencyGrid.uniform(8.0, n),) * 2
+    op = build_series(qmap, plan, fg)
+    ref, _ = _dense_series_reference(qmap, plan, fg)
+    dist = np.linalg.norm(weigh(op.entries - ref, fg), 2)
+    assert len(op.terms) > 1 and op.compression_tail > 0.0
+    assert dist <= op.compression_tail + 1e-13 * np.linalg.norm(weigh(ref, fg), 2)
+
+
+@pytest.mark.parametrize("p1", [1.0, 2.0])
+def test_compression_tail_bounds_a_coarse_cut(p1, monkeypatch):
+    # with singular values cut at 1e-6 of the largest the stored pairs are
+    # far from the dense sum, and the tail still bounds that distance
+    monkeypatch.setattr(qpspec.series, "KRON_CUT", 1e-6)
+    qmap = QuasiParabolicMap(p1, 1.0, TWOVAR_MAP.psi1, TWOVAR_MAP.psi2)
+    plan = plan_for_map(qmap)
+    fg = (FrequencyGrid.uniform(8.0, 12),) * 2
+    op = build_series(qmap, plan, fg)
+    ref, _ = _dense_series_reference(qmap, plan, fg)
+    dist = np.linalg.norm(weigh(op.entries - ref, fg), 2)
+    assert 1e-9 < dist <= op.compression_tail
+
+
 def test_two_variable_series_keeps_toeplitz_as_kronecker_terms(monkeypatch):
-    # no dense n^2 x n^2 Toeplitz matrix: each order is one Kronecker-term
-    # product, and the p1 = 2 dilation one more
+    # no dense n^2 x n^2 Toeplitz matrix: each power past the first is one
+    # product of the Kronecker terms of T with a pair list, and the p1 = 2
+    # dilation multiplies the pairs without one
     def forbidden(*args, **kwargs):
         raise AssertionError("formed a dense two-variable Toeplitz matrix")
 
     calls = []
-    apply = qpspec.operators.kron_apply
+    times = qpspec.series._kron_times
 
     def counted(*args):
         calls.append(1)
-        return apply(*args)
+        return times(*args)
 
     for module in (qpspec.operators, qpspec.series):
         # raising=False: series does not import toeplitz_separable, and the
         # forbidden stub still catches a later import of it there
         monkeypatch.setattr(module, "toeplitz_separable", forbidden, raising=False)
-        monkeypatch.setattr(module, "kron_apply", counted)
+    monkeypatch.setattr(qpspec.series, "_kron_times", counted)
     qmap = QuasiParabolicMap(2.0, 1.0, TWOVAR_MAP.psi1, TWOVAR_MAP.psi2)
     plan = plan_for_map(qmap)
     op = build_series(qmap, plan, (FrequencyGrid.uniform(8.0, 8),) * 2)
-    assert op.factors is None and op.shape == (64, 64)
-    assert len(calls) == plan.n1 + plan.n2 + 1
-
-
-def _cpus(monkeypatch, count):
-    """Let the series see ``count`` CPUs, whatever the machine has."""
-    monkeypatch.setattr(qpspec.series.os, "sched_getaffinity",
-                        lambda pid: set(range(count)), raising=False)
-
-
-@pytest.mark.parametrize("n, threads", [(12, 1), (17, 2), (24, 2)])
-@pytest.mark.parametrize("p1", [1.0, 2.0])
-def test_dense_series_does_not_depend_on_cpu_count(n, threads, p1, monkeypatch):
-    # one CPU sums every block on the calling thread, two split the blocks
-    # and the budget with a helper thread (at n = 12 all columns are one
-    # block, so no helper starts; at n = 17 the 289 columns are blocks of
-    # 113 on one CPU and of 56 on two, the last of 63 and of 9); the matrix
-    # and the norms the growth check sees are the same, with the threads
-    # switching every microsecond
-    qmap = QuasiParabolicMap(p1, 1.0, TWOVAR_MAP.psi1, TWOVAR_MAP.psi2)
-    plan = plan_for_map(qmap)
-    fg = (FrequencyGrid.uniform(8.0, n),) * 2
-    checked, callers = [], set()
-    check, power_sum = qpspec.series._growth_check, qpspec.series._power_sum
-
-    def spy(norms):
-        checked[-1].append(norms)
-        check(norms)
-
-    def traced(*args):
-        callers.add(threading.current_thread())
-        return power_sum(*args)
-
-    monkeypatch.setattr(qpspec.series, "_growth_check", spy)
-    monkeypatch.setattr(qpspec.series, "_power_sum", traced)
-    entries = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for count, expected in ((1, 1), (2, threads)):
-            _cpus(monkeypatch, count)
-            checked.append([])
-            callers.clear()
-            entries.append(build_series(qmap, plan, fg).entries)
-            assert len(callers) == expected
-    finally:
-        sys.setswitchinterval(interval)
-    assert np.array_equal(*entries)
-    assert len(checked[0]) == len(checked[1]) == 2
-    for one, two in zip(*checked):
-        assert np.array_equal(one, two)
-
-
-class _ShareFailed(Exception):
-    pass
-
-
-@pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
-@pytest.mark.parametrize("failing", ["helper", "caller"])
-def test_dense_series_reraises_either_threads_error(failing, monkeypatch):
-    # the error of either share reaches the caller after the helper has been
-    # joined, and no thread ends in an unhandled exception
-    _cpus(monkeypatch, 2)
-    unhandled = []
-    monkeypatch.setattr(threading, "excepthook", unhandled.append)
-    power_sum = qpspec.series._power_sum
-
-    def failing_share(*args):
-        if (threading.current_thread() is threading.main_thread()) == (failing == "caller"):
-            raise _ShareFailed
-        return power_sum(*args)
-
-    monkeypatch.setattr(qpspec.series, "_power_sum", failing_share)
-    before = set(threading.enumerate())
-    with pytest.raises(_ShareFailed):
-        build_series(TWOVAR_MAP, plan_for_map(TWOVAR_MAP), (FrequencyGrid.uniform(8.0, 24),) * 2)
-    assert set(threading.enumerate()) == before
-    assert unhandled == []
+    assert len(op.terms) > 1 and op.shape == (64, 64)
+    assert len(calls) == plan.n1 + plan.n2
 
 
 def test_dense_series_takes_one_toeplitz_pass_per_shared_grid(monkeypatch):
@@ -881,10 +788,6 @@ def test_two_variable_cross_check_rejects_lower_halfplane_image_first(monkeypatc
         series_direct_residual(op, qmap, bg)
 
 
-class _FirstBlock(Exception):
-    pass
-
-
 def test_block_budget_default_sizes(monkeypatch):
     # every streamed block at its default size, each derived from the one
     # 1 MiB budget grids.BLOCK_BYTES
@@ -905,25 +808,6 @@ def test_block_budget_default_sizes(monkeypatch):
     bg = (BoundaryGrid.uniform(12.0, 16),) * 2
     series_direct_residual(op, TWOVAR_MAP, bg)
     assert points == [1 << 15, 2730]
-
-    # the first column block of the dense two-variable series
-    widths = []
-
-    def first_block(step, t, n_max, alpha, start):
-        if threading.current_thread() is threading.main_thread():
-            widths.append(len(start))
-        raise _FirstBlock
-
-    monkeypatch.setattr(qpspec.series, "_power_sum", first_block)
-    plan = plan_for_map(TWOVAR_MAP)
-    for cpus in (1, 2):
-        _cpus(monkeypatch, cpus)
-        for n in (32, 24):
-            with pytest.raises(_FirstBlock):
-                build_series(TWOVAR_MAP, plan, (FrequencyGrid.uniform(8.0, n),) * 2)
-    # the calling thread's first block: the whole budget on one CPU, half of
-    # it on two
-    assert widths == [32, 56, 16, 28]
 
     # the row blocks of _nearest_distances: 2^16 // |b| rows of a
     rows = []

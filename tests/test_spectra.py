@@ -78,7 +78,7 @@ def _factored_pair(kind):
     ]
     if kind == "diagonal":
         factors = [np.diag(np.diag(F)) for F in factors]
-    return OperatorMatrix(None, grids, factors), OperatorMatrix(np.kron(*factors), grids)
+    return OperatorMatrix(None, grids, [factors]), OperatorMatrix(np.kron(*factors), grids)
 
 
 @pytest.mark.parametrize("kind", ["general", "diagonal"])
@@ -95,7 +95,7 @@ def test_factored_norm_and_eigenvalues_never_form_entries(monkeypatch):
     dense_entries = OperatorMatrix.entries.fget
 
     def entries(op):
-        if op.factors is not None:
+        if op.terms is not None:
             raise AssertionError("formed the entries of a factored operator")
         return dense_entries(op)
 
@@ -210,7 +210,7 @@ def _catalog_series(name, n):
     cfg = RunConfig.load(CONFIG_DIR / f"{name}.json")
     qmap = cfg.qmap()
     op = build_series(qmap, plan_for_map(qmap, tol=cfg.plan_tol), cfg.fgrids(n))
-    assert op.factors is not None
+    assert len(op.terms) == 1
     return op
 
 
@@ -461,7 +461,7 @@ def _axis_factor(qmap, extent, n):
     """The first axis factor S1 of a per-axis map's series on n nodes over
     [0, extent], as a one-axis operator, and its cluster point c."""
     g = FrequencyGrid.uniform(extent, n)
-    S1 = build_series(qmap, plan_for_map(qmap), (g, g)).factors[0]
+    S1 = build_series(qmap, plan_for_map(qmap), (g, g)).terms[0][0]
     return OperatorMatrix(S1, g), complex(cluster_set(qmap.psi1).points[0])
 
 
