@@ -11,8 +11,8 @@ part:
   ``th_{j,n}(t) = (-i t_j)^n exp(-alpha t_j) / n!``, with a certified
   geometric remainder, stored as a short sum of Kronecker pairs
   sum_k kron(A_k, B_k): one pair for a per-axis map, and for any other map
-  about 50 pairs kept by recompression, with a certified bound of what the
-  recompressions cut; and
+  about 50 pairs kept by recompressing the plain factors, with a certified
+  weighted-norm bound of what the recompressions cut; and
 * the composition itself, u -> u o phi, on rational Hardy test vectors whose
   images are known in closed form, used for cross-validation.
 
@@ -41,7 +41,6 @@ from .operators import (
     fourier_multiplier,
     separable_terms,
     toeplitz_halfplane,
-    weigh,
 )
 from .symbols import AnalyticSymbol, PointCloud, SepExpr, closure_image
 
@@ -325,34 +324,35 @@ def _kron_series(plan: SeriesPlan, fgrids: tuple, tau1: SepExpr, tau2: SepExpr,
     sum_k kron(X[k], Y[k]): the inner sum from the identity pair, the outer
     one from it.  T1 and T2 stay the Kronecker terms of their symbols
     (``separable_terms``), and the dilation (None for none) multiplies each
-    pair last.  The tail bounds the weighted 2-norm distance from the exact
-    truncated sum (README, "The recompression tail")."""
+    pair last.  The pair algebra reads no grid weights: its tail bounds the
+    plain 2-norm distance from the exact truncated sum, and one factor
+    sqrt(max w / min w) of the tensor grid weights w turns that into a bound
+    of the weighted 2-norm distance (README, "The recompression tail")."""
     g1, g2 = fgrids
     T1, T2 = separable_terms((tau1, tau2), fgrids)
     identity = tuple(np.eye(g.size, dtype=complex)[None] for g in fgrids)
-    inner, tail, norms2 = _kron_power_sum(T2, identity, 0.0, 1, g2.nodes, plan.n2,
-                                          plan.alpha, fgrids)
-    pairs, tail, norms1 = _kron_power_sum(T1, inner, tail, 0, g1.nodes, plan.n1,
-                                          plan.alpha, fgrids)
+    inner, tail, norms2 = _kron_power_sum(T2, identity, 0.0, 1, g2.nodes, plan.n2, plan.alpha)
+    pairs, tail, norms1 = _kron_power_sum(T1, inner, tail, 0, g1.nodes, plan.n1, plan.alpha)
     _growth_check(norms1)
     _growth_check(norms2)
     if V is not None:
         pairs = tuple(Vk @ F for Vk, F in zip(V, pairs))
-        tail *= math.prod(np.linalg.norm(weigh(Vk, g), 2) for Vk, g in zip(V, fgrids))
+        tail *= math.prod(np.linalg.norm(Vk, 2) for Vk in V)
+    w = grid_weights(fgrids)
+    tail *= math.sqrt(np.max(w) / np.min(w))
     return OperatorMatrix(None, fgrids, list(zip(*pairs)), compression_tail=float(tail))
 
 
 def _kron_power_sum(terms: list, start: tuple, error: float, axis: int, t: np.ndarray,
-                    n_max: int, alpha: float, fgrids: tuple) -> tuple[tuple, float, list]:
+                    n_max: int, alpha: float) -> tuple[tuple, float, list]:
     """sum_{n <= n_max} T^n P D_n, T = sum c kron(A, B) over ``terms``, P
-    the pair list ``start`` within weighted 2-norm ``error`` of the exact
+    the pair list ``start`` within plain 2-norm ``error`` of the exact
     one, D_n = vartheta_n at the nodes ``t``, scaling the columns of the
     factors of axis ``axis``; each power and partial sum is recompressed.
     The tail grows by sup|vartheta_n| e + cut per partial sum, where a
-    power's error e grows as |T| e + cut, |T| <= sum |c| |A|_2 |B|_2
-    weighted.  The Frobenius norm of each term comes from Gram matrices."""
-    bound = sum(abs(c) * math.prod(1.0 if F is None else np.linalg.norm(weigh(F, g), 2)
-                                   for F, g in zip((A, B), fgrids))
+    power's error e grows as |T| e + cut, |T| <= sum |c| |A|_2 |B|_2.
+    The Frobenius norm of each term comes from Gram matrices."""
+    bound = sum(abs(c) * math.prod(1.0 if F is None else np.linalg.norm(F, 2) for F in (A, B))
                 for c, A, B in terms)
     P, S, tail, norms = start, None, 0.0, []
     for n in range(n_max + 1):
@@ -364,10 +364,10 @@ def _kron_power_sum(terms: list, start: tuple, error: float, axis: int, t: np.nd
         if S is None:
             S = incr
         else:
-            S, cut = _recompress(tuple(np.concatenate(F) for F in zip(S, incr)), fgrids)
+            S, cut = _recompress(tuple(np.concatenate(F) for F in zip(S, incr)))
             tail += cut
         if n < n_max:
-            P, cut = _recompress(_kron_times(terms, P), fgrids)
+            P, cut = _recompress(_kron_times(terms, P))
             error = bound * error + cut
     return S, tail, norms
 
@@ -380,21 +380,18 @@ def _kron_times(terms: list, pairs: tuple) -> tuple:
             np.concatenate([Y if B is None else B @ Y for _, _, B in terms]))
 
 
-def _recompress(pairs: tuple, fgrids: tuple) -> tuple[tuple, float]:
+def _recompress(pairs: tuple) -> tuple[tuple, float]:
     """The pairs of the singular values above KRON_CUT of the largest, and
-    the sum of those cut, which bounds the weighted 2-norm of the cut.  On
-    the weighted factors (``weigh``, per axis), sum_k kron(A_k, B_k)
-    rearranges to sum_k vec(A_k) vec(B_k)^T (Van Loan and Pitsianis): one
-    QR of each stacked factor matrix, then the SVD of Ra Rb^T."""
+    the sum of those cut, which bounds the plain 2-norm of the cut:
+    sum_k kron(A_k, B_k) rearranges to sum_k vec(A_k) vec(B_k)^T (Van Loan
+    and Pitsianis), and each cut term is kron(U, V) with |U|_F = |V|_F = 1.
+    One QR of each stacked factor matrix, then the SVD of Ra Rb^T."""
     r = len(pairs[0])
-    (Qa, Ra), (Qb, Rb) = (np.linalg.qr(weigh(F, g).reshape(r, -1).T)
-                          for F, g in zip(pairs, fgrids))
+    (Qa, Ra), (Qb, Rb) = (np.linalg.qr(F.reshape(r, -1).T) for F in pairs)
     U, s, Vh = np.linalg.svd(Ra @ Rb.T)
     k = max(1, int(np.count_nonzero(s > KRON_CUT * s[0])))
-    roots = (np.sqrt(g.weights) for g in fgrids)
-    # the kept weighted factors, unweighed: M = weigh(M) w_j / w_i
-    return tuple((Q @ C).T.reshape(k, w.size, w.size) * (w[None, :] / w[:, None])
-                 for Q, C, w in zip((Qa, Qb), (U[:, :k] * s[:k], Vh[:k].T), roots)
+    return tuple((Q @ C).T.reshape(k, *F.shape[1:])
+                 for Q, C, F in zip((Qa, Qb), (U[:, :k] * s[:k], Vh[:k].T), pairs)
                  ), float(np.sum(s[k:]))
 
 

@@ -411,7 +411,7 @@ TWOVAR_SYMBOLS = {
 @pytest.mark.parametrize("tol, met", [(1e-8, True), (1e-14, False)])
 def test_two_variable_certificate_counts_the_compression_tail(tmp_path, tol, met):
     # a two-variable series is stored as recompressed Kronecker pairs, within
-    # compression_tail (about 1e-13 here) of the truncated sum: at orders
+    # compression_tail (about 1.3e-12 here) of the truncated sum: at orders
     # 60 the remainder is far below either tol, so the tail decides tol_met
     cfg = _config(tmp_path, symbols=TWOVAR_SYMBOLS, plan={"tol": tol, "n1": 60, "n2": 60})
     out = tmp_path / "out"

@@ -440,18 +440,44 @@ def test_compression_tail_bounds_the_distance_to_the_dense_sum(p1, n):
     assert dist <= op.compression_tail + 1e-13 * np.linalg.norm(weigh(ref, fg), 2)
 
 
-@pytest.mark.parametrize("p1", [1.0, 2.0])
-def test_compression_tail_bounds_a_coarse_cut(p1, monkeypatch):
+def _squared_grid(extent: float, n: int) -> FrequencyGrid:
+    """Trapezoid rule on the nodes extent (k / (n - 1))^2: its weights span
+    a factor 4 (n - 2), 40 at n = 12, against 2 on a uniform grid."""
+    t = extent * (np.arange(n) / (n - 1)) ** 2
+    w = np.zeros(n)
+    w[:-1] += np.diff(t) / 2
+    w[1:] += np.diff(t) / 2
+    return FrequencyGrid(t, w, extent)
+
+
+@pytest.mark.parametrize("p1, squared", [(1.0, False), (2.0, False), (1.0, True)],
+                         ids=["1.0", "2.0", "1.0-squared"])
+def test_compression_tail_bounds_a_coarse_cut(p1, squared, monkeypatch):
     # with singular values cut at 1e-6 of the largest the stored pairs are
-    # far from the dense sum, and the tail still bounds that distance
+    # far from the dense sum, and the tail still bounds that distance, on a
+    # uniform grid and on one whose weights span a factor 40
     monkeypatch.setattr(qpspec.series, "KRON_CUT", 1e-6)
     qmap = QuasiParabolicMap(p1, 1.0, TWOVAR_MAP.psi1, TWOVAR_MAP.psi2)
     plan = plan_for_map(qmap)
-    fg = (FrequencyGrid.uniform(8.0, 12),) * 2
+    fg = ((_squared_grid if squared else FrequencyGrid.uniform)(8.0, 12),) * 2
     op = build_series(qmap, plan, fg)
     ref, _ = _dense_series_reference(qmap, plan, fg)
     dist = np.linalg.norm(weigh(op.entries - ref, fg), 2)
     assert 1e-9 < dist <= op.compression_tail
+
+
+def test_recompression_cut_bounds_the_plain_distance(monkeypatch):
+    # _recompress reads no grid: the 2-norm of what it drops from a sum of
+    # Kronecker pairs is at most the cut it returns
+    monkeypatch.setattr(qpspec.series, "KRON_CUT", 1e-3)
+    rng = np.random.default_rng(5)
+    A, B = (rng.standard_normal((12, n, n)) + 1j * rng.standard_normal((12, n, n))
+            for n in (5, 6))
+    A *= 10.0 ** -np.arange(12)[:, None, None]  # pair k scaled by 10^-k
+    (X, Y), cut = qpspec.series._recompress((A, B))
+    dist = np.linalg.norm(sum(map(np.kron, X, Y)) - sum(map(np.kron, A, B)), 2)
+    assert len(X) == len(Y) < 12
+    assert dist <= cut
 
 
 def test_two_variable_series_keeps_toeplitz_as_kronecker_terms(monkeypatch):
