@@ -203,9 +203,12 @@ class RunConfig:
 
 
 def _known_keys(section: dict, label: str | None, known: tuple) -> None:
-    """Reject the first key of a config section (None: the top level) that
-    the config does not read, so that a misspelled setting is an error and
-    not a default."""
+    """Reject a config section (None: the top level) that is not a JSON
+    object, and the first key of one that the config does not read, so
+    that a misspelled setting is an error and not a default."""
+    if not isinstance(section, dict):
+        what = "the config" if label is None else label
+        raise ValueError(f"{what} must be a JSON object, got {type(section).__name__}")
     unknown = sorted(set(section) - set(known))
     if unknown:
         where = "at the top level" if label is None else f"in {label}"
@@ -528,9 +531,14 @@ def cmd_demo(out: Path, seed: int | None) -> int:
         cfg = RunConfig.load(CONFIG_DIR / f"{name}.json")
         cfg.apply_overrides(seed=seed)
         sub = out / name
-        sub.mkdir(parents=True, exist_ok=True)
         t0 = time.time()
-        rc = run_command(action, cfg, sub)
+        try:
+            sub.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            print(f"error: cannot create the output directory: {e}", file=sys.stderr)
+            rc = EXIT_CONFIG
+        else:
+            rc = run_command(action, cfg, sub)
         print(f"demo {name} ({action}): exit {rc} in {time.time() - t0:.1f}s")
         worst = max(worst, rc)
     return worst
@@ -559,7 +567,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     out = args.out
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        print(f"error: cannot create the output directory: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         seed = _optional(_integer, args.seed, "--seed")
         if args.command != "demo":

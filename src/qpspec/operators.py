@@ -2,9 +2,10 @@
 
 Half-plane Toeplitz operators, diagonal Fourier multipliers, dilations,
 and the weight-adjusted operator norm.  The one-axis builders return plain
-n x n matrices; an ``OperatorMatrix`` is a whole operator on one grid,
-stored as its matrix or, on a two-axis grid, as a short sum of Kronecker
-pairs sum_k kron(A_k, B_k), one pair for a per-axis operator.  Toeplitz
+n x n matrices; an ``OperatorMatrix`` is a whole operator on a pair of
+grids, stored as a short sum of Kronecker pairs sum_k kron(A_k, B_k): one
+pair for a per-axis operator, and the pair ([[1]], M) on
+(``grids.ONE_NODE``, g) for a one-variable matrix M on a grid g.  Toeplitz
 operators live in the frequency representation, where they are
 Wiener-Hopf matrices ``hhat(t_j - t_k) * weight_k + c * delta_jk`` for the
 symbol split ``phi = c + h`` with ``c`` the value at infinity; two-variable
@@ -14,7 +15,7 @@ as Kronecker sums.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from .grids import (
     FrequencyGrid,
     GridError,
     GridLike,
-    grid_size,
     grid_weights,
 )
 from .symbols import SepExpr, SymbolError, symbol_limit_at_infinity
@@ -44,39 +44,30 @@ MIN_DILATION_NODES = 4
 
 
 class OperatorMatrix:
-    """Operator on a discretized Hardy space: its matrix, or on a two-axis
-    grid the Kronecker pairs ``terms = ((A1, B1), ...)`` (pass
-    ``entries=None``), standing for sum_k kron(A_k, B_k), one pair for a
-    per-axis operator.  ``row_blocks()`` reads either form a block of rows
-    at a time.  ``compression_tail`` bounds the weighted 2-norm distance to
-    the operator the terms approximate (0.0 when nothing was cut).
-    ``shape`` comes from the grid.
+    """Operator on a pair of discretized Hardy spaces ``grid = (g1, g2)``,
+    stored as its Kronecker pairs ``terms = ((A1, B1), ...)``, standing for
+    sum_k kron(A_k, B_k): one pair for a per-axis operator, and the pair
+    ([[1]], M) on (``grids.ONE_NODE``, g) for a one-variable matrix M on a
+    grid g.  ``row_blocks()`` reads it a block of rows at a time.
+    ``compression_tail`` bounds the weighted 2-norm distance to the operator
+    the terms approximate (0.0 when nothing was cut).  ``shape`` comes from
+    the grids.
     """
 
-    def __init__(self, entries, grid: GridLike, terms: Optional[Sequence] = None,
-                 compression_tail: float = 0.0):
-        self.grid = grid
-        self.shape = (grid_size(grid),) * 2
-        self.compression_tail = compression_tail
-        if (entries is None) == (terms is None):
-            raise GridError("an operator is given by its entries or by its Kronecker terms")
-        if terms is None:
-            self._matrix = _checked(np.asarray(entries, dtype=complex), self.shape)
-            self.terms = None
-            return
+    def __init__(self, grid: tuple, terms: Sequence, compression_tail: float = 0.0):
         if not (isinstance(grid, tuple) and len(grid) == 2 and terms
                 and all(len(pair) == 2 for pair in terms)):
-            raise GridError("Kronecker terms are one or more pairs (A, B) on a two-axis grid")
-        self._matrix = None
+            raise GridError("an operator is one or more Kronecker pairs (A, B) on a pair of grids")
+        self.grid = grid
+        self.shape = (grid[0].size * grid[1].size,) * 2
+        self.compression_tail = compression_tail
         self.terms = tuple(tuple(_checked(np.asarray(F), (g.size,) * 2) for F, g in zip(pair, grid))
                            for pair in terms)
 
     @property
     def entries(self) -> np.ndarray:
-        """The full matrix, formed anew from the row blocks of Kronecker
-        terms on every read (one pair's norm and eigenvalues never read it)."""
-        if self.terms is None:
-            return self._matrix
+        """The full matrix, formed anew from the row blocks on every read
+        (one pair's norm and eigenvalues never read it)."""
         out = np.empty(self.shape, dtype=complex)
         height = self.grid[1].size
         for i, block in enumerate(self.row_blocks()):
@@ -84,13 +75,10 @@ class OperatorMatrix:
         return out
 
     def row_blocks(self):
-        """Yield the rows of the matrix in consecutive blocks: the whole
-        matrix if given, else for each row i of the first axis the n2 rows
-        sum_k kron(A_k[i], B_k), for one pair np.kron itself (exactly that
-        block of kron(A, B)), for several one GEMM over the pairs."""
-        if self.terms is None:
-            yield self._matrix
-            return
+        """Yield the rows of the matrix in consecutive blocks: for each row i
+        of the first axis the n2 rows sum_k kron(A_k[i], B_k), for one pair
+        np.kron itself (exactly that block of kron(A, B)), for several one
+        GEMM over the pairs."""
         if len(self.terms) == 1:
             # a one-term GEMM rounds some products unlike np.kron, which
             # would move the bytes of every per-axis operator.csv
@@ -108,9 +96,9 @@ class OperatorMatrix:
 
 def _checked(M: np.ndarray, shape: tuple) -> np.ndarray:
     if M.ndim != 2:
-        raise GridError("operator entries must be a matrix")
+        raise GridError("a Kronecker factor must be a matrix")
     if M.shape != shape:
-        raise GridError(f"entry shape {M.shape} does not match the grid's {shape}")
+        raise GridError(f"factor shape {M.shape} does not match the grid's {shape}")
     return M
 
 
@@ -131,10 +119,11 @@ def weighted_factors(A: OperatorMatrix) -> tuple:
     """Per-axis weighted factors (W1, W2) with kron(W1, W2) the weighted
     similarity (``weigh``) of A's matrix: the grid weights are tensor
     products, so the factors of a one-pair operator are weighed one axis at
-    a time.  Any other operator is the pair ([[1]], weigh(M)), so that a
-    Kronecker solve with it takes blocks of rows of M
+    a time (a one-variable M on (ONE_NODE, g) gives ([[1]], weigh(M, g))).
+    A sum of several pairs is the pair ([[1]], weigh(M)) of its matrix M,
+    so that a Kronecker solve with it takes blocks of rows of M
     (``spectra._kron_solve``), not one row at a time."""
-    if A.terms is None or len(A.terms) > 1:
+    if len(A.terms) > 1:
         return np.ones((1, 1), dtype=complex), weigh(A.entries, A.grid)
     return tuple(weigh(F, g) for F, g in zip(A.terms[0], A.grid))
 
@@ -254,13 +243,12 @@ def separable_terms(expr, fgrids: tuple):
 
 
 def toeplitz_separable(expr: SepExpr, fgrids: tuple) -> OperatorMatrix:
-    """The dense matrix sum c A (x) B of the terms of ``separable_terms``."""
+    """The operator sum c A (x) B of the terms of ``separable_terms``, one
+    pair (c A, B) per term, an identity standing for a missing factor."""
     g1, g2 = fgrids
-    total = np.zeros((g1.size * g2.size,) * 2, dtype=complex)
-    for c, A, B in separable_terms(expr, fgrids):
-        total += c * np.kron(np.eye(g1.size) if A is None else A,
-                             np.eye(g2.size) if B is None else B)
-    return OperatorMatrix(total, fgrids)
+    return OperatorMatrix(fgrids, [(c * (np.eye(g1.size) if A is None else A),
+                                    np.eye(g2.size) if B is None else B)
+                                   for c, A, B in separable_terms(expr, fgrids)])
 
 
 # ---------------------------------------------------------------------------

@@ -314,7 +314,7 @@ def build_series(qmap: QuasiParabolicMap, plan: SeriesPlan, fgrids: tuple) -> Op
     _growth_check(norms2)
     if V is not None:
         S1, S2 = V[0] @ S1, V[1] @ S2
-    return OperatorMatrix(None, fgrids, [(S1, S2)])
+    return OperatorMatrix(fgrids, [(S1, S2)])
 
 
 def _kron_series(plan: SeriesPlan, fgrids: tuple, tau1: SepExpr, tau2: SepExpr,
@@ -340,7 +340,7 @@ def _kron_series(plan: SeriesPlan, fgrids: tuple, tau1: SepExpr, tau2: SepExpr,
         tail *= math.prod(np.linalg.norm(Vk, 2) for Vk in V)
     w = grid_weights(fgrids)
     tail *= math.sqrt(np.max(w) / np.min(w))
-    return OperatorMatrix(None, fgrids, list(zip(*pairs)), compression_tail=float(tail))
+    return OperatorMatrix(fgrids, list(zip(*pairs)), compression_tail=float(tail))
 
 
 def _kron_power_sum(terms: list, start: tuple, error: float, axis: int, t: np.ndarray,
@@ -426,7 +426,7 @@ def exact_constant_multiplier(a1: complex, a2: complex, fgrids: tuple) -> Operat
     g1, g2 = fgrids
     D1 = fourier_multiplier(lambda t: np.exp(1j * a1 * t), g1)
     D2 = fourier_multiplier(lambda t: np.exp(1j * a2 * t), g2)
-    return OperatorMatrix(None, fgrids, [(D1, D2)])
+    return OperatorMatrix(fgrids, [(D1, D2)])
 
 
 # ---------------------------------------------------------------------------

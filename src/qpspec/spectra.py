@@ -352,8 +352,8 @@ def _sigma_min_kernel(A: OperatorMatrix) -> Callable:
     at a flat array of lambda-points.
 
     Every operator is written as kron(W1, W2) of its weighted per-axis
-    factors (a sum of several Kronecker pairs, or a matrix given whole, as
-    ([[1]], M)).  When both are diagonal,
+    factors (``weighted_factors``; a sum of several Kronecker pairs as
+    ([[1]], M) of its matrix M).  When both are diagonal,
     with diagonal d, the value is the exact min_k |lambda - d_k|
     (``_nearest_distances``; no Lanczos steps, no cap hits).  Otherwise,
     with complex Schur forms W_k = Q_k T_k Q_k^*, sigma_min(lambda I - A) =

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from qpspec.grids import BOUNDARY_HEIGHT, BoundaryGrid, FrequencyGrid
+from qpspec.grids import BOUNDARY_HEIGHT, ONE_NODE, BoundaryGrid, FrequencyGrid
 from qpspec.operators import OperatorMatrix, op_norm
 from qpspec.series import (
     QuasiParabolicMap,
@@ -41,6 +41,17 @@ def _const_map():
     psi1 = make_symbol("i", 0.9, 1.1, "constant")
     psi2 = make_symbol("2*i", 1.9, 2.1, "constant")
     return QuasiParabolicMap(1.0, 1.0, psi1, psi2)
+
+
+def _one_variable(M, grid):
+    """The one-variable operator M on ``grid``: the pair ([[1]], M) on
+    (ONE_NODE, grid)."""
+    return OperatorMatrix((ONE_NODE, grid), [(np.ones((1, 1), dtype=complex), M)])
+
+
+def _difference(a, b):
+    """a - b: the pairs of a, then those of b with their first factor negated."""
+    return OperatorMatrix(a.grid, a.terms + tuple((-A, B) for A, B in b.terms))
 
 
 def _cay_quarter_map():
@@ -80,7 +91,7 @@ def test_criterion_2_certified_geometric_remainder():
         p = SeriesPlan(plan0.alpha, plan0.delta, n, n, plan0.norm_estimates)
         ops[n] = build_series(qmap, p, fg)
     diffs = [
-        op_norm(OperatorMatrix(ops[n + 1].entries - ops[n].entries, fg))
+        op_norm(_difference(ops[n + 1], ops[n]))
         for n in range(3, 16)
     ]
     worst_ratio = max(b / a for a, b in zip(diffs, diffs[1:]))
@@ -91,7 +102,7 @@ def test_criterion_2_certified_geometric_remainder():
     for n in range(1, 21):
         p = SeriesPlan(cplan0.alpha, cplan0.delta, n, n, cplan0.norm_estimates)
         op = build_series(cq, p, fg)
-        err = op_norm(OperatorMatrix(op.entries - exact.entries, fg))
+        err = op_norm(_difference(op, exact))
         bound_ok = bound_ok and err <= remainder_bound(p)
     ok = worst_ratio <= plan0.delta + 0.05 and bound_ok
     _verdict(
@@ -136,7 +147,7 @@ def test_criterion_4_spiral_containment_one_variable():
     dists = []
     for n in (64, 128, 256):
         g = FrequencyGrid.uniform(10.0, n)
-        op = OperatorMatrix(np.diag(np.exp(-g.nodes)).astype(complex), g)
+        op = _one_variable(np.diag(np.exp(-g.nodes)).astype(complex), g)
         dists.append(directed_hausdorff(pred, eigenvalues(op)))
     ok = all(d <= 2.0 * spacing for d in dists)
     _verdict(
@@ -249,14 +260,14 @@ def test_criterion_8_tensor_identities():
 
     def kron(A, B):
         # the factored operator A (x) B
-        return OperatorMatrix(None, grids, [(A, B)])
+        return OperatorMatrix(grids, [(A, B)])
 
     norm_err = 0.0
     mixed_err = 0.0
     for _ in range(100):
         A, B = rand(g1), rand(g2)
         C, D = rand(g1), rand(g2)
-        norms = op_norm(OperatorMatrix(A, g1)) * op_norm(OperatorMatrix(B, g2))
+        norms = op_norm(_one_variable(A, g1)) * op_norm(_one_variable(B, g2))
         norm_err = max(norm_err, abs(op_norm(kron(A, B)) - norms))
         lhs = kron(A, B).entries @ kron(C, D).entries
         rhs = kron(A @ C, B @ D).entries

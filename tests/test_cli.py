@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from qpspec.cli import CONFIG_DIR, ConfigError, RunConfig, cmd_build, main
+from qpspec.cli import CONFIG_DIR, DEMO_RUNS, ConfigError, RunConfig, cmd_build, main
 from qpspec.operators import OperatorMatrix
 from qpspec.spectra import predicted_set
 from qpspec.symbols import DEDUP_RESOLUTION, cluster_set
@@ -50,6 +50,22 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     bad.write_text("{not json")
     rc = main(["build", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+def test_output_directory_that_cannot_be_created_exits_2(tmp_path, capsys):
+    # an --out that names a file, and demo's per-config directories named by
+    # files, used to end in a FileExistsError traceback, exit 1
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["build", "--config", str(_config(tmp_path)), "--out", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot create the output directory")
+    demo = tmp_path / "demo"
+    demo.mkdir()
+    for name, _ in DEMO_RUNS:
+        (demo / name).write_text("")
+    assert main(["demo", "--out", str(demo)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: cannot create the output directory") == len(DEMO_RUNS)
 
 
 def test_invalid_symbol_exits_2(tmp_path, capsys):
@@ -143,6 +159,11 @@ def test_config_validation_rejects_nonpositive():
     # an expression that is not a string, which used to end in a traceback too
     ("symbols", "psi1", {"expr": 5, "im_lower_bound": 0.9, "sup_bound": 1.1}),
     ("symbols", "psi1", {"expr": ["i"], "im_lower_bound": 0.9, "sup_bound": 1.1}),
+    # a section that is a list, which passed the key check and then ended in
+    # a traceback
+    (None, "grids", []),
+    (None, "plan", ["tol"]),
+    (None, "spectra", []),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, section, key, value):
     cfg = _config(tmp_path)
@@ -346,7 +367,7 @@ def test_build_and_verify_never_form_factored_entries(tmp_path, monkeypatch, nam
     dense = OperatorMatrix.entries.fget
 
     def entries(op):
-        if op.terms is not None:
+        if len(op.terms) == 1:
             raise AssertionError("formed the entries of a factored operator")
         return dense(op)
 
@@ -355,12 +376,27 @@ def test_build_and_verify_never_form_factored_entries(tmp_path, monkeypatch, nam
     assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == code
 
 
-def test_build_memory_stays_below_one_dense_operator(tmp_path):
+TWOVAR_SYMBOLS = {
+    "psi1": {"expr": "i + 0.1*cay(z1)*cay(z2)", "im_lower_bound": 0.85, "sup_bound": 1.15},
+    "psi2": {"expr": "2*i - 0.2*cay(z1)*cay(z2)", "im_lower_bound": 1.75, "sup_bound": 2.25},
+}
+
+
+@pytest.mark.parametrize(
+    "name", ["cay_quarter", "constants_basic", "dilation_case", "separable_mix", "twovar"]
+)
+def test_build_memory_stays_below_one_dense_operator(tmp_path, name):
     # at 32 nodes per axis one n^2 x n^2 complex matrix is 16.8 MB; operator.csv
-    # and the cross-check read the factored operator a block of rows at a time
+    # and the cross-check read the operator's Kronecker pairs a block of rows
+    # at a time.  The grids are the benchmark's: each catalog config's own,
+    # and the two-variable map's 256 boundary nodes
     n = 32
-    raw = json.loads((CONFIG_DIR / "cay_quarter.json").read_text())
-    raw["grids"].update(frequency_nodes=n, boundary_nodes=160)
+    base = "cay_quarter" if name == "twovar" else name
+    raw = json.loads((CONFIG_DIR / f"{base}.json").read_text())
+    raw["grids"]["frequency_nodes"] = n
+    if name == "twovar":
+        raw.update(name=name, symbols=TWOVAR_SYMBOLS)
+        raw["grids"]["boundary_nodes"] = 256
     cfg = RunConfig.from_dict(raw)
     out = tmp_path / "out"
     out.mkdir()
@@ -371,9 +407,11 @@ def test_build_memory_stays_below_one_dense_operator(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < n**4 * 16
-    lines = (out / "operator.csv").read_text().splitlines()
-    assert lines[1] == f"# shape {n * n} {n * n}"
-    assert len(lines) == 3 + n**4
+    with open(out / "operator.csv") as f:
+        head = [next(f) for _ in range(2)]
+        lines = 2 + sum(1 for _ in f)
+    assert head[1] == f"# shape {n * n} {n * n}\n"
+    assert lines == 3 + n**4
 
 
 @pytest.mark.parametrize("command", ["build", "spectrum", "verify"])
@@ -400,12 +438,6 @@ def test_truncation_cap_reports_tol_not_met(tmp_path):
     assert cert["n1"] == cert["n2"] == 60
     assert cert["remainder_bound"] > 1e-8
     assert cert["tol_met"] is False
-
-
-TWOVAR_SYMBOLS = {
-    "psi1": {"expr": "i + 0.1*cay(z1)*cay(z2)", "im_lower_bound": 0.85, "sup_bound": 1.15},
-    "psi2": {"expr": "2*i - 0.2*cay(z1)*cay(z2)", "im_lower_bound": 1.75, "sup_bound": 2.25},
-}
 
 
 @pytest.mark.parametrize("tol, met", [(1e-8, True), (1e-14, False)])

@@ -330,13 +330,15 @@ for name, command in (("cay_quarter", "build"), ("cay_quarter", "predict"),
     out = sys.argv[1] + "/" + name + "_" + command
     assert qpspec.cli.main([command, "--config", config, "--out", out]) == 0
 stages["build_predict"] = loaded()
-from qpspec.grids import FrequencyGrid
+import numpy as np
+from qpspec.grids import ONE_NODE, FrequencyGrid
 from qpspec.operators import OperatorMatrix, dilation_1d, toeplitz_halfplane
 from qpspec.spectra import pseudospectrum_mask
 fg = FrequencyGrid.uniform(10.0, 4)
 dilation_1d(2.0, fg)
 stages["dilation"] = loaded()
-T = OperatorMatrix(toeplitz_halfplane(lambda x: 1.0 / (x + 1j), fg), fg)
+T = OperatorMatrix((ONE_NODE, fg), [(np.ones((1, 1), dtype=complex),
+                                     toeplitz_halfplane(lambda x: 1.0 / (x + 1j), fg))])
 pseudospectrum_mask(T, (-1, 1, -1, 1), (32, 32), 0.1)
 stages["mask"] = loaded()
 print(json.dumps(stages))

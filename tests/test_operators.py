@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
-from qpspec.grids import BOUNDARY_HEIGHT, BoundaryGrid, FrequencyGrid, GridError
+from qpspec.grids import BOUNDARY_HEIGHT, ONE_NODE, BoundaryGrid, FrequencyGrid, GridError
 from qpspec.operators import (
     OperatorMatrix,
     dilation,
@@ -23,6 +23,12 @@ FG = FrequencyGrid.uniform(10.0, 48)
 
 def _random_matrix(rng, n):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def _one_variable(M, grid):
+    """The one-variable operator M on ``grid`` as the pair ([[1]], M)."""
+    return OperatorMatrix((ONE_NODE, grid), [(np.ones((1, 1), dtype=complex),
+                                              np.asarray(M, dtype=complex))])
 
 
 # ---------------------------------------------------------------------------
@@ -212,20 +218,20 @@ def test_dilation_rejects_extreme_stretch():
 
 
 def test_operator_matrix_rejects_non_square_entries():
-    # one grid gives both dimensions, so a rectangular matrix cannot be an
-    # operator (and never reaches eigenvalues or the kernels)
+    # one grid gives both dimensions of a factor, so a rectangular matrix
+    # cannot be one (and never reaches eigenvalues or the kernels)
     g1, g2 = FrequencyGrid.uniform(4.0, 3), FrequencyGrid.uniform(4.0, 4)
     for grid in (g1, g2):
         with pytest.raises(GridError):
-            OperatorMatrix(np.zeros((3, 4), dtype=complex), grid)
+            _one_variable(np.zeros((3, 4), dtype=complex), grid)
     with pytest.raises(GridError):
-        OperatorMatrix(None, (g1, g2), [(np.eye(3), np.eye(4)[:3])])
+        OperatorMatrix((g1, g2), [(np.eye(3), np.eye(4)[:3])])
 
 
 def test_kron_of_diagonals_row_major():
     A = fourier_multiplier(lambda t: np.exp(-t), FG)
     B = fourier_multiplier(lambda t: np.exp(-2 * t), FG)
-    K = OperatorMatrix(None, (FG, FG), [(A, B)])
+    K = OperatorMatrix((FG, FG), [(A, B)])
     t1 = np.repeat(FG.nodes, FG.size)
     t2 = np.tile(FG.nodes, FG.size)
     assert np.max(np.abs(np.diag(K.entries) - np.exp(-t1 - 2 * t2))) < 1e-14
@@ -233,12 +239,12 @@ def test_kron_of_diagonals_row_major():
 
 def test_row_blocks_have_the_second_axis_height_in_both_forms():
     # one Kronecker pair and a sum of three: each block holds the n2 rows of
-    # one first-axis row; a matrix given whole is one block
+    # one first-axis row
     rng = np.random.default_rng(5)
     g1, g2 = FrequencyGrid.uniform(4.0, 5), FrequencyGrid.uniform(4.0, 6)
     pairs = [(_random_matrix(rng, 5), _random_matrix(rng, 6)) for _ in range(3)]
-    one = OperatorMatrix(None, (g1, g2), pairs[:1])
-    three = OperatorMatrix(None, (g1, g2), pairs)
+    one = OperatorMatrix((g1, g2), pairs[:1])
+    three = OperatorMatrix((g1, g2), pairs)
     assert np.array_equal(one.entries, np.kron(*pairs[0]))
     ref = sum(np.kron(A, B) for A, B in pairs)
     assert np.max(np.abs(three.entries - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -246,15 +252,13 @@ def test_row_blocks_have_the_second_axis_height_in_both_forms():
         blocks = list(op.row_blocks())
         assert [b.shape for b in blocks] == [(g2.size, op.shape[1])] * g1.size
         assert np.array_equal(np.concatenate(blocks), op.entries)
-    dense = OperatorMatrix(ref, (g1, g2))
-    assert [b.tobytes() for b in dense.row_blocks()] == [dense.entries.tobytes()]
 
 
 def test_op_norm_examples():
-    I = OperatorMatrix(np.eye(FG.size, dtype=complex), FG)
+    I = _one_variable(np.eye(FG.size, dtype=complex), FG)
     assert abs(op_norm(I) - 1.0) < 1e-12
     D = fourier_multiplier(lambda t: np.exp(-t), FG)
-    assert abs(op_norm(OperatorMatrix(D, FG)) - 1.0) < 1e-12
+    assert abs(op_norm(_one_variable(D, FG)) - 1.0) < 1e-12
 
 
 def test_op_norm_weighted_consistency():
@@ -264,7 +268,7 @@ def test_op_norm_weighted_consistency():
         g = FrequencyGrid.uniform(10.0, n)
         D = fourier_multiplier(lambda t: np.exp(-t) * (1 + t), g)
         val = np.max(np.exp(-g.nodes) * (1 + g.nodes))
-        assert abs(op_norm(OperatorMatrix(D, g)) - val) < 1e-10
+        assert abs(op_norm(_one_variable(D, g)) - val) < 1e-10
 
 
 def test_kron_norm_multiplicative():
@@ -272,8 +276,8 @@ def test_kron_norm_multiplicative():
     g = FrequencyGrid.uniform(5.0, 12)
     A = _random_matrix(rng, g.size)
     B = _random_matrix(rng, g.size)
-    K = OperatorMatrix(None, (g, g), [(A, B)])
-    norms = [op_norm(OperatorMatrix(M, g)) for M in (A, B)]
+    K = OperatorMatrix((g, g), [(A, B)])
+    norms = [op_norm(_one_variable(M, g)) for M in (A, B)]
     assert abs(op_norm(K) - norms[0] * norms[1]) < 1e-10
 
 
@@ -283,8 +287,8 @@ def test_embeddings_commute_exactly():
     A = _random_matrix(rng, g.size)
     B = _random_matrix(rng, g.size)
     eye = np.eye(g.size, dtype=complex)
-    EA = OperatorMatrix(None, (g, g), [(A, eye)])
-    EB = OperatorMatrix(None, (g, g), [(eye, B)])
+    EA = OperatorMatrix((g, g), [(A, eye)])
+    EB = OperatorMatrix((g, g), [(eye, B)])
     assert np.array_equal(EA.entries @ EB.entries, EB.entries @ EA.entries)
 
 
@@ -294,7 +298,7 @@ def test_mixed_product_property(seed):
     rng = np.random.default_rng(seed)
     g = FrequencyGrid.uniform(5.0, 8)
     A, B, C, D = (_random_matrix(rng, g.size) for _ in range(4))
-    AB, CD = (OperatorMatrix(None, (g, g), [f]) for f in ((A, B), (C, D)))
+    AB, CD = (OperatorMatrix((g, g), [f]) for f in ((A, B), (C, D)))
     lhs = AB.entries @ CD.entries
     rhs = np.kron(A @ C, B @ D)
     scale = np.max(np.abs(lhs)) + 1e-30
