@@ -88,13 +88,27 @@ class RunConfig:
     raw: dict = field(repr=False)
 
     @classmethod
-    def load(cls, path: Path) -> "RunConfig":
+    def load(cls, path: Path, seed: int | None = None, sizes: str | None = None,
+             eps: str | None = None) -> "RunConfig":
+        """Read the config file and write the --seed, --sizes and --eps flags
+        into it before from_dict checks it once, so the config hash covers
+        the configuration that runs."""
         try:
             raw = json.loads(Path(path).read_text())
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}")
         except json.JSONDecodeError as e:
             raise ConfigError(f"config is not valid JSON: {e}")
+        # from_dict reports a config or a spectra section that is no object
+        if isinstance(raw, dict) and isinstance(raw.get("spectra", {}), dict):
+            if seed is not None:
+                raw["seed"] = seed
+            if sizes is not None:
+                raw["spectra"] = {**raw.get("spectra", {}),
+                                  "sizes": [int(s) for s in sizes.split(",")]}
+            if eps is not None:
+                raw["spectra"] = {**raw.get("spectra", {}),
+                                  "eps": [float(s) for s in eps.split(",")]}
         return cls.from_dict(raw, default_name=Path(path).stem)
 
     @classmethod
@@ -145,25 +159,6 @@ class RunConfig:
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"bad config structure: {e}")
         return cfg
-
-    def apply_overrides(
-        self, seed: int | None = None, sizes: str | None = None, eps: str | None = None
-    ) -> None:
-        """Apply the --seed/--sizes/--eps flags to the fields and to the
-        raw config that digest() hashes, so the hash names what ran."""
-        if seed is not None:
-            self.seed = seed
-            self.raw["seed"] = seed
-        spectra = dict(self.raw.get("spectra", {}))
-        if sizes:
-            self.sizes = _sizes((int(s) for s in sizes.split(",")), "--sizes",
-                                self.p1 != 1.0 or self.p2 != 1.0)
-            spectra["sizes"] = list(self.sizes)
-        if eps:
-            self.eps_list = _eps(float(s) for s in eps.split(","))
-            spectra["eps"] = list(self.eps_list)
-        if sizes or eps:
-            self.raw["spectra"] = spectra
 
     def digest(self) -> str:
         blob = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
@@ -379,7 +374,7 @@ def _plan(cfg: RunConfig):
     return qmap, plan
 
 
-def cmd_build(cfg: RunConfig, cross: bool, out: Path) -> int:
+def cmd_build(cfg: RunConfig, out: Path) -> int:
     digest = cfg.digest()
     try:
         qmap, plan = _plan(cfg)
@@ -403,9 +398,8 @@ def cmd_build(cfg: RunConfig, cross: bool, out: Path) -> int:
             "tol_met": plan.remainder + op.compression_tail <= cfg.plan_tol,
         }
     )
-    if cross:
-        resid = series_direct_residual(op, qmap, cfg.bgrids(), seed=cfg.seed)
-        cert["series_direct_residual"] = resid
+    cert["series_direct_residual"] = series_direct_residual(op, qmap, cfg.bgrids(),
+                                                            seed=cfg.seed)
     shifts = _constant_shifts(qmap)
     if shifts is not None:
         exact = exact_constant_multiplier(*shifts, cfg.fgrids())
@@ -496,13 +490,13 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK if verdict["verdict"] == "PASS" else EXIT_FAIL
 
 
-def run_command(command: str, cfg: RunConfig, out: Path, cross: bool = True) -> int:
+def run_command(command: str, cfg: RunConfig, out: Path) -> int:
     """Run one subcommand and map its failures onto the exit codes."""
     try:
         if command == "predict":
             return cmd_predict(cfg, out)
         if command == "build":
-            return cmd_build(cfg, cross, out)
+            return cmd_build(cfg, out)
         if command == "spectrum":
             return cmd_spectrum(cfg, out)
         return cmd_verify(cfg, out)
@@ -525,11 +519,10 @@ DEMO_RUNS = (
 )
 
 
-def cmd_demo(out: Path, seed: int | None) -> int:
+def cmd_demo(out: Path, cfgs: list) -> int:
+    """Run DEMO_RUNS, whose loaded configs ``cfgs`` are in the same order."""
     worst = EXIT_OK
-    for name, action in DEMO_RUNS:
-        cfg = RunConfig.load(CONFIG_DIR / f"{name}.json")
-        cfg.apply_overrides(seed=seed)
+    for (name, action), cfg in zip(DEMO_RUNS, cfgs):
         sub = out / name
         t0 = time.time()
         try:
@@ -553,14 +546,16 @@ def main(argv=None) -> int:
         description="quasi-parabolic composition operator toolkit",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    # a flag is registered only on the subcommands that read it
     for name in ("predict", "build", "spectrum", "verify"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, type=Path)
         p.add_argument("--out", type=Path, default=Path("out"))
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--sizes", type=str, default=None)
-        p.add_argument("--eps", type=str, default=None)
-        p.add_argument("--no-crosscheck", action="store_true")
+        if name == "verify":
+            p.add_argument("--sizes", type=str, default=None)
+        if name in ("spectrum", "verify"):
+            p.add_argument("--eps", type=str, default=None)
     d = sub.add_parser("demo")
     d.add_argument("--out", type=Path, default=Path("out"))
     d.add_argument("--seed", type=int, default=None)
@@ -573,16 +568,18 @@ def main(argv=None) -> int:
         print(f"error: cannot create the output directory: {e}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        seed = _optional(_integer, args.seed, "--seed")
-        if args.command != "demo":
-            cfg = RunConfig.load(args.config)
-            cfg.apply_overrides(seed, args.sizes, args.eps)
-    except (ConfigError, ValueError) as e:
+        if args.command == "demo":
+            cfgs = [RunConfig.load(CONFIG_DIR / f"{name}.json", args.seed)
+                    for name, _ in DEMO_RUNS]
+        else:
+            cfg = RunConfig.load(args.config, args.seed, getattr(args, "sizes", None),
+                                 getattr(args, "eps", None))
+    except ValueError as e:  # a ConfigError, or a flag that lists no numbers
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     if args.command == "demo":
-        return cmd_demo(out, seed)
-    return run_command(args.command, cfg, out, cross=not args.no_crosscheck)
+        return cmd_demo(out, cfgs)
+    return run_command(args.command, cfg, out)
 
 
 if __name__ == "__main__":

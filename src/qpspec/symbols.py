@@ -173,7 +173,11 @@ def parse_symbol_expression(text: str) -> SepExpr:
             raise SymbolError(
                 f"disallowed construct {type(node).__name__} in {text!r}"
             )
-    return _build(tree.body)
+    try:
+        return _build(tree.body)
+    except (ZeroDivisionError, OverflowError) as exc:
+        # a constant part is evaluated here: 1/0, or an integer past float
+        raise SymbolError(f"cannot evaluate a constant in {text!r}: {exc}") from exc
 
 
 def _build(node: ast.AST) -> SepExpr:
@@ -211,10 +215,7 @@ def _build(node: ast.AST) -> SepExpr:
                 and node.right.value >= 0
             ):
                 raise SymbolError("** requires a nonnegative integer exponent")
-            out = SepExpr.constant(1.0)
-            for _ in range(node.right.value):
-                out = out * base
-            return out
+            return _power(base, node.right.value)
         left = _build(node.left)
         right = _build(node.right)
         if isinstance(node.op, ast.Add):
@@ -229,6 +230,19 @@ def _build(node: ast.AST) -> SepExpr:
                 raise SymbolError("division by a genuinely two-variable expression")
             return left * inv
     raise SymbolError(f"unsupported node {type(node).__name__}")
+
+
+def _power(base: SepExpr, n: int) -> SepExpr:
+    """base ** n by repeated squaring, so that its product closures nest
+    about 2 log2 n deep and not n deep; base ** 2 is 1 * (base * base)."""
+    out = SepExpr.constant(1.0)
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,28 @@ def test_bad_override_value_exits_2(tmp_path, capsys, flag, value):
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section", ["top_level", "spectra"])
+def test_flags_on_a_section_that_is_no_object_exit_2(tmp_path, capsys, section):
+    # the flags go into the raw config before its one check, which then
+    # names the section that is no JSON object
+    if section == "top_level":
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[]")
+    else:
+        cfg = _config(tmp_path, spectra=[])
+    rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o"),
+               "--seed", "1", "--sizes", "8,12", "--eps", "0.1"])
+    assert rc == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+
+
+def test_demo_bad_seed_exits_2_before_any_run(tmp_path, capsys):
+    out = tmp_path / "demo"
+    assert main(["demo", "--out", str(out), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert list(out.iterdir()) == []
+
+
 def test_config_validation_rejects_nonpositive():
     with pytest.raises(ConfigError):
         RunConfig.from_dict({
@@ -304,16 +326,6 @@ def test_build_outputs_and_certificate(tmp_path):
     assert header.startswith("# config ")
 
 
-def test_build_no_crosscheck_skips_residual(tmp_path):
-    cfg = _config(tmp_path)
-    out = tmp_path / "out"
-    rc = main(["build", "--config", str(cfg), "--out", str(out),
-               "--no-crosscheck"])
-    assert rc == 0
-    cert = json.loads((out / "plan_certificate.json").read_text())
-    assert "series_direct_residual" not in cert
-
-
 @pytest.mark.parametrize(
     "expr, declared, closed_form",
     [("i + 0.25*cay(z1)", "constant", False), ("i", "continuous-on-closure", True)],
@@ -328,7 +340,7 @@ def test_closed_form_check_follows_the_parsed_symbol(tmp_path, expr, declared, c
                               "class": declared}
     cfg.write_text(json.dumps(raw))
     out = tmp_path / "out"
-    assert main(["build", "--config", str(cfg), "--out", str(out), "--no-crosscheck"]) == 0
+    assert main(["build", "--config", str(cfg), "--out", str(out)]) == 0
     cert = json.loads((out / "plan_certificate.json").read_text())
     if closed_form:
         assert cert["constant_closed_form_residual"] < 1e-10
@@ -402,7 +414,7 @@ def test_build_memory_stays_below_one_dense_operator(tmp_path, name):
     out.mkdir()
     tracemalloc.start()
     try:
-        assert cmd_build(cfg, True, out) == 0
+        assert cmd_build(cfg, out) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -432,8 +444,7 @@ def test_truncation_cap_reports_tol_not_met(tmp_path):
             "class": "constant"}
     cfg = _config(tmp_path, symbols={"psi1": slow, "psi2": slow})
     out = tmp_path / "out"
-    assert main(["build", "--config", str(cfg), "--out", str(out),
-                 "--no-crosscheck"]) == 0
+    assert main(["build", "--config", str(cfg), "--out", str(out)]) == 0
     cert = json.loads((out / "plan_certificate.json").read_text())
     assert cert["n1"] == cert["n2"] == 60
     assert cert["remainder_bound"] > 1e-8
@@ -447,7 +458,7 @@ def test_two_variable_certificate_counts_the_compression_tail(tmp_path, tol, met
     # 60 the remainder is far below either tol, so the tail decides tol_met
     cfg = _config(tmp_path, symbols=TWOVAR_SYMBOLS, plan={"tol": tol, "n1": 60, "n2": 60})
     out = tmp_path / "out"
-    assert main(["build", "--config", str(cfg), "--out", str(out), "--no-crosscheck"]) == 0
+    assert main(["build", "--config", str(cfg), "--out", str(out)]) == 0
     cert = json.loads((out / "plan_certificate.json").read_text())
     assert cert["remainder_bound"] < 1e-14 < cert["compression_tail"] < 1e-8
     assert cert["tol_met"] is met
@@ -461,8 +472,8 @@ def test_uncertifiable_plan_exits_3_for_every_subcommand(tmp_path, capsys):
     path.write_text(json.dumps(raw))
     for command in ("build", "spectrum", "verify"):
         out = tmp_path / command
-        rc = main([command, "--config", str(path), "--out", str(out),
-                   "--sizes", "8,12,16"])
+        sizes = ["--sizes", "8,12,16"] if command == "verify" else []
+        rc = main([command, "--config", str(path), "--out", str(out), *sizes])
         assert rc == 3, command
         assert "certification failure" in capsys.readouterr().err
     assert (tmp_path / "build" / "build_report.json").exists()
@@ -541,21 +552,57 @@ def test_seed_flag_overrides_config(tmp_path):
 
 def test_config_hash_covers_overrides(tmp_path):
     cfg = _config(tmp_path)
-    runs = iter(range(100))
 
-    def digest(*flags):
-        out = tmp_path / f"run{next(runs)}"
-        assert main(["predict", "--config", str(cfg), "--out", str(out), *flags]) == 0
-        return json.loads((out / "predict_report.json").read_text())["config_sha256"]
+    def digest(**flags):
+        return RunConfig.load(cfg, **flags).digest()
 
     base = digest()
-    eps = digest("--eps", "0.1")
-    sizes = digest("--sizes", "12,16,24")
+    eps = digest(eps="0.1")
+    sizes = digest(sizes="12,16,24")
     assert len({base, eps, sizes}) == 3
-    assert digest("--eps", "0.1") == eps
+    assert digest(eps="0.1") == eps
     assert digest() == base
     # the config already asks for eps 0.05: the run is the same
-    assert digest("--eps", "0.05") == base
+    assert digest(eps="0.05") == base
+    # the hash written is the hash of the loaded config
+    out = tmp_path / "out"
+    assert main(["predict", "--config", str(cfg), "--out", str(out), "--seed", "7"]) == 0
+    report = json.loads((out / "predict_report.json").read_text())
+    assert report["config_sha256"] == digest(seed=7) != base
+
+
+# --sizes is read by verify alone and --eps by spectrum and verify; the
+# cross-check of build always runs, so --no-crosscheck is gone
+@pytest.mark.parametrize("command, flag", [
+    ("predict", ["--sizes", "8,12,16"]), ("build", ["--sizes", "8,12,16"]),
+    ("spectrum", ["--sizes", "8,12,16"]), ("predict", ["--eps", "0.1"]),
+    ("build", ["--eps", "0.1"]), ("predict", ["--no-crosscheck"]),
+    ("spectrum", ["--no-crosscheck"]), ("verify", ["--no-crosscheck"]),
+    ("build", ["--no-crosscheck"]),
+])
+def test_flag_is_refused_where_it_does_nothing(tmp_path, capsys, command, flag):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--config", str(_config(tmp_path)), "--out", str(out), *flag])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "build"])
+@pytest.mark.parametrize("expr", ["i + 0.25*cay(z1/0)", "z1/0", "i/0",
+                                  "i + 0.25*cay(z1)**2000"])
+def test_constant_zero_division_and_large_power_are_config_errors(tmp_path, capsys,
+                                                                  command, expr):
+    # 1/0 of a constant raised ZeroDivisionError while the expression was
+    # parsed, and a power of 2000 nested 2000 product closures until the
+    # spot check overflowed the stack; both ended in a traceback, exit 1
+    cfg = _config(tmp_path)
+    raw = json.loads(cfg.read_text())
+    raw["symbols"]["psi1"].update(expr=expr, im_lower_bound=0.7, sup_bound=1.3)
+    cfg.write_text(json.dumps(raw))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,23 @@ def test_parse_power():
     z = 3.0 + 2.0j
     c = (z - 1j) / (z + 1j)
     assert abs(e(z, 0.0) - c * c) < 1e-14
+    # powers are taken by squaring, so their product closures nest like
+    # log2 of the exponent (2000 nested ones overflowed the stack) and the
+    # square keeps its bits.  Near the real axis |cay| is close to 1, so
+    # cay**2000 stays far from underflow
+    z = np.array([0.3 + 0.0005j, -2.0 + 0.001j, 5.0 + 0.003j])
+    c = (z - 1j) / (z + 1j)
+    assert np.array_equal(e(z, 0 * z), c * c)
+    for n in (0, 1, 3, 7, 12, 2000):
+        e = parse_symbol_expression(f"cay(z1)**{n}")
+        assert np.allclose(e(z, 0 * z), c**n, rtol=1e-10, atol=0), n
+
+
+@pytest.mark.parametrize("text", ["i/0", "z1/0", "cay(z2/0)", "9" * 400],
+                         ids=["i/0", "z1/0", "cay(z2/0)", "400-digit integer"])
+def test_parse_rejects_a_constant_it_cannot_evaluate(text):
+    with pytest.raises(SymbolError, match="cannot evaluate a constant"):
+        parse_symbol_expression(text)
 
 
 def test_parse_division_by_one_axis_expression_is_bit_exact():
